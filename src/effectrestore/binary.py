@@ -1,7 +1,8 @@
 """Closed-form effect restoration when X, Y, Z, W are all binary.
 
 With misclassification rates eps = P(w0|z1) and delta = P(w1|z0), the
-2x2 mechanism inverts in closed form:
+2x2 mechanism inverts in closed form (``restore_binary`` is the general
+``restore_joint`` applied to that 2x2 matrix):
 
     P(x,y,z0) = [(1-eps) P(x,y,w0) - eps P(x,y,w1)] / (1 - eps - delta)
     P(x,y,z1) = [-delta P(x,y,w0) + (1-delta) P(x,y,w1)] / (1 - eps - delta)
@@ -43,10 +44,10 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .mechanism import TOL_SINGULAR, BinaryErrorParams
-from .restore import TOL_INCOMPATIBLE, _finalize
+from .mechanism import TOL_SINGULAR, BinaryErrorParams, ErrorMatrix
+from .restore import TOL_INCOMPATIBLE, restore_joint
 from .rng import make_rng
-from .tables import AXIS_LATENT, JointTable
+from .tables import JointTable
 
 __all__ = [
     "restore_binary",
@@ -85,17 +86,16 @@ def restore_binary(
 ) -> JointTable:
     """Latent binary joint P(x, y, z) from the observed P(x, y, w).
 
-    Negative restored cells follow the shared policy: total negative mass
-    up to ``tol_incompat`` is clipped as numerical noise, anything larger
+    This is ``restore_joint`` on the 2x2 mechanism, so it shares its
+    condition cap and its negative-mass policy: total negative mass up to
+    ``tol_incompat`` is clipped as numerical noise, anything larger
     raises IncompatibleModelError unless ``clip`` forces the repair.
     """
-    p = _require_binary(observed)
-    det = _require_invertible(err, tol_sing)
-    raw = np.empty_like(p)
-    raw[:, :, 0] = ((1.0 - err.eps) * p[:, :, 0] - err.eps * p[:, :, 1]) / det
-    raw[:, :, 1] = (-err.delta * p[:, :, 0] + (1.0 - err.delta) * p[:, :, 1]) / det
-    cells, _, _ = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
-    return JointTable(cells, AXIS_LATENT)
+    _require_binary(observed)
+    _require_invertible(err, tol_sing)
+    return restore_joint(
+        observed, ErrorMatrix.from_binary(err), clip=clip, tol_incompat=tol_incompat
+    ).restored
 
 
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:

@@ -17,7 +17,7 @@ information about the latent value).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +45,36 @@ def _check_stochastic(arr: np.ndarray) -> None:
         raise ValidationError(f"columns must sum to 1 (worst defect {worst:.3e})")
 
 
+def _contract(mats: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """Apply the tensor product of ``mats`` along the last axis of ``cells``.
+
+    The last axis is read as mixed-radix digits, the first matrix owning
+    the most significant one (``numpy.kron`` order); each matrix acts on
+    its own digit, so the product is never formed.
+    """
+    cells = np.asarray(cells, dtype=float)
+    dims = [m.shape[1] for m in mats]
+    size = int(np.prod(dims))
+    if cells.shape[-1:] != (size,):
+        raise ValidationError(f"operand's last axis must have length {size}, got {cells.shape}")
+    lead = cells.shape[:-1]
+    out = cells.reshape(*lead, *dims)
+    for i, m in enumerate(mats, start=len(lead)):
+        out = np.moveaxis(np.tensordot(m, out, axes=([1], [i])), 0, i)
+    return out.reshape(*lead, -1)
+
+
 @dataclass(frozen=True, eq=False)
 class ErrorMatrix:
-    """Column-stochastic matrix P(w | z), dense and/or factored.
+    """Column-stochastic matrix P(w | z) as a linear operator, dense or factored.
 
-    ``entries`` holds the dense matrix when available; ``factors`` holds
-    the per-component mechanisms whose tensor product it is.  At least
-    one of the two must be present.  ``dense()`` materializes (and then
-    caches nothing: callers hold the result) only when the product
-    dimension is within ``DENSE_CAP``.
+    An instance holds exactly one form: ``entries``, the dense matrix, or
+    ``factors``, the per-component mechanisms whose tensor product it is.
+    A dense matrix is the one-factor case of the same operator, so
+    :meth:`apply`, :meth:`apply_inverse` and :meth:`condition` have one
+    code path.  The inverse is computed at most once per instance (per
+    factor in factored form) and cached as read-only arrays; ``dense()``
+    materializes the product only within ``DENSE_CAP``.
     """
 
     entries: np.ndarray | None = None
@@ -62,36 +83,46 @@ class ErrorMatrix:
     def __post_init__(self) -> None:
         if self.entries is None and not self.factors:
             raise ValidationError("an ErrorMatrix needs dense entries or factors")
+        if self.entries is not None and self.factors is not None:
+            raise ValidationError("an ErrorMatrix holds dense entries or factors, not both")
         if self.entries is not None:
             arr = np.asarray(self.entries, dtype=float).copy()
             _check_stochastic(arr)
             arr.setflags(write=False)
             object.__setattr__(self, "entries", arr)
-        if self.factors is not None:
+        else:
             object.__setattr__(self, "factors", tuple(self.factors))
             for f in self.factors:
                 if not isinstance(f, ErrorMatrix):
                     raise ValidationError("factors must be ErrorMatrix instances")
-            if self.entries is not None:
-                nw = int(np.prod([f.n_w for f in self.factors]))
-                nz = int(np.prod([f.n_z for f in self.factors]))
-                if (nw, nz) != self.entries.shape:
-                    raise ValidationError(
-                        f"factor product dimension ({nw}, {nz}) does not match "
-                        f"dense entries {self.entries.shape}"
-                    )
+
+    @property
+    def _mats(self) -> tuple[np.ndarray, ...]:
+        """The dense factors of the tensor product, nested factors flattened."""
+        if self.entries is not None:
+            return (self.entries,)
+        return tuple(m for f in self.factors for m in f._mats)
+
+    @cached_property
+    def _inverses(self) -> tuple[np.ndarray, ...] | None:
+        """Inverse of each of ``_mats``, or None when one is singular."""
+        if self.factors is not None:
+            invs = [f._inverses for f in self.factors]
+            return None if None in invs else tuple(m for inv in invs for m in inv)
+        try:
+            inv = np.linalg.inv(self.entries)
+        except np.linalg.LinAlgError:
+            return None
+        inv.setflags(write=False)
+        return (inv,)
 
     @property
     def n_w(self) -> int:
-        if self.entries is not None:
-            return self.entries.shape[0]
-        return int(np.prod([f.n_w for f in self.factors]))
+        return int(np.prod([m.shape[0] for m in self._mats]))
 
     @property
     def n_z(self) -> int:
-        if self.entries is not None:
-            return self.entries.shape[1]
-        return int(np.prod([f.n_z for f in self.factors]))
+        return int(np.prod([m.shape[1] for m in self._mats]))
 
     @property
     def is_square(self) -> bool:
@@ -107,7 +138,31 @@ class ErrorMatrix:
                 f"dense expansion of size {self.n_w}x{self.n_z} exceeds cap {cap}; "
                 "use the factored code paths"
             )
-        return reduce(np.kron, (f.dense(cap=cap) for f in self.factors))
+        return reduce(np.kron, self._mats, np.ones((1, 1)))
+
+    def apply(self, cells: np.ndarray) -> np.ndarray:
+        """M applied along the last axis: out[..., w] = sum_z M(w, z) cells[..., z]."""
+        return _contract(self._mats, cells)
+
+    def apply_inverse(self, cells: np.ndarray) -> np.ndarray:
+        """M^-1 applied along the last axis; SingularError when M has no inverse."""
+        if self._inverses is None:
+            raise SingularError("mechanism is singular: its inverse does not exist")
+        return _contract(self._inverses, cells)
+
+    def condition(self) -> float:
+        """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular).
+
+        For factored form it is the product over factors, which equals
+        the dense matrix's: induced 1-norms are multiplicative over
+        Kronecker products.
+        """
+        if self._inverses is None:
+            return float("inf")
+        cond = 1.0
+        for m, inv in zip(self._mats, self._inverses):
+            cond *= float(np.linalg.norm(m, 1)) * float(np.linalg.norm(inv, 1))
+        return cond
 
     @classmethod
     def identity(cls, n: int) -> "ErrorMatrix":
@@ -120,8 +175,8 @@ class ErrorMatrix:
     def to_json_dict(self) -> dict:
         out: dict = {"n_w": self.n_w, "n_z": self.n_z}
         if self.entries is not None:
-            out["entries"] = [float(v) for v in np.asarray(self.entries).ravel(order="F")]
-        if self.factors is not None:
+            out["entries"] = [float(v) for v in self.entries.ravel(order="F")]
+        else:
             out["factors"] = [f.to_json_dict() for f in self.factors]
         return out
 
@@ -200,18 +255,11 @@ def expand_factored(factors: Sequence[ErrorMatrix], *, cap: int = DENSE_CAP) -> 
     significant, matching ``numpy.kron``.  Each factor must be square so
     the expansion stays invertible; the expansion's inverse equals the
     tensor product of the per-factor inverses, which is how the factored
-    restoration paths avoid ever forming this matrix above ``cap``.
+    operator avoids ever forming this matrix above ``cap``.  The result
+    holds the dense form only.
     """
     factors = tuple(factors)
-    if not factors:
-        raise ValidationError("need at least one factor")
     for i, f in enumerate(factors):
         if not f.is_square:
             raise ValidationError(f"factor {i} is {f.n_w}x{f.n_z}; inversion needs square factors")
-    n = int(np.prod([f.n_w for f in factors]))
-    if n > cap:
-        raise ValidationError(
-            f"dense expansion of dimension {n} exceeds cap {cap}; use the factored paths"
-        )
-    dense = reduce(np.kron, (f.dense(cap=cap) for f in factors))
-    return ErrorMatrix(entries=dense, factors=factors)
+    return ErrorMatrix(entries=ErrorMatrix(factors=factors).dense(cap=cap))

@@ -9,9 +9,12 @@ propensity score L(w) = P(X=1 | w) into the latent-score L(z), enabling
 stratified estimation when the latent space is too large for cell-level
 statistics.
 
-Numerical policy: restoration solves linear systems per right-hand side
-(no explicit inverse) once the dimension exceeds a small threshold, and
-the conditioning of M is estimated from column norms before any solve.
+Numerical policy: every step goes through the mechanism's operator
+methods.  The inverse of M (of each factor, in factored form) is
+computed once per ``ErrorMatrix`` and cached, so the condition check,
+restoration and propensity restoration on one instance share a single
+factorization; the 1-norm condition number ||M||_1 ||M^-1||_1 is checked
+against a cap before the inverse is applied.
 Restored cells may come out slightly negative; a total absolute negative
 mass up to ``TOL_INCOMPATIBLE`` is treated as numerical noise and clipped
 (renormalizing each (x, y) slice to its conserved mass), while anything
@@ -40,8 +43,6 @@ from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, adjust_for_confounder
 TOL_INCOMPATIBLE = 1e-6
 #: mechanisms whose 1-norm condition estimate exceeds this cap refuse to invert
 CONDITION_CAP = 1e8
-#: dimension above which restoration solves systems instead of forming the inverse
-_INVERT_MAX = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,26 +69,7 @@ def pushforward(table: JointTable, mechanism: ErrorMatrix) -> JointTable:
         raise ValidationError(
             f"mechanism has n_z={mechanism.n_z} but table card_v={table.card_v}"
         )
-    if mechanism.factors is not None and mechanism.entries is None:
-        dims = [f.n_z for f in mechanism.factors]
-        cells = table.cells.reshape(table.card_x, table.card_y, *dims)
-        for i, f in enumerate(mechanism.factors):
-            cells = np.moveaxis(
-                np.tensordot(f.dense(), cells, axes=([1], [2 + i])), 0, 2 + i
-            )
-        cells = cells.reshape(table.card_x, table.card_y, mechanism.n_w)
-    else:
-        cells = np.einsum("wz,xyz->xyw", mechanism.dense(), table.cells)
-    return JointTable(cells, AXIS_PROXY)
-
-
-def _condition_estimate(m: np.ndarray) -> float:
-    """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular)."""
-    try:
-        inv_norm = float(np.linalg.norm(np.linalg.inv(m), 1))
-    except np.linalg.LinAlgError:
-        return float("inf")
-    return float(np.linalg.norm(m, 1)) * inv_norm
+    return JointTable(mechanism.apply(table.cells), AXIS_PROXY)
 
 
 def _check_invertible(mechanism: ErrorMatrix, cond_cap: float, *, where: str = "") -> float:
@@ -96,12 +78,7 @@ def _check_invertible(mechanism: ErrorMatrix, cond_cap: float, *, where: str = "
             f"restoration requires a square mechanism{where}, "
             f"got {mechanism.n_w}x{mechanism.n_z}"
         )
-    if mechanism.factors is not None and mechanism.entries is None:
-        cond = 1.0
-        for f in mechanism.factors:
-            cond *= _condition_estimate(f.dense())
-    else:
-        cond = _condition_estimate(mechanism.dense())
+    cond = mechanism.condition()
     if not cond < cond_cap:
         raise SingularError(
             f"mechanism{where} is singular or ill-conditioned "
@@ -109,31 +86,6 @@ def _check_invertible(mechanism: ErrorMatrix, cond_cap: float, *, where: str = "
             "the inverse does not exist or cannot be applied reliably"
         )
     return cond
-
-
-def _solve(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M^-1 @ rhs; explicit inverse for tiny systems, LU solves otherwise."""
-    try:
-        if m.shape[0] <= _INVERT_MAX:
-            return np.linalg.inv(m) @ rhs
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularError(f"mechanism is singular: {exc}") from exc
-
-
-def _apply_inverse(mechanism: ErrorMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Apply the mechanism inverse to each column of rhs (shape (n, k))."""
-    if mechanism.factors is not None and mechanism.entries is None:
-        dims = [f.n_w for f in mechanism.factors]
-        k = rhs.shape[1]
-        out = rhs.reshape(*dims, k)
-        for i, f in enumerate(mechanism.factors):
-            moved = np.moveaxis(out, i, 0)
-            flat = moved.reshape(f.n_w, -1)
-            solved = _solve(f.dense(), flat)
-            out = np.moveaxis(solved.reshape(moved.shape), 0, i)
-        return out.reshape(int(np.prod(dims)), k)
-    return _solve(mechanism.dense(), rhs)
 
 
 def _finalize(
@@ -190,10 +142,7 @@ def restore_joint(
             f"mechanism has n_w={mechanism.n_w} but observed card_v={observed.card_v}"
         )
     cond = _check_invertible(mechanism, cond_cap)
-    rhs = observed.cells.reshape(-1, observed.card_v).T
-    raw = _apply_inverse(mechanism, rhs).T.reshape(
-        observed.card_x, observed.card_y, mechanism.n_z
-    )
+    raw = mechanism.apply_inverse(observed.cells)
     cells, negative_mass, clipped = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
     return RestorationResult(
         restored=JointTable(cells, AXIS_LATENT),
@@ -237,7 +186,7 @@ def restore_joint_differential(
             )
         try:
             worst = max(worst, _check_invertible(mech, cond_cap, where=f" for (x={x}, y={y})"))
-            raw[x, y, :] = _apply_inverse(mech, observed.cells[x, y, :][:, None])[:, 0]
+            raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
         except SingularError as exc:
             raise SingularError(f"(x={x}, y={y}): {exc}") from exc
     cells, negative_mass, clipped = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
@@ -296,9 +245,7 @@ def restored_propensity(
     if abs(p_w.sum() - 1.0) > 1e-9 or p_w.min() < -1e-12:
         raise ValidationError("p_w must be a probability distribution")
     _check_invertible(mechanism, cond_cap)
-    stacked = np.column_stack([score_w * p_w, p_w])
-    solved = _apply_inverse(mechanism, stacked)
-    num, den = solved[:, 0], solved[:, 1]
+    num, den = mechanism.apply_inverse(np.stack([score_w * p_w, p_w]))
     small = np.abs(den) < tol_den
     if small.any():
         z = int(np.nonzero(small)[0][0])

@@ -182,7 +182,7 @@ def simulate_discrete(
         raise ValidationError("n must be >= 0")
     rng = make_rng(seed)
     u_z, u_x, u_y = rng.random(n), rng.random(n), rng.random(n)
-    z = (u_z[:, None] > np.cumsum(spec.p_z)[None, :]).sum(axis=1)
+    z = np.searchsorted(np.cumsum(spec.p_z), u_z, side="left")
     cum_x = np.cumsum(spec.p_x_given_z, axis=0)
     x = _draw_categorical(cum_x.T[z], u_x)
     cum_y = np.cumsum(spec.p_y_given_xz, axis=0)

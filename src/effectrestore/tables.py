@@ -162,15 +162,15 @@ def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
     p_v = table.cells.sum(axis=(0, 1))
     p_xv = table.cells.sum(axis=1)
-    out = np.zeros(table.card_y)
-    for v in np.nonzero(p_v > 0.0)[0]:
-        if p_xv[x, v] <= 0.0:
-            raise PositivityError(
-                f"P(x={x} | v={v}) = 0 while P(v={v}) = {p_v[v]:.6g}: "
-                f"stratum v={v} violates positivity"
-            )
-        out += table.cells[x, :, v] * (p_v[v] / p_xv[x, v])
-    return out
+    bad = np.nonzero((p_v > 0.0) & (p_xv[x] <= 0.0))[0]
+    if bad.size:
+        v = bad[0]
+        raise PositivityError(
+            f"P(x={x} | v={v}) = 0 while P(v={v}) = {p_v[v]:.6g}: "
+            f"stratum v={v} violates positivity"
+        )
+    weight = np.divide(p_v, p_xv[x], out=np.zeros_like(p_v), where=p_v > 0.0)
+    return table.cells[x] @ weight
 
 
 def empirical_joint(

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectrestore import (
     BinaryErrorParams,
@@ -11,6 +13,7 @@ from effectrestore import (
     component_mechanism,
     expand_factored,
 )
+from strategies import factor_lists
 
 
 class TestErrorMatrix:
@@ -44,6 +47,36 @@ class TestErrorMatrix:
         with pytest.raises(ValidationError):
             ErrorMatrix()
 
+    def test_holds_exactly_one_form(self):
+        eye = ErrorMatrix.identity(2)
+        with pytest.raises(ValidationError, match="not both"):
+            ErrorMatrix(entries=np.eye(2), factors=(eye,))
+        doc = {"n_w": 2, "n_z": 2, "entries": [1.0, 0.0, 0.0, 1.0],
+               "factors": [eye.to_json_dict()]}
+        with pytest.raises(ValidationError, match="not both"):
+            ErrorMatrix.from_json_dict(doc)
+
+    def test_singular_operator(self):
+        m = ErrorMatrix(entries=np.full((2, 2), 0.5))
+        assert m.condition() == float("inf")
+        with pytest.raises(SingularError):
+            m.apply_inverse(np.ones(2))
+        factored = ErrorMatrix(factors=(ErrorMatrix.identity(2), m))
+        assert factored.condition() == float("inf")
+
+    def test_operand_length_checked(self):
+        mech = component_mechanism([BinaryErrorParams(0.1, 0.2)] * 2)
+        with pytest.raises(ValidationError, match="length 4"):
+            mech.apply(np.ones((2, 3)))
+        with pytest.raises(ValidationError, match="length 4"):
+            mech.apply_inverse(np.ones(5))
+
+    def test_cached_inverse_is_read_only(self):
+        m = ErrorMatrix(entries=BinaryErrorParams(0.2, 0.1).matrix())
+        (inv,) = m._inverses
+        assert m._inverses is m._inverses
+        assert not inv.flags.writeable
+
 
 class TestBinaryErrorParams:
     def test_matrix_layout(self):
@@ -76,7 +109,9 @@ class TestExpandFactored:
 
     def test_two_identities(self):
         eye = ErrorMatrix.identity(2)
-        np.testing.assert_array_equal(expand_factored([eye, eye]).dense(), np.eye(4))
+        expanded = expand_factored([eye, eye])
+        np.testing.assert_array_equal(expanded.dense(), np.eye(4))
+        assert expanded.factors is None
 
     def test_inverse_of_expansion_is_expansion_of_inverses(self):
         # oracle: dense inversion of the expanded matrix
@@ -106,3 +141,24 @@ class TestExpandFactored:
         rect = ErrorMatrix(entries=np.array([[0.5, 0.1, 0.2], [0.5, 0.9, 0.8]]))
         with pytest.raises(ValidationError):
             expand_factored([rect])
+
+
+class TestFactoredOperatorMatchesExpansion:
+    @settings(max_examples=60, deadline=None)
+    @given(factor_lists(), st.integers(0, 2**32 - 1))
+    def test_apply_inverse_and_condition(self, factors, seed):
+        factored = ErrorMatrix(factors=tuple(factors))
+        dense = expand_factored(factors)
+        m = dense.dense()
+        cells = np.random.default_rng(seed).random((2, 3, factored.n_z))
+        np.testing.assert_allclose(factored.apply(cells), dense.apply(cells), atol=1e-14)
+        np.testing.assert_allclose(factored.apply(cells), cells @ m.T, atol=1e-14)
+        np.testing.assert_allclose(
+            factored.apply_inverse(cells), dense.apply_inverse(cells), rtol=1e-10, atol=1e-12
+        )
+        solved = np.linalg.solve(m, cells.reshape(-1, m.shape[0]).T).T.reshape(cells.shape)
+        np.testing.assert_allclose(factored.apply_inverse(cells), solved, rtol=1e-10, atol=1e-12)
+        assert factored.condition() == pytest.approx(dense.condition(), rel=1e-9)
+        assert dense.condition() == pytest.approx(
+            np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1), rel=1e-9
+        )

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from effectrestore import (
     BinaryErrorParams,
@@ -15,13 +18,16 @@ from effectrestore import (
     ValidationError,
     adjust_for_confounder,
     causal_effect_restored,
+    component_mechanism,
     propensity_profile,
     pushforward,
+    restore_binary,
     restore_joint,
     restore_joint_differential,
     restored_propensity,
     stratified_effect,
 )
+from strategies import factor_lists, stochastic_matrices
 
 
 def random_table(rng, cards, axis="Z"):
@@ -135,7 +141,7 @@ class TestRestoreJoint:
         np.testing.assert_allclose(rf, truth.cells, atol=1e-12)
 
     def test_large_mechanism_uses_solve_path(self):
-        # dimensions above the explicit-inverse threshold go through LU solves
+        # a 12-dimensional dense mechanism restored through its cached inverse
         rng = np.random.default_rng(20)
         truth = random_table(rng, (2, 2, 12))
         mech = well_conditioned_mechanism(rng, 12)
@@ -154,6 +160,79 @@ class TestRestoreJoint:
         observed = pushforward(truth, mech)
         restored = restore_joint(observed, mech).restored
         assert np.abs(restored.cells - truth.cells).max() < 1e-10
+
+
+@st.composite
+def latent_tables(draw, card_v):
+    cx, cy = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = draw(hnp.arrays(np.float64, (cx, cy, card_v), elements=st.floats(0.01, 1.0)))
+    return JointTable(cells / cells.sum(), "Z")
+
+
+@st.composite
+def mechanisms(draw):
+    """Well-conditioned mechanisms, dense or factored."""
+    if draw(st.booleans()):
+        return ErrorMatrix(entries=draw(stochastic_matrices(draw(st.integers(1, 6)))))
+    return ErrorMatrix(factors=tuple(draw(factor_lists())))
+
+
+class TestRestoreInvertsPushforward:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_roundtrip(self, data):
+        mech = data.draw(mechanisms())
+        truth = data.draw(latent_tables(mech.n_z))
+        result = restore_joint(pushforward(truth, mech), mech)
+        np.testing.assert_allclose(result.restored.cells, truth.cells, atol=1e-12)
+        assert 1.0 - 1e-12 <= result.condition_estimate <= 5.0 ** 4
+
+
+class TestFactorizedOnce:
+    def test_one_inverse_serves_every_step(self, monkeypatch):
+        calls = {"inv": 0, "solve": 0}
+        real = {"inv": np.linalg.inv, "solve": np.linalg.solve}
+
+        def counted(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        rng = np.random.default_rng(21)
+        mech = well_conditioned_mechanism(rng, 12)
+        observed = pushforward(random_table(rng, (2, 2, 12)), mech)
+        restore_joint(observed, mech)
+        p_w = observed.cells.sum(axis=(0, 1))
+        restored_propensity(observed.cells[1].sum(axis=0) / p_w, p_w, mech)
+        assert calls == {"inv": 1, "solve": 0}
+
+        factored = component_mechanism([BinaryErrorParams(0.1, 0.2)] * 3)
+        observed = pushforward(random_table(rng, (2, 2, 8)), factored)
+        restore_joint(observed, factored)
+        restore_joint(observed, factored)
+        assert calls == {"inv": 4, "solve": 0}
+
+
+class TestBinaryIsTheTwoByTwoCase:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(0.0, 0.45), st.floats(0.0, 0.45),
+        hnp.arrays(np.float64, (2, 2, 2), elements=st.floats(0.01, 1.0)),
+    )
+    def test_matches_closed_form(self, eps, delta, latent):
+        # oracle: the closed-form 2x2 inverse, cell by cell
+        err = BinaryErrorParams(eps, delta)
+        m = np.array([[1.0 - delta, eps], [delta, 1.0 - eps]])
+        p = np.einsum("wz,xyz->xyw", m, latent / latent.sum())
+        det = 1.0 - eps - delta
+        expected = np.empty_like(p)
+        expected[:, :, 0] = ((1.0 - eps) * p[:, :, 0] - eps * p[:, :, 1]) / det
+        expected[:, :, 1] = (-delta * p[:, :, 0] + (1.0 - delta) * p[:, :, 1]) / det
+        restored = restore_binary(JointTable(p, "W"), err)
+        np.testing.assert_allclose(restored.cells, expected, atol=1e-14)
 
 
 class TestRestoreJointDifferential:

@@ -16,6 +16,7 @@ from effectrestore import (
     simulate_discrete,
     simulate_linear,
 )
+from effectrestore.rng import make_rng
 
 
 def example_spec():
@@ -128,6 +129,21 @@ class TestSimulateDiscrete:
         samples, _ = simulate_discrete(spec, 1000, seed=4)
         assert samples.shape == (1000, 4)
         assert set(np.unique(samples[:, 2:])) <= {0, 1}
+
+    def test_latent_draw_is_inverse_cdf_count(self):
+        # noiseless components copy the bits of z, so the draw can be checked
+        # against the inverse-CDF count (u > cdf).sum(), zero-mass values included
+        p_z = np.array([0.1, 0.0, 0.25, 0.0, 0.0, 0.4, 0.25, 0.0])
+        spec = DiscreteModelSpec(
+            p_z=p_z,
+            p_x_given_z=np.full((2, 8), 0.5),
+            p_y_given_xz=np.full((2, 2, 8), 0.5),
+            error=(BinaryErrorParams(0.0, 0.0),) * 3,
+        )
+        samples, _ = simulate_discrete(spec, 5000, seed=6)
+        z = samples[:, 2:] @ np.array([4, 2, 1])
+        u_z = make_rng(6).random(5000)
+        np.testing.assert_array_equal(z, (u_z[:, None] > np.cumsum(p_z)).sum(axis=1))
 
     def test_dense_categorical_mechanism(self):
         mech = ErrorMatrix(entries=np.array(

@@ -145,6 +145,31 @@ class TestAdjustForConfounder:
         with pytest.raises(PositivityError, match="v=1"):
             adjust_for_confounder(table, 0)
 
+    def test_positivity_names_first_offending_stratum(self):
+        cells = np.full((2, 2, 5), 0.05)
+        cells[0, :, [1, 3]] = 0.0
+        table = JointTable(cells / cells.sum(), "Z")
+        with pytest.raises(PositivityError, match=r"P\(x=0 \| v=1\) = 0 .* stratum v=1 "):
+            adjust_for_confounder(table, 0)
+
+    def test_zero_mass_strata_are_skipped(self):
+        # oracle: the same loop over positive-mass strata that the adjustment
+        # formula writes out, summed in stratum order
+        rng = np.random.default_rng(25)
+        for _ in range(25):
+            cells = rng.dirichlet(np.ones(2 * 3 * 6)).reshape(2, 3, 6)
+            cells[:, :, rng.integers(6, size=2)] = 0.0
+            table = JointTable(cells / cells.sum(), "Z")
+            p_v = table.cells.sum(axis=(0, 1))
+            p_xv = table.cells.sum(axis=1)
+            for x in range(2):
+                expected = np.zeros(3)
+                for v in np.nonzero(p_v > 0.0)[0]:
+                    expected += table.cells[x, :, v] * (p_v[v] / p_xv[x, v])
+                np.testing.assert_allclose(
+                    adjust_for_confounder(table, x), expected, rtol=1e-14, atol=1e-16
+                )
+
     def test_x_out_of_range(self):
         table = JointTable(np.full((2, 2, 2), 1 / 8), "Z")
         with pytest.raises(ValidationError):
