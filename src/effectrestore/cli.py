@@ -185,7 +185,8 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
         lam = args.lam
         source = "external"
     c0 = statistic(stats)
-    se = linear.bootstrap_se(rows, statistic, n_boot=args.boot, seed=args.seed)
+    boots = linear.bootstrap_values(rows, statistic, n_boot=args.boot, seed=args.seed)
+    se = float(np.std(boots, ddof=1))
     return {
         "c0": c0,
         "stderr": se,
@@ -193,6 +194,7 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
         "lambda": lam,
         "lambda_source": source,
         "n": stats.n,
+        "boot_used": len(boots),
     }
 
 

@@ -32,6 +32,7 @@ import numpy as np
 from .errors import UnidentifiableError, ValidationError
 from .linear import (
     DEFAULT_BOOTSTRAP,
+    MIN_ROWS,
     TOL_DEN,
     CovStats,
     bootstrap_se,
@@ -142,8 +143,8 @@ def two_stage_test(
     if arr.ndim != 2 or arr.shape[1] < 3:
         raise ValidationError(f"rows must have shape (n, >=3), got {arr.shape}")
     n = arr.shape[0]
-    if n < 10:
-        raise ValidationError(f"need at least 10 rows, got {n}")
+    if n < MIN_ROWS:
+        raise ValidationError(f"need at least {MIN_ROWS} rows, got {n}")
     if not math.isfinite(alpha_param) or alpha_param <= 0.0:
         raise ValidationError(f"alpha_param must be positive, got {alpha_param!r}")
     x, y, w = arr[:, 0], arr[:, 1], arr[:, 2]

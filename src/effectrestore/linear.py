@@ -47,6 +47,11 @@ from .rng import make_rng
 TOL_DEN = 1e-9
 #: default number of bootstrap resamples
 DEFAULT_BOOTSTRAP = 1000
+#: fewest rows a sample test or bootstrap standard error is computed from
+MIN_ROWS = 10
+#: cells of the reused float64 resample-count buffer (16 MB): each chunk holds
+#: this many // n resamples of n counts, so memory stays linear in n
+_COUNT_CELLS = 1 << 21
 
 _PAIRS = (
     ("cov_xy", "var_x", "var_y"),
@@ -345,6 +350,69 @@ def cov_from_samples(rows: np.ndarray) -> CovStats:
     )
 
 
+def bootstrap_values(
+    rows: np.ndarray,
+    statistic: Callable[[CovStats], float],
+    *,
+    n_boot: int = DEFAULT_BOOTSTRAP,
+    seed: int = 0,
+) -> np.ndarray:
+    """Moment statistic on every row resample where it is defined.
+
+    Resample b draws n row indices with replacement from stream b of
+    ``seed`` (``make_rng(seed, b)``), so the resamples do not depend on
+    how they are grouped.  Their moments come from row counts: each
+    chunk of resamples fills a reused count buffer, which is multiplied
+    once by the columns, centered at the full-sample mean, stacked with
+    their pairwise products.  A resample on which the statistic raises
+    UnidentifiableError is counted as undefined and skipped; the values
+    of the others are returned in resample order.
+
+    Raises ValidationError below ``MIN_ROWS`` rows or for n_boot < 2, and
+    UnidentifiableError when the statistic is undefined on more than half
+    of the resamples or fewer than two remain.
+    """
+    arr = np.asarray(rows, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] not in (3, 4):
+        raise ValidationError(f"rows must have shape (n, 3) or (n, 4), got {arr.shape}")
+    n, k = arr.shape
+    if n < MIN_ROWS:
+        raise ValidationError(
+            f"need at least {MIN_ROWS} rows for a bootstrap standard error, got {n}"
+        )
+    if n_boot < 2:
+        raise ValidationError("n_boot must be >= 2")
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    names = "xywv"
+    fields = [f"var_{names[i]}" if i == j else f"cov_{names[i]}{names[j]}" for i, j in pairs]
+    left, right = (np.array(side) for side in zip(*pairs))
+    centered = arr - arr.mean(axis=0)
+    stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
+    counts = np.empty((min(n_boot, max(1, _COUNT_CELLS // n)), n))
+    values = []
+    for start in range(0, n_boot, counts.shape[0]):
+        block = counts[: min(counts.shape[0], n_boot - start)]
+        for r in range(block.shape[0]):
+            block[r] = np.bincount(
+                make_rng(seed, start + r).integers(0, n, size=n), minlength=n
+            )
+        sums = block @ stacked
+        mean = sums[:, :k] / n
+        cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
+        for moments in cov.tolist():
+            try:
+                values.append(statistic(CovStats(**dict(zip(fields, moments)), n=n)))
+            except UnidentifiableError:
+                continue
+    used = len(values)
+    if used < 2 or 2 * used < n_boot:
+        raise UnidentifiableError(
+            f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
+            f"(used {used}/{n_boot}); its standard error is not estimable"
+        )
+    return np.asarray(values, dtype=float)
+
+
 def bootstrap_se(
     rows: np.ndarray,
     statistic: Callable[[CovStats], float],
@@ -354,46 +422,8 @@ def bootstrap_se(
 ) -> float:
     """Nonparametric bootstrap standard error of a moment statistic.
 
-    Resamples rows with replacement ``n_boot`` times (stream k of
-    ``seed`` drives resample k) and returns the standard deviation of
-    the statistic across resamples.  Resamples on which the statistic is
-    undefined (degenerate denominators) are skipped.
+    The standard deviation of :func:`bootstrap_values` (same arguments,
+    same failures) across the resamples on which the statistic is
+    defined.
     """
-    arr = np.asarray(rows, dtype=float)
-    if n_boot < 2:
-        raise ValidationError("n_boot must be >= 2")
-    n, k = arr.shape
-    cols = [arr[:, i] for i in range(k)]
-    prods = np.stack(
-        [cols[i] * cols[j] for i in range(k) for j in range(i, k)], axis=1
-    )
-    pair_index = {(i, j): m for m, (i, j) in enumerate(
-        (i, j) for i in range(k) for j in range(i, k)
-    )}
-    values = []
-    for b in range(n_boot):
-        counts = np.bincount(make_rng(seed, b).integers(0, n, size=n), minlength=n)
-        cf = counts.astype(float)
-        means = cf @ arr / n
-        raw = cf @ prods
-        cov = np.empty((k, k))
-        for (i, j), m in pair_index.items():
-            cov[i, j] = cov[j, i] = (raw[m] - n * means[i] * means[j]) / (n - 1)
-        kwargs: dict = {}
-        if k == 4:
-            kwargs = {
-                "var_v": cov[3, 3], "cov_xv": cov[0, 3],
-                "cov_yv": cov[1, 3], "cov_wv": cov[2, 3],
-            }
-        stats = CovStats(
-            var_x=cov[0, 0], var_y=cov[1, 1], var_w=cov[2, 2],
-            cov_xy=cov[0, 1], cov_xw=cov[0, 2], cov_yw=cov[1, 2],
-            n=n, **kwargs,
-        )
-        try:
-            values.append(statistic(stats))
-        except UnidentifiableError:
-            continue
-    if len(values) < 2:
-        raise UnidentifiableError("statistic undefined on nearly all bootstrap resamples")
-    return float(np.std(values, ddof=1))
+    return float(np.std(bootstrap_values(rows, statistic, n_boot=n_boot, seed=seed), ddof=1))

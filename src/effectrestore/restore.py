@@ -24,7 +24,8 @@ raises unless clipping is explicitly forced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -184,11 +185,8 @@ def restore_joint_differential(
             raise ValidationError(
                 f"mechanism for (x={x}, y={y}) has n_w={mech.n_w}, expected {observed.card_v}"
             )
-        try:
-            worst = max(worst, _check_invertible(mech, cond_cap, where=f" for (x={x}, y={y})"))
-            raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
-        except SingularError as exc:
-            raise SingularError(f"(x={x}, y={y}): {exc}") from exc
+        worst = max(worst, _check_invertible(mech, cond_cap, where=f" for (x={x}, y={y})"))
+        raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
     cells, negative_mass, clipped = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
     return RestorationResult(
         restored=JointTable(cells, AXIS_LATENT),
@@ -256,6 +254,12 @@ def restored_propensity(
     return num / den
 
 
+def _split(members: np.ndarray, sizes) -> tuple[tuple[int, ...], ...]:
+    """Consecutive runs of ``members`` with the given lengths, as int tuples."""
+    ends = np.cumsum(sizes, dtype=np.intp).tolist()
+    return tuple(tuple(members[a:b].tolist()) for a, b in zip([0, *ends], ends))
+
+
 @dataclass(frozen=True, eq=False)
 class PropensityProfile:
     """Latent propensity scores with a stratification of the z-space.
@@ -268,26 +272,35 @@ class PropensityProfile:
     scores: np.ndarray
     strata: tuple[tuple[int, ...], ...]
     weights: np.ndarray
+    #: every stratum's z indices concatenated in stratum order, and the
+    #: stratum index of each
+    _members: np.ndarray = field(init=False, repr=False)
+    _labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
-        scores.setflags(write=False)
-        weights.setflags(write=False)
+        sizes = [len(s) for s in self.strata]
+        members = np.fromiter(
+            itertools.chain.from_iterable(self.strata), dtype=np.intp, count=sum(sizes)
+        )
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        for arr in (scores, weights, members, labels):
+            arr.setflags(write=False)
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "strata", tuple(tuple(int(z) for z in s) for s in self.strata))
+        object.__setattr__(self, "strata", _split(members, sizes))
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_labels", labels)
         if len(self.strata) != weights.shape[0]:
             raise ValidationError("one weight per stratum required")
         if weights.min(initial=0.0) < -1e-12:
             raise ValidationError("stratum weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"stratum weights sum to {weights.sum()!r}, expected 1")
-        seen: set[int] = set()
-        for s in self.strata:
-            if seen & set(s):
-                raise ValidationError("strata must be disjoint")
-            seen |= set(s)
+        ordered = np.sort(members)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValidationError("strata must be disjoint")
 
 
 def propensity_profile(
@@ -310,19 +323,16 @@ def propensity_profile(
     pos = p_z > 0.0
     scores = np.full(table.card_v, np.nan)
     scores[pos] = p_xz[treated, pos] / p_z[pos]
-    pos_idx = np.nonzero(pos)[0]
+    pos_idx = np.flatnonzero(pos)
     values = np.round(scores[pos_idx], 12)
-    groups: dict[float, list[int]] = {}
-    if len(np.unique(values)) <= n_bins:
-        for z, val in zip(pos_idx, values):
-            groups.setdefault(float(val), []).append(int(z))
-    else:
-        clipped = np.clip(values, 0.0, 1.0)
-        bins = np.minimum((clipped * n_bins).astype(int), n_bins - 1)
-        for z, b in zip(pos_idx, bins):
-            groups.setdefault(float(b), []).append(int(z))
-    strata = tuple(tuple(groups[k]) for k in sorted(groups))
-    weights = np.array([p_z[list(s)].sum() for s in strata])
+    keys, labels = np.unique(values, return_inverse=True)
+    if len(keys) > n_bins:
+        bins = np.minimum((np.clip(values, 0.0, 1.0) * n_bins).astype(int), n_bins - 1)
+        keys, labels = np.unique(bins, return_inverse=True)
+    members = pos_idx[np.argsort(labels, kind="stable")]
+    sizes = np.bincount(labels, minlength=len(keys))
+    strata = _split(members, sizes)
+    weights = np.bincount(labels, weights=p_z[pos_idx], minlength=len(keys))
     weights = weights / weights.sum()
     return PropensityProfile(scores=scores, strata=strata, weights=weights)
 
@@ -336,25 +346,33 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
     """
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
-    p_z = table.cells.sum(axis=(0, 1))
-    covered = set()
-    for s in profile.strata:
-        covered |= set(s)
-    uncovered = [int(z) for z in np.nonzero(p_z > 0.0)[0] if int(z) not in covered]
-    if uncovered:
-        raise ValidationError(f"strata do not cover positive-mass z indices {uncovered}")
-    out = np.zeros(table.card_y)
-    for k, (members, weight) in enumerate(zip(profile.strata, profile.weights)):
-        if weight <= 0.0:
-            continue
-        if not members:
-            raise DegenerateStratumError(f"stratum {k} is empty but has weight {weight:.3e}")
-        idx = list(members)
-        p_xl = float(table.cells[x, :, idx].sum())
-        if p_xl <= 0.0:
-            raise PositivityError(
-                f"P(x={x}, l) = 0 in stratum {k} (weight {weight:.3e}): positivity violated"
-            )
-        p_xyl = table.cells[x, :, idx].sum(axis=0)
-        out += weight * (p_xyl / p_xl)
-    return out
+    members, labels = profile._members, profile._labels
+    if members.size and not (0 <= members.min() and members.max() < table.card_v):
+        raise ValidationError(f"strata hold z indices outside [0, {table.card_v})")
+    covered = np.zeros(table.card_v, dtype=bool)
+    covered[members] = True
+    uncovered = np.flatnonzero((table.cells.sum(axis=(0, 1)) > 0.0) & ~covered)
+    if uncovered.size:
+        raise ValidationError(
+            f"strata do not cover positive-mass z indices {uncovered.tolist()}"
+        )
+    n_strata = len(profile.strata)
+    # P(x, y, l) for every stratum l, shape (n_strata, card_y)
+    p_xyl = np.stack(
+        [np.bincount(labels, weights=table.cells[x, y, members], minlength=n_strata)
+         for y in range(table.card_y)],
+        axis=1,
+    )
+    p_xl = p_xyl.sum(axis=1)
+    weights = profile.weights
+    active = weights > 0.0
+    empty = np.bincount(labels, minlength=n_strata) == 0
+    bad = np.flatnonzero(active & (empty | (p_xl <= 0.0)))
+    if bad.size:
+        k = int(bad[0])
+        if empty[k]:
+            raise DegenerateStratumError(f"stratum {k} is empty but has weight {weights[k]:.3e}")
+        raise PositivityError(
+            f"P(x={x}, l) = 0 in stratum {k} (weight {weights[k]:.3e}): positivity violated"
+        )
+    return (weights[active, None] * (p_xyl[active] / p_xl[active, None])).sum(axis=0)

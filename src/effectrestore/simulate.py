@@ -169,6 +169,21 @@ def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (u[:, None] > cum_by_sample).sum(axis=1)
 
 
+def _draw_by_column(cum: np.ndarray, col: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of sample i from the cumulative distribution
+    ``cum[:, col[i]]`` with uniform u[i]: one ``searchsorted`` per distinct
+    column over the samples that use it, so memory stays O(n + table)
+    where a per-sample row of the table would cost O(n * len(cum))."""
+    out = np.empty(col.shape[0], dtype=np.intp)
+    order = np.argsort(col, kind="stable")
+    sorted_col = col[order]
+    starts = np.flatnonzero(np.diff(sorted_col, prepend=-1))
+    for lo, hi in zip(starts, [*starts[1:], col.shape[0]]):
+        idx = order[lo:hi]
+        out[idx] = np.searchsorted(cum[:, sorted_col[lo]], u[idx], side="left")
+    return out
+
+
 def simulate_discrete(
     spec: DiscreteModelSpec, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -190,8 +205,7 @@ def simulate_discrete(
     if spec.k_components is None:
         mech = spec.mechanism()
         u_w = rng.random(n)
-        cum_w = np.cumsum(mech.dense(), axis=0)
-        w = _draw_categorical(cum_w.T[z], u_w)
+        w = _draw_by_column(np.cumsum(mech.dense(), axis=0), z, u_w)
         samples = np.column_stack([x, y, w]).astype(int)
     else:
         k = spec.k_components

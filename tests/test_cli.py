@@ -193,6 +193,7 @@ class TestLinearCommands:
         doc = load_json(out_path)
         assert abs(doc["c0"] - spec.c0) < 3.0 * doc["stderr"]
         assert doc["lambda_source"] == "error_variance"
+        assert doc["boot_used"] == 200
 
     def test_effect_linear_two_indicator_route(self, tmp_path):
         from effectrestore import LinearSemSpec
@@ -218,6 +219,17 @@ class TestLinearCommands:
         assert doc["lambda_source"] == "two_indicator"
         assert abs(doc["c0"] - spec.c0) < 3.0 * doc["stderr"]
         assert abs(doc["lambda"] - spec.c3**2 * spec.var_z) < 0.05
+
+    def test_effect_linear_refuses_a_bootstrap_from_two_rows(self, tmp_path, capsys):
+        # two rows cannot support a standard error: a usage error, not stderr 0.0
+        samples_path = tmp_path / "rows.csv"
+        rows = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 5.0]])
+        write_samples_csv(samples_path, ["x", "y", "w"], rows)
+        assert main(["effect-linear", "--in", str(samples_path), "--lambda", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "at least 10 rows" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_effect_linear_requires_exactly_one_lambda_source(self, tmp_path):
         rng = np.random.default_rng(51)

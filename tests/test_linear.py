@@ -10,6 +10,7 @@ from effectrestore import (
     UnidentifiableError,
     ValidationError,
     bootstrap_se,
+    bootstrap_values,
     c0_error_prone_k,
     c0_from_lambda,
     c0_noiseless,
@@ -20,6 +21,8 @@ from effectrestore import (
     simulate_linear,
     surrogate_slope,
 )
+from effectrestore import linear
+from effectrestore.rng import make_rng
 
 
 def random_spec(rng, *, c0=None, with_v=True, var_ew=None):
@@ -383,3 +386,123 @@ class TestBootstrap:
         se = bootstrap_se(rows, lambda s: s.var_x, n_boot=300, seed=3)
         # var of sample variance of N(0,1) is ~2/n
         assert se == pytest.approx(np.sqrt(2.0 / 4000), rel=0.25)
+
+
+def loop_bootstrap_values(rows, statistic, n_boot, seed):
+    """Reference engine: one resample per iteration, uncentered moments."""
+    arr = np.asarray(rows, dtype=float)
+    n, k = arr.shape
+    cols = [arr[:, i] for i in range(k)]
+    prods = np.stack(
+        [cols[i] * cols[j] for i in range(k) for j in range(i, k)], axis=1
+    )
+    pair_index = {(i, j): m for m, (i, j) in enumerate(
+        (i, j) for i in range(k) for j in range(i, k)
+    )}
+    values = []
+    for b in range(n_boot):
+        counts = np.bincount(make_rng(seed, b).integers(0, n, size=n), minlength=n)
+        cf = counts.astype(float)
+        means = cf @ arr / n
+        raw = cf @ prods
+        cov = np.empty((k, k))
+        for (i, j), m in pair_index.items():
+            cov[i, j] = cov[j, i] = (raw[m] - n * means[i] * means[j]) / (n - 1)
+        kwargs: dict = {}
+        if k == 4:
+            kwargs = {
+                "var_v": cov[3, 3], "cov_xv": cov[0, 3],
+                "cov_yv": cov[1, 3], "cov_wv": cov[2, 3],
+            }
+        stats = CovStats(
+            var_x=cov[0, 0], var_y=cov[1, 1], var_w=cov[2, 2],
+            cov_xy=cov[0, 1], cov_xw=cov[0, 2], cov_yw=cov[1, 2],
+            n=n, **kwargs,
+        )
+        try:
+            values.append(statistic(stats))
+        except UnidentifiableError:
+            continue
+    return np.asarray(values)
+
+
+def all_moments(s: CovStats) -> float:
+    """A statistic that reads every stored moment."""
+    return sum(v for k, v in s.to_json_dict().items() if k != "n")
+
+
+class TestBootstrapEngine:
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_per_resample_loop(self, k, monkeypatch):
+        # 7 resamples per chunk, 30 resamples: four full chunks and a partial one
+        rng = np.random.default_rng(40 + k)
+        rows = rng.normal(size=(200, k)) @ rng.normal(size=(k, k))
+        monkeypatch.setattr(linear, "_COUNT_CELLS", 7 * 200)
+        got = bootstrap_values(rows, all_moments, n_boot=30, seed=9)
+        want = loop_bootstrap_values(rows, all_moments, 30, 9)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_default_chunk_with_partial_last_chunk(self):
+        # 2**21 // 20_000 = 104 resamples per chunk; 250 is not a multiple
+        rng = np.random.default_rng(44)
+        spec = random_spec(rng)
+        rows, _ = simulate_linear(spec, 20_000, seed=45)
+        got = bootstrap_se(rows, c0_two_indicator, n_boot=250, seed=46)
+        want = np.std(loop_bootstrap_values(rows, c0_two_indicator, 250, 46), ddof=1)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_undefined_resamples_are_skipped_like_the_loop(self):
+        rng = np.random.default_rng(47)
+        rows = rng.normal(size=(300, 3))
+        ref = np.sort(loop_bootstrap_values(rows, lambda s: s.cov_xy, 60, 5))
+        cut = 0.5 * (ref[40] + ref[41])  # between two resamples: 19 of 60 undefined
+
+        def statistic(s):
+            if s.cov_xy > cut:
+                raise UnidentifiableError("above the cut")
+            return s.var_x / s.var_y
+
+        got = bootstrap_values(rows, statistic, n_boot=60, seed=5)
+        want = loop_bootstrap_values(rows, statistic, 60, 5)
+        assert len(got) == len(want) == 41
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert bootstrap_se(rows, statistic, n_boot=60, seed=5) == pytest.approx(
+            np.std(want, ddof=1), rel=1e-12
+        )
+
+    def test_mostly_undefined_raises_with_counts(self):
+        rng = np.random.default_rng(48)
+        rows = rng.normal(size=(300, 3))
+        ref = np.sort(loop_bootstrap_values(rows, lambda s: s.cov_xy, 60, 5))
+        cut = 0.5 * (ref[28] + ref[29])  # 29 of 60 defined: fewer than half
+
+        def statistic(s):
+            if s.cov_xy > cut:
+                raise UnidentifiableError("above the cut")
+            return s.cov_xy
+
+        with pytest.raises(UnidentifiableError, match=r"used 29/60"):
+            bootstrap_se(rows, statistic, n_boot=60, seed=5)
+
+    def test_too_few_rows_rejected(self):
+        rows = np.random.default_rng(49).normal(size=(9, 3))
+        with pytest.raises(ValidationError, match="at least 10 rows"):
+            bootstrap_se(rows, lambda s: s.cov_xy, n_boot=50, seed=1)
+        with pytest.raises(ValidationError, match="n_boot"):
+            bootstrap_se(np.vstack([rows, rows]), lambda s: s.cov_xy, n_boot=1)
+
+    def test_large_means_do_not_cancel(self):
+        # columns shifted by 1e6: the uncentered formula subtracts two ~n*1e12
+        # terms, the centered engine never forms them
+        rng = np.random.default_rng(50)
+        n = 2000
+        rows = rng.normal(size=(n, 3)) + 1e6
+        got = bootstrap_values(rows, lambda s: s.cov_xy, n_boot=20, seed=3)
+        old = loop_bootstrap_values(rows, lambda s: s.cov_xy, 20, 3)
+        exact = np.array([
+            np.cov(rows[make_rng(3, b).integers(0, n, size=n)].T)[0, 1] for b in range(20)
+        ])
+        err_new = np.abs(got - exact).max()
+        err_old = np.abs(old - exact).max()
+        assert err_new < 1e-12
+        assert err_new * 1e3 < err_old

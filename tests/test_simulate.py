@@ -161,6 +161,45 @@ class TestSimulateDiscrete:
         assert np.abs(freq.cells - spec.joint_xyw().cells).max() < 0.01
 
 
+    @staticmethod
+    def dense_spec(rng, n_v):
+        # every column of the mechanism a full distribution, two zero-mass z values
+        mech = rng.dirichlet(np.ones(n_v), size=n_v).T
+        p_z = rng.dirichlet(np.ones(n_v))
+        p_z[[1, n_v - 2]] = 0.0
+        return DiscreteModelSpec(
+            p_z=p_z / p_z.sum(),
+            p_x_given_z=np.full((2, n_v), 0.5),
+            p_y_given_xz=np.full((2, 2, n_v), 0.5),
+            error=ErrorMatrix(entries=mech),
+        )
+
+    def test_dense_proxy_draw_is_inverse_cdf_count(self):
+        # oracle: the per-sample comparison count (u > cdf of column z).sum()
+        spec = self.dense_spec(np.random.default_rng(9), 64)
+        n = 20_000
+        samples, _ = simulate_discrete(spec, n, seed=10)
+        rng = make_rng(10)
+        u_z, _, _, u_w = (rng.random(n) for _ in range(4))
+        z = (u_z[:, None] > np.cumsum(spec.p_z)).sum(axis=1)
+        cum_w = np.cumsum(spec.mechanism().dense(), axis=0)
+        np.testing.assert_array_equal(samples[:, 2], (u_w[:, None] > cum_w.T[z]).sum(axis=1))
+
+    def test_dense_proxy_draw_memory_stays_below_samples_times_values(self):
+        import tracemalloc
+
+        spec = self.dense_spec(np.random.default_rng(11), 256)
+        n = 20_000
+        simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            simulate_discrete(spec, n, seed=12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 256 * 8 / 8
+
+
 class TestSimulateLinear:
     def test_disconnected_model_has_zero_population_covariance(self):
         spec = LinearSemSpec(
