@@ -37,6 +37,7 @@ from .linear import (
     CovStats,
     LinearSemSpec,
     bootstrap_se,
+    bootstrap_table_values,
     bootstrap_values,
     c0_error_prone_k,
     c0_from_lambda,
@@ -106,6 +107,7 @@ __all__ = [
     "adjust_for_confounder",
     "binary_spec",
     "bootstrap_se",
+    "bootstrap_table_values",
     "bootstrap_values",
     "c0_error_prone_k",
     "c0_from_lambda",

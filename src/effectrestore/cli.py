@@ -21,7 +21,6 @@ from . import binary, dsep, linear, restore, simulate
 from .errors import (
     DegenerateDenominatorError,
     DegenerateStratumError,
-    EffectRestoreError,
     IncompatibleModelError,
     InvalidErrorVarianceError,
     PositivityError,
@@ -31,13 +30,12 @@ from .errors import (
 )
 from .io import (
     dump_json,
-    integer_samples,
     load_json,
+    read_integer_samples,
     read_samples_csv,
     write_samples_csv,
 )
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .rng import make_rng
 from .tables import JointTable, empirical_joint
 
 _ERROR_TAGS = (
@@ -68,8 +66,7 @@ def _load_binary_params(path: str) -> list[BinaryErrorParams]:
 
 
 def _read_discrete_samples(path: str, width: int | None = None) -> np.ndarray:
-    header, data = read_samples_csv(path)
-    samples = integer_samples(header, data, path)
+    header, samples = read_integer_samples(path)
     if width is not None and samples.shape[1] != width:
         raise ValidationError(
             f"{path}: expected {width} columns, got {samples.shape[1]} ({header})"
@@ -120,20 +117,15 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     effect = [binary.causal_effect_binary(observed, err, args.x, y) for y in (0, 1)]
     n = samples.shape[0]
     counts = observed.cells.ravel() * n
-    boots: list[list[float]] = []
-    for b in range(args.boot):
-        draw = make_rng(args.seed, b).multinomial(n, counts / counts.sum())
-        table = JointTable((draw / n).reshape(2, 2, 2), "W")
-        try:
-            boots.append(
-                [binary.causal_effect_binary(table, err, args.x, y) for y in (0, 1)]
-            )
-        except EffectRestoreError:
-            continue
-    if len(boots) >= 2:
-        se = np.std(np.asarray(boots), axis=0, ddof=1)
-    else:
-        se = np.full(2, float("nan"))
+
+    def statistic(cells: np.ndarray) -> list[float]:
+        table = JointTable(cells, "W")
+        return [binary.causal_effect_binary(table, err, args.x, y) for y in (0, 1)]
+
+    boots = linear.bootstrap_table_values(
+        (counts / counts.sum()).reshape(2, 2, 2), n, statistic, n_boot=args.boot, seed=args.seed
+    )
+    se = np.std(boots, axis=0, ddof=1)
     ci = [[e - 1.96 * s, e + 1.96 * s] for e, s in zip(effect, se)]
     return {
         "x": args.x,

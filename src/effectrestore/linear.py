@@ -37,6 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    EffectRestoreError,
     InvalidErrorVarianceError,
     UnidentifiableError,
     ValidationError,
@@ -376,12 +377,7 @@ def bootstrap_values(
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValidationError(f"rows must have shape (n, 3) or (n, 4), got {arr.shape}")
     n, k = arr.shape
-    if n < MIN_ROWS:
-        raise ValidationError(
-            f"need at least {MIN_ROWS} rows for a bootstrap standard error, got {n}"
-        )
-    if n_boot < 2:
-        raise ValidationError("n_boot must be >= 2")
+    _require_resamples(n, n_boot)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     names = "xywv"
     fields = [f"var_{names[i]}" if i == j else f"cov_{names[i]}{names[j]}" for i, j in pairs]
@@ -404,13 +400,63 @@ def bootstrap_values(
                 values.append(statistic(CovStats(**dict(zip(fields, moments)), n=n)))
             except UnidentifiableError:
                 continue
-    used = len(values)
+    _require_defined(len(values), n_boot)
+    return np.asarray(values, dtype=float)
+
+
+def bootstrap_table_values(
+    p: np.ndarray,
+    n: int,
+    statistic: Callable[[np.ndarray], object],
+    *,
+    n_boot: int = DEFAULT_BOOTSTRAP,
+    seed: int = 0,
+) -> np.ndarray:
+    """Statistic on every multinomial resample of a frequency table where
+    it is defined: the table counterpart of :func:`bootstrap_values`.
+
+    Resample b draws n records over the cells of ``p`` (cell
+    probabilities, any shape) from stream b of ``seed``
+    (``make_rng(seed, b).multinomial(n, p)``), and the statistic gets
+    the resampled frequencies in the shape of ``p``.  A resample on which
+    it raises a model error (any EffectRestoreError but ValidationError)
+    is counted as undefined and skipped; the values of the others are
+    returned in resample order, one row per resample.
+
+    Raises ValidationError below ``MIN_ROWS`` records or for n_boot < 2,
+    and UnidentifiableError when the statistic is undefined on more than
+    half of the resamples or fewer than two remain.
+    """
+    _require_resamples(n, n_boot)
+    p = np.asarray(p, dtype=float)
+    values = []
+    for b in range(n_boot):
+        table = (make_rng(seed, b).multinomial(n, p.ravel()) / n).reshape(p.shape)
+        try:
+            values.append(statistic(table))
+        except ValidationError:
+            raise
+        except EffectRestoreError:
+            continue
+    _require_defined(len(values), n_boot)
+    return np.asarray(values, dtype=float)
+
+
+def _require_resamples(n: int, n_boot: int) -> None:
+    if n < MIN_ROWS:
+        raise ValidationError(
+            f"need at least {MIN_ROWS} rows for a bootstrap standard error, got {n}"
+        )
+    if n_boot < 2:
+        raise ValidationError("n_boot must be >= 2")
+
+
+def _require_defined(used: int, n_boot: int) -> None:
     if used < 2 or 2 * used < n_boot:
         raise UnidentifiableError(
             f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
             f"(used {used}/{n_boot}); its standard error is not estimable"
         )
-    return np.asarray(values, dtype=float)
 
 
 def bootstrap_se(

@@ -119,16 +119,6 @@ def validate_joint(table: JointTable, *, tol_neg: float = TOL_NEG) -> TableValid
     return TableValidation(defect=defect, negative_cells=neg)
 
 
-def require_valid(table: JointTable, *, tol_neg: float = TOL_NEG) -> None:
-    """Raise ValidationError when the table fails :func:`validate_joint`."""
-    report = validate_joint(table, tol_neg=tol_neg)
-    if not report.valid:
-        raise ValidationError(
-            f"invalid joint table: normalization defect {report.defect:.3e}, "
-            f"{len(report.negative_cells)} negative cell(s)"
-        )
-
-
 def _axis_indices(axes: Iterable[str]) -> list[int]:
     names = [str(a).lower() for a in axes]
     if not names:

@@ -8,17 +8,21 @@ import pytest
 from effectrestore import (
     BinaryErrorParams,
     DegenerateDenominatorError,
+    EffectRestoreError,
     IncompatibleModelError,
     JointTable,
     SingularError,
+    UnidentifiableError,
     ValidationError,
     adjust_for_confounder,
+    bootstrap_table_values,
     causal_effect_binary,
     causal_effect_binary_infinitesimal,
     restore_binary,
     synthesize_samples,
     weight_split,
 )
+from effectrestore.rng import make_rng
 
 
 def random_valid_instance(rng, margin=0.03):
@@ -298,3 +302,77 @@ def test_effect_composition_equivalence_with_matrix_route():
         via_matrix = causal_effect_restored(observed, mech, x)
         via_closed = [causal_effect_binary(observed, err, x, y) for y in (0, 1)]
         np.testing.assert_allclose(via_closed, via_matrix, atol=1e-12)
+
+
+def loop_table_bootstrap(observed, err, x, n, n_boot, seed):
+    """The per-resample loop effect-binary ran before the table engine."""
+    counts = observed.cells.ravel() * n
+    boots = []
+    for b in range(n_boot):
+        draw = make_rng(seed, b).multinomial(n, counts / counts.sum())
+        table = JointTable((draw / n).reshape(2, 2, 2), "W")
+        try:
+            boots.append([causal_effect_binary(table, err, x, y) for y in (0, 1)])
+        except EffectRestoreError:
+            continue
+    return np.asarray(boots)
+
+
+def effect_statistic(err, x):
+    def statistic(cells):
+        table = JointTable(cells.reshape(2, 2, 2), "W")
+        return [causal_effect_binary(table, err, x, y) for y in (0, 1)]
+
+    return statistic
+
+
+def table_bootstrap(observed, err, x, n, n_boot, seed):
+    counts = observed.cells.ravel() * n
+    return bootstrap_table_values(
+        counts / counts.sum(), n, effect_statistic(err, x), n_boot=n_boot, seed=seed
+    )
+
+
+class TestTableBootstrap:
+    def test_matches_the_resample_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            observed, err, _ = random_valid_instance(rng)
+            n = int(rng.integers(200, 5000))
+            x, seed = int(rng.integers(2)), int(rng.integers(100))
+            got = table_bootstrap(observed, err, x, n, 40, seed)
+            want = loop_table_bootstrap(observed, err, x, n, 40, seed)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_skips_undefined_resamples_like_the_loop(self):
+        # 40 records with rare (x=1) cells: some resamples miss one, and the
+        # statistic's denominators vanish there
+        cells = np.array([[[7, 7], [7, 7]], [[2, 3], [2, 3]]], dtype=float) / 40
+        observed, err = JointTable(cells, "W"), BinaryErrorParams(0.1, 0.1)
+        got = table_bootstrap(observed, err, 1, 40, 60, 3)
+        want = loop_table_bootstrap(observed, err, 1, 40, 60, 3)
+        assert 30 <= len(want) < 60
+        assert got.tobytes() == want.tobytes()
+
+    def test_refuses_too_few_records(self):
+        observed, err, _ = random_valid_instance(np.random.default_rng(2))
+        with pytest.raises(ValidationError, match="need at least 10 rows.*got 9"):
+            table_bootstrap(observed, err, 1, 9, 50, 0)
+        with pytest.raises(ValidationError, match="n_boot must be >= 2"):
+            table_bootstrap(observed, err, 1, 100, 1, 0)
+
+    def test_mostly_undefined_statistic_raises_with_counts(self):
+        cells = np.array([[[2, 2], [2, 2]], [[1, 1], [1, 1]]], dtype=float) / 12
+        observed, err = JointTable(cells, "W"), BinaryErrorParams(0.1, 0.1)
+        used = len(loop_table_bootstrap(observed, err, 1, 12, 50, 0))
+        assert 2 * used < 50
+        with pytest.raises(UnidentifiableError, match=f"used {used}/50"):
+            table_bootstrap(observed, err, 1, 12, 50, 0)
+
+    def test_validation_errors_are_not_counted_as_undefined(self):
+        def statistic(cells):
+            raise ValidationError("bad statistic")
+
+        with pytest.raises(ValidationError, match="bad statistic"):
+            bootstrap_table_values(np.full(8, 0.125), 100, statistic, n_boot=10, seed=0)

@@ -241,6 +241,43 @@ class TestLinearCommands:
             "--lambda", "1.0", "--var-ew", "0.5",
         ]) == 1
 
+    def test_effect_binary_refuses_a_bootstrap_from_eight_rows(self, tmp_path, capsys):
+        # each (x, y, w) cell once: too few records for a standard error
+        samples_path = tmp_path / "rows.csv"
+        rows = np.array([[i // 4, (i // 2) % 2, i % 2] for i in range(8)])
+        write_samples_csv(samples_path, ["x", "y", "w"], rows, integer=True)
+        err_path = tmp_path / "e.json"
+        dump_json({"eps": 0.1, "delta": 0.1}, err_path)
+        code = main([
+            "effect-binary", "--in", str(samples_path), "--error", str(err_path),
+            "--boot", "50",
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "need at least 10 rows for a bootstrap standard error, got 8" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_effect_binary_mostly_undefined_bootstrap_exits_2(self, tmp_path, capsys):
+        # 12 rows with each x=1 cell once: most resamples miss one of them
+        samples_path = tmp_path / "rows.csv"
+        rows = [[1, i // 2, i % 2] for i in range(4)]
+        rows += [[0, (i // 2) % 2, i % 2] for i in range(8)]
+        write_samples_csv(samples_path, ["x", "y", "w"], np.array(rows), integer=True)
+        err_path = tmp_path / "e.json"
+        dump_json({"eps": 0.1, "delta": 0.1}, err_path)
+        code = main([
+            "effect-binary", "--in", str(samples_path), "--error", str(err_path),
+            "--boot", "50",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["error"] == "unidentifiable"
+        assert "used 6/50" in doc["message"]
+        assert "unidentifiable" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_test_dsep_two_stage_accepts_null(self, tmp_path):
         from effectrestore import LinearSemSpec
 
