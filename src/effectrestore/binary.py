@@ -38,14 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    IncompatibleModelError,
-    SingularError,
-    ValidationError,
-)
-from .mechanism import TOL_SINGULAR, BinaryErrorParams, ErrorMatrix
-from .restore import TOL_INCOMPATIBLE, restore_joint
+from .errors import DegenerateDenominatorError, IncompatibleModelError, ValidationError
+from .mechanism import BinaryErrorParams, ErrorMatrix
+from .restore import TOL_VANISHING, restore_joint
 from .rng import make_rng
 from .tables import JointTable
 
@@ -66,36 +61,18 @@ def _require_binary(table: JointTable) -> np.ndarray:
     return table.cells
 
 
-def _require_invertible(err: BinaryErrorParams, tol_sing: float) -> float:
-    det = err.determinant
-    if abs(det) < tol_sing:
-        raise SingularError(
-            f"eps + delta = {err.eps + err.delta:.8g}: the proxy carries no "
-            "information about the latent value and the inverse does not exist"
-        )
-    return det
-
-
 def restore_binary(
-    observed: JointTable,
-    err: BinaryErrorParams,
-    *,
-    clip: bool = False,
-    tol_incompat: float = TOL_INCOMPATIBLE,
-    tol_sing: float = TOL_SINGULAR,
+    observed: JointTable, err: BinaryErrorParams, *, clip: bool = False
 ) -> JointTable:
     """Latent binary joint P(x, y, z) from the observed P(x, y, w).
 
     This is ``restore_joint`` on the 2x2 mechanism, so it shares its
-    condition cap and its negative-mass policy: total negative mass up to
-    ``tol_incompat`` is clipped as numerical noise, anything larger
-    raises IncompatibleModelError unless ``clip`` forces the repair.
+    negative-mass policy: total negative mass up to
+    ``restore.TOL_INCOMPATIBLE`` is clipped as numerical noise, anything
+    larger raises IncompatibleModelError unless ``clip`` forces the repair.
     """
     _require_binary(observed)
-    _require_invertible(err, tol_sing)
-    return restore_joint(
-        observed, ErrorMatrix.from_binary(err), clip=clip, tol_incompat=tol_incompat
-    ).restored
+    return restore_joint(observed, ErrorMatrix.from_binary(err), clip=clip).restored
 
 
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
@@ -132,9 +109,7 @@ class _Term:
     rate: float        # the misclassification rate paired with this branch
 
 
-def _terms(
-    p: np.ndarray, err: BinaryErrorParams, x: int, y: int, tol_den: float
-) -> tuple[_Term, _Term]:
+def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term, _Term]:
     if x not in (0, 1) or y not in (0, 1):
         raise ValidationError(f"x and y must be 0 or 1, got x={x}, y={y}")
     p_w = p.sum(axis=(0, 1))
@@ -148,7 +123,7 @@ def _terms(
         f"P(x={x},y={y})": p_xy[x, y],
     }
     for name, value in checks.items():
-        if abs(value) < tol_den:
+        if abs(value) < TOL_VANISHING:
             raise DegenerateDenominatorError(f"{name} = {value:.3e} vanishes")
     terms = []
     for w, rate in ((1, err.delta), (0, err.eps)):
@@ -160,14 +135,14 @@ def _terms(
             w_given_x=float(p_xw[x, w] / p_x[x]),
             rate=float(rate),
         )
-        if abs(t.x_given_w) < tol_den:
+        if abs(t.x_given_w) < TOL_VANISHING:
             raise DegenerateDenominatorError(f"P(x={x}|w{w}) = {t.x_given_w:.3e} vanishes")
-        if abs(t.w_given_xy) < tol_den:
+        if abs(t.w_given_xy) < TOL_VANISHING:
             raise DegenerateDenominatorError(
                 f"P(w{w}|x={x},y={y}) = {t.w_given_xy:.3e} vanishes"
             )
-        bracket = 1.0 - t.rate / t.w_given_x if abs(t.w_given_x) >= tol_den else 0.0
-        if abs(t.w_given_x) < tol_den or abs(bracket) < tol_den:
+        bracket = 1.0 - t.rate / t.w_given_x if abs(t.w_given_x) >= TOL_VANISHING else 0.0
+        if abs(t.w_given_x) < TOL_VANISHING or abs(bracket) < TOL_VANISHING:
             raise DegenerateDenominatorError(
                 f"bracket denominator 1 - rate/P(w{w}|x={x}) vanishes "
                 f"(P(w{w}|x={x}) = {t.w_given_x:.3e}, rate = {t.rate:.3g}): "
@@ -177,25 +152,17 @@ def _terms(
     return terms[0], terms[1]
 
 
-def causal_effect_binary(
-    observed: JointTable,
-    err: BinaryErrorParams,
-    x: int,
-    y: int,
-    *,
-    tol_den: float = 1e-9,
-    tol_sing: float = TOL_SINGULAR,
-) -> float:
+def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y: int) -> float:
     """P(y | do(x)) for binary data, straight from observed quantities.
 
     Modified inverse probability weighting: each w-branch of the standard
     IPW sum P(x,y,w)/P(x|w) is multiplied by correction factors built
     from the misclassification rate paired with that branch, and the
-    whole sum is rescaled by 1/(1 - eps - delta).
+    whole sum is rescaled by 1/(1 - eps - delta), which ``err`` keeps
+    away from zero by construction.
     """
     p = _require_binary(observed)
-    det = _require_invertible(err, tol_sing)
-    t1, t0 = _terms(p, err, x, y, tol_den)
+    t1, t0 = _terms(p, err, x, y)
     total = 0.0
     for t in (t1, t0):
         total += (
@@ -204,17 +171,11 @@ def causal_effect_binary(
             * (1.0 - t.rate / t.w_marg)
             / (1.0 - t.rate / t.w_given_x)
         )
-    return total / det
+    return total / err.determinant
 
 
 def causal_effect_binary_infinitesimal(
-    observed: JointTable,
-    err: BinaryErrorParams,
-    x: int,
-    y: int,
-    *,
-    tol_den: float = 1e-9,
-    tol_sing: float = TOL_SINGULAR,
+    observed: JointTable, err: BinaryErrorParams, x: int, y: int
 ) -> float:
     """First-order (in eps and delta) approximation of the binary effect.
 
@@ -227,8 +188,7 @@ def causal_effect_binary_infinitesimal(
     from it by O((eps + delta)^2).
     """
     p = _require_binary(observed)
-    _require_invertible(err, tol_sing)
-    t1, t0 = _terms(p, err, x, y, tol_den)
+    t1, t0 = _terms(p, err, x, y)
     total = 0.0
     for t, other_rate in ((t1, err.eps), (t0, err.delta)):
         correction = 1.0 + other_rate + t.rate * (
@@ -239,11 +199,7 @@ def causal_effect_binary_infinitesimal(
 
 
 def synthesize_samples(
-    samples: np.ndarray,
-    errs: Sequence[BinaryErrorParams],
-    seed: int,
-    *,
-    tol_sing: float = TOL_SINGULAR,
+    samples: np.ndarray, errs: Sequence[BinaryErrorParams], seed: int
 ) -> np.ndarray:
     """Latent (x, y, z_1..z_K) records mirroring observed (x, y, w_1..w_K) ones.
 
@@ -271,8 +227,6 @@ def synthesize_samples(
         )
     if arr.size and not np.isin(arr, (0, 1)).all():
         raise ValidationError("sample values must be 0/1")
-    for err in errs:
-        _require_invertible(err, tol_sing)
     n = arr.shape[0]
     u = make_rng(seed).random((n, k))
     out = arr.astype(int).copy()

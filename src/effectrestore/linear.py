@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -365,9 +365,10 @@ def bootstrap_values(
     how they are grouped.  Their moments come from row counts: each
     chunk of resamples fills a reused count buffer, which is multiplied
     once by the columns, centered at the full-sample mean, stacked with
-    their pairwise products.  A resample on which the statistic raises
-    UnidentifiableError is counted as undefined and skipped; the values
-    of the others are returned in resample order.
+    their pairwise products.  A resample on which the statistic raises a
+    model error (any EffectRestoreError but ValidationError) is counted
+    as undefined and skipped; the values of the others are returned in
+    resample order.
 
     Raises ValidationError below ``MIN_ROWS`` rows or for n_boot < 2, and
     UnidentifiableError when the statistic is undefined on more than half
@@ -385,23 +386,21 @@ def bootstrap_values(
     centered = arr - arr.mean(axis=0)
     stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
     counts = np.empty((min(n_boot, max(1, _COUNT_CELLS // n)), n))
-    values = []
-    for start in range(0, n_boot, counts.shape[0]):
-        block = counts[: min(counts.shape[0], n_boot - start)]
-        for r in range(block.shape[0]):
-            block[r] = np.bincount(
-                make_rng(seed, start + r).integers(0, n, size=n), minlength=n
-            )
-        sums = block @ stacked
-        mean = sums[:, :k] / n
-        cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
-        for moments in cov.tolist():
-            try:
-                values.append(statistic(CovStats(**dict(zip(fields, moments)), n=n)))
-            except UnidentifiableError:
-                continue
-    _require_defined(len(values), n_boot)
-    return np.asarray(values, dtype=float)
+
+    def resamples():
+        for start in range(0, n_boot, counts.shape[0]):
+            block = counts[: min(counts.shape[0], n_boot - start)]
+            for r in range(block.shape[0]):
+                block[r] = np.bincount(
+                    make_rng(seed, start + r).integers(0, n, size=n), minlength=n
+                )
+            sums = block @ stacked
+            mean = sums[:, :k] / n
+            cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
+            for moments in cov.tolist():
+                yield CovStats(**dict(zip(fields, moments)), n=n)
+
+    return _defined_values(statistic, resamples(), n_boot)
 
 
 def bootstrap_table_values(
@@ -429,17 +428,10 @@ def bootstrap_table_values(
     """
     _require_resamples(n, n_boot)
     p = np.asarray(p, dtype=float)
-    values = []
-    for b in range(n_boot):
-        table = (make_rng(seed, b).multinomial(n, p.ravel()) / n).reshape(p.shape)
-        try:
-            values.append(statistic(table))
-        except ValidationError:
-            raise
-        except EffectRestoreError:
-            continue
-    _require_defined(len(values), n_boot)
-    return np.asarray(values, dtype=float)
+    tables = (
+        (make_rng(seed, b).multinomial(n, p.ravel()) / n).reshape(p.shape) for b in range(n_boot)
+    )
+    return _defined_values(statistic, tables, n_boot)
 
 
 def _require_resamples(n: int, n_boot: int) -> None:
@@ -451,12 +443,28 @@ def _require_resamples(n: int, n_boot: int) -> None:
         raise ValidationError("n_boot must be >= 2")
 
 
-def _require_defined(used: int, n_boot: int) -> None:
+def _defined_values(statistic: Callable, resamples: Iterable, n_boot: int) -> np.ndarray:
+    """The statistic on each of the ``n_boot`` resamples where it is defined.
+
+    The skip rule of both resampling engines: a model error (any
+    EffectRestoreError but ValidationError) marks the resample undefined,
+    while a ValidationError is a contract violation and propagates.
+    """
+    values = []
+    for resample in resamples:
+        try:
+            values.append(statistic(resample))
+        except ValidationError:
+            raise
+        except EffectRestoreError:
+            continue
+    used = len(values)
     if used < 2 or 2 * used < n_boot:
         raise UnidentifiableError(
             f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
             f"(used {used}/{n_boot}); its standard error is not estimable"
         )
+    return np.asarray(values, dtype=float)
 
 
 def bootstrap_se(

@@ -4,8 +4,8 @@ The mechanism is a column-stochastic matrix M with M[w, z] = P(w | z):
 each column is the distribution of the proxy reading given the true
 latent value.  High-dimensional mechanisms made of independent
 per-component channels are kept in factored form; the dense matrix is the
-tensor (Kronecker) product of the factors and is only materialized below
-a configurable size cap.  The inverse of the product is the product of
+tensor (Kronecker) product of the factors and is only materialized up to
+``DENSE_CAP`` per side.  The inverse of the product is the product of
 the inverses, so factored mechanisms never require a dense inversion.
 
 The binary special case is parameterized by the two misclassification
@@ -32,17 +32,20 @@ TOL_SINGULAR = 1e-6
 DENSE_CAP = 4096
 
 
-def _check_stochastic(arr: np.ndarray) -> None:
-    if arr.ndim != 2:
-        raise ValidationError(f"mechanism entries must be a 2-d matrix, got shape {arr.shape}")
+def _check_stochastic(arr: np.ndarray, name: str) -> None:
+    """Every column of the 2-d ``arr`` must be a finite distribution; errors name ``name``."""
+    if arr.ndim != 2 or arr.size == 0:
+        raise ValidationError(
+            f"{name} entries must be a nonempty 2-d matrix, got shape {arr.shape}"
+        )
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("mechanism entries must be finite")
+        raise ValidationError(f"{name} entries must be finite")
     if arr.min() < -TOL_STOCHASTIC or arr.max() > 1.0 + TOL_STOCHASTIC:
-        raise ValidationError("mechanism entries must lie in [0, 1]")
+        raise ValidationError(f"{name} entries must lie in [0, 1]")
     colsums = arr.sum(axis=0)
     worst = float(np.abs(colsums - 1.0).max())
     if worst > TOL_STOCHASTIC:
-        raise ValidationError(f"columns must sum to 1 (worst defect {worst:.3e})")
+        raise ValidationError(f"{name} columns must sum to 1 (worst defect {worst:.3e})")
 
 
 def _contract(mats: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
@@ -87,7 +90,7 @@ class ErrorMatrix:
             raise ValidationError("an ErrorMatrix holds dense entries or factors, not both")
         if self.entries is not None:
             arr = np.asarray(self.entries, dtype=float).copy()
-            _check_stochastic(arr)
+            _check_stochastic(arr, "mechanism")
             arr.setflags(write=False)
             object.__setattr__(self, "entries", arr)
         else:
@@ -128,14 +131,15 @@ class ErrorMatrix:
     def is_square(self) -> bool:
         return self.n_w == self.n_z
 
-    def dense(self, *, cap: int = DENSE_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Dense matrix; expands factors via Kronecker product (first factor
-        owns the most significant digit of the composite index)."""
+        owns the most significant digit of the composite index) up to
+        ``DENSE_CAP`` per side."""
         if self.entries is not None:
             return np.array(self.entries)
-        if max(self.n_w, self.n_z) > cap:
+        if max(self.n_w, self.n_z) > DENSE_CAP:
             raise ValidationError(
-                f"dense expansion of size {self.n_w}x{self.n_z} exceeds cap {cap}; "
+                f"dense expansion of size {self.n_w}x{self.n_z} exceeds cap {DENSE_CAP}; "
                 "use the factored code paths"
             )
         return reduce(np.kron, self._mats, np.ones((1, 1)))
@@ -202,20 +206,22 @@ class BinaryErrorParams:
     """Misclassification pair for one binary proxy.
 
     eps = P(w=0 | z=1), delta = P(w=1 | z=0).  Construction fails with
-    SingularError when |1 - eps - delta| < tol_sing: the 2x2 mechanism is
-    then (numerically) non-invertible, its inverse entries scaling as
-    1 / (1 - eps - delta).
+    SingularError when |1 - eps - delta| < ``TOL_SINGULAR``: the 2x2
+    mechanism is then (numerically) non-invertible, its inverse entries
+    scaling as 1 / (1 - eps - delta).  This is the one invertibility gate
+    for binary mechanisms: every instance has a usable ``determinant``,
+    and its 1-norm condition number, at most 2 / |1 - eps - delta|, stays
+    below ``restore.CONDITION_CAP``.
     """
 
     eps: float
     delta: float
-    tol_sing: float = TOL_SINGULAR
 
     def __post_init__(self) -> None:
         for name, v in (("eps", self.eps), ("delta", self.delta)):
             if not np.isfinite(v) or not 0.0 <= v < 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1), got {v!r}")
-        if abs(self.determinant) < self.tol_sing:
+        if abs(self.determinant) < TOL_SINGULAR:
             raise SingularError(
                 f"eps + delta = {self.eps + self.delta:.8g}: the proxy carries no "
                 "information about the latent value and the mechanism is not invertible"
@@ -248,18 +254,18 @@ def component_mechanism(errs: Sequence[BinaryErrorParams]) -> ErrorMatrix:
     return ErrorMatrix(factors=tuple(ErrorMatrix.from_binary(e) for e in errs))
 
 
-def expand_factored(factors: Sequence[ErrorMatrix], *, cap: int = DENSE_CAP) -> ErrorMatrix:
+def expand_factored(factors: Sequence[ErrorMatrix]) -> ErrorMatrix:
     """Dense tensor-product expansion of per-component mechanisms.
 
     Composite indices are mixed-radix with the first factor most
     significant, matching ``numpy.kron``.  Each factor must be square so
     the expansion stays invertible; the expansion's inverse equals the
     tensor product of the per-factor inverses, which is how the factored
-    operator avoids ever forming this matrix above ``cap``.  The result
+    operator avoids ever forming this matrix above ``DENSE_CAP``.  The result
     holds the dense form only.
     """
     factors = tuple(factors)
     for i, f in enumerate(factors):
         if not f.is_square:
             raise ValidationError(f"factor {i} is {f.n_w}x{f.n_z}; inversion needs square factors")
-    return ErrorMatrix(entries=ErrorMatrix(factors=factors).dense(cap=cap))
+    return ErrorMatrix(entries=ErrorMatrix(factors=factors).dense())

@@ -9,17 +9,22 @@ propensity score L(w) = P(X=1 | w) into the latent-score L(z), enabling
 stratified estimation when the latent space is too large for cell-level
 statistics.
 
-Numerical policy: every step goes through the mechanism's operator
-methods.  The inverse of M (of each factor, in factored form) is
-computed once per ``ErrorMatrix`` and cached, so the condition check,
-restoration and propensity restoration on one instance share a single
-factorization; the 1-norm condition number ||M||_1 ||M^-1||_1 is checked
-against a cap before the inverse is applied.
-Restored cells may come out slightly negative; a total absolute negative
-mass up to ``TOL_INCOMPATIBLE`` is treated as numerical noise and clipped
-(renormalizing each (x, y) slice to its conserved mass), while anything
-larger means the postulated mechanism is incompatible with the data and
-raises unless clipping is explicitly forced.
+Numerical policy: the tolerances are module constants, not arguments.
+Every step goes through the mechanism's operator methods.  The inverse
+of M (of each factor, in factored form) is computed once per
+``ErrorMatrix`` and cached, so the condition check, restoration and
+propensity restoration on one instance share a single factorization.
+A mechanism is invertible here when its 1-norm condition number
+||M||_1 ||M^-1||_1 is below ``CONDITION_CAP``; that check runs before the
+inverse is applied and is the only one a matrix mechanism gets (a binary
+one is already gated by ``mechanism.TOL_SINGULAR`` when its
+``BinaryErrorParams`` is built).  Restored cells may come out slightly
+negative; a total absolute negative mass up to ``TOL_INCOMPATIBLE`` is
+treated as numerical noise and clipped (renormalizing each (x, y) slice
+to its conserved mass), while anything larger means the postulated
+mechanism is incompatible with the data and raises unless clipping is
+explicitly forced.  A restored probability below ``TOL_VANISHING`` in
+absolute value is a vanishing denominator.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, adjust_for_confounder
 TOL_INCOMPATIBLE = 1e-6
 #: mechanisms whose 1-norm condition estimate exceeds this cap refuse to invert
 CONDITION_CAP = 1e8
+#: a denominator below this in absolute value vanishes
+TOL_VANISHING = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,25 +80,23 @@ def pushforward(table: JointTable, mechanism: ErrorMatrix) -> JointTable:
     return JointTable(mechanism.apply(table.cells), AXIS_PROXY)
 
 
-def _check_invertible(mechanism: ErrorMatrix, cond_cap: float, *, where: str = "") -> float:
+def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     if not mechanism.is_square:
         raise ValidationError(
             f"restoration requires a square mechanism{where}, "
             f"got {mechanism.n_w}x{mechanism.n_z}"
         )
     cond = mechanism.condition()
-    if not cond < cond_cap:
+    if not cond < CONDITION_CAP:
         raise SingularError(
             f"mechanism{where} is singular or ill-conditioned "
-            f"(condition estimate {cond:.3e} >= cap {cond_cap:.3e}); "
+            f"(condition estimate {cond:.3e} >= cap {CONDITION_CAP:.3e}); "
             "the inverse does not exist or cannot be applied reliably"
         )
     return cond
 
 
-def _finalize(
-    raw: np.ndarray, *, clip: bool, tol_incompat: float
-) -> tuple[np.ndarray, float, bool]:
+def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
     """Clip-or-reject policy for negative restored cells.
 
     Returns (cells, total absolute negative mass before clipping, clipped
@@ -102,10 +107,10 @@ def _finalize(
     negative_mass = float(-raw[neg].sum()) if neg.any() else 0.0
     if negative_mass == 0.0:
         return raw, 0.0, False
-    if negative_mass > tol_incompat and not clip:
+    if negative_mass > TOL_INCOMPATIBLE and not clip:
         raise IncompatibleModelError(
             f"restored table carries negative mass {negative_mass:.3e} "
-            f"(> {tol_incompat:.1e}): the postulated error mechanism is "
+            f"(> {TOL_INCOMPATIBLE:.1e}): the postulated error mechanism is "
             "incompatible with the observed distribution, so no estimate "
             "will be obtained"
         )
@@ -123,12 +128,7 @@ def _finalize(
 
 
 def restore_joint(
-    observed: JointTable,
-    mechanism: ErrorMatrix,
-    *,
-    clip: bool = False,
-    tol_incompat: float = TOL_INCOMPATIBLE,
-    cond_cap: float = CONDITION_CAP,
+    observed: JointTable, mechanism: ErrorMatrix, *, clip: bool = False
 ) -> RestorationResult:
     """Recover P(x, y, z) from P(x, y, w) and a shared mechanism P(w | z).
 
@@ -142,9 +142,9 @@ def restore_joint(
         raise ValidationError(
             f"mechanism has n_w={mechanism.n_w} but observed card_v={observed.card_v}"
         )
-    cond = _check_invertible(mechanism, cond_cap)
+    cond = _check_invertible(mechanism)
     raw = mechanism.apply_inverse(observed.cells)
-    cells, negative_mass, clipped = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
+    cells, negative_mass, clipped = _finalize(raw, clip=clip)
     return RestorationResult(
         restored=JointTable(cells, AXIS_LATENT),
         condition_estimate=cond,
@@ -158,8 +158,6 @@ def restore_joint_differential(
     mechanisms: Mapping[tuple[int, int], ErrorMatrix],
     *,
     clip: bool = False,
-    tol_incompat: float = TOL_INCOMPATIBLE,
-    cond_cap: float = CONDITION_CAP,
 ) -> RestorationResult:
     """Restoration with a separate mechanism P(w | z, x, y) per (x, y) pair.
 
@@ -185,9 +183,9 @@ def restore_joint_differential(
             raise ValidationError(
                 f"mechanism for (x={x}, y={y}) has n_w={mech.n_w}, expected {observed.card_v}"
             )
-        worst = max(worst, _check_invertible(mech, cond_cap, where=f" for (x={x}, y={y})"))
+        worst = max(worst, _check_invertible(mech, where=f" for (x={x}, y={y})"))
         raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
-    cells, negative_mass, clipped = _finalize(raw, clip=clip, tol_incompat=tol_incompat)
+    cells, negative_mass, clipped = _finalize(raw, clip=clip)
     return RestorationResult(
         restored=JointTable(cells, AXIS_LATENT),
         condition_estimate=worst,
@@ -197,13 +195,7 @@ def restore_joint_differential(
 
 
 def causal_effect_restored(
-    observed: JointTable,
-    mechanism: ErrorMatrix,
-    x: int,
-    *,
-    clip: bool = False,
-    tol_incompat: float = TOL_INCOMPATIBLE,
-    cond_cap: float = CONDITION_CAP,
+    observed: JointTable, mechanism: ErrorMatrix, x: int, *, clip: bool = False
 ) -> np.ndarray:
     """P(y | do(x)) from proxy data: restore the latent joint, then adjust.
 
@@ -211,19 +203,11 @@ def causal_effect_restored(
     formula, so computing the restored table once and adjusting it is
     both the definition and the efficient implementation.
     """
-    result = restore_joint(
-        observed, mechanism, clip=clip, tol_incompat=tol_incompat, cond_cap=cond_cap
-    )
-    return adjust_for_confounder(result.restored, x)
+    return adjust_for_confounder(restore_joint(observed, mechanism, clip=clip).restored, x)
 
 
 def restored_propensity(
-    score_w: np.ndarray,
-    p_w: np.ndarray,
-    mechanism: ErrorMatrix,
-    *,
-    tol_den: float = 1e-9,
-    cond_cap: float = CONDITION_CAP,
+    score_w: np.ndarray, p_w: np.ndarray, mechanism: ErrorMatrix
 ) -> np.ndarray:
     """Latent propensity score from the error-prone one.
 
@@ -240,11 +224,13 @@ def restored_propensity(
             f"score_w and p_w must have shape ({mechanism.n_w},), "
             f"got {score_w.shape} and {p_w.shape}"
         )
+    if not (np.isfinite(score_w).all() and np.isfinite(p_w).all()):
+        raise ValidationError("score_w and p_w must be finite")
     if abs(p_w.sum() - 1.0) > 1e-9 or p_w.min() < -1e-12:
         raise ValidationError("p_w must be a probability distribution")
-    _check_invertible(mechanism, cond_cap)
+    _check_invertible(mechanism)
     num, den = mechanism.apply_inverse(np.stack([score_w * p_w, p_w]))
-    small = np.abs(den) < tol_den
+    small = np.abs(den) < TOL_VANISHING
     if small.any():
         z = int(np.nonzero(small)[0][0])
         raise DegenerateStratumError(

@@ -23,22 +23,10 @@ import numpy as np
 
 from .errors import ValidationError
 from .linear import CovStats, LinearSemSpec
-from .mechanism import BinaryErrorParams, ErrorMatrix, component_mechanism
+from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic, component_mechanism
 from .restore import pushforward
 from .rng import make_rng
 from .tables import JointTable, adjust_for_confounder
-
-_TOL_DIST = 1e-12
-
-
-def _check_distribution_columns(arr: np.ndarray, name: str) -> None:
-    if arr.min() < 0.0:
-        raise ValidationError(f"{name} has negative entries")
-    sums = arr.sum(axis=0)
-    worst = float(np.abs(sums - 1.0).max())
-    if worst > _TOL_DIST:
-        raise ValidationError(f"{name} columns must sum to 1 (worst defect {worst:.3e})")
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModelSpec:
@@ -70,9 +58,9 @@ class DiscreteModelSpec:
                 f"inconsistent dimensions: p_z {p_z.shape}, p_x_given_z {p_xz.shape}, "
                 f"p_y_given_xz {p_yxz.shape}"
             )
-        _check_distribution_columns(p_z[:, None], "p_z")
-        _check_distribution_columns(p_xz, "p_x_given_z")
-        _check_distribution_columns(p_yxz.reshape(p_yxz.shape[0], -1), "p_y_given_xz")
+        _check_stochastic(p_z[:, None], "p_z")
+        _check_stochastic(p_xz, "p_x_given_z")
+        _check_stochastic(p_yxz.reshape(p_yxz.shape[0], -1), "p_y_given_xz")
         error = self.error
         if isinstance(error, ErrorMatrix):
             if error.n_z != n_z:

@@ -106,15 +106,15 @@ class TableValidation:
         object.__setattr__(self, "valid", self.defect <= TOL_SUM_INPUT and not self.negative_cells)
 
 
-def validate_joint(table: JointTable, *, tol_neg: float = TOL_NEG) -> TableValidation:
-    """Report the normalization defect |mass - 1| and any cells below -tol_neg.
+def validate_joint(table: JointTable) -> TableValidation:
+    """Report the normalization defect |mass - 1| and any cells below -TOL_NEG.
 
     Reporting only; never raises and never mutates.
     """
     defect = abs(table.total() - 1.0)
     neg = tuple(
         (tuple(int(i) for i in idx), float(table.cells[idx]))
-        for idx in zip(*np.nonzero(table.cells < -tol_neg))
+        for idx in zip(*np.nonzero(table.cells < -TOL_NEG))
     )
     return TableValidation(defect=defect, negative_cells=neg)
 
@@ -183,7 +183,8 @@ def empirical_joint(
         raise ValidationError("smooth must be >= 0")
     cx, cy, cv = cards
     idx = (arr[:, 0] * cy + arr[:, 1]) * cv + arr[:, 2]
-    if arr.size and (arr.min() < 0 or np.any(arr.max(axis=0) >= np.array(cards))):
+    # one max per column: a row-axis reduction over (n, 3) is several times slower
+    if arr.size and (arr.min() < 0 or any(arr[:, j].max() >= cards[j] for j in range(3))):
         raise ValidationError("sample values out of range for the given cardinalities")
     counts = np.bincount(idx.astype(int), minlength=cx * cy * cv).astype(float)
     counts += smooth

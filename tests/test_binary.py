@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from effectrestore import (
     BinaryErrorParams,
@@ -57,11 +60,9 @@ class TestRestoreBinary:
     def test_uninformative_rates_raise(self):
         with pytest.raises(SingularError):
             BinaryErrorParams(0.6, 0.4)
-        # even if the params object dodges its own gate, restoration re-checks
-        err = BinaryErrorParams(0.6, 0.4 - 1e-9, tol_sing=0.0)
-        table = JointTable(np.full((2, 2, 2), 1 / 8), "W")
+        # the constructor is the only gate, so near-singular params never exist
         with pytest.raises(SingularError):
-            restore_binary(table, err)
+            BinaryErrorParams(0.6, 0.4 - 1e-9)
 
     def test_preserves_treatment_outcome_marginal(self):
         rng = np.random.default_rng(2)
@@ -153,6 +154,20 @@ class TestCausalEffectBinary:
             composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
             direct = causal_effect_binary(observed, err, x, y)
             assert abs(direct - composed) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 0.4), st.floats(0.0, 0.4),
+        hnp.arrays(np.float64, (2, 2, 2), elements=st.floats(0.01, 1.0)),
+        st.integers(0, 1), st.integers(0, 1),
+    )
+    def test_closed_form_is_the_composition(self, eps, delta, latent, x, y):
+        # the closed form divides by err.determinant unchecked: the params'
+        # own gate must be enough for it to agree with restore-then-adjust
+        err = BinaryErrorParams(eps, delta)
+        observed = JointTable(np.einsum("wz,xyz->xyw", err.matrix(), latent / latent.sum()), "W")
+        composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
+        assert causal_effect_binary(observed, err, x, y) == pytest.approx(composed, abs=1e-12)
 
     def test_recovers_truth_from_exact_observed(self):
         rng = np.random.default_rng(6)

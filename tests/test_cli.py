@@ -111,6 +111,27 @@ class TestSimulateThenEstimate:
             paths.append(out.read_bytes())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["p_z", "p_x_given_z", "p_y_given_xz"])
+    def test_non_finite_model_entry_exits_1_naming_the_field(
+        self, tmp_path, capsys, strong_confounding_spec, field, bad
+    ):
+        doc = strong_confounding_spec.to_json_dict()
+        cell = doc[field]
+        while isinstance(cell[0], list):
+            cell = cell[0]
+        cell[0] = bad
+        spec_path = tmp_path / "model.json"
+        spec_path.write_text(json.dumps(doc))  # json writes NaN / Infinity
+        code = main([
+            "simulate-discrete", "--in", str(spec_path), "--out", str(tmp_path / "s.csv"),
+            "--n", "10",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{field} entries must be finite" in err
+        assert "Traceback" not in err
+
 
 class TestRestoreDiscreteCommand:
     def test_effect_from_table_json_matches_library(self, tmp_path, strong_confounding_spec):
@@ -219,6 +240,25 @@ class TestLinearCommands:
         assert doc["lambda_source"] == "two_indicator"
         assert abs(doc["c0"] - spec.c0) < 3.0 * doc["stderr"]
         assert abs(doc["lambda"] - spec.c3**2 * spec.var_z) < 0.05
+
+    @pytest.mark.parametrize("share, used", [(0.8, 195), (0.97, 115)])
+    def test_effect_linear_skips_resamples_with_too_little_proxy_variance(
+        self, tmp_path, capsys, share, used
+    ):
+        # var_ew below the data's var(w) but above some resamples': those
+        # resamples are undefined, the estimate is not
+        from test_linear import noisy_proxy_rows
+
+        rows = noisy_proxy_rows()
+        samples_path = tmp_path / "rows.csv"
+        write_samples_csv(samples_path, ["x", "y", "w"], rows)
+        var_ew = share * np.var(rows[:, 2], ddof=1)
+        code = main([
+            "effect-linear", "--in", str(samples_path), "--var-ew", repr(float(var_ew)),
+            "--boot", "200",
+        ])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["boot_used"] == used
 
     def test_effect_linear_refuses_a_bootstrap_from_two_rows(self, tmp_path, capsys):
         # two rows cannot support a standard error: a usage error, not stderr 0.0

@@ -426,6 +426,15 @@ def loop_bootstrap_values(rows, statistic, n_boot, seed):
     return np.asarray(values)
 
 
+def noisy_proxy_rows(n=200):
+    """x = 0.5z + e_x, y = 0.3x + 0.4z + e_y, w = 0.3z + e_w: a weak proxy
+    whose resampled var(w) often falls below a large error variance."""
+    rng = np.random.default_rng(0)
+    z, e_x, e_y, e_w = (rng.normal(0.0, 1.0, n) for _ in range(4))
+    x = 0.5 * z + e_x
+    return np.column_stack([x, 0.3 * x + 0.4 * z + e_y, 0.3 * z + e_w])
+
+
 def all_moments(s: CovStats) -> float:
     """A statistic that reads every stored moment."""
     return sum(v for k, v in s.to_json_dict().items() if k != "n")
@@ -483,6 +492,23 @@ class TestBootstrapEngine:
 
         with pytest.raises(UnidentifiableError, match=r"used 29/60"):
             bootstrap_se(rows, statistic, n_boot=60, seed=5)
+
+    def test_any_model_error_is_undefined_but_validation_errors_propagate(self):
+        # the table engine's rule: an invalid error variance on a resample
+        # skips it, like an unidentified coefficient would
+        rows = noisy_proxy_rows()
+        var_ew = 0.8 * np.var(rows[:, 2], ddof=1)
+
+        def statistic(s):
+            return c0_from_lambda(s, lambda_from_error_variance(s.var_w, var_ew))
+
+        assert len(bootstrap_values(rows, statistic, n_boot=200, seed=0)) == 195
+
+        def invalid(s):
+            raise ValidationError("bad statistic")
+
+        with pytest.raises(ValidationError, match="bad statistic"):
+            bootstrap_values(rows, invalid, n_boot=10, seed=0)
 
     def test_too_few_rows_rejected(self):
         rows = np.random.default_rng(49).normal(size=(9, 3))

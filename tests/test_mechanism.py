@@ -22,6 +22,8 @@ class TestErrorMatrix:
             ErrorMatrix(entries=np.array([[0.5, 0.5], [0.6, 0.5]]))
         with pytest.raises(ValidationError):
             ErrorMatrix(entries=np.array([[1.2, 0.0], [-0.2, 1.0]]))
+        with pytest.raises(ValidationError, match="nonempty"):
+            ErrorMatrix.from_json_dict({"n_w": 0, "n_z": 0, "entries": []})
 
     def test_identity(self):
         m = ErrorMatrix.identity(3)

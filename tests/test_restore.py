@@ -75,7 +75,10 @@ class TestRestoreJoint:
         table = JointTable(np.full((2, 2, 2), 1 / 8), "W")
         with pytest.raises(SingularError):
             restore_joint(table, mech)
-        restore_joint(table, mech, cond_cap=1e12)
+        eps = 0.5 - 1e-6  # condition 5e5, below the cap
+        mech = ErrorMatrix(entries=np.array([[1 - eps, eps], [eps, 1 - eps]]))
+        restored = restore_joint(table, mech).restored
+        np.testing.assert_allclose(restored.cells, table.cells, atol=1e-9)
 
     def test_mass_conserved_per_treatment_outcome_pair(self):
         rng = np.random.default_rng(3)
@@ -186,6 +189,21 @@ class TestRestoreInvertsPushforward:
         result = restore_joint(pushforward(truth, mech), mech)
         np.testing.assert_allclose(result.restored.cells, truth.cells, atol=1e-12)
         assert 1.0 - 1e-12 <= result.condition_estimate <= 5.0 ** 4
+
+
+class TestRestorationConservesSliceMass:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_each_xy_slice_keeps_its_mass(self, data):
+        # any observed table, compatible or not: clipping rescales each
+        # slice back to the mass the inverse conserves
+        mech = data.draw(mechanisms())
+        observed = data.draw(latent_tables(mech.n_w)).with_axis("W")
+        result = restore_joint(observed, mech, clip=True)
+        np.testing.assert_allclose(
+            result.restored.cells.sum(axis=2), observed.cells.sum(axis=2), atol=1e-12
+        )
+        assert result.restored.cells.min() >= 0.0
 
 
 class TestFactorizedOnce:
@@ -341,6 +359,15 @@ class TestRestoredPropensity:
             expected = restored.cells[1].sum(axis=0) / restored.cells.sum(axis=(0, 1))
             out = restored_propensity(score_w, p_w, mech)
             np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, bad):
+        mech = ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1))
+        score, p_w = np.array([0.3, 0.6]), np.array([0.4, 0.6])
+        with pytest.raises(ValidationError, match="must be finite"):
+            restored_propensity(np.array([bad, 0.6]), p_w, mech)
+        with pytest.raises(ValidationError, match="must be finite"):
+            restored_propensity(score, np.array([0.4, bad]), mech)
 
     def test_vanishing_denominator_raises(self):
         err = BinaryErrorParams(0.2, 0.2)

@@ -41,6 +41,25 @@ class TestDiscreteModelSpec:
                 p_y_given_xz=np.full((2, 2, 2), 0.5),
                 error=ErrorMatrix.identity(2),
             )
+        with pytest.raises(ValidationError, match="p_z entries must be a nonempty"):
+            DiscreteModelSpec(
+                p_z=np.zeros(0),
+                p_x_given_z=np.zeros((2, 0)),
+                p_y_given_xz=np.zeros((2, 2, 0)),
+                error=ErrorMatrix.identity(2),
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["p_z", "p_x_given_z", "p_y_given_xz"])
+    def test_non_finite_entries_rejected_by_name(self, field, bad):
+        arrays = {
+            "p_z": np.array([0.5, 0.5]),
+            "p_x_given_z": np.full((2, 2), 0.5),
+            "p_y_given_xz": np.full((2, 2, 2), 0.5),
+        }
+        arrays[field].flat[0] = bad
+        with pytest.raises(ValidationError, match=f"{field} entries must be finite"):
+            DiscreteModelSpec(**arrays, error=ErrorMatrix.identity(2))
 
     def test_mechanism_dimension_checked(self):
         with pytest.raises(ValidationError):
