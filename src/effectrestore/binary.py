@@ -229,29 +229,31 @@ def synthesize_samples(
         raise ValidationError("sample values must be 0/1")
     n = arr.shape[0]
     u = make_rng(seed).random((n, k))
-    out = arr.astype(int).copy()
-    xy = arr[:, 0] * 2 + arr[:, 1]
+    out = arr.astype(int)
+    xy = out[:, 0] * 2 + out[:, 1]
+    sizes = np.bincount(xy, minlength=4)
+    ones = [np.bincount(xy, weights=out[:, 2 + i], minlength=4) for i in range(k)]
+    # P(z_i = 1 | group, w_i), indexed [group, i, w_i]
+    post = np.zeros((4, k, 2))
     for cell in range(4):
-        mask = xy == cell
         cx, cy = divmod(cell, 2)
-        if not mask.any():
+        if not sizes[cell]:
             warnings.warn(
                 f"no samples in group (x={cx}, y={cy}); nothing to synthesize there",
                 RuntimeWarning,
                 stacklevel=2,
             )
             continue
-        w = arr[mask, 2:]
         for i, err in enumerate(errs):
-            q = float(w[:, i].mean())
+            q = float(ones[i][cell] / sizes[cell])
             if q < err.delta or q > 1.0 - err.eps:
                 raise IncompatibleModelError(
                     f"component {i}: empirical P(w{i + 1}=1|x={cx},y={cy}) = {q:.6g} "
                     f"lies outside [delta, 1-eps] = [{err.delta:.6g}, {1.0 - err.eps:.6g}]"
                 )
             r = (q - err.delta) / err.determinant
-            post1 = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
-            post0 = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
-            prob = np.where(w[:, i] == 1, post1, post0)
-            out[mask, 2 + i] = (u[mask, i] < prob).astype(int)
+            post[cell, i, 1] = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
+            post[cell, i, 0] = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
+    for i in range(k):
+        out[:, 2 + i] = u[:, i] < post[xy, i, out[:, 2 + i]]
     return out

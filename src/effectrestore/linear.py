@@ -230,9 +230,13 @@ def lambda_from_two_indicators(s: CovStats) -> float:
 
 
 def lambda_from_error_variance(var_w: float, var_ew: float) -> float:
-    """c3^2 var(Z) from an externally assessed error variance: var(W) - var(e_W)."""
-    if not math.isfinite(var_w) or var_w <= 0.0:
-        raise ValidationError(f"var_w must be positive, got {var_w!r}")
+    """c3^2 var(Z) from an externally assessed error variance: var(W) - var(e_W).
+
+    A constant proxy (var_w = 0) leaves every error variance without
+    signal, which is a model error like any var_ew >= var_w.
+    """
+    if not math.isfinite(var_w) or var_w < 0.0:
+        raise ValidationError(f"var_w must be nonnegative, got {var_w!r}")
     if not math.isfinite(var_ew) or var_ew < 0.0:
         raise InvalidErrorVarianceError(f"var_ew must be >= 0, got {var_ew!r}")
     if var_ew >= var_w:
@@ -365,10 +369,15 @@ def bootstrap_values(
     how they are grouped.  Their moments come from row counts: each
     chunk of resamples fills a reused count buffer, which is multiplied
     once by the columns, centered at the full-sample mean, stacked with
-    their pairwise products.  A resample on which the statistic raises a
-    model error (any EffectRestoreError but ValidationError) is counted
-    as undefined and skipped; the values of the others are returned in
-    resample order.
+    their pairwise products.  A column that is constant on a resample
+    leaves rounding noise of either sign as its variance; so when a
+    column's sum of squares about the resample mean is within ``TOL_DEN``
+    of its sum of squares about the full-sample mean, its variance and
+    covariances are set to exactly zero, and the statistic decides what
+    a constant column means.  A resample
+    on which the statistic raises a model error (any EffectRestoreError
+    but ValidationError) is counted as undefined and skipped; the values
+    of the others are returned in resample order.
 
     Raises ValidationError below ``MIN_ROWS`` rows or for n_boot < 2, and
     UnidentifiableError when the statistic is undefined on more than half
@@ -383,6 +392,7 @@ def bootstrap_values(
     names = "xywv"
     fields = [f"var_{names[i]}" if i == j else f"cov_{names[i]}{names[j]}" for i, j in pairs]
     left, right = (np.array(side) for side in zip(*pairs))
+    diag = [pairs.index((i, i)) for i in range(k)]
     centered = arr - arr.mean(axis=0)
     stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
     counts = np.empty((min(n_boot, max(1, _COUNT_CELLS // n)), n))
@@ -397,6 +407,9 @@ def bootstrap_values(
             sums = block @ stacked
             mean = sums[:, :k] / n
             cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
+            about_full_mean = sums[:, k:][:, diag]
+            constant = cov[:, diag] * (n - 1) <= TOL_DEN * about_full_mean
+            cov[constant[:, left] | constant[:, right]] = 0.0
             for moments in cov.tolist():
                 yield CovStats(**dict(zip(fields, moments)), n=n)
 

@@ -30,6 +30,9 @@ TOL_STOCHASTIC = 1e-12
 TOL_SINGULAR = 1e-6
 #: largest dimension at which a factored mechanism may be expanded densely
 DENSE_CAP = 4096
+#: largest side of a Kronecker block of consecutive factors that the
+#: factored operator applies as one matrix
+_BLOCK_CAP = 64
 
 
 def _check_stochastic(arr: np.ndarray, name: str) -> None:
@@ -48,23 +51,43 @@ def _check_stochastic(arr: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} columns must sum to 1 (worst defect {worst:.3e})")
 
 
-def _contract(mats: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
-    """Apply the tensor product of ``mats`` along the last axis of ``cells``.
+def _kron_blocks(mats: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Kronecker products of runs of consecutive ``mats``, each at most
+    ``_BLOCK_CAP`` per side (a larger matrix is a block of its own)."""
+    blocks: list[np.ndarray] = []
+    for m in mats:
+        if blocks:
+            rows, cols = blocks[-1].shape
+            if max(rows * m.shape[0], cols * m.shape[1]) <= _BLOCK_CAP:
+                blocks[-1] = np.kron(blocks[-1], m)
+                continue
+        blocks.append(m)
+    for b in blocks:
+        b.setflags(write=False)
+    return tuple(blocks)
 
-    The last axis is read as mixed-radix digits, the first matrix owning
-    the most significant one (``numpy.kron`` order); each matrix acts on
-    its own digit, so the product is never formed.
+
+def _contract(blocks: Sequence[np.ndarray], cells: np.ndarray) -> np.ndarray:
+    """Apply the tensor product of ``blocks`` along the last axis of ``cells``.
+
+    The last axis is read as mixed-radix digits, the first block owning
+    the most significant one (``numpy.kron`` order).  The blocks are
+    applied last to first, one GEMM each: a block contracts the trailing
+    digit of the (rows, digit) view and its output digit becomes the
+    leading axis, so after the first block the digits stand in order in
+    front of the leading shape and no pass copies or transposes the
+    operand.  The product itself is never formed; a dense matrix is the
+    one-block case, a single ``m @ cells.T``.
     """
     cells = np.asarray(cells, dtype=float)
-    dims = [m.shape[1] for m in mats]
-    size = int(np.prod(dims))
+    size = int(np.prod([b.shape[1] for b in blocks]))
     if cells.shape[-1:] != (size,):
         raise ValidationError(f"operand's last axis must have length {size}, got {cells.shape}")
-    lead = cells.shape[:-1]
-    out = cells.reshape(*lead, *dims)
-    for i, m in enumerate(mats, start=len(lead)):
-        out = np.moveaxis(np.tensordot(m, out, axes=([1], [i])), 0, i)
-    return out.reshape(*lead, -1)
+    out = cells.reshape(-1, size)
+    for b in reversed(blocks):
+        out = np.dot(b, out.reshape(-1, b.shape[1]).T)
+    n_out = int(np.prod([b.shape[0] for b in blocks]))
+    return out.reshape(n_out, -1).T.reshape(*cells.shape[:-1], n_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,9 +98,12 @@ class ErrorMatrix:
     ``factors``, the per-component mechanisms whose tensor product it is.
     A dense matrix is the one-factor case of the same operator, so
     :meth:`apply`, :meth:`apply_inverse` and :meth:`condition` have one
-    code path.  The inverse is computed at most once per instance (per
-    factor in factored form) and cached as read-only arrays; ``dense()``
-    materializes the product only within ``DENSE_CAP``.
+    code path.  The inverse (per factor in factored form) and the
+    condition number are computed at most once per instance and cached;
+    so are the Kronecker blocks of consecutive factors, at most
+    ``_BLOCK_CAP`` per side, in which the operator and its inverse are
+    applied.  All cached arrays are read-only; ``dense()`` materializes
+    the product only within ``DENSE_CAP``.
     """
 
     entries: np.ndarray | None = None
@@ -144,29 +170,44 @@ class ErrorMatrix:
             )
         return reduce(np.kron, self._mats, np.ones((1, 1)))
 
-    def apply(self, cells: np.ndarray) -> np.ndarray:
-        """M applied along the last axis: out[..., w] = sum_z M(w, z) cells[..., z]."""
-        return _contract(self._mats, cells)
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        """``_mats`` as Kronecker blocks of at most ``_BLOCK_CAP`` per side."""
+        return _kron_blocks(self._mats)
 
-    def apply_inverse(self, cells: np.ndarray) -> np.ndarray:
-        """M^-1 applied along the last axis; SingularError when M has no inverse."""
-        if self._inverses is None:
-            raise SingularError("mechanism is singular: its inverse does not exist")
-        return _contract(self._inverses, cells)
+    @cached_property
+    def _inverse_blocks(self) -> tuple[np.ndarray, ...] | None:
+        """``_inverses`` in the blocks of ``_blocks``, or None when singular."""
+        return None if self._inverses is None else _kron_blocks(self._inverses)
 
-    def condition(self) -> float:
-        """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular).
-
-        For factored form it is the product over factors, which equals
-        the dense matrix's: induced 1-norms are multiplicative over
-        Kronecker products.
-        """
+    @cached_property
+    def _condition(self) -> float:
         if self._inverses is None:
             return float("inf")
         cond = 1.0
         for m, inv in zip(self._mats, self._inverses):
             cond *= float(np.linalg.norm(m, 1)) * float(np.linalg.norm(inv, 1))
         return cond
+
+    def apply(self, cells: np.ndarray) -> np.ndarray:
+        """M applied along the last axis: out[..., w] = sum_z M(w, z) cells[..., z]."""
+        return _contract(self._blocks, cells)
+
+    def apply_inverse(self, cells: np.ndarray) -> np.ndarray:
+        """M^-1 applied along the last axis; SingularError when M has no inverse."""
+        if self._inverse_blocks is None:
+            raise SingularError("mechanism is singular: its inverse does not exist")
+        return _contract(self._inverse_blocks, cells)
+
+    def condition(self) -> float:
+        """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular).
+
+        For factored form it is the product over factors, which equals
+        the dense matrix's: induced 1-norms are multiplicative over
+        Kronecker products.  Computed once per instance and cached with
+        the inverse.
+        """
+        return self._condition
 
     @classmethod
     def identity(cls, n: int) -> "ErrorMatrix":

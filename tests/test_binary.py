@@ -1,6 +1,7 @@
 """Binary closed forms: restoration, weight split, corrected IPW, synthesis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,7 +243,58 @@ class TestInfinitesimalApproximation:
             prev = gap
 
 
+def loop_synthesize_samples(samples, errs, seed):
+    """Reference synthesis: one boolean mask per (x, y) group and component."""
+    arr = np.asarray(samples)
+    u = make_rng(seed).random((arr.shape[0], len(errs)))
+    out = arr.astype(int)
+    xy = arr[:, 0] * 2 + arr[:, 1]
+    for cell in range(4):
+        mask = xy == cell
+        cx, cy = divmod(cell, 2)
+        if not mask.any():
+            warnings.warn(f"no samples in group (x={cx}, y={cy})", RuntimeWarning)
+            continue
+        w = arr[mask, 2:]
+        for i, err in enumerate(errs):
+            q = float(w[:, i].mean())
+            if q < err.delta or q > 1.0 - err.eps:
+                raise IncompatibleModelError(f"component {i}: (x={cx}, y={cy})")
+            r = (q - err.delta) / err.determinant
+            post1 = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
+            post0 = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
+            prob = np.where(w[:, i] == 1, post1, post0)
+            out[mask, 2 + i] = (u[mask, i] < prob).astype(int)
+    return out
+
+
 class TestSynthesizeSamples:
+    @pytest.mark.parametrize("case", range(8))
+    def test_matches_per_group_loop(self, case):
+        # same draws, same warnings in the same order, same first error
+        rng = np.random.default_rng(case)
+        n, k = (0, 37, 1000, 5000)[case % 4], 1 + case % 5
+        samples = (rng.random((n, 2 + k)) < rng.uniform(0.2, 0.8, 2 + k)).astype(int)
+        if case == 5:
+            samples[:, 0] = 0
+        errs = [BinaryErrorParams(*rng.uniform(0.0, 0.4 if case == 7 else 0.15, 2))
+                for _ in range(k)]
+        outcomes = []
+        for fn in (loop_synthesize_samples, synthesize_samples):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = fn(samples, errs, seed=case)
+                except IncompatibleModelError as exc:
+                    result = str(exc).split(":")[0]
+            outcomes.append((result, [str(w.message).split(";")[0] for w in caught]))
+        (want, want_warned), (got, got_warned) = outcomes
+        assert got_warned == want_warned
+        if isinstance(want, str):
+            assert got == want
+        else:
+            np.testing.assert_array_equal(got, want)
+
     def test_noiseless_is_identity(self):
         rng = np.random.default_rng(10)
         samples = rng.integers(0, 2, size=(500, 4))

@@ -260,6 +260,23 @@ class TestLinearCommands:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["boot_used"] == used
 
+    def test_effect_linear_counts_constant_proxy_resamples_as_undefined(self, tmp_path, capsys):
+        # a resample that draws only w = 0 rows is degenerate, not malformed
+        # input: it used to exit 1 on its rounding-noise var_w
+        from test_linear import degenerate_proxy_rows, error_variance_c0, loop_bootstrap_values
+
+        samples_path = tmp_path / "rows.csv"
+        write_samples_csv(samples_path, ["x", "y", "w"], degenerate_proxy_rows())
+        code = main([
+            "effect-linear", "--in", str(samples_path), "--var-ew", "0.001", "--boot", "200",
+        ])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        _, rows = read_samples_csv(samples_path)
+        want = loop_bootstrap_values(rows, error_variance_c0(0.001), 200, 0)
+        assert doc["boot_used"] == len(want) < 200
+        assert doc["stderr"] == pytest.approx(np.std(want, ddof=1), rel=1e-9)
+
     def test_effect_linear_refuses_a_bootstrap_from_two_rows(self, tmp_path, capsys):
         # two rows cannot support a standard error: a usage error, not stderr 0.0
         samples_path = tmp_path / "rows.csv"

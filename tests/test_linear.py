@@ -5,6 +5,7 @@ import pytest
 
 from effectrestore import (
     CovStats,
+    EffectRestoreError,
     InvalidErrorVarianceError,
     LinearSemSpec,
     UnidentifiableError,
@@ -172,6 +173,16 @@ class TestLambda:
             lambda_from_error_variance(2.0, 2.0)
         with pytest.raises(InvalidErrorVarianceError):
             lambda_from_error_variance(2.0, 2.5)
+
+    def test_constant_proxy_is_a_model_error(self):
+        # var_w = 0 leaves any error variance without signal; only a
+        # negative or non-finite var_w is malformed input
+        for var_ew in (0.0, 0.1):
+            with pytest.raises(InvalidErrorVarianceError):
+                lambda_from_error_variance(0.0, var_ew)
+        for var_w in (-1e-19, np.nan):
+            with pytest.raises(ValidationError):
+                lambda_from_error_variance(var_w, 0.1)
 
 
 class TestC0FromLambda:
@@ -389,7 +400,11 @@ class TestBootstrap:
 
 
 def loop_bootstrap_values(rows, statistic, n_boot, seed):
-    """Reference engine: one resample per iteration, uncentered moments."""
+    """Reference engine: one resample per iteration, uncentered moments.
+
+    A column whose drawn values are all equal gets exactly zero variance
+    and covariances; a model error from the statistic skips the resample.
+    """
     arr = np.asarray(rows, dtype=float)
     n, k = arr.shape
     cols = [arr[:, i] for i in range(k)]
@@ -408,6 +423,8 @@ def loop_bootstrap_values(rows, statistic, n_boot, seed):
         cov = np.empty((k, k))
         for (i, j), m in pair_index.items():
             cov[i, j] = cov[j, i] = (raw[m] - n * means[i] * means[j]) / (n - 1)
+        for i in np.flatnonzero(np.ptp(arr[counts > 0], axis=0) == 0.0):
+            cov[i, :] = cov[:, i] = 0.0
         kwargs: dict = {}
         if k == 4:
             kwargs = {
@@ -421,7 +438,9 @@ def loop_bootstrap_values(rows, statistic, n_boot, seed):
         )
         try:
             values.append(statistic(stats))
-        except UnidentifiableError:
+        except ValidationError:
+            raise
+        except EffectRestoreError:
             continue
     return np.asarray(values)
 
@@ -433,6 +452,22 @@ def noisy_proxy_rows(n=200):
     z, e_x, e_y, e_w = (rng.normal(0.0, 1.0, n) for _ in range(4))
     x = 0.5 * z + e_x
     return np.column_stack([x, 0.3 * x + 0.4 * z + e_y, 0.3 * z + e_w])
+
+
+def degenerate_proxy_rows(n=40):
+    """x ~ N(0, 1), y = x + N(0, 1), and w zero except 1.0 and 0.5 in two
+    rows: about one resample in eight draws neither, so its w is constant."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=n)
+    w = np.zeros(n)
+    w[[3, 17]] = 1.0, 0.5
+    return np.column_stack([x, x + rng.normal(size=n), w])
+
+
+def error_variance_c0(var_ew):
+    def statistic(s: CovStats) -> float:
+        return c0_from_lambda(s, lambda_from_error_variance(s.var_w, var_ew))
+    return statistic
 
 
 def all_moments(s: CovStats) -> float:
@@ -509,6 +544,29 @@ class TestBootstrapEngine:
 
         with pytest.raises(ValidationError, match="bad statistic"):
             bootstrap_values(rows, invalid, n_boot=10, seed=0)
+
+    def test_constant_resampled_column_has_exactly_zero_moments(self):
+        # rounding noise of either sign used to reach CovStats, which rejected
+        # a negative variance as malformed input and stopped the bootstrap
+        rows = degenerate_proxy_rows()
+
+        def w_moments(s):
+            return s.var_w, s.cov_xw, s.cov_yw
+
+        got = bootstrap_values(rows, w_moments, n_boot=200, seed=0)
+        want = loop_bootstrap_values(rows, w_moments, 200, 0)
+        flat = (want == 0.0).all(axis=1)
+        assert 0 < flat.sum() < 200
+        np.testing.assert_array_equal((got == 0.0).all(axis=1), flat)
+        np.testing.assert_allclose(got[~flat], want[~flat], rtol=1e-9)
+
+    def test_constant_resampled_proxy_is_undefined_like_the_loop(self):
+        rows = degenerate_proxy_rows()
+        statistic = error_variance_c0(0.001)
+        got = bootstrap_values(rows, statistic, n_boot=200, seed=0)
+        want = loop_bootstrap_values(rows, statistic, 200, 0)
+        assert len(got) == len(want) < 200
+        np.testing.assert_allclose(got, want, rtol=1e-9)
 
     def test_too_few_rows_rejected(self):
         rows = np.random.default_rng(49).normal(size=(9, 3))

@@ -1,5 +1,7 @@
 """Error-mechanism matrices: validation, binary params, tensor expansion."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,8 @@ from effectrestore import (
     component_mechanism,
     expand_factored,
 )
-from strategies import factor_lists
+from effectrestore import mechanism
+from strategies import factor_lists, nested_mechanisms
 
 
 class TestErrorMatrix:
@@ -164,3 +167,54 @@ class TestFactoredOperatorMatchesExpansion:
         assert dense.condition() == pytest.approx(
             np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1), rel=1e-9
         )
+
+
+class TestBlockContraction:
+    """Kronecker blocks of consecutive factors apply the same operator as
+    one factor at a time and as the dense expansion."""
+
+    @staticmethod
+    def operand(data, n):
+        lead = data.draw(st.sampled_from([(), (2, 3), (3, 2, 2)]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        return np.random.default_rng(seed).random((*lead, n))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_apply_matches_factors_and_dense(self, data, square):
+        mech, mats = data.draw(nested_mechanisms(square=square))
+        cells = self.operand(data, mech.n_z)
+        blocked = mech.apply(cells)
+        assert blocked.shape == cells.shape[:-1] + (mech.n_w,)
+        np.testing.assert_allclose(blocked, mechanism._contract(mats, cells), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocked, cells @ mech.dense().T, rtol=0, atol=1e-12)
+        assert all(max(b.shape) <= mechanism._BLOCK_CAP for b in mech._blocks)
+        np.testing.assert_allclose(
+            reduce(np.kron, mech._blocks), reduce(np.kron, mats), rtol=0, atol=1e-15
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_apply_inverse_and_condition_match(self, data):
+        mech, mats = data.draw(nested_mechanisms(square=True))
+        cells = self.operand(data, mech.n_z)
+        invs = [np.linalg.inv(m) for m in mats]
+        blocked = mech.apply_inverse(cells)
+        np.testing.assert_allclose(blocked, mechanism._contract(invs, cells), rtol=0, atol=1e-12)
+        expanded = expand_factored([ErrorMatrix(entries=m) for m in mats])
+        np.testing.assert_allclose(blocked, expanded.apply_inverse(cells), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mech.apply(blocked), cells, rtol=0, atol=1e-12)
+        cond = 1.0
+        for m, inv in zip(mats, invs):
+            cond *= float(np.linalg.norm(m, 1)) * float(np.linalg.norm(inv, 1))
+        assert mech.condition() == cond
+
+    def test_blocks_group_consecutive_factors_up_to_the_cap(self):
+        binary = [ErrorMatrix.from_binary(BinaryErrorParams(0.1, 0.2))] * 18
+        assert [b.shape for b in ErrorMatrix(factors=tuple(binary))._blocks] == [(64, 64)] * 3
+        big = ErrorMatrix.identity(100)
+        mech = ErrorMatrix(factors=(*binary[:2], big, *binary[:7]))
+        assert [b.shape for b in mech._blocks] == [(4, 4), (100, 100), (64, 64), (2, 2)]
+        assert mech._blocks[1] is big.entries
+        dense = ErrorMatrix(entries=BinaryErrorParams(0.1, 0.2).matrix())
+        assert dense._blocks == (dense.entries,)

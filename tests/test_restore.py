@@ -27,6 +27,7 @@ from effectrestore import (
     restored_propensity,
     stratified_effect,
 )
+from effectrestore import mechanism
 from strategies import factor_lists, stochastic_matrices
 
 
@@ -208,8 +209,9 @@ class TestRestorationConservesSliceMass:
 
 class TestFactorizedOnce:
     def test_one_inverse_serves_every_step(self, monkeypatch):
-        calls = {"inv": 0, "solve": 0}
-        real = {"inv": np.linalg.inv, "solve": np.linalg.solve}
+        calls = {"inv": 0, "solve": 0, "norm": 0, "_kron_blocks": 0}
+        real = {"inv": np.linalg.inv, "solve": np.linalg.solve, "norm": np.linalg.norm,
+                "_kron_blocks": mechanism._kron_blocks}
 
         def counted(name):
             def wrapper(*args, **kwargs):
@@ -217,21 +219,27 @@ class TestFactorizedOnce:
                 return real[name](*args, **kwargs)
             return wrapper
 
-        for name in calls:
+        for name in ("inv", "solve", "norm"):
             monkeypatch.setattr(np.linalg, name, counted(name))
+        monkeypatch.setattr(mechanism, "_kron_blocks", counted("_kron_blocks"))
         rng = np.random.default_rng(21)
         mech = well_conditioned_mechanism(rng, 12)
         observed = pushforward(random_table(rng, (2, 2, 12)), mech)
-        restore_joint(observed, mech)
+        cond = restore_joint(observed, mech).condition_estimate
         p_w = observed.cells.sum(axis=(0, 1))
         restored_propensity(observed.cells[1].sum(axis=0) / p_w, p_w, mech)
-        assert calls == {"inv": 1, "solve": 0}
+        assert mech.condition() == mech.condition() == cond
+        # one inverse, and the 1-norms of the matrix and of its inverse once each
+        assert calls == {"inv": 1, "solve": 0, "norm": 2, "_kron_blocks": 2}
 
         factored = component_mechanism([BinaryErrorParams(0.1, 0.2)] * 3)
         observed = pushforward(random_table(rng, (2, 2, 8)), factored)
         restore_joint(observed, factored)
         restore_joint(observed, factored)
-        assert calls == {"inv": 4, "solve": 0}
+        factored.apply(observed.cells)
+        assert factored.condition() > 1.0
+        # the blocks of the matrices and of their inverses are built once each
+        assert calls == {"inv": 4, "solve": 0, "norm": 8, "_kron_blocks": 4}
 
 
 class TestBinaryIsTheTwoByTwoCase:
@@ -541,6 +549,82 @@ def discrete_score_table(rng, n_z, n_scores, card_y=3, zero_mass=()):
     p_y = rng.dirichlet(np.ones(card_y), size=(2, n_z))
     cells = np.stack([(1.0 - score) * p_z * p_y[0].T, score * p_z * p_y[1].T])
     return JointTable(cells / cells.sum(), "Z")
+
+
+def reference_propensity_profile(table, *, treated=1, n_bins=20):
+    """The stratification before labels were narrowed: np.unique labels and
+    an int64 stable argsort.  Returns scores, strata, weights, members and
+    the stratum label of each member."""
+    p_z = table.cells.sum(axis=(0, 1))
+    p_xz = table.cells.sum(axis=1)
+    pos = p_z > 0.0
+    scores = np.full(table.card_v, np.nan)
+    scores[pos] = p_xz[treated, pos] / p_z[pos]
+    pos_idx = np.flatnonzero(pos)
+    values = np.round(scores[pos_idx], 12)
+    keys, labels = np.unique(values, return_inverse=True)
+    if len(keys) > n_bins:
+        bins = np.minimum((np.clip(values, 0.0, 1.0) * n_bins).astype(int), n_bins - 1)
+        keys, labels = np.unique(bins, return_inverse=True)
+    order = np.argsort(labels, kind="stable")
+    members = pos_idx[order]
+    ends = np.cumsum(np.bincount(labels, minlength=len(keys))).tolist()
+    strata = tuple(tuple(members[a:b].tolist()) for a, b in zip([0, *ends], ends))
+    weights = np.bincount(labels, weights=p_z[pos_idx], minlength=len(keys))
+    return scores, strata, weights / weights.sum(), members, labels[order]
+
+
+def table_with_scores(rng, scores, card_y=2, zero_mass=()):
+    """Latent table whose treated share at z is scores[z]; the listed z
+    values carry no mass."""
+    n_z = len(scores)
+    p_z = rng.dirichlet(np.ones(n_z))
+    p_z[list(zero_mass)] = 0.0
+    p_y = rng.dirichlet(np.ones(card_y), size=(2, n_z))
+    cells = np.stack([(1.0 - scores) * p_z * p_y[0].T, scores * p_z * p_y[1].T])
+    return JointTable(cells, "Z")
+
+
+class TestStratificationMatchesReference:
+    def check(self, table, n_bins):
+        scores, strata, weights, members, labels = reference_propensity_profile(
+            table, n_bins=n_bins
+        )
+        profile = propensity_profile(table, n_bins=n_bins)
+        np.testing.assert_array_equal(profile.scores, scores)
+        assert profile.strata == strata
+        np.testing.assert_array_equal(profile.weights, weights)
+        np.testing.assert_array_equal(profile._members, members)
+        np.testing.assert_array_equal(profile._labels, labels)
+        return profile
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_bins", [1, 7, 20, 300])
+    def test_binned_random_tables(self, seed, n_bins):
+        rng = np.random.default_rng(seed)
+        zero_mass = rng.choice(2**12, size=40, replace=False)
+        table = table_with_scores(rng, rng.random(2**12), zero_mass=zero_mass)
+        profile = self.check(table, n_bins)
+        assert len(profile.strata) <= n_bins < 2**12
+
+    @pytest.mark.parametrize("n_bins", [1, 5, 20, 260])
+    def test_exactly_n_bins_distinct_scores(self, n_bins):
+        rng = np.random.default_rng(n_bins)
+        values = rng.uniform(0.05, 0.95, n_bins)
+        scores = rng.permutation(np.resize(values, 3 * n_bins))
+        table = table_with_scores(rng, scores, zero_mass=(0,) if n_bins > 1 else ())
+        profile = self.check(table, n_bins)
+        assert len(profile.strata) == n_bins
+
+    @pytest.mark.parametrize("n_bins", [1, 5, 20, 260])
+    def test_extra_distinct_score_only_at_the_last_z(self, n_bins):
+        # n_bins distinct scores up to the last z, one more there: binned
+        rng = np.random.default_rng(100 + n_bins)
+        values = rng.uniform(0.05, 0.95, n_bins)
+        scores = np.append(rng.permutation(np.resize(values, 3 * n_bins)), 0.999)
+        table = table_with_scores(rng, scores)
+        profile = self.check(table, n_bins)
+        assert profile.strata[-1][-1] == len(scores) - 1
 
 
 class TestStratificationMatchesLoop:
