@@ -14,7 +14,11 @@ Every step goes through the mechanism's operator methods.  The inverse
 of M (of each factor, in factored form) is computed once per
 ``ErrorMatrix`` and cached, and so is the condition number beside it,
 so the condition check, restoration and propensity restoration on one
-instance share a single factorization and one pair of 1-norms.  A
+instance share a single factorization and one pair of 1-norms.  A dense
+factor with a side of at least 2048 (``mechanism._LU_MIN_SIDE``) is
+LU-factorized instead of inverted: restoration is then a pair of
+triangular solves per call, and its condition number is LAPACK's
+estimate from the same factors, a lower bound on the exact value.  A
 factored operator is applied in Kronecker blocks of consecutive factors,
 at most 64 per side, whose results agree with a factor-at-a-time
 application to rounding (about 1e-15); a dense one is the one-block
@@ -23,6 +27,10 @@ case, a single matrix product.  A mechanism is invertible here when its
 that check runs before the inverse is applied and is the only one a
 matrix mechanism gets (a binary one is already gated by
 ``mechanism.TOL_SINGULAR`` when its ``BinaryErrorParams`` is built).
+For an LU-factorized factor the check compares the cap with that lower
+bound.  The estimate is usually within a few per cent of the exact
+value, but Higham's estimator guarantees no ratio, so such a factor
+whose exact condition number lies somewhat above the cap can pass.
 Restored cells may come out slightly negative; a total absolute negative
 mass up to ``TOL_INCOMPATIBLE`` is treated as numerical noise and
 clipped (renormalizing each (x, y) slice to its conserved mass), while
@@ -86,6 +94,13 @@ def pushforward(table: JointTable, mechanism: ErrorMatrix) -> JointTable:
 
 
 def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
+    """The mechanism's condition number, after refusing a non-square one
+    or one whose condition number is not below ``CONDITION_CAP``.
+
+    For a dense factor of side ``mechanism._LU_MIN_SIDE`` or more the
+    number compared is LAPACK's estimate, a lower bound on the exact
+    value (see the numerical policy above).
+    """
     if not mechanism.is_square:
         raise ValidationError(
             f"restoration requires a square mechanism{where}, "
@@ -258,21 +273,25 @@ class PropensityProfile:
 
     ``scores[z]`` is L(z) = P(X=treated | z) (NaN for zero-mass strata),
     ``strata`` partitions the positive-mass z indices into score groups,
-    and ``weights[k]`` is the total latent mass P(l) of stratum k.
+    and ``weights[k]`` is the total latent mass P(l) of stratum k.  The
+    estimators read the member arrays below; a profile built by
+    :func:`propensity_profile` forms the ``strata`` tuples from them only
+    when the attribute is first read.
     """
 
     scores: np.ndarray
     strata: tuple[tuple[int, ...], ...]
     weights: np.ndarray
-    #: every stratum's z indices concatenated in stratum order, and the
-    #: stratum index of each
+    #: every stratum's z indices concatenated in stratum order, each
+    #: stratum's size, and the stratum index of each member
     _members: np.ndarray = field(init=False, repr=False)
+    _sizes: np.ndarray = field(init=False, repr=False)
     _labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = [len(s) for s in self.strata]
+        sizes = np.array([len(s) for s in self.strata], dtype=np.intp)
         members = np.fromiter(
-            itertools.chain.from_iterable(self.strata), dtype=np.intp, count=sum(sizes)
+            itertools.chain.from_iterable(self.strata), dtype=np.intp, count=int(sizes.sum())
         )
         ordered = np.sort(members)
         if (ordered[1:] == ordered[:-1]).any():
@@ -280,32 +299,40 @@ class PropensityProfile:
         object.__setattr__(self, "strata", _split(members, sizes))
         self._store(members, sizes)
 
+    def __getattr__(self, name: str):
+        # reached only for attributes not yet set: ``strata`` of a profile
+        # built from its members is formed here, once
+        if name != "strata":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        strata = _split(self._members, self._sizes)
+        object.__setattr__(self, "strata", strata)
+        return strata
+
     @classmethod
     def _from_members(
         cls, scores: np.ndarray, members: np.ndarray, sizes: np.ndarray, weights: np.ndarray
     ) -> "PropensityProfile":
         """Profile whose strata are the consecutive runs of ``members`` with
-        lengths ``sizes``, disjoint by construction; the strata tuples are
-        built once, here."""
+        lengths ``sizes``, disjoint by construction."""
         profile = cls.__new__(cls)
         object.__setattr__(profile, "scores", scores)
-        object.__setattr__(profile, "strata", _split(members, sizes))
         object.__setattr__(profile, "weights", weights)
         profile._store(members, sizes)
         return profile
 
-    def _store(self, members: np.ndarray, sizes) -> None:
+    def _store(self, members: np.ndarray, sizes: np.ndarray) -> None:
         """Freeze the arrays, derive the member labels and check the weights."""
         scores = np.asarray(self.scores, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         labels = np.repeat(np.arange(len(sizes)), sizes)
-        for arr in (scores, weights, members, labels):
+        for arr in (scores, weights, members, sizes, labels):
             arr.setflags(write=False)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_sizes", sizes)
         object.__setattr__(self, "_labels", labels)
-        if len(self.strata) != weights.shape[0]:
+        if len(sizes) != weights.shape[0]:
             raise ValidationError("one weight per stratum required")
         if weights.min(initial=0.0) < -1e-12:
             raise ValidationError("stratum weights must be nonnegative")
@@ -376,7 +403,7 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
         raise ValidationError(
             f"strata do not cover positive-mass z indices {uncovered.tolist()}"
         )
-    n_strata = len(profile.strata)
+    n_strata = len(profile.weights)
     # P(x, y, l) for every stratum l, shape (n_strata, card_y)
     p_xyl = np.stack(
         [np.bincount(labels, weights=table.cells[x, y, members], minlength=n_strata)

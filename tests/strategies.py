@@ -1,10 +1,22 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
+
+import contextlib
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from effectrestore import ErrorMatrix
+from effectrestore import ErrorMatrix, mechanism
+
+
+@contextlib.contextmanager
+def lu_from(side):
+    """Within the block, dense square factors with at least ``side`` per side
+    are LU-factorized on first use instead of inverted."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanism, "_LU_MIN_SIDE", side)
+        yield
 
 
 @st.composite

@@ -1,9 +1,20 @@
 """End-to-end CLI behavior over flat files."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import effectrestore
 
 from effectrestore import (
     BinaryErrorParams,
@@ -15,6 +26,8 @@ from effectrestore import (
 from effectrestore.cli import main
 from effectrestore.io import dump_json, load_json, read_samples_csv, write_samples_csv
 from effectrestore.mechanism import ErrorMatrix
+
+from strategies import lu_from
 
 
 @pytest.fixture()
@@ -439,3 +452,161 @@ class TestUsageErrors:
         assert main(["restore-binary", "--in", str(samples_path), "--error", str(err_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "restore-binary"
+
+
+@st.composite
+def refused_mechanisms(draw):
+    """A dense mechanism JSON document that ``restore-discrete`` must refuse,
+    the exit status it must give and a pattern naming the cause."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.uniform(0.01, 1.0, (n, n))
+    good = 0.7 * np.eye(n) + 0.3 * raw / raw.sum(axis=0)
+    i, j = (int(v) for v in rng.integers(0, n, size=2))
+    malformed = "malformed error-matrix JSON"
+    kind = draw(st.sampled_from([
+        "ragged", "length", "negative_side", "non_square", "non_finite", "non_stochastic",
+        "empty", "singular", "ill_conditioned",
+    ]))
+    if kind == "ragged":
+        rows = [list(col) for col in good.T]
+        rows[j] = rows[j][:draw(st.integers(0, n - 1))]
+        return {"n_w": n, "n_z": n, "entries": rows}, 1, malformed
+    if kind == "length":
+        flat = list(good.ravel(order="F"))
+        cut = draw(st.integers(1, n * n))
+        return {"n_w": n, "n_z": n, "entries": flat[:-cut] or [0.5]}, 1, malformed
+    if kind == "negative_side":
+        # a -1 side that the entries' length would otherwise fill in
+        sides = draw(st.sampled_from([(-1, n), (n, -1), (-n, -n)]))
+        entries = list(good.ravel(order="F"))
+        return {"n_w": sides[0], "n_z": sides[1], "entries": entries}, 1, "must be nonnegative"
+    if kind == "non_square":
+        cols = n + draw(st.integers(1, 3))
+        rect = rng.uniform(0.01, 1.0, (n, cols))
+        rect /= rect.sum(axis=0)
+        return {"n_w": n, "n_z": cols, "entries": list(rect.ravel(order="F"))}, 1, "square"
+    if kind == "non_finite":
+        bad = good.copy()
+        bad[i, j] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        return {"n_w": n, "n_z": n, "entries": list(bad.ravel(order="F"))}, 1, "finite"
+    if kind == "non_stochastic":
+        bad = good.copy()
+        bad[:, j] *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1e-6, 0.5))
+        return ({"n_w": n, "n_z": n, "entries": list(bad.ravel(order="F"))}, 1,
+                r"columns must sum to 1|must lie in \[0, 1\]")
+    if kind == "empty":
+        return {"n_w": 0, "n_z": draw(st.integers(0, 3)), "entries": []}, 1, "nonempty"
+    if kind == "singular":
+        bad = good.copy()
+        if draw(st.booleans()):
+            bad[:, :] = 1.0 / n
+        else:
+            bad[:, (j + 1) % n] = bad[:, j]
+        m = bad
+    else:
+        gap = 10.0 ** draw(st.floats(-12.0, -10.0))
+        m = gap * np.eye(n) + (1.0 - gap) / n
+    return ({"n_w": n, "n_z": n, "entries": list(m.ravel(order="F"))}, 2,
+            "singular or ill-conditioned")
+
+
+@pytest.fixture(scope="module")
+def proxy_samples(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "samples.csv"
+    rows = np.array([[x, y, w] for x in (0, 1) for y in (0, 1) for w in (0, 1)] * 3)
+    write_samples_csv(path, ["x", "y", "w"], rows, integer=True)
+    return path
+
+
+class TestRestoreDiscreteRefusesBadMechanisms:
+    """Fuzz of ``restore-discrete --error``: every broken dense mechanism,
+    solved by explicit inverse or (from side 2) by LU factors, exits 1 or 2
+    naming its cause, without a traceback."""
+
+    @pytest.mark.parametrize("lu_side", [None, 2], ids=["inverse", "lu"])
+    @settings(max_examples=120, deadline=None)
+    @given(refused_mechanisms())
+    def test_exit_status_names_the_cause(self, proxy_samples, lu_side, case):
+        doc, status, cause = case
+        mech_path = proxy_samples.with_name("mech.json")
+        out_path = proxy_samples.with_name("out.json")
+        mech_path.write_text(json.dumps(doc))
+        out_path.unlink(missing_ok=True)
+        err = io.StringIO()
+        argv = ["restore-discrete", "--in", str(proxy_samples), "--error", str(mech_path),
+                "--x", "1", "--out", str(out_path)]
+        with contextlib.redirect_stderr(err), (
+            lu_from(lu_side) if lu_side else contextlib.nullcontext()
+        ):
+            code = main(argv)
+        message = err.getvalue()
+        assert code == status, message
+        assert "Traceback" not in message
+        tag = "singular" if status == 2 else "error"
+        assert message.startswith(f"effectrestore restore-discrete: {tag}: ")
+        assert re.search(cause, message), message
+        if status == 2:
+            assert load_json(out_path)["error"] == "singular"
+        else:
+            assert not out_path.exists()
+
+
+#: runs commands through ``cli.main`` and records whether scipy was loaded
+#: after the import and after each command
+_SCIPY_PROBE = """
+import json, sys
+result = {"import": "scipy" in sys.modules}
+from effectrestore import cli, mechanism
+commands, out = json.loads(sys.argv[1]), sys.argv[2]
+for name, argv in commands:
+    result[name] = [cli.main(argv), "scipy" in sys.modules]
+# control: the same restoration through LU factors does load it
+mechanism._LU_MIN_SIDE = 12
+result["control"] = [cli.main(commands[-1][1]), "scipy" in sys.modules]
+with open(out, "w") as fh:
+    json.dump(result, fh)
+"""
+
+
+class TestScipyStaysUnloaded:
+    """Only an LU-factorized mechanism needs scipy; importing the CLI and
+    running commands on smaller mechanisms never loads it, so their start-up
+    does not pay for it."""
+
+    def test_no_scipy_below_the_lu_side(self, tmp_path):
+        rng = np.random.default_rng(41)
+        binary_rows = rng.integers(0, 2, size=(200, 3))
+        binary_csv = tmp_path / "binary.csv"
+        write_samples_csv(binary_csv, ["x", "y", "w"], binary_rows, integer=True)
+        rates = tmp_path / "rates.json"
+        dump_json([{"eps": 0.1, "delta": 0.2}], rates)
+        wide_rows = np.column_stack([binary_rows[:, :2], rng.integers(0, 12, size=200)])
+        wide_csv = tmp_path / "wide.csv"
+        write_samples_csv(wide_csv, ["x", "y", "w"], wide_rows, integer=True)
+        raw = rng.uniform(0.01, 1.0, (12, 12))
+        mech = tmp_path / "mech.json"
+        dump_json(ErrorMatrix(entries=0.7 * np.eye(12) + 0.3 * raw / raw.sum(axis=0))
+                  .to_json_dict(), mech)
+        commands = [
+            ["effect-binary", ["effect-binary", "--in", str(binary_csv), "--error", str(rates),
+                               "--boot", "20", "--out", str(tmp_path / "effect.json")]],
+            ["synthesize", ["synthesize", "--in", str(binary_csv), "--error", str(rates),
+                            "--out", str(tmp_path / "synth.csv")]],
+            ["restore-discrete", ["restore-discrete", "--in", str(wide_csv), "--error", str(mech),
+                                  "--clip", "--x", "1", "--strata", "5",
+                                  "--out", str(tmp_path / "restored.json")]],
+        ]
+        out = tmp_path / "probe.json"
+        src = str(Path(effectrestore.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands), str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        assert load_json(out) == {
+            "import": False,
+            "effect-binary": [0, False],
+            "synthesize": [0, False],
+            "restore-discrete": [0, False],
+            "control": [0, True],
+        }

@@ -16,7 +16,7 @@ from effectrestore import (
     expand_factored,
 )
 from effectrestore import mechanism
-from strategies import factor_lists, nested_mechanisms
+from strategies import factor_lists, lu_from, nested_mechanisms, stochastic_matrices
 
 
 class TestErrorMatrix:
@@ -218,3 +218,80 @@ class TestBlockContraction:
         assert mech._blocks[1] is big.entries
         dense = ErrorMatrix(entries=BinaryErrorParams(0.1, 0.2).matrix())
         assert dense._blocks == (dense.entries,)
+
+
+def exact_condition(m):
+    return float(np.linalg.norm(m, 1)) * float(np.linalg.norm(np.linalg.inv(m), 1))
+
+
+class TestLUFactors:
+    """Dense square factors from ``_LU_MIN_SIDE`` up keep LU factors instead
+    of an inverse; an explicit ``np.linalg.inv`` is the oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 4))
+    def test_nested_mechanism_with_lu_factors_matches_expansion(self, data, side):
+        mech, mats = data.draw(nested_mechanisms(square=True))
+        cells = TestBlockContraction.operand(data, mech.n_z)
+        with lu_from(side):
+            blocked = mech.apply_inverse(cells)
+            cond = mech.condition()
+        n_lu = sum(isinstance(b, mechanism._LU) for b in mech._inverse_blocks)
+        assert n_lu == sum(m.shape[0] >= side for m in mats)
+        dense = mech.dense()
+        inv = np.linalg.inv(dense)
+        np.testing.assert_allclose(blocked, cells @ inv.T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mech.apply(blocked), cells, rtol=0, atol=1e-12)
+        exact = exact_condition(dense)
+        assert exact / 3**n_lu * (1 - 1e-9) <= cond <= exact * (1 + 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40).flatmap(stochastic_matrices))
+    def test_condition_estimate_is_a_close_lower_bound(self, m):
+        with lu_from(1):
+            est = ErrorMatrix(entries=m).condition()
+        exact = exact_condition(m)
+        assert exact / 3 <= est <= exact * (1 + 1e-9)
+
+    def test_condition_estimate_on_a_benchmark_shaped_matrix(self):
+        # the benchmark's dense mechanism: 0.7 I plus 0.3 times a random stochastic matrix
+        rng = np.random.default_rng(9)
+        raw = rng.random((600, 600))
+        m = 0.7 * np.eye(600) + 0.3 * raw / raw.sum(axis=0)
+        with lu_from(600):
+            mech = ErrorMatrix(entries=m)
+            est = mech.condition()
+        assert isinstance(mech._inverses[0], mechanism._LU)
+        exact = exact_condition(m)
+        assert exact / 3 <= est <= exact * (1 + 1e-9)
+
+    def test_factors_are_read_only_and_own_their_block(self):
+        m = BinaryErrorParams(0.2, 0.1).matrix()
+        with lu_from(2):
+            mech = ErrorMatrix(factors=(ErrorMatrix(entries=m), ErrorMatrix.identity(1)))
+            (lu, eye) = mech._inverses
+        assert isinstance(lu, mechanism._LU)
+        assert not lu.lu.flags.writeable and not lu.piv.flags.writeable
+        # LU factors are never merged into a Kronecker block
+        assert mech._inverse_blocks == (lu, eye)
+        np.testing.assert_allclose(mech.apply_inverse(m[:, 0]), [1.0, 0.0], atol=1e-15)
+
+    def test_exact_zero_pivot_is_singular(self):
+        with lu_from(2):
+            m = ErrorMatrix(entries=np.full((4, 4), 0.25))
+            assert m._inverses is None
+            assert m.condition() == float("inf")
+            with pytest.raises(SingularError):
+                m.apply_inverse(np.ones(4))
+
+    def test_norm_reads_column_chunks_bit_identically(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        for rows, cols in ((50, 70), (50, 71), (886, 886), (3, 1), (1, 5)):
+            m = rng.standard_normal((rows, cols))
+            expected = float(np.linalg.norm(m, 1))
+            for chunk in (1, 100, 150, 700, 3500, 1 << 18):
+                monkeypatch.setattr(mechanism, "_NORM_CHUNK", chunk)
+                assert mechanism._norm1(m) == expected
+                assert mechanism._norm1(np.asfortranarray(m)) == float(
+                    np.linalg.norm(np.asfortranarray(m), 1)
+                )

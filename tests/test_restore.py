@@ -1,5 +1,8 @@
 """Matrix restoration, restored propensity scores, and stratified effects."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +31,10 @@ from effectrestore import (
     stratified_effect,
 )
 from effectrestore import mechanism
-from strategies import factor_lists, stochastic_matrices
+from effectrestore.restore import CONDITION_CAP
+from scipy.linalg import lapack
+
+from strategies import factor_lists, lu_from, stochastic_matrices
 
 
 def random_table(rng, cards, axis="Z"):
@@ -240,6 +246,101 @@ class TestFactorizedOnce:
         assert factored.condition() > 1.0
         # the blocks of the matrices and of their inverses are built once each
         assert calls == {"inv": 4, "solve": 0, "norm": 8, "_kron_blocks": 4}
+
+    def test_one_lu_factorization_serves_every_step(self, monkeypatch):
+        names = ("dgetrf", "dgecon", "dgetrs")
+        calls = dict.fromkeys((*names, "inv"), 0)
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+        monkeypatch.setattr(mechanism, "_LU_MIN_SIDE", 12)
+        rng = np.random.default_rng(22)
+        mech = well_conditioned_mechanism(rng, 12)
+        observed = pushforward(random_table(rng, (2, 2, 12)), mech)
+        cond = restore_joint(observed, mech).condition_estimate
+        p_w = observed.cells.sum(axis=(0, 1))
+        restored_propensity(observed.cells[1].sum(axis=0) / p_w, p_w, mech)
+        assert mech.condition() == mech.condition() == cond
+        # one factorization and one estimate; a solve per restoration, no inverse
+        assert calls == {"dgetrf": 1, "dgecon": 1, "dgetrs": 2, "inv": 0}
+
+        factored = ErrorMatrix(factors=(ErrorMatrix.identity(2), mech))
+        observed = pushforward(random_table(rng, (2, 2, 24)), factored)
+        restore_joint(observed, factored)
+        restore_joint(observed, factored)
+        assert factored.condition() == pytest.approx(cond, rel=1e-15)
+        # the factored instance reuses the factors and their condition
+        # numbers; only the 2x2 identity takes an inverse
+        assert calls == {"dgetrf": 1, "dgecon": 1, "dgetrs": 4, "inv": 1}
+
+
+def bounded_table(rng, n, axis="Z"):
+    """A (2, 2, n) table whose cells lie within a factor of 3 of each other."""
+    cells = rng.uniform(0.5, 1.5, (2, 2, n))
+    return JointTable(cells / cells.sum(), axis)
+
+
+class TestLUPath:
+    """Dense factors from ``_LU_MIN_SIDE`` up are solved through their LU
+    factors; an explicit ``np.linalg.inv`` is the oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30).flatmap(stochastic_matrices), st.integers(0, 2**32 - 1))
+    def test_matches_inverse_oracle(self, m, seed):
+        rng = np.random.default_rng(seed)
+        n = m.shape[0]
+        inv = np.linalg.inv(m)
+        cells = rng.random((3, 2, n))
+        with lu_from(1):
+            mech = ErrorMatrix(entries=m)
+            np.testing.assert_allclose(mech.apply_inverse(cells), cells @ inv.T, rtol=0, atol=1e-12)
+            observed = pushforward(bounded_table(rng, n), mech)
+            restored = restore_joint(observed, mech).restored.cells
+            p_w = observed.cells.sum(axis=(0, 1))
+            score_w = observed.cells[1].sum(axis=0) / p_w
+            propensity = restored_propensity(score_w, p_w, mech)
+        assert isinstance(mech._inverses[0], mechanism._LU)
+        np.testing.assert_allclose(restored, observed.cells @ inv.T, rtol=0, atol=1e-12)
+        expected = (inv @ (score_w * p_w)) / (inv @ p_w)
+        np.testing.assert_allclose(propensity, expected, rtol=0, atol=1e-12)
+
+    def test_exactly_singular_factor_raises(self):
+        rng = np.random.default_rng(23)
+        observed = random_table(rng, (2, 2, 4), axis="W")
+        p_w = observed.cells.sum(axis=(0, 1))
+        with lu_from(2):
+            mech = ErrorMatrix(entries=np.full((4, 4), 0.25))
+            with pytest.raises(SingularError, match="singular"):
+                restore_joint(observed, mech)
+            with pytest.raises(SingularError):
+                restored_propensity(np.full(4, 0.5), p_w, mech)
+            nested = ErrorMatrix(factors=(ErrorMatrix.identity(2), mech))
+            with pytest.raises(SingularError):
+                restore_joint(random_table(rng, (2, 2, 8), axis="W"), nested)
+        assert mech._inverses is None
+
+    def test_ill_conditioned_factor_raises_through_the_cap(self):
+        # eigenvalues 1 and 2e-10: invertible, condition number near 1e10
+        n, gap = 8, 2e-10
+        m = gap * np.eye(n) + (1.0 - gap) / n
+        rng = np.random.default_rng(24)
+        observed = random_table(rng, (2, 2, n), axis="W")
+        p_w = observed.cells.sum(axis=(0, 1))
+        with lu_from(2):
+            mech = ErrorMatrix(entries=m)
+            assert isinstance(mech._inverses[0], mechanism._LU)
+            assert mech.condition() > CONDITION_CAP
+            with pytest.raises(SingularError, match="condition estimate"):
+                restore_joint(observed, mech)
+            with pytest.raises(SingularError, match="condition estimate"):
+                restored_propensity(np.full(n, 0.5), p_w, mech)
 
 
 class TestBinaryIsTheTwoByTwoCase:
@@ -489,6 +590,56 @@ class TestStratifiedEffect:
                 strata=((0, 1), (1,)),
                 weights=np.array([0.5, 0.5]),
             )
+
+
+class TestLazyStrata:
+    """``propensity_profile`` keeps the strata as member arrays and forms
+    the ``strata`` tuples only when the attribute is read."""
+
+    @staticmethod
+    def profile_and_table():
+        rng = np.random.default_rng(25)
+        table = table_with_scores(rng, rng.choice([0.2, 0.5, 0.9], size=40), zero_mass=(3, 7))
+        return propensity_profile(table, n_bins=5), table
+
+    def test_strata_are_formed_on_first_read(self):
+        profile, table = self.profile_and_table()
+        effect = stratified_effect(table, profile, 1)
+        assert "strata" not in vars(profile)
+        strata = profile.strata
+        assert profile.strata is strata
+        assert [len(s) for s in strata] == profile._sizes.tolist()
+        assert [z for s in strata for z in s] == profile._members.tolist()
+        assert all(type(z) is int for s in strata for z in s)
+        np.testing.assert_array_equal(stratified_effect(table, profile, 1), effect)
+        with pytest.raises(AttributeError, match="no attribute 'stratum'"):
+            profile.stratum
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_repr_deepcopy_and_pickle_round_trips(self, read_first):
+        profile, table = self.profile_and_table()
+        strata = tuple(tuple(s) for s in profile.strata)
+        if not read_first:
+            profile, _ = self.profile_and_table()
+        for clone in (copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+            assert clone.strata == strata
+            np.testing.assert_array_equal(clone.scores, profile.scores)
+            np.testing.assert_array_equal(clone.weights, profile.weights)
+            np.testing.assert_array_equal(
+                stratified_effect(table, clone, 1), stratified_effect(table, profile, 1)
+            )
+        text = repr(profile)
+        assert text.startswith("PropensityProfile(scores=") and f"strata={strata!r}" in text
+        assert "_members" not in text and "_sizes" not in text
+
+    def test_public_constructor_keeps_its_strata(self):
+        profile = PropensityProfile(
+            scores=np.full(4, 0.5), strata=((2, np.int64(0)), (1,)), weights=np.array([0.6, 0.4])
+        )
+        assert profile.strata == ((2, 0), (1,))
+        assert all(type(z) is int for s in profile.strata for z in s)
+        assert profile._sizes.tolist() == [2, 1]
+        assert pickle.loads(pickle.dumps(profile)).strata == profile.strata
 
 
 def loop_propensity_profile(table, *, treated=1, n_bins=20):
