@@ -7,15 +7,30 @@ data (singular mechanism, negative restored mass, degenerate strata or
 denominators), 1 on usage or IO errors.  Model-level failures also emit
 a machine-readable ``{"error": <tag>, "message": ...}`` JSON document.
 All result documents carry a ``method`` field and echo the effective
-configuration.
+configuration.  Warnings raised while a command runs are not printed:
+their messages go into the document's ``warnings`` list, which is
+present only when one was raised (after a usage error they go to
+stderr, one ``warning:`` line each).
+
+Run as a program (``python -m effectrestore.cli`` or the ``effectrestore``
+script), the process defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4 before
+numpy loads, so idle BLAS threads sleep instead of spinning on a core
+the bootstrap draws on; a value already in the environment is kept.
+Importing this module sets nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
-import numpy as np
+if __name__ == "__main__":
+    from . import _program_policy
+
+    _program_policy()
+
+import numpy as np  # noqa: E402  (after the policy, which OpenBLAS reads on load)
 
 from . import binary, dsep, linear, restore, simulate
 from .errors import (
@@ -330,6 +345,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
+def _warned(caught: list[warnings.WarningMessage]) -> dict:
+    """The ``warnings`` entry of a result document: absent when none was raised."""
+    return {"warnings": [str(w.message) for w in caught]} if caught else {}
+
+
 #: commands whose --out is the CSV they produce; their result JSON goes to stdout
 _CSV_OUT = {"synthesize", "simulate-discrete", "simulate-linear"}
 
@@ -342,18 +362,24 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     json_out = None if args.command in _CSV_OUT else getattr(args, "out", None)
     try:
-        payload = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            payload = args.func(args)
     except tuple(cls for cls, _ in _ERROR_TAGS) as exc:
         tag = next(t for cls, t in _ERROR_TAGS if isinstance(exc, cls))
-        text = dump_json({"method": args.command, "error": tag, "message": str(exc)}, json_out)
+        doc = {"method": args.command, "error": tag, "message": str(exc), **_warned(caught)}
+        text = dump_json(doc, json_out)
         if json_out is None:
             sys.stdout.write(text)
         print(f"effectrestore {args.command}: {tag}: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, OSError) as exc:
+        for w in caught:
+            print(f"effectrestore {args.command}: warning: {w.message}", file=sys.stderr)
         print(f"effectrestore {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    text = dump_json({"method": args.command, "config": _config_echo(args), **payload}, json_out)
+    doc = {"method": args.command, "config": _config_echo(args), **payload, **_warned(caught)}
+    text = dump_json(doc, json_out)
     if json_out is None:
         sys.stdout.write(text)
     return 0

@@ -30,6 +30,8 @@ nonparametric bootstrap, since no closed-form variances are assumed.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
@@ -51,7 +53,8 @@ DEFAULT_BOOTSTRAP = 1000
 #: fewest rows a sample test or bootstrap standard error is computed from
 MIN_ROWS = 10
 #: cells of the reused float64 resample-count buffer (16 MB): each chunk holds
-#: this many // n resamples of n counts, so memory stays linear in n
+#: this many // n resamples of n counts (at least one per fill thread), so
+#: memory stays linear in n
 _COUNT_CELLS = 1 << 21
 
 _PAIRS = (
@@ -369,15 +372,22 @@ def bootstrap_values(
     how they are grouped.  Their moments come from row counts: each
     chunk of resamples fills a reused count buffer, which is multiplied
     once by the columns, centered at the full-sample mean, stacked with
-    their pairwise products.  A column that is constant on a resample
-    leaves rounding noise of either sign as its variance; so when a
-    column's sum of squares about the resample mean is within ``TOL_DEN``
-    of its sum of squares about the full-sample mean, its variance and
-    covariances are set to exactly zero, and the statistic decides what
-    a constant column means.  A resample
-    on which the statistic raises a model error (any EffectRestoreError
-    but ValidationError) is counted as undefined and skipped; the values
-    of the others are returned in resample order.
+    their pairwise products.  The counts of a chunk are drawn on one
+    thread per core this process may run on, each filling a contiguous
+    slice of the buffer's rows from generators built on the calling
+    thread; the matrix product, the moments and the statistic stay on
+    the calling thread.  Each row depends only on its own stream and the
+    chunk shapes only on n, n_boot and the buffer size, so the values
+    are the same bits whatever the number of threads.
+
+    A column that is constant on a resample leaves rounding noise of
+    either sign as its variance; so when a column's sum of squares about
+    the resample mean is within ``TOL_DEN`` of its sum of squares about
+    the full-sample mean, its variance and covariances are set to
+    exactly zero, and the statistic decides what a constant column
+    means.  A resample on which the statistic raises a model error (any
+    EffectRestoreError but ValidationError) is counted as undefined and
+    skipped; the values of the others are returned in resample order.
 
     Raises ValidationError below ``MIN_ROWS`` rows or for n_boot < 2, and
     UnidentifiableError when the statistic is undefined on more than half
@@ -395,15 +405,14 @@ def bootstrap_values(
     diag = [pairs.index((i, i)) for i in range(k)]
     centered = arr - arr.mean(axis=0)
     stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
-    counts = np.empty((min(n_boot, max(1, _COUNT_CELLS // n)), n))
+    workers = _fill_workers()
+    counts = np.empty((min(n_boot, max(workers, _COUNT_CELLS // n)), n))
 
     def resamples():
         for start in range(0, n_boot, counts.shape[0]):
             block = counts[: min(counts.shape[0], n_boot - start)]
-            for r in range(block.shape[0]):
-                block[r] = np.bincount(
-                    make_rng(seed, start + r).integers(0, n, size=n), minlength=n
-                )
+            gens = [make_rng(seed, start + r) for r in range(block.shape[0])]
+            _fill_counts(block, gens, workers)
             sums = block @ stacked
             mean = sums[:, :k] / n
             cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
@@ -414,6 +423,48 @@ def bootstrap_values(
                 yield CovStats(**dict(zip(fields, moments)), n=n)
 
     return _defined_values(statistic, resamples(), n_boot)
+
+
+def _fill_workers() -> int:
+    """Threads that draw resample counts: one per core this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _fill_counts(block: np.ndarray, gens: list, workers: int) -> None:
+    """Row r of ``block`` becomes the index counts of n draws from ``gens[r]``.
+
+    The rows are split into at most ``workers`` contiguous slices; the
+    calling thread fills the first and one new thread each of the others
+    (numpy releases the GIL while drawing).  Every thread is joined
+    before this returns or raises, and a fault in any of them is raised
+    here.
+    """
+    m, n = block.shape
+    faults: list[BaseException] = []
+
+    def fill(rows: range) -> None:
+        try:
+            for r in rows:
+                block[r] = np.bincount(gens[r].integers(0, n, size=n), minlength=n)
+        except BaseException as exc:  # re-raised on the calling thread
+            faults.append(exc)
+
+    parts = min(workers, m)
+    slices = [range(m * i // parts, m * (i + 1) // parts) for i in range(parts)]
+    threads = [threading.Thread(target=fill, args=(rows,)) for rows in slices[1:]]
+    try:
+        for t in threads:
+            t.start()
+        fill(slices[0])
+    finally:
+        for t in threads:
+            if t.ident is not None:
+                t.join()
+    if faults:
+        raise faults[0]
 
 
 def bootstrap_table_values(

@@ -202,11 +202,16 @@ class ErrorMatrix:
                     raise ValidationError("factors must be ErrorMatrix instances")
 
     @property
-    def _mats(self) -> tuple[np.ndarray, ...]:
+    def _leaves(self) -> tuple["ErrorMatrix", ...]:
         """The dense factors of the tensor product, nested factors flattened."""
         if self.entries is not None:
-            return (self.entries,)
-        return tuple(m for f in self.factors for m in f._mats)
+            return (self,)
+        return tuple(leaf for f in self.factors for leaf in f._leaves)
+
+    @property
+    def _mats(self) -> tuple[np.ndarray, ...]:
+        """The entries of ``_leaves``."""
+        return tuple(leaf.entries for leaf in self._leaves)
 
     @cached_property
     def _inverses(self) -> tuple[np.ndarray | _LU, ...] | None:
@@ -264,7 +269,7 @@ class ErrorMatrix:
     @cached_property
     def _condition(self) -> float:
         if self.factors is not None:
-            return math.prod((f.condition() for f in self.factors), start=1.0)
+            return math.prod((leaf.condition() for leaf in self._leaves), start=1.0)
         if self._inverses is None:
             return float("inf")
         (inv,) = self._inverses
@@ -285,14 +290,15 @@ class ErrorMatrix:
     def condition(self) -> float:
         """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular).
 
-        For factored form it is the product of the factors' own cached
-        condition numbers, which equals the dense matrix's: induced
-        1-norms are multiplicative over Kronecker products.  For a dense
-        factor with a side of at least ``_LU_MIN_SIDE`` the value is
-        LAPACK's ``gecon`` estimate from its LU factors, a lower bound on
-        the exact value: typically within a few per cent of it, but with
-        no guaranteed ratio.  Computed once per instance and cached with
-        the inverse.
+        For factored form it is the product, in factor order, of the
+        dense factors' own cached condition numbers (nested factors
+        flattened, so the value does not depend on the nesting), which
+        equals the dense matrix's: induced 1-norms are multiplicative over
+        Kronecker products.  For a dense factor with a side of at least
+        ``_LU_MIN_SIDE`` the value is LAPACK's ``gecon`` estimate from its
+        LU factors, a lower bound on the exact value: typically within a
+        few per cent of it, but with no guaranteed ratio.  Computed once
+        per instance and cached with the inverse.
         """
         return self._condition
 

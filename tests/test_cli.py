@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -610,3 +611,203 @@ class TestScipyStaysUnloaded:
             "restore-discrete": [0, False],
             "control": [0, True],
         }
+
+
+def constant_proxy_csv(tmp_path, with_v=False):
+    """40 float rows whose w column is constant."""
+    rng = np.random.default_rng(60)
+    x = rng.normal(size=40)
+    cols = [x, x + rng.normal(size=40), np.full(40, 0.5)] + ([rng.normal(size=40)] * with_v)
+    path = tmp_path / "constant.csv"
+    write_samples_csv(path, ["x", "y", "w", "v"][: len(cols)], np.column_stack(cols))
+    return path
+
+
+def run_main(argv):
+    """Exit status, stdout and stderr of ``cli.main``, and the warnings that
+    escaped it."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as leaked, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue(), [str(w.message) for w in leaked]
+
+
+class TestWarningsGoToTheDocument:
+    """Warnings raised while a command runs are listed in its JSON document,
+    never printed raw."""
+
+    CONSTANT = "column(s) ['w'] are constant: zero variance"
+
+    def test_effect_linear_lists_a_constant_column(self, tmp_path):
+        path = constant_proxy_csv(tmp_path)
+        code, out, err, leaked = run_main(
+            ["effect-linear", "--in", str(path), "--lambda", "0.5", "--boot", "50"])
+        assert (code, err, leaked) == (0, "", [])
+        assert json.loads(out)["warnings"] == [self.CONSTANT]
+
+    def test_exit_2_document_lists_them_too(self, tmp_path):
+        path = constant_proxy_csv(tmp_path, with_v=True)
+        code, out, err, leaked = run_main(
+            ["test-dsep", "--in", str(path), "--method", "tetrad", "--boot", "50"])
+        assert (code, leaked) == (2, [])
+        doc = json.loads(out)
+        assert doc["error"] == "unidentifiable" and doc["warnings"] == [self.CONSTANT]
+        assert err.startswith("effectrestore test-dsep: unidentifiable: ")
+
+    def test_usage_error_names_them_on_stderr(self, tmp_path):
+        path = constant_proxy_csv(tmp_path)
+        code, out, err, leaked = run_main(
+            ["effect-linear", "--in", str(path), "--lambda", "0.5", "--boot", "1"])
+        assert (code, out, leaked) == (1, "", [])
+        assert err.splitlines() == [
+            f"effectrestore effect-linear: warning: {self.CONSTANT}",
+            "effectrestore effect-linear: error: n_boot must be >= 2",
+        ]
+
+    def test_synthesize_lists_each_empty_group(self, tmp_path):
+        rows = np.array([[x, y, w] for x, y in ((0, 0), (0, 1), (1, 0)) for w in (0, 1)] * 4)
+        csv_path = tmp_path / "groups.csv"
+        write_samples_csv(csv_path, ["x", "y", "w"], rows, integer=True)
+        rates = tmp_path / "rates.json"
+        dump_json({"eps": 0.1, "delta": 0.1}, rates)
+        code, out, err, leaked = run_main(["synthesize", "--in", str(csv_path), "--error",
+                                           str(rates), "--out", str(tmp_path / "z.csv")])
+        assert (code, err, leaked) == (0, "", [])
+        assert json.loads(out)["warnings"] == [
+            "no samples in group (x=1, y=1); nothing to synthesize there"]
+
+    def test_no_key_without_a_warning(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_samples_csv(path, ["x", "y", "w"], np.random.default_rng(61).normal(size=(40, 3)))
+        code, out, _, leaked = run_main(["effect-linear", "--in", str(path), "--lambda", "0.5"])
+        assert (code, leaked) == (0, [])
+        assert "warnings" not in json.loads(out)
+
+
+@st.composite
+def float_csv_bodies(draw):
+    """A float sample CSV for the linear commands: short, ragged, non-finite,
+    with constant columns or duplicated rows."""
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(0, 24))
+    values = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    rows = [[draw(values) for _ in range(k)] for _ in range(n)]
+    for col in draw(st.sets(st.integers(0, k - 1), max_size=k)):
+        for row in rows:
+            row[col] = rows[0][col]
+    if rows and draw(st.booleans()):
+        rows += [list(r) for r in draw(st.lists(st.sampled_from(rows), max_size=12))]
+    lines = [",".join(repr(v) for v in row) for row in rows]
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(",")
+        if draw(st.booleans()):
+            fields[draw(st.integers(0, k - 1))] = draw(st.sampled_from(["nan", "inf", "-inf"]))
+        else:
+            fields = fields[: draw(st.integers(0, k - 1))] or [""]
+        lines[i] = ",".join(fields)
+    return ",".join("xywv"[:k]) + "\n" + "".join(line + "\n" for line in lines)
+
+
+class TestLinearCommandsFuzz:
+    """Fuzz of the float-CSV commands: every body exits 0, 1 or 2, without a
+    traceback or a raw warning."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=float_csv_bodies(), flags=st.sampled_from([
+        ["effect-linear", "--lambda", "0.5"],
+        ["effect-linear", "--var-ew", "0.1"],
+        ["effect-linear", "--two-indicator"],
+        ["test-dsep", "--method", "tetrad"],
+        ["test-dsep", "--method", "theorem1", "--lambda", "0.5"],
+        ["test-dsep", "--method", "two-stage", "--alpha-param", "0.5"],
+    ]))
+    def test_exit_status_without_traceback(self, proxy_samples, body, flags):
+        path = proxy_samples.with_name("linear.csv")
+        path.write_text(body)
+        code, out, err, leaked = run_main([*flags, "--in", str(path), "--boot", "20"])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and not re.search(r"\w+Warning\b", err), err
+        assert leaked == []
+        if code == 1:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(f"effectrestore {flags[0]}: error: ")
+        else:
+            doc = json.loads(out)
+            assert doc["method"] == flags[0] and ("error" in doc) == (code == 2)
+
+
+#: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported while an
+#: entry point runs, then whether the environment and the imports changed
+_POLICY_PROBE = """
+import importlib, json, os, runpy, sys
+how, out = sys.argv[1], sys.argv[2]
+seen = {}
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "numpy" not in seen:
+            seen["numpy"] = os.environ.get("OPENBLAS_THREAD_TIMEOUT", "unset")
+        return None
+
+sys.meta_path.insert(0, Watch())
+before = dict(os.environ)
+sys.argv = ["effectrestore", "--help"]
+code = None
+if how == "import":
+    import effectrestore.cli
+elif how == "module":
+    try:
+        runpy.run_module("effectrestore.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+else:
+    module, _, attr = how.partition(":")
+    code = getattr(importlib.import_module(module), attr)()
+with open(out, "w") as fh:
+    json.dump({"numpy": seen.get("numpy"), "code": code,
+               "environ_changed": dict(os.environ) != before,
+               "futures": "concurrent.futures" in sys.modules}, fh)
+"""
+
+
+def console_script_target():
+    import tomllib
+
+    pyproject = Path(effectrestore.__file__).resolve().parents[2] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        return tomllib.load(fh)["project"]["scripts"]["effectrestore"]
+
+
+class TestEntryPointPolicy:
+    """The program entry points default OpenBLAS's idle-spin timeout before
+    numpy loads; importing the package or the CLI module sets nothing."""
+
+    def probe(self, tmp_path, how, preset=None):
+        out = tmp_path / "policy.json"
+        src = str(Path(effectrestore.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        if preset is not None:
+            env["OPENBLAS_THREAD_TIMEOUT"] = preset
+        subprocess.run([sys.executable, "-c", _POLICY_PROBE, how, str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        return load_json(out)
+
+    def test_import_leaves_the_environment_alone(self, tmp_path):
+        assert self.probe(tmp_path, "import") == {
+            "numpy": "unset", "code": None, "environ_changed": False, "futures": False}
+
+    @pytest.mark.parametrize("how", ["module", "script"])
+    def test_entry_point_sets_the_timeout_before_numpy(self, tmp_path, how):
+        how = console_script_target() if how == "script" else how
+        assert self.probe(tmp_path, how) == {
+            "numpy": "4", "code": 0, "environ_changed": True, "futures": False}
+
+    @pytest.mark.parametrize("how", ["module", "script"])
+    def test_a_preset_value_is_kept(self, tmp_path, how):
+        how = console_script_target() if how == "script" else how
+        assert self.probe(tmp_path, how, preset="7") == {
+            "numpy": "7", "code": 0, "environ_changed": False, "futures": False}

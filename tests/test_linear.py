@@ -1,7 +1,12 @@
 """Linear-model identification: pivotal product, corrected coefficients."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectrestore import (
     CovStats,
@@ -590,3 +595,176 @@ class TestBootstrapEngine:
         err_old = np.abs(old - exact).max()
         assert err_new < 1e-12
         assert err_new * 1e3 < err_old
+
+
+def serial_bootstrap_values(rows, statistic, n_boot, seed, per_chunk):
+    """Reference engine: the chunked count-matrix bootstrap with its counts
+    drawn one resample after another on the calling thread, ``per_chunk``
+    resamples per matrix product."""
+    arr = np.asarray(rows, dtype=float)
+    n, k = arr.shape
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    fields = [f"var_{'xywv'[i]}" if i == j else f"cov_{'xywv'[i]}{'xywv'[j]}" for i, j in pairs]
+    left, right = (np.array(side) for side in zip(*pairs))
+    diag = [pairs.index((i, i)) for i in range(k)]
+    centered = arr - arr.mean(axis=0)
+    stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
+    counts = np.empty((min(n_boot, per_chunk), n))
+
+    def resamples():
+        for start in range(0, n_boot, counts.shape[0]):
+            block = counts[: min(counts.shape[0], n_boot - start)]
+            for r in range(block.shape[0]):
+                block[r] = np.bincount(
+                    make_rng(seed, start + r).integers(0, n, size=n), minlength=n
+                )
+            sums = block @ stacked
+            mean = sums[:, :k] / n
+            cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
+            constant = cov[:, diag] * (n - 1) <= linear.TOL_DEN * sums[:, k:][:, diag]
+            cov[constant[:, left] | constant[:, right]] = 0.0
+            for moments in cov.tolist():
+                yield CovStats(**dict(zip(fields, moments)), n=n)
+
+    return linear._defined_values(statistic, resamples(), n_boot)
+
+
+def outcome(engine):
+    """The values an engine returns, or the type and text of what it raises."""
+    try:
+        return engine()
+    except EffectRestoreError as exc:
+        return type(exc), str(exc)
+
+
+class RecordingGenerator:
+    """A resample generator that records the thread drawing from it and can
+    be told to fail there.  It keeps the thread object: a finished thread's
+    ident may be reused by the next one."""
+
+    def __init__(self, gen, b, drawn, fail_at):
+        self.gen, self.b, self.drawn, self.fail_at = gen, b, drawn, fail_at
+
+    def integers(self, *args, **kwargs):
+        self.drawn[self.b] = threading.current_thread()
+        if self.b == self.fail_at:
+            raise MemoryError(f"draw of resample {self.b} failed")
+        return self.gen.integers(*args, **kwargs)
+
+
+def recording_rng(drawn, fail_at=None):
+    return lambda seed, b: RecordingGenerator(make_rng(seed, b), b, drawn, fail_at)
+
+
+class TestThreadedCountFill:
+    """The counts of a chunk are drawn on several threads; the values must be
+    the serial engine's bits whatever the number of threads."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(10, 300),
+        n_boot=st.integers(2, 130),
+        k=st.sampled_from([3, 4]),
+        per_chunk=st.integers(1, 40),
+        workers=st.sampled_from([1, 2, 3, 131]),
+        data_seed=st.integers(0, 2**32 - 1),
+        undefined=st.floats(0.0, 0.8),
+    )
+    def test_matches_serial_engine(self, n, n_boot, k, per_chunk, workers, data_seed, undefined):
+        rng = np.random.default_rng(data_seed)
+        rows = rng.normal(size=(n, k)) @ rng.normal(size=(k, k))
+        ref = np.sort(serial_bootstrap_values(rows, lambda s: s.cov_xy, n_boot, 3, n_boot))
+        cut = ref[min(n_boot - 1, int((1.0 - undefined) * n_boot))]
+
+        def statistic(s):
+            if s.cov_xy > cut:
+                raise UnidentifiableError("above the cut")
+            return all_moments(s)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_COUNT_CELLS", per_chunk * n)
+            mp.setattr(linear, "_fill_workers", lambda: workers)
+            got = outcome(lambda: bootstrap_values(rows, statistic, n_boot=n_boot, seed=3))
+        want = outcome(lambda: serial_bootstrap_values(
+            rows, statistic, n_boot, 3, max(workers, per_chunk)
+        ))
+        if isinstance(want, tuple):
+            assert got == want
+            assert want[0] is UnidentifiableError and "used " in want[1]
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+    def test_default_chunk_is_the_serial_engine(self):
+        rng = np.random.default_rng(51)
+        rows, _ = simulate_linear(random_spec(rng), 20_000, seed=52)
+        got = bootstrap_values(rows, c0_two_indicator, n_boot=250, seed=53)
+        per_chunk = max(linear._fill_workers(), linear._COUNT_CELLS // 20_000)
+        want = serial_bootstrap_values(rows, c0_two_indicator, 250, 53, per_chunk)
+        assert np.array_equal(got, want)
+
+    def test_skipped_resamples_match(self):
+        rows = noisy_proxy_rows()
+        statistic = error_variance_c0(0.8 * np.var(rows[:, 2], ddof=1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_COUNT_CELLS", 9 * 200)
+            mp.setattr(linear, "_fill_workers", lambda: 2)
+            got = bootstrap_values(rows, statistic, n_boot=200, seed=0)
+        want = serial_bootstrap_values(rows, statistic, 200, 0, 9)
+        assert len(got) == 195
+        assert np.array_equal(got, want)
+
+    def test_validation_error_from_the_statistic_propagates(self):
+        before = threading.active_count()
+
+        def invalid(s):
+            raise ValidationError("bad statistic")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_fill_workers", lambda: 3)
+            with pytest.raises(ValidationError, match="bad statistic"):
+                bootstrap_values(noisy_proxy_rows(), invalid, n_boot=10, seed=0)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("fail_at", [0, 5], ids=["calling-thread", "fill-thread"])
+    def test_fault_in_a_fill_thread_reaches_the_caller(self, fail_at):
+        # 6 resamples in one chunk on 3 threads: rows 0-1 on the calling
+        # thread, rows 4-5 on the last new thread
+        drawn: dict = {}
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "make_rng", recording_rng(drawn, fail_at))
+            mp.setattr(linear, "_fill_workers", lambda: 3)
+            with pytest.raises(MemoryError, match=f"resample {fail_at} failed"):
+                bootstrap_values(noisy_proxy_rows(), all_moments, n_boot=6, seed=0)
+        assert threading.active_count() == before
+        assert (drawn[fail_at] is threading.current_thread()) == (fail_at == 0)
+
+    def test_many_threads_switching_often(self):
+        # 16 threads on 2-row slices, switching every microsecond: a row
+        # written twice or missed would change the values
+        rows = noisy_proxy_rows(50)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(linear, "_COUNT_CELLS", 32 * 50)
+                mp.setattr(linear, "_fill_workers", lambda: 16)
+                got = bootstrap_values(rows, all_moments, n_boot=130, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, serial_bootstrap_values(rows, all_moments, 130, 4, 32))
+
+    def test_wide_rows_give_every_worker_a_row(self):
+        # 100 cells hold 2 resamples of n = 40: the buffer still takes one
+        # row per worker, so each of 3 threads draws one of each chunk's 3
+        rows = degenerate_proxy_rows()
+        drawn: dict = {}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_COUNT_CELLS", 100)
+            mp.setattr(linear, "make_rng", recording_rng(drawn))
+            mp.setattr(linear, "_fill_workers", lambda: 3)
+            got = bootstrap_values(rows, all_moments, n_boot=7, seed=0)
+        chunks = [range(0, 3), range(3, 6), range(6, 7)]
+        assert [len({drawn[b] for b in chunk}) for chunk in chunks] == [3, 3, 1]
+        assert all(drawn[b] is threading.current_thread() for b in (0, 3, 6))
+        assert np.array_equal(got, serial_bootstrap_values(rows, all_moments, 7, 0, 3))
