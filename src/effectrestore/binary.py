@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, IncompatibleModelError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .restore import TOL_VANISHING, restore_joint
+from .restore import TOL_VANISHING, _finalize, restore_joint
 from .rng import make_rng
 from .tables import JointTable
 
@@ -149,6 +149,12 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
                 f"the restored stratum P(x={x}, z{w}) is empty"
             )
         terms.append(t)
+    # the closed form is restoration composed with adjustment, so once its
+    # denominators are known not to vanish it refuses what restoration
+    # refuses: latent cells, inverted in closed form, whose negative mass
+    # exceeds restore.TOL_INCOMPATIBLE
+    inverse_t = np.array([[1.0 - err.eps, -err.delta], [-err.eps, 1.0 - err.delta]])
+    _finalize(p @ inverse_t / err.determinant, clip=False)
     return terms[0], terms[1]
 
 
@@ -159,7 +165,8 @@ def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y
     IPW sum P(x,y,w)/P(x|w) is multiplied by correction factors built
     from the misclassification rate paired with that branch, and the
     whole sum is rescaled by 1/(1 - eps - delta), which ``err`` keeps
-    away from zero by construction.
+    away from zero by construction.  Raises IncompatibleModelError where
+    ``restore_binary`` does: when the rates contradict the data.
     """
     p = _require_binary(observed)
     t1, t0 = _terms(p, err, x, y)
@@ -185,7 +192,8 @@ def causal_effect_binary_infinitesimal(
       + P(x,y,w0)/P(x|w0) * [1 + delta + eps (1 - 1/P(w0|x,y) - 1/P(w0) + 1/P(w0|x))]
 
     which coincides with the exact value at eps = delta = 0 and deviates
-    from it by O((eps + delta)^2).
+    from it by O((eps + delta)^2).  Refuses rates that contradict the data
+    as ``causal_effect_binary`` does.
     """
     p = _require_binary(observed)
     t1, t0 = _terms(p, err, x, y)

@@ -95,6 +95,10 @@ def _binary_table(path: str, smooth: float) -> JointTable:
 
 
 def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
+    if args.strata is not None and args.x is None:
+        raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
+    if args.smooth and args.input.endswith(".json"):
+        raise ValidationError("--smooth smooths sample counts; a .json table input has none")
     mech = ErrorMatrix.from_json_dict(load_json(args.error))
     if args.input.endswith(".json"):
         observed = JointTable.from_json_dict(load_json(args.input))
@@ -373,7 +377,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         print(f"effectrestore {args.command}: {tag}: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, RecursionError) as exc:
+        # RecursionError: a JSON input nested too deep to decode or to load
         for w in caught:
             print(f"effectrestore {args.command}: warning: {w.message}", file=sys.stderr)
         print(f"effectrestore {args.command}: error: {exc}", file=sys.stderr)

@@ -16,9 +16,11 @@ information about the latent value).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -39,13 +41,11 @@ _BLOCK_CAP = 64
 #: of being inverted explicitly.  Factor, condition estimate (``gecon``) and
 #: one solve take a quarter to a half of the time of ``inv``, the two
 #: 1-norms and one product at every side from 256 to 4096 (0.17 against
-#: 0.65 s at 2048, 0.04 against 0.10 s at 1024, 2-vCPU Xeon), but the
-#: first use imports ``scipy.linalg`` (about 0.3 s and 28 MB).  The side is
-#: where both measured callers gain: at 2048 a ``latent-restore`` benchmark
-#: pass takes 0.42 against 0.86 s and a one-shot ``restore-discrete`` 3.68
-#: against 3.82 s.  At 1024 that one-shot call was slower with LU (1.37
-#: against 1.17 s), the import outweighing the solve's saving, and no
-#: caller that restores repeatedly at such sides has been measured.
+#: 0.65 s at 2048, 0.04 against 0.10 s at 1024, 2-vCPU Xeon); at 2048 a
+#: ``latent-restore`` benchmark pass takes 0.42 against 0.86 s.  What the
+#: factors give up is the exact condition number: ``gecon`` estimates a
+#: lower bound on it.  The side is set high so that only factors whose
+#: inversion dominates a restoration trade the exact value for speed.
 #: Smaller factors keep explicit inverses, which ``_kron_blocks`` can merge
 #: into Kronecker blocks.
 _LU_MIN_SIDE = 2048
@@ -80,12 +80,54 @@ def _norm1(m: np.ndarray) -> float:
     return max(float(np.linalg.norm(m[:, a:b], 1)) for a, b in zip(edges, edges[1:]))
 
 
+#: LAPACKE's ``matrix_layout`` code for column-major arrays
+_COL_MAJOR = 102
+
+
+@cache
+def _lapack() -> SimpleNamespace | None:
+    """``getrf``, ``getrs`` and ``gecon`` of the LAPACK that numpy links, or
+    None when it is not numpy's bundled ILP64 OpenBLAS.
+
+    numpy's wheels link ``_umath_linalg`` against an OpenBLAS built with
+    64-bit integers, whose LAPACKE symbols carry a ``scipy_`` prefix and a
+    ``64_`` suffix.  Opening the extension again lets the dynamic loader
+    resolve them in that already loaded library, so the process keeps one
+    LAPACK and one BLAS thread pool.  ``getrs`` is LAPACKE's ``_work``
+    form, which has the same arguments but skips the NaN scan of both
+    operands: a non-finite operand propagates as it would through a GEMM,
+    where the scanning form would return an error and leave it unsolved.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        getrf, getrs, gecon = (
+            getattr(lib, f"scipy_LAPACKE_{name}64_")
+            for name in ("dgetrf", "dgetrs_work", "dgecon")
+        )
+    except (OSError, AttributeError):
+        return None
+    i64 = ctypes.c_int64
+    mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    piv = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    # LAPACKE_dgetrf(layout, m, n, a, lda, ipiv)
+    getrf.argtypes = [ctypes.c_int, i64, i64, mat, i64, piv]
+    # LAPACKE_dgetrs_work(layout, trans, n, nrhs, a, lda, ipiv, b, ldb)
+    getrs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, mat, i64, piv, mat, i64]
+    # LAPACKE_dgecon(layout, norm, n, a, lda, anorm, rcond)
+    gecon.argtypes = [ctypes.c_int, ctypes.c_char, i64, mat, i64, ctypes.c_double,
+                      ctypes.POINTER(ctypes.c_double)]
+    for fn in (getrf, getrs, gecon):
+        fn.restype = i64
+    return SimpleNamespace(getrf=getrf, getrs=getrs, gecon=gecon)
+
+
 class _LU:
     """LU factors of a dense square mechanism M, applied as M^-1 by ``getrs``.
 
     ``getrf`` factors M^T = P L U: a C-ordered M is a Fortran-ordered M^T,
     so LAPACK's working copy needs no transpose, and ``getrs`` solves
-    (M^T)^T x = M x = b with ``trans=1``.  The factors are read-only.
+    (M^T)^T x = M x = b with ``trans='T'``.  The factors are read-only.
+    Only built when ``_lapack()`` is not None.
     """
 
     def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
@@ -97,25 +139,27 @@ class _LU:
     @classmethod
     def factor(cls, m: np.ndarray) -> "_LU | None":
         """Factors of the square ``m``, or None when a pivot is exactly zero."""
-        from scipy.linalg import lapack
-
-        lu, piv, info = lapack.dgetrf(m.T)
+        n = m.shape[0]
+        lu = np.array(m.T, dtype=np.float64, order="F")
+        piv = np.empty(n, dtype=np.int64)
+        info = _lapack().getrf(_COL_MAJOR, n, n, lu, n, piv)
         return None if info > 0 else cls(lu, piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs for an (n, k) ``rhs``."""
-        from scipy.linalg import lapack
-
-        return lapack.dgetrs(self.lu, self.piv, rhs, trans=1)[0]
+        n = self.shape[0]
+        out = np.array(rhs, dtype=np.float64, order="F")
+        _lapack().getrs(_COL_MAJOR, b"T", n, out.shape[1], self.lu, n, self.piv, out, n)
+        return out
 
     def condition(self, norm1: float) -> float:
         """LAPACK's estimate of ||M||_1 ||M^-1||_1 from the factors, given
         ``norm1`` = ||M||_1 (the infinity norm of the factored M^T); a lower
         bound on the exact value (Higham, ACM TOMS 14, 1988)."""
-        from scipy.linalg import lapack
-
-        rcond = lapack.dgecon(self.lu, norm1, norm="I")[0]
-        return 1.0 / rcond if rcond > 0.0 else float("inf")
+        n = self.shape[0]
+        rcond = ctypes.c_double()
+        _lapack().gecon(_COL_MAJOR, b"I", n, self.lu, n, norm1, ctypes.byref(rcond))
+        return 1.0 / rcond.value if rcond.value > 0.0 else float("inf")
 
 
 def _kron_blocks(mats: Sequence[np.ndarray | _LU]) -> tuple[np.ndarray | _LU, ...]:
@@ -174,10 +218,11 @@ class ErrorMatrix:
     so are the Kronecker blocks of consecutive factors, at most
     ``_BLOCK_CAP`` per side, in which the operator and its inverse are
     applied.  A dense square factor with a side of at least
-    ``_LU_MIN_SIDE`` is never inverted: its LU factors are cached in
-    place of the inverse, M^-1 is applied by triangular solves, and its
-    condition number is LAPACK's estimate from the same factors, a
-    lower bound on the exact 1-norm value.  All
+    ``_LU_MIN_SIDE`` is not inverted where ``_lapack()`` finds numpy's
+    own LAPACK: its LU factors are cached in place of the inverse, M^-1
+    is applied by triangular solves, and its condition number is
+    LAPACK's estimate from the same factors, a lower bound on the exact
+    1-norm value.  Elsewhere it is inverted as smaller factors are.  All
     cached arrays are read-only; ``dense()`` materializes the product
     only within ``DENSE_CAP``.
     """
@@ -216,12 +261,13 @@ class ErrorMatrix:
     @cached_property
     def _inverses(self) -> tuple[np.ndarray | _LU, ...] | None:
         """Inverse of each of ``_mats`` (its LU factors from a side of
-        ``_LU_MIN_SIDE``), or None when one is singular."""
+        ``_LU_MIN_SIDE`` when ``_lapack()`` is available), or None when one
+        is singular."""
         if self.factors is not None:
             invs = [f._inverses for f in self.factors]
             return None if None in invs else tuple(m for inv in invs for m in inv)
         n_w, n_z = self.entries.shape
-        if n_w == n_z >= _LU_MIN_SIDE:
+        if n_w == n_z >= _LU_MIN_SIDE and _lapack() is not None:
             lu = _LU.factor(self.entries)
             return None if lu is None else (lu,)
         try:
@@ -295,7 +341,8 @@ class ErrorMatrix:
         flattened, so the value does not depend on the nesting), which
         equals the dense matrix's: induced 1-norms are multiplicative over
         Kronecker products.  For a dense factor with a side of at least
-        ``_LU_MIN_SIDE`` the value is LAPACK's ``gecon`` estimate from its
+        ``_LU_MIN_SIDE``, when ``_lapack()`` finds numpy's own LAPACK, the
+        value is LAPACK's ``gecon`` estimate from its
         LU factors, a lower bound on the exact value: typically within a
         few per cent of it, but with no guaranteed ratio.  Computed once
         per instance and cached with the inverse.
@@ -321,18 +368,27 @@ class ErrorMatrix:
     @classmethod
     def from_json_dict(cls, data: dict) -> "ErrorMatrix":
         try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, got {type(data).__name__}")
             factors = None
-            if "factors" in data and data["factors"]:
+            if data.get("factors"):
+                if not isinstance(data["factors"], list):
+                    raise TypeError("factors must be a list of error-matrix objects")
                 factors = tuple(cls.from_json_dict(f) for f in data["factors"])
             entries = None
             if "entries" in data and data["entries"] is not None:
-                n_w, n_z = int(data["n_w"]), int(data["n_z"])
-                if min(n_w, n_z) < 0:
-                    # reshape would infer a -1 from the entries' length
-                    raise ValueError(f"n_w and n_z must be nonnegative, got {n_w} and {n_z}")
+                n_w, n_z = data["n_w"], data["n_z"]
+                # JSON integers only: int() would truncate 2.7 and read true or
+                # "2", and reshape would infer a -1 from the entries' length
+                if not all(type(v) is int and v >= 0 for v in (n_w, n_z)):
+                    raise ValueError(
+                        f"n_w and n_z must be nonnegative integers, got {n_w!r} and {n_z!r}"
+                    )
                 entries = np.asarray(data["entries"], dtype=float).reshape(
                     (n_w, n_z), order="F"
                 )
+        except ValidationError:
+            raise  # a factor's own error, already named
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed error-matrix JSON: {exc}") from exc
         return cls(entries=entries, factors=factors)

@@ -16,7 +16,8 @@ of M (of each factor, in factored form) is computed once per
 so the condition check, restoration and propensity restoration on one
 instance share a single factorization and one pair of 1-norms.  A dense
 factor with a side of at least 2048 (``mechanism._LU_MIN_SIDE``) is
-LU-factorized instead of inverted: restoration is then a pair of
+LU-factorized instead of inverted, where numpy's own LAPACK is found
+(``mechanism._lapack``): restoration is then a pair of
 triangular solves per call, and its condition number is LAPACK's
 estimate from the same factors, a lower bound on the exact value.  A
 factored operator is applied in Kronecker blocks of consecutive factors,

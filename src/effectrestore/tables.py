@@ -86,8 +86,12 @@ class JointTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointTable":
         try:
-            cx, cy, cv = (int(c) for c in data["cards"])
-            cells = np.asarray(data["cells"], dtype=float).reshape(cx, cy, cv)
+            cards = list(data["cards"])
+            # JSON integers only: int() would truncate 2.7 and read true or "2",
+            # and reshape would infer a -1 from the cells' length
+            if len(cards) != 3 or not all(type(c) is int and c >= 0 for c in cards):
+                raise ValueError(f"cards must be three nonnegative integers, got {cards!r}")
+            cells = np.asarray(data["cells"], dtype=float).reshape(cards)
             axis = str(data["axis"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed joint-table JSON: {exc}") from exc

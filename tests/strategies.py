@@ -11,11 +11,14 @@ from effectrestore import ErrorMatrix, mechanism
 
 
 @contextlib.contextmanager
-def lu_from(side):
+def lu_from(side, lapack=True):
     """Within the block, dense square factors with at least ``side`` per side
-    are LU-factorized on first use instead of inverted."""
+    are LU-factorized on first use instead of inverted; with ``lapack``
+    false, ``mechanism._lapack()`` is None, so they are inverted after all."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mechanism, "_LU_MIN_SIDE", side)
+        if not lapack:
+            mp.setattr(mechanism, "_lapack", lambda: None)
         yield
 
 

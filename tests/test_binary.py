@@ -5,13 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from effectrestore import (
     BinaryErrorParams,
     DegenerateDenominatorError,
+    ErrorMatrix,
     EffectRestoreError,
     IncompatibleModelError,
     JointTable,
@@ -23,9 +24,11 @@ from effectrestore import (
     causal_effect_binary,
     causal_effect_binary_infinitesimal,
     restore_binary,
+    restore_joint,
     synthesize_samples,
     weight_split,
 )
+from effectrestore.restore import TOL_INCOMPATIBLE
 from effectrestore.rng import make_rng
 
 
@@ -169,6 +172,37 @@ class TestCausalEffectBinary:
         observed = JointTable(np.einsum("wz,xyz->xyw", err.matrix(), latent / latent.sum()), "W")
         composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
         assert causal_effect_binary(observed, err, x, y) == pytest.approx(composed, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 0.99), st.floats(0.0, 0.99),
+        hnp.arrays(np.float64, (2, 2, 2), elements=st.floats(0.01, 1.0)),
+        st.integers(0, 1), st.integers(0, 1),
+    )
+    def test_refuses_exactly_what_restoration_refuses(self, eps, delta, cells, x, y):
+        # arbitrary tables, not pushforwards: the rates may contradict them
+        assume(abs(1.0 - eps - delta) >= 1e-3)
+        err = BinaryErrorParams(eps, delta)
+        observed = JointTable(cells / cells.sum(), "W")
+        mech = ErrorMatrix.from_binary(err)
+        raw = mech.apply_inverse(observed.cells)
+        assume(abs(-raw[raw < 0.0].sum() - TOL_INCOMPATIBLE) > 1e-12)
+        try:
+            restored = restore_joint(observed, mech).restored
+        except IncompatibleModelError:
+            restored = None
+        for effect in (causal_effect_binary, causal_effect_binary_infinitesimal):
+            try:
+                value = effect(observed, err, x, y)
+            except DegenerateDenominatorError:
+                reject()  # checked before compatibility; nothing to compare
+            except IncompatibleModelError:
+                assert restored is None
+                continue
+            assert restored is not None
+            if effect is causal_effect_binary and raw.min() >= 0.0:
+                composed = adjust_for_confounder(restored, x)[y]
+                assert value == pytest.approx(composed, rel=0, abs=1e-12)
 
     def test_recovers_truth_from_exact_observed(self):
         rng = np.random.default_rng(6)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -80,6 +81,19 @@ class TestRestoreBinaryCommand:
         doc = load_json(out_path)
         assert doc["error"] == "singular"
         assert "message" in doc
+
+    def test_rates_the_data_contradict_exit_2_from_both_binary_commands(self, tmp_path):
+        samples_path, _ = write_binary_samples(tmp_path, binary_spec(
+            0.4, [0.3, 0.7], [[0.2, 0.5], [0.4, 0.8]], BinaryErrorParams(0.1, 0.15)
+        ), seed=3)
+        err_path = tmp_path / "err.json"
+        dump_json({"eps": 0.4, "delta": 0.4}, err_path)
+        for command in ("restore-binary", "effect-binary"):
+            out_path = tmp_path / f"{command}.json"
+            code = main([command, "--in", str(samples_path), "--error", str(err_path),
+                         "--out", str(out_path)])
+            assert code == 2
+            assert load_json(out_path)["error"] == "incompatible"
 
 
 class TestSimulateThenEstimate:
@@ -330,7 +344,8 @@ class TestLinearCommands:
         assert captured.out == ""
 
     def test_effect_binary_mostly_undefined_bootstrap_exits_2(self, tmp_path, capsys):
-        # 12 rows with each x=1 cell once: most resamples miss one of them
+        # 12 rows with each x=1 cell once: most resamples miss one of them,
+        # and a few contradict the rates
         samples_path = tmp_path / "rows.csv"
         rows = [[1, i // 2, i % 2] for i in range(4)]
         rows += [[0, (i // 2) % 2, i % 2] for i in range(8)]
@@ -345,7 +360,7 @@ class TestLinearCommands:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["error"] == "unidentifiable"
-        assert "used 6/50" in doc["message"]
+        assert "used 5/50" in doc["message"]
         assert "unidentifiable" in captured.err
         assert "Traceback" not in captured.err
 
@@ -446,6 +461,22 @@ class TestUsageErrors:
         code = main(["restore-binary", "--in", str(samples), "--error", str(bad)])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--strata", "5"], ["--smooth"], ["--smooth", "0.1"]])
+    def test_restore_discrete_refuses_flags_it_cannot_use(self, tmp_path, capsys, flags):
+        # --strata without --x, a nonzero --smooth on a .json table
+        table = tmp_path / "table.json"
+        dump_json(JointTable(np.full((2, 2, 2), 1 / 8), "W").to_json_dict(), table)
+        mech = tmp_path / "mech.json"
+        dump_json(ErrorMatrix.identity(2).to_json_dict(), mech)
+        out = tmp_path / "out.json"
+        argv = ["restore-discrete", "--in", str(table), "--error", str(mech), "--out", str(out)]
+        assert main(argv + ["--smooth", "0"]) == 0
+        out.unlink()
+        assert main(argv + flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"effectrestore restore-discrete: error: {flags[0]} ")
+        assert not out.exists()
+
     def test_stdout_json_when_no_out(self, tmp_path, capsys, strong_confounding_spec):
         samples_path, _ = write_binary_samples(tmp_path, strong_confounding_spec, n=1000)
         err_path = tmp_path / "e.json"
@@ -466,8 +497,8 @@ def refused_mechanisms(draw):
     i, j = (int(v) for v in rng.integers(0, n, size=2))
     malformed = "malformed error-matrix JSON"
     kind = draw(st.sampled_from([
-        "ragged", "length", "negative_side", "non_square", "non_finite", "non_stochastic",
-        "empty", "singular", "ill_conditioned",
+        "ragged", "length", "negative_side", "non_integer_side", "non_square", "non_finite",
+        "non_stochastic", "empty", "singular", "ill_conditioned",
     ]))
     if kind == "ragged":
         rows = [list(col) for col in good.T]
@@ -482,6 +513,13 @@ def refused_mechanisms(draw):
         sides = draw(st.sampled_from([(-1, n), (n, -1), (-n, -n)]))
         entries = list(good.ravel(order="F"))
         return {"n_w": sides[0], "n_z": sides[1], "entries": entries}, 1, "must be nonnegative"
+    if kind == "non_integer_side":
+        # int() would truncate or coerce each of these to a usable side
+        side = draw(st.sampled_from([n + 0.7, float(n), True, str(n), None, [n]]))
+        sides = (side, n) if draw(st.booleans()) else (n, side)
+        entries = list(good.ravel(order="F"))
+        return ({"n_w": sides[0], "n_z": sides[1], "entries": entries}, 1,
+                "n_w and n_z must be nonnegative integers")
     if kind == "non_square":
         cols = n + draw(st.integers(1, 3))
         rect = rng.uniform(0.01, 1.0, (n, cols))
@@ -553,29 +591,33 @@ class TestRestoreDiscreteRefusesBadMechanisms:
             assert not out_path.exists()
 
 
-#: runs commands through ``cli.main`` and records whether scipy was loaded
-#: after the import and after each command
+#: runs commands through ``cli.main``, the last one again with LU factors,
+#: and records after the import and after each run whether scipy was loaded
+#: and how often ``mechanism._lapack`` looked up its entry points
 _SCIPY_PROBE = """
 import json, sys
 result = {"import": "scipy" in sys.modules}
 from effectrestore import cli, mechanism
+from strategies import lu_from
 commands, out = json.loads(sys.argv[1]), sys.argv[2]
+def run(argv):
+    return [cli.main(argv), "scipy" in sys.modules, mechanism._lapack.cache_info().misses]
 for name, argv in commands:
-    result[name] = [cli.main(argv), "scipy" in sys.modules]
-# control: the same restoration through LU factors does load it
-mechanism._LU_MIN_SIDE = 12
-result["control"] = [cli.main(commands[-1][1]), "scipy" in sys.modules]
+    result[name] = run(argv)
+with lu_from(12):
+    result["lu"] = run(commands[-1][1])
+result["lapack"] = mechanism._lapack() is not None
 with open(out, "w") as fh:
     json.dump(result, fh)
 """
 
 
 class TestScipyStaysUnloaded:
-    """Only an LU-factorized mechanism needs scipy; importing the CLI and
-    running commands on smaller mechanisms never loads it, so their start-up
-    does not pay for it."""
+    """The package's LAPACK calls go to the library numpy already links, so
+    no command loads scipy, an LU-factorized mechanism included, and no
+    start-up pays for it."""
 
-    def test_no_scipy_below_the_lu_side(self, tmp_path):
+    def test_no_path_loads_scipy(self, tmp_path):
         rng = np.random.default_rng(41)
         binary_rows = rng.integers(0, 2, size=(200, 3))
         binary_csv = tmp_path / "binary.csv"
@@ -599,17 +641,19 @@ class TestScipyStaysUnloaded:
                                   "--out", str(tmp_path / "restored.json")]],
         ]
         out = tmp_path / "probe.json"
-        src = str(Path(effectrestore.__file__).resolve().parents[1])
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        paths = [str(Path(effectrestore.__file__).resolve().parents[1]),
+                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(commands), str(out)],
                        env=env, check=True, capture_output=True, timeout=120)
         assert load_json(out) == {
             "import": False,
-            "effect-binary": [0, False],
-            "synthesize": [0, False],
-            "restore-discrete": [0, False],
-            "control": [0, True],
+            # below the LU side the entry points are never looked up
+            "effect-binary": [0, False, 0],
+            "synthesize": [0, False, 0],
+            "restore-discrete": [0, False, 0],
+            "lu": [0, False, 1],
+            "lapack": True,
         }
 
 
@@ -737,6 +781,96 @@ class TestLinearCommandsFuzz:
         else:
             doc = json.loads(out)
             assert doc["method"] == flags[0] and ("error" in doc) == (code == 2)
+
+
+def stochastic_doc(rng, n):
+    """Dense mechanism JSON for a well-conditioned n x n column-stochastic matrix."""
+    raw = rng.uniform(0.01, 1.0, (n, n))
+    return ErrorMatrix(entries=0.7 * np.eye(n) + 0.3 * raw / raw.sum(axis=0)).to_json_dict()
+
+
+@st.composite
+def restore_discrete_documents(draw):
+    """A table JSON, a factored mechanism JSON (as text) and whether either
+    is malformed.  The table may have ragged or short ``cells``, a wrong
+    ``axis``, a NaN cell or non-integer ``cards``; the mechanism's
+    ``factors`` may be no list, nested (too deep to load, perhaps), or hold
+    one bad factor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    cards = [draw(st.integers(1, 3)), draw(st.integers(1, 3)), math.prod(sides)]
+    table = {"cards": cards, "cells": list(rng.dirichlet(np.ones(math.prod(cards)))),
+             "axis": "W"}
+    table_flaw = draw(st.sampled_from([None, "ragged", "short", "axis", "nan", "cards"]))
+    if table_flaw == "ragged":
+        nested = np.reshape(table["cells"], cards).tolist()
+        nested[0][0].append(0.1)  # one row longer than the others, or than card_v
+        table["cells"] = nested
+    elif table_flaw == "short":
+        table["cells"] = table["cells"][:-draw(st.integers(1, len(table["cells"])))]
+    elif table_flaw == "axis":
+        table["axis"] = draw(st.sampled_from(["w", "Q", "", 5, None]))
+    elif table_flaw == "nan":
+        table["cells"][draw(st.integers(0, len(table["cells"]) - 1))] = float("nan")
+    elif table_flaw == "cards":
+        table["cards"][draw(st.integers(0, 2))] = draw(st.sampled_from([1.5, 2.0, True, "2"]))
+    factors = [stochastic_doc(rng, n) for n in sides]
+    mech_flaw = draw(st.sampled_from([None, "nested", "deep", "not_a_list", "bad_factor"]))
+    if mech_flaw == "deep":
+        # beyond the recursion limit of the decoder or of the loader
+        depth = draw(st.sampled_from([450, 5000]))
+        mech = '{"factors": [' * depth + json.dumps({"factors": factors}) + "]}" * depth
+        return table, mech, table_flaw is not None
+    if mech_flaw == "nested":
+        split = draw(st.integers(1, len(factors)))
+        factors = [{"factors": factors[:split]}, *factors[split:]]
+    elif mech_flaw == "not_a_list":
+        factors = draw(st.sampled_from([5, "factors", {"n_w": 2}, True, 2.5]))
+    elif mech_flaw == "bad_factor":
+        bad = factors[draw(st.integers(0, len(factors) - 1))]
+        flaw = draw(st.sampled_from(["nan", "non_stochastic", "side", "entries", "not_a_dict"]))
+        if flaw == "nan":
+            bad["entries"][0] = float("nan")
+        elif flaw == "non_stochastic":
+            bad["entries"][0] += 0.25
+        elif flaw == "side":
+            bad["n_w"] = draw(st.sampled_from([bad["n_w"] + 1, -1, 0.5, None]))
+        elif flaw == "entries":
+            bad["entries"] = draw(st.sampled_from(["abc", {"a": 1}, [[1.0], []], None]))
+        else:
+            factors[factors.index(bad)] = draw(st.sampled_from([3, "f", [1.0], None]))
+    malformed = table_flaw is not None or mech_flaw not in (None, "nested")
+    return table, json.dumps({"factors": factors}), malformed
+
+
+class TestRestoreDiscreteJsonFuzz:
+    """Fuzz of ``restore-discrete`` on a table JSON input with a factored
+    mechanism JSON: every pair exits 0, 1 or 2, a malformed one exits 1,
+    and none prints a traceback or a raw warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(restore_discrete_documents(),
+           st.sampled_from([[], ["--x", "0"], ["--x", "1", "--strata", "3"], ["--clip"]]))
+    def test_exit_status_without_traceback(self, proxy_samples, docs, flags):
+        table, mech, malformed = docs
+        table_path = proxy_samples.with_name("fuzz_table.json")
+        mech_path = proxy_samples.with_name("fuzz_mech.json")
+        table_path.write_text(json.dumps(table))  # json writes NaN
+        mech_path.write_text(mech)
+        code, out, err, leaked = run_main(
+            ["restore-discrete", "--in", str(table_path), "--error", str(mech_path), *flags]
+        )
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and not re.search(r"\w+Warning\b", err), err
+        assert leaked == []
+        if malformed:
+            assert code == 1, out
+        if code == 1:
+            assert out == ""
+            assert err.splitlines()[-1].startswith("effectrestore restore-discrete: error: ")
+        else:
+            doc = json.loads(out)
+            assert doc["method"] == "restore-discrete" and ("error" in doc) == (code == 2)
 
 
 #: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported while an

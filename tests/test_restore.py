@@ -32,7 +32,6 @@ from effectrestore import (
 )
 from effectrestore import mechanism
 from effectrestore.restore import CONDITION_CAP
-from scipy.linalg import lapack
 
 from strategies import factor_lists, lu_from, stochastic_matrices
 
@@ -248,7 +247,7 @@ class TestFactorizedOnce:
         assert calls == {"inv": 4, "solve": 0, "norm": 8, "_kron_blocks": 4}
 
     def test_one_lu_factorization_serves_every_step(self, monkeypatch):
-        names = ("dgetrf", "dgecon", "dgetrs")
+        names = ("getrf", "gecon", "getrs")
         calls = dict.fromkeys((*names, "inv"), 0)
 
         def counted(name, real):
@@ -257,6 +256,7 @@ class TestFactorizedOnce:
                 return real(*args, **kwargs)
             return wrapper
 
+        lapack = mechanism._lapack()
         for name in names:
             monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
@@ -269,7 +269,7 @@ class TestFactorizedOnce:
         restored_propensity(observed.cells[1].sum(axis=0) / p_w, p_w, mech)
         assert mech.condition() == mech.condition() == cond
         # one factorization and one estimate; a solve per restoration, no inverse
-        assert calls == {"dgetrf": 1, "dgecon": 1, "dgetrs": 2, "inv": 0}
+        assert calls == {"getrf": 1, "gecon": 1, "getrs": 2, "inv": 0}
 
         factored = ErrorMatrix(factors=(ErrorMatrix.identity(2), mech))
         observed = pushforward(random_table(rng, (2, 2, 24)), factored)
@@ -278,7 +278,7 @@ class TestFactorizedOnce:
         assert factored.condition() == pytest.approx(cond, rel=1e-15)
         # the factored instance reuses the factors and their condition
         # numbers; only the 2x2 identity takes an inverse
-        assert calls == {"dgetrf": 1, "dgecon": 1, "dgetrs": 4, "inv": 1}
+        assert calls == {"getrf": 1, "gecon": 1, "getrs": 4, "inv": 1}
 
 
 def bounded_table(rng, n, axis="Z"):
@@ -291,14 +291,15 @@ class TestLUPath:
     """Dense factors from ``_LU_MIN_SIDE`` up are solved through their LU
     factors; an explicit ``np.linalg.inv`` is the oracle."""
 
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 30).flatmap(stochastic_matrices), st.integers(0, 2**32 - 1))
-    def test_matches_inverse_oracle(self, m, seed):
+    @staticmethod
+    def check_inverse_oracle(m, seed, lapack):
+        """Restoration and propensity through ``m`` from side 1 agree with
+        ``np.linalg.inv``; returns the mechanism."""
         rng = np.random.default_rng(seed)
         n = m.shape[0]
         inv = np.linalg.inv(m)
         cells = rng.random((3, 2, n))
-        with lu_from(1):
+        with lu_from(1, lapack):
             mech = ErrorMatrix(entries=m)
             np.testing.assert_allclose(mech.apply_inverse(cells), cells @ inv.T, rtol=0, atol=1e-12)
             observed = pushforward(bounded_table(rng, n), mech)
@@ -306,10 +307,25 @@ class TestLUPath:
             p_w = observed.cells.sum(axis=(0, 1))
             score_w = observed.cells[1].sum(axis=0) / p_w
             propensity = restored_propensity(score_w, p_w, mech)
-        assert isinstance(mech._inverses[0], mechanism._LU)
         np.testing.assert_allclose(restored, observed.cells @ inv.T, rtol=0, atol=1e-12)
         expected = (inv @ (score_w * p_w)) / (inv @ p_w)
         np.testing.assert_allclose(propensity, expected, rtol=0, atol=1e-12)
+        return mech
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30).flatmap(stochastic_matrices), st.integers(0, 2**32 - 1))
+    def test_matches_inverse_oracle(self, m, seed):
+        mech = self.check_inverse_oracle(m, seed, lapack=True)
+        assert isinstance(mech._inverses[0], mechanism._LU)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30).flatmap(stochastic_matrices), st.integers(0, 2**32 - 1))
+    def test_without_numpys_lapack_factors_are_inverted(self, m, seed):
+        # numpy linked to another LAPACK: the explicit inverse, exact condition number
+        mech = self.check_inverse_oracle(m, seed, lapack=False)
+        assert isinstance(mech._inverses[0], np.ndarray)
+        exact = np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)
+        assert mech.condition() == exact
 
     def test_exactly_singular_factor_raises(self):
         rng = np.random.default_rng(23)
