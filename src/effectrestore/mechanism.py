@@ -140,6 +140,8 @@ class _LU:
     def factor(cls, m: np.ndarray) -> "_LU | None":
         """Factors of the square ``m``, or None when a pivot is exactly zero."""
         n = m.shape[0]
+        if m.shape != (n, n):  # LAPACK would read past the array
+            raise ValueError(f"LU factors need a square matrix, got shape {m.shape}")
         lu = np.array(m.T, dtype=np.float64, order="F")
         piv = np.empty(n, dtype=np.int64)
         info = _lapack().getrf(_COL_MAJOR, n, n, lu, n, piv)
@@ -149,6 +151,8 @@ class _LU:
         """M^-1 rhs for an (n, k) ``rhs``."""
         n = self.shape[0]
         out = np.array(rhs, dtype=np.float64, order="F")
+        if out.ndim != 2 or out.shape[0] != n:  # LAPACK would read past the array
+            raise ValueError(f"operand must have shape ({n}, k), got {out.shape}")
         _lapack().getrs(_COL_MAJOR, b"T", n, out.shape[1], self.lu, n, self.piv, out, n)
         return out
 

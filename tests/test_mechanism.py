@@ -276,6 +276,15 @@ class TestLUFactors:
         assert mech._inverse_blocks == (lu, eye)
         np.testing.assert_allclose(mech.apply_inverse(m[:, 0]), [1.0, 0.0], atol=1e-15)
 
+    def test_shapes_are_checked_before_lapack_reads(self):
+        with pytest.raises(ValueError, match="square"):
+            mechanism._LU.factor(np.full((2, 3), 0.5))
+        lu = mechanism._LU.factor(np.eye(3))
+        for bad in (np.ones((2, 1)), np.ones(3), np.ones((4, 3))):
+            with pytest.raises(ValueError, match="shape"):
+                lu.solve(bad)
+        np.testing.assert_array_equal(lu.solve(np.ones((3, 2))), np.ones((3, 2)))
+
     def test_exact_zero_pivot_is_singular(self):
         with lu_from(2):
             m = ErrorMatrix(entries=np.full((4, 4), 0.25))
