@@ -89,9 +89,9 @@ def _lapack() -> SimpleNamespace | None:
     """``getrf``, ``getrs`` and ``gecon`` of the LAPACK that numpy links, or
     None when it is not numpy's bundled ILP64 OpenBLAS.
 
-    numpy's wheels link ``_umath_linalg`` against an OpenBLAS built with
-    64-bit integers, whose LAPACKE symbols carry a ``scipy_`` prefix and a
-    ``64_`` suffix.  Opening the extension again lets the dynamic loader
+    numpy's wheels (checked with numpy 2.4) link ``_umath_linalg`` against
+    an OpenBLAS built with 64-bit integers, whose LAPACKE symbols carry a
+    ``scipy_`` prefix and a ``64_`` suffix.  Opening the extension again lets the dynamic loader
     resolve them in that already loaded library, so the process keeps one
     LAPACK and one BLAS thread pool.  ``getrs`` is LAPACKE's ``_work``
     form, which has the same arguments but skips the NaN scan of both
