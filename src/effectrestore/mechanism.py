@@ -39,34 +39,50 @@ _BLOCK_CAP = 64
 #: smallest side of a dense square factor that is LU-factorized (LAPACK
 #: ``getrf``) and applied as M^-1 by triangular solves (``getrs``) instead
 #: of being inverted explicitly.  Factor, condition estimate (``gecon``) and
-#: one solve take a quarter to a half of the time of ``inv``, the two
-#: 1-norms and one product at every side from 256 to 4096 (0.17 against
-#: 0.65 s at 2048, 0.04 against 0.10 s at 1024, 2-vCPU Xeon); at 2048 a
-#: ``latent-restore`` benchmark pass takes 0.42 against 0.86 s.  What the
-#: factors give up is the exact condition number: ``gecon`` estimates a
-#: lower bound on it.  The side is set high so that only factors whose
-#: inversion dominates a restoration trade the exact value for speed.
-#: Smaller factors keep explicit inverses, which ``_kron_blocks`` can merge
-#: into Kronecker blocks.
-_LU_MIN_SIDE = 2048
+#: one solve of a (2, 2, n) table took 1.9 against 6.1 ms for ``inv``, the
+#: inverse's 1-norm and one product at side 256, 8.0 against 31 ms at 512,
+#: 40 against 158 ms at 1024 and 171 against 778 ms at 2048 on one BLAS
+#: thread, and 2.4 against 5.0, 9.3 against 24, 37 against 113 and 143
+#: against 587 ms on two (2-vCPU Xeon, idle BLAS threads sleeping).  What
+#: the factors give up is the exact condition number: ``gecon`` estimates
+#: a lower bound on it.  Below 256 a factorization saves under a
+#: millisecond (0.55 against 1.16 ms at 128), so smaller factors keep the
+#: exact value and explicit inverses, which ``_kron_blocks`` can merge into
+#: Kronecker blocks.
+_LU_MIN_SIDE = 256
 #: the 1-norm reads |M| in column chunks of about this many entries
 _NORM_CHUNK = 1 << 18
 
 
-def _check_stochastic(arr: np.ndarray, name: str) -> None:
-    """Every column of the 2-d ``arr`` must be a finite distribution; errors name ``name``."""
+def _check_stochastic(arr: np.ndarray, name: str) -> float | None:
+    """Every column of the 2-d ``arr`` must be a finite distribution; errors name ``name``.
+
+    Returns ``arr``'s 1-norm when no entry is negative, else None.  A valid
+    matrix is accepted after two reductions: when the smallest entry is at
+    least 0 and every column sum is within ``TOL_STOCHASTIC`` of 1, every
+    entry is finite and at most 1 + ``TOL_STOCHASTIC`` (a NaN fails both
+    comparisons).  The largest column sum is then the 1-norm, bit for bit
+    ``np.linalg.norm(arr, 1)``'s, which sums ``|arr|`` in the same order.
+    Only a matrix that fails this test is checked entry by entry, so that
+    the error names the first rule it breaks.
+    """
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(
             f"{name} entries must be a nonempty 2-d matrix, got shape {arr.shape}"
         )
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf or overflow: caught below
+        colsums = arr.sum(axis=0)
+        worst = float(np.abs(colsums - 1.0).max())
+    lowest = arr.min()
+    if lowest >= 0.0 and worst <= TOL_STOCHASTIC:
+        return float(colsums.max())
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} entries must be finite")
-    if arr.min() < -TOL_STOCHASTIC or arr.max() > 1.0 + TOL_STOCHASTIC:
+    if lowest < -TOL_STOCHASTIC or arr.max() > 1.0 + TOL_STOCHASTIC:
         raise ValidationError(f"{name} entries must lie in [0, 1]")
-    colsums = arr.sum(axis=0)
-    worst = float(np.abs(colsums - 1.0).max())
     if worst > TOL_STOCHASTIC:
         raise ValidationError(f"{name} columns must sum to 1 (worst defect {worst:.3e})")
+    return None
 
 
 def _norm1(m: np.ndarray) -> float:
@@ -93,29 +109,39 @@ def _lapack() -> SimpleNamespace | None:
     an OpenBLAS built with 64-bit integers, whose LAPACKE symbols carry a
     ``scipy_`` prefix and a ``64_`` suffix.  Opening the extension again lets the dynamic loader
     resolve them in that already loaded library, so the process keeps one
-    LAPACK and one BLAS thread pool.  ``getrs`` is LAPACKE's ``_work``
-    form, which has the same arguments but skips the NaN scan of both
-    operands: a non-finite operand propagates as it would through a GEMM,
-    where the scanning form would return an error and leave it unsolved.
+    LAPACK and one BLAS thread pool.
+
+    All three are LAPACKE's ``_work`` forms, which take the same arguments
+    (``gecon``'s scratch buffers too) but skip LAPACKE's NaN scan of the
+    operands: a mechanism's entries are checked finite when it is built,
+    and a non-finite right-hand side propagates as it would through a
+    GEMM, where the scanning form would return an error and leave it
+    unsolved.  ``getrf`` is the blocked ``dgetrf``.  The recursive
+    ``dgetrf2`` (Toledo, SIAM J. Matrix Anal. Appl. 18(4), 1997) picks the
+    same pivots and is no faster at side 2048, but at 2 BLAS threads whose
+    idle threads sleep (the program entry points' policy) it took 3.2
+    against 1.1 ms at side 256 and 9.0 against 6.4 ms at 512: its many
+    small BLAS calls each wake the pool.
     """
     try:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
         getrf, getrs, gecon = (
-            getattr(lib, f"scipy_LAPACKE_{name}64_")
-            for name in ("dgetrf", "dgetrs_work", "dgecon")
+            getattr(lib, f"scipy_LAPACKE_{name}_work64_")
+            for name in ("dgetrf", "dgetrs", "dgecon")
         )
     except (OSError, AttributeError):
         return None
     i64 = ctypes.c_int64
     mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     piv = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    # LAPACKE_dgetrf(layout, m, n, a, lda, ipiv)
+    # LAPACKE_dgetrf_work(layout, m, n, a, lda, ipiv)
     getrf.argtypes = [ctypes.c_int, i64, i64, mat, i64, piv]
     # LAPACKE_dgetrs_work(layout, trans, n, nrhs, a, lda, ipiv, b, ldb)
     getrs.argtypes = [ctypes.c_int, ctypes.c_char, i64, i64, mat, i64, piv, mat, i64]
-    # LAPACKE_dgecon(layout, norm, n, a, lda, anorm, rcond)
+    # LAPACKE_dgecon_work(layout, norm, n, a, lda, anorm, rcond, work[4n], iwork[n])
     gecon.argtypes = [ctypes.c_int, ctypes.c_char, i64, mat, i64, ctypes.c_double,
-                      ctypes.POINTER(ctypes.c_double)]
+                      ctypes.POINTER(ctypes.c_double), vec, piv]
     for fn in (getrf, getrs, gecon):
         fn.restype = i64
     return SimpleNamespace(getrf=getrf, getrs=getrs, gecon=gecon)
@@ -127,7 +153,8 @@ class _LU:
     ``getrf`` factors M^T = P L U: a C-ordered M is a Fortran-ordered M^T,
     so LAPACK's working copy needs no transpose, and ``getrs`` solves
     (M^T)^T x = M x = b with ``trans='T'``.  The factors are read-only.
-    Only built when ``_lapack()`` is not None.
+    Only built when ``_lapack()`` is not None, from a matrix already checked
+    finite: the ``_work`` forms do not scan it for NaN.
     """
 
     def __init__(self, lu: np.ndarray, piv: np.ndarray) -> None:
@@ -162,7 +189,8 @@ class _LU:
         bound on the exact value (Higham, ACM TOMS 14, 1988)."""
         n = self.shape[0]
         rcond = ctypes.c_double()
-        _lapack().gecon(_COL_MAJOR, b"I", n, self.lu, n, norm1, ctypes.byref(rcond))
+        _lapack().gecon(_COL_MAJOR, b"I", n, self.lu, n, norm1, ctypes.byref(rcond),
+                        np.empty(4 * n), np.empty(n, dtype=np.int64))
         return 1.0 / rcond.value if rcond.value > 0.0 else float("inf")
 
 
@@ -241,9 +269,10 @@ class ErrorMatrix:
             raise ValidationError("an ErrorMatrix holds dense entries or factors, not both")
         if self.entries is not None:
             arr = np.asarray(self.entries, dtype=float).copy()
-            _check_stochastic(arr, "mechanism")
+            norm1 = _check_stochastic(arr, "mechanism")
             arr.setflags(write=False)
             object.__setattr__(self, "entries", arr)
+            object.__setattr__(self, "_entries_norm", norm1)
         else:
             object.__setattr__(self, "factors", tuple(self.factors))
             for f in self.factors:
@@ -323,9 +352,11 @@ class ErrorMatrix:
         if self._inverses is None:
             return float("inf")
         (inv,) = self._inverses
+        # the 1-norm found by validation; None when an entry is negative noise
+        norm1 = _norm1(self.entries) if self._entries_norm is None else self._entries_norm
         if isinstance(inv, _LU):
-            return inv.condition(_norm1(self.entries))
-        return _norm1(self.entries) * _norm1(inv)
+            return inv.condition(norm1)
+        return norm1 * _norm1(inv)
 
     def apply(self, cells: np.ndarray) -> np.ndarray:
         """M applied along the last axis: out[..., w] = sum_z M(w, z) cells[..., z]."""
@@ -346,10 +377,13 @@ class ErrorMatrix:
         equals the dense matrix's: induced 1-norms are multiplicative over
         Kronecker products.  For a dense factor with a side of at least
         ``_LU_MIN_SIDE``, when ``_lapack()`` finds numpy's own LAPACK, the
-        value is LAPACK's ``gecon`` estimate from its
-        LU factors, a lower bound on the exact value: typically within a
-        few per cent of it, but with no guaranteed ratio.  Computed once
-        per instance and cached with the inverse.
+        value is the estimate of LAPACKE's ``dgecon_work`` from its LU
+        factors (``dgetrf_work``), a lower bound on the exact value:
+        typically within a few per cent of it, but with no guaranteed
+        ratio.  The ``_work`` forms skip LAPACKE's NaN scan of the matrix,
+        whose entries were checked finite when the instance was built.  A
+        dense factor with no negative entry takes its own 1-norm from that
+        check: its largest column sum.  Computed once per instance and cached with the inverse.
         """
         return self._condition
 
@@ -393,7 +427,9 @@ class ErrorMatrix:
                 )
         except ValidationError:
             raise  # a factor's own error, already named
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValidationError(f"malformed error-matrix JSON: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed error-matrix JSON: {exc}") from exc
         return cls(entries=entries, factors=factors)
 
@@ -439,8 +475,12 @@ class BinaryErrorParams:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryErrorParams":
         try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, got {type(data).__name__}")
             return cls(eps=float(data["eps"]), delta=float(data["delta"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValidationError(f"malformed binary error params JSON: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed binary error params JSON: {exc}") from exc
 
 

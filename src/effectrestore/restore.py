@@ -14,12 +14,16 @@ Every step goes through the mechanism's operator methods.  The inverse
 of M (of each factor, in factored form) is computed once per
 ``ErrorMatrix`` and cached, and so is the condition number beside it,
 so the condition check, restoration and propensity restoration on one
-instance share a single factorization and one pair of 1-norms.  A dense
-factor with a side of at least 2048 (``mechanism._LU_MIN_SIDE``) is
+instance share a single factorization and one pair of 1-norms (a dense
+matrix's own 1-norm is found while it is validated).  A dense factor
+with a side of at least 256 (``mechanism._LU_MIN_SIDE``) is
 LU-factorized instead of inverted, where numpy's own LAPACK is found
-(``mechanism._lapack``): restoration is then a pair of
-triangular solves per call, and its condition number is LAPACK's
-estimate from the same factors, a lower bound on the exact value.  A
+(``mechanism._lapack``): restoration is then a pair of triangular solves
+per call, and its condition number is LAPACK's estimate from the same
+factors, a lower bound on the exact value.  The factorization, the
+solves and the estimate call LAPACKE's ``_work`` forms, which skip the
+NaN scan of the operands: a mechanism's entries are checked finite
+when it is built.  A
 factored operator is applied in Kronecker blocks of consecutive factors,
 at most 64 per side, whose results agree with a factor-at-a-time
 application to rounding (about 1e-15); a dense one is the one-block

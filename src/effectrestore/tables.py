@@ -86,16 +86,26 @@ class JointTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointTable":
         try:
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, got {type(data).__name__}")
             cards = list(data["cards"])
             # JSON integers only: int() would truncate 2.7 and read true or "2",
             # and reshape would infer a -1 from the cells' length
             if len(cards) != 3 or not all(type(c) is int and c >= 0 for c in cards):
                 raise ValueError(f"cards must be three nonnegative integers, got {cards!r}")
-            cells = np.asarray(data["cells"], dtype=float).reshape(cards)
+            cells = np.asarray(data["cells"], dtype=float)
+            # flat in C order, as to_json_dict writes, or nested as (x, y, v): any
+            # other layout of the same size would be silently re-read
+            if cells.shape not in ((int(np.prod(cards)),), tuple(cards)):
+                raise ValueError(
+                    f"cells must be a flat list or nested as cards {cards}, got shape {cells.shape}"
+                )
             axis = str(data["axis"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise ValidationError(f"malformed joint-table JSON: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed joint-table JSON: {exc}") from exc
-        return cls(cells, axis)
+        return cls(cells.reshape(cards), axis)
 
 
 @dataclass(frozen=True)

@@ -783,6 +783,69 @@ class TestLinearCommandsFuzz:
             assert doc["method"] == flags[0] and ("error" in doc) == (code == 2)
 
 
+@st.composite
+def discrete_csv_bodies(draw):
+    """A discrete sample CSV: few rows, perhaps empty (x, y) groups, values
+    that are multi-digit, negative or floats, ragged rows, and lines ending
+    in a mix of CRLF and LF."""
+    k = draw(st.sampled_from([3, 4]))
+    n = draw(st.integers(0, 30))
+    xy = draw(st.sets(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]), min_size=1))
+    rows = [[*draw(st.sampled_from(sorted(xy)))] + [draw(st.integers(0, 1)) for _ in range(k - 2)]
+            for _ in range(n)]
+    fields = [[str(v) for v in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(fields))
+        row[draw(st.integers(0, k - 1))] = draw(st.sampled_from(
+            ["10", "12", "99", "007", "-1", "-0", "0.5", "1.0", "1e0", "2"]))
+    if fields and draw(st.booleans()):
+        row = draw(st.sampled_from(fields))
+        if draw(st.booleans()):
+            del row[draw(st.integers(0, len(row) - 1)):]
+        else:
+            row.append("1")
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in range(len(fields) + 1)]
+    last = ends[-1] if draw(st.booleans()) else ""
+    lines = [",".join("xyzw"[:k])] + [",".join(f) for f in fields]
+    return "".join(line + end for line, end in zip(lines, ends[:-1] + [last]))
+
+
+class TestDiscreteCommandsFuzz:
+    """Fuzz of the discrete-CSV commands: every body exits 0, 1 or 2, without
+    a traceback or a raw warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(body=discrete_csv_bodies(), command=st.sampled_from(
+        ["restore-binary", "effect-binary", "synthesize", "synthesize-2", "restore-discrete"]))
+    def test_exit_status_without_traceback(self, proxy_samples, body, command):
+        work = proxy_samples.parent
+        path = work / "discrete.csv"
+        path.write_bytes(body.encode())
+        rates = work / "fuzz_rates.json"
+        components = 2 if command == "synthesize-2" else 1
+        rates.write_text(json.dumps([{"eps": 0.1, "delta": 0.2}] * components))
+        mech = work / "fuzz_mech2.json"
+        mech.write_text(json.dumps(ErrorMatrix(entries=[[0.9, 0.2], [0.1, 0.8]]).to_json_dict()))
+        name = command.removesuffix("-2")
+        argv = [name, "--in", str(path)]
+        argv += {
+            "restore-binary": ["--error", str(rates)],
+            "effect-binary": ["--error", str(rates), "--boot", "20"],
+            "synthesize": ["--error", str(rates), "--out", str(work / "fuzz_synth.csv")],
+            "restore-discrete": ["--error", str(mech), "--x", "0"],
+        }[name]
+        code, out, err, leaked = run_main(argv)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and not re.search(r"\w+Warning\b", err), err
+        assert leaked == []
+        if code == 1:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(f"effectrestore {name}: error: ")
+        else:
+            doc = json.loads(out)
+            assert doc["method"] == name and ("error" in doc) == (code == 2)
+
+
 def stochastic_doc(rng, n):
     """Dense mechanism JSON for a well-conditioned n x n column-stochastic matrix."""
     raw = rng.uniform(0.01, 1.0, (n, n))
@@ -801,8 +864,15 @@ def restore_discrete_documents(draw):
     cards = [draw(st.integers(1, 3)), draw(st.integers(1, 3)), math.prod(sides)]
     table = {"cards": cards, "cells": list(rng.dirichlet(np.ones(math.prod(cards)))),
              "axis": "W"}
-    table_flaw = draw(st.sampled_from([None, "ragged", "short", "axis", "nan", "cards"]))
-    if table_flaw == "ragged":
+    table_flaw = draw(st.sampled_from(
+        [None, "ragged", "short", "axis", "nan", "cards", "nesting"]))
+    if table_flaw == "nesting":
+        # the right size, nested in a layout other than (x, y, v)
+        shape = draw(st.sampled_from([[1, *cards], cards[::-1], [cards[0], cards[1] * cards[2]]]))
+        if shape == cards:
+            shape = [*cards, 1]
+        table["cells"] = np.reshape(table["cells"], shape).tolist()
+    elif table_flaw == "ragged":
         nested = np.reshape(table["cells"], cards).tolist()
         nested[0][0].append(0.1)  # one row longer than the others, or than card_v
         table["cells"] = nested
@@ -871,6 +941,21 @@ class TestRestoreDiscreteJsonFuzz:
         else:
             doc = json.loads(out)
             assert doc["method"] == "restore-discrete" and ("error" in doc) == (code == 2)
+
+    @pytest.mark.parametrize("cards, cells", [
+        ([1, 1, 1], [[[[1.0]]]]),
+        ([1, 2, 4], np.full((2, 2, 2), 0.125).tolist()),  # the size of cards, not its nesting
+    ])
+    def test_cells_nested_otherwise_than_cards_exit_1(self, proxy_samples, cards, cells):
+        table_path = proxy_samples.with_name("nested_table.json")
+        mech_path = proxy_samples.with_name("identity_mech.json")
+        dump_json({"cards": cards, "cells": cells, "axis": "W"}, table_path)
+        dump_json(ErrorMatrix.identity(cards[2]).to_json_dict(), mech_path)
+        code, out, err, leaked = run_main(
+            ["restore-discrete", "--in", str(table_path), "--error", str(mech_path)])
+        assert (code, out, leaked) == (1, "", [])
+        assert err.startswith("effectrestore restore-discrete: error: malformed joint-table "
+                              "JSON: cells must be a flat list or nested as cards")
 
 
 #: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported while an

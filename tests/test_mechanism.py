@@ -1,11 +1,13 @@
 """Error-mechanism matrices: validation, binary params, tensor expansion."""
 
+import warnings
 from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from effectrestore import (
     BinaryErrorParams,
@@ -27,6 +29,39 @@ class TestErrorMatrix:
             ErrorMatrix(entries=np.array([[1.2, 0.0], [-0.2, 1.0]]))
         with pytest.raises(ValidationError, match="nonempty"):
             ErrorMatrix.from_json_dict({"n_w": 0, "n_z": 0, "entries": []})
+
+    @pytest.mark.parametrize("columns, message", [
+        ([[np.nan, 1.0], [0.5, 0.5]], "mechanism entries must be finite"),
+        ([[np.inf, 0.0], [0.5, 0.5]], "mechanism entries must be finite"),
+        ([[-np.inf, 1.0], [0.5, 0.5]], "mechanism entries must be finite"),
+        ([[np.nan, np.inf], [0.5, 0.5]], "mechanism entries must be finite"),
+        ([[np.inf, -np.inf], [np.nan, np.inf]], "mechanism entries must be finite"),
+        ([[1.5, 0.0], [0.5, 0.5]], "mechanism entries must lie in [0, 1]"),
+        ([[1.0 + 2e-12, 0.0], [0.5, 0.5]], "mechanism entries must lie in [0, 1]"),
+        ([[1.5, -0.5], [0.5, 0.5]], "mechanism entries must lie in [0, 1]"),
+        ([[1.0 + 1e-11, -1e-11], [0.5, 0.5]], "mechanism entries must lie in [0, 1]"),
+        ([[0.5, 0.4], [0.5, 0.5]], "mechanism columns must sum to 1 (worst defect 1.000e-01)"),
+        ([[1.0, 0.0], [0.5, 0.5 + 2e-12]],
+         "mechanism columns must sum to 1 (worst defect 2.000e-12)"),
+    ])
+    def test_each_broken_rule_is_named(self, columns, message):
+        # the first rule broken, in the order finite, range, column sums;
+        # inf - inf and overflow in the column sums warn of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                ErrorMatrix(entries=np.array(columns).T)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1.0], "expected an object, got list"),
+        ({"n_z": 1, "entries": [1.0]}, "missing field 'n_w'"),
+        ({"n_w": 1, "entries": [1.0]}, "missing field 'n_z'"),
+    ])
+    def test_malformed_json_names_the_fault(self, doc, message):
+        with pytest.raises(ValidationError) as info:
+            ErrorMatrix.from_json_dict(doc)
+        assert str(info.value) == f"malformed error-matrix JSON: {message}"
 
     def test_identity(self):
         m = ErrorMatrix.identity(3)
@@ -104,6 +139,15 @@ class TestBinaryErrorParams:
         for eps, delta in ((1.0, 0.0), (-0.1, 0.0), (0.0, 1.5), (np.nan, 0.0)):
             with pytest.raises((ValidationError, SingularError)):
                 BinaryErrorParams(eps, delta)
+
+    @pytest.mark.parametrize("doc, message", [
+        ([0.1, 0.2], "expected an object, got list"),
+        ({"eps": 0.1}, "missing field 'delta'"),
+    ])
+    def test_malformed_json_names_the_fault(self, doc, message):
+        with pytest.raises(ValidationError) as info:
+            BinaryErrorParams.from_json_dict(doc)
+        assert str(info.value) == f"malformed binary error params JSON: {message}"
 
 
 class TestExpandFactored:
@@ -220,6 +264,49 @@ class TestBlockContraction:
         assert dense._blocks == (dense.entries,)
 
 
+@st.composite
+def stochastic_with_zeros(draw):
+    """A square, wide or tall column-stochastic matrix with entries of +0.0
+    and -0.0, and perhaps tiny negative ones that the tolerance accepts."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    raw = draw(hnp.arrays(np.float64, (rows, cols), elements=st.one_of(
+        st.floats(0.01, 1.0), st.sampled_from([0.0, -0.0]))))
+    raw[np.arange(cols) % rows, np.arange(cols)] += 1.0  # no column is all zero
+    if draw(st.booleans()):
+        zeros = np.flatnonzero(raw == 0.0)
+        if zeros.size:
+            raw.flat[draw(st.sampled_from(zeros.tolist()))] = -draw(st.floats(1e-16, 1e-14))
+    return raw / raw.sum(axis=0)
+
+
+class TestValidationNorm:
+    """Validation leaves the matrix's 1-norm behind when no entry is negative."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stochastic_with_zeros())
+    def test_cached_norm_is_numpys_to_the_bit(self, m):
+        mech = ErrorMatrix(entries=m)
+        if m.min() >= 0.0:
+            assert mech._entries_norm == float(np.linalg.norm(m, 1))
+        else:
+            assert mech._entries_norm is None  # the condition number reads _norm1
+        if m.shape[0] == m.shape[1]:
+            try:
+                exact = exact_condition(m)
+            except np.linalg.LinAlgError:
+                exact = float("inf")
+            assert mech.condition() == exact
+
+    def test_large_matrix_norm_is_numpys_to_the_bit(self):
+        rng = np.random.default_rng(12)
+        for rows, cols in ((3000, 1), (1, 3000), (2048, 2048), (700, 3000)):
+            raw = rng.random((rows, cols))
+            raw[rng.random((rows, cols)) < 0.3] = -0.0
+            raw[0] += 1.0
+            m = raw / raw.sum(axis=0)
+            assert ErrorMatrix(entries=m)._entries_norm == float(np.linalg.norm(m, 1))
+
+
 def exact_condition(m):
     return float(np.linalg.norm(m, 1)) * float(np.linalg.norm(np.linalg.inv(m), 1))
 
@@ -284,6 +371,15 @@ class TestLUFactors:
             with pytest.raises(ValueError, match="shape"):
                 lu.solve(bad)
         np.testing.assert_array_equal(lu.solve(np.ones((3, 2))), np.ones((3, 2)))
+
+    def test_numpys_bundled_openblas_exposes_the_kernels(self):
+        # a wheel that dropped one of the symbols would silently invert instead
+        lapack = np.show_config(mode="dicts")["Build Dependencies"].get("lapack", {})
+        if lapack.get("name") != "scipy-openblas" or "USE64BITINT" not in lapack.get(
+            "openblas configuration", ""
+        ):
+            pytest.skip(f"numpy links {lapack.get('name')!r}, not its ILP64 scipy-openblas")
+        assert mechanism._lapack() is not None
 
     def test_exact_zero_pivot_is_singular(self):
         with lu_from(2):

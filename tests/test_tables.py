@@ -194,6 +194,27 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             JointTable.from_json_dict({"cards": [2, 2], "cells": [1.0], "axis": "Z"})
 
+    @pytest.mark.parametrize("doc, message", [
+        ([0.5], "expected an object, got list"),
+        ({"cards": [1, 1, 1], "cells": [1.0]}, "missing field 'axis'"),
+        ({"cells": [1.0], "axis": "W"}, "missing field 'cards'"),
+        ({"cards": [1, 1, 1], "cells": [[[[1.0]]]], "axis": "W"},
+         "cells must be a flat list or nested as cards [1, 1, 1], got shape (1, 1, 1, 1)"),
+        ({"cards": [1, 2, 4], "cells": np.full((2, 2, 2), 0.125).tolist(), "axis": "W"},
+         "cells must be a flat list or nested as cards [1, 2, 4], got shape (2, 2, 2)"),
+    ])
+    def test_malformed_json_names_the_fault(self, doc, message):
+        with pytest.raises(ValidationError) as info:
+            JointTable.from_json_dict(doc)
+        assert str(info.value) == f"malformed joint-table JSON: {message}"
+
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_flat_and_xyv_nested_cells_load_alike(self, nested):
+        cells = np.arange(1.0, 9.0).reshape(1, 2, 4) / 36.0
+        doc = {"cards": [1, 2, 4], "cells": cells.tolist() if nested else cells.ravel().tolist(),
+               "axis": "W"}
+        assert (JointTable.from_json_dict(doc).cells == cells).all()
+
 
 class TestEmpiricalJoint:
     def test_counts(self):
