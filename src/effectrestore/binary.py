@@ -149,29 +149,13 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
                 f"the restored stratum P(x={x}, z{w}) is empty"
             )
         terms.append(t)
-    return terms[0], terms[1]
-
-
-def _check_compatible(p: np.ndarray, err: BinaryErrorParams) -> None:
-    """The closed form is restoration composed with adjustment, so once its
-    denominators are known not to vanish it refuses what restoration
-    refuses: latent cells, inverted in closed form, whose negative mass
-    exceeds restore.TOL_INCOMPATIBLE."""
+    # the closed form is restoration composed with adjustment, so once its
+    # denominators are known not to vanish it refuses what restoration
+    # refuses: latent cells, inverted in closed form, whose negative mass
+    # exceeds restore.TOL_INCOMPATIBLE
     inverse_t = np.array([[1.0 - err.eps, -err.delta], [-err.eps, 1.0 - err.delta]])
     _finalize(p @ inverse_t / err.determinant, clip=False)
-
-
-def _exact(terms: tuple[_Term, _Term], err: BinaryErrorParams) -> float:
-    """The exact closed form from the two w-branches of ``_terms``."""
-    total = 0.0
-    for t in terms:
-        total += (
-            (t.cell / t.x_given_w)
-            * (1.0 - t.rate / t.w_given_xy)
-            * (1.0 - t.rate / t.w_marg)
-            / (1.0 - t.rate / t.w_given_x)
-        )
-    return total / err.determinant
+    return terms[0], terms[1]
 
 
 def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y: int) -> float:
@@ -185,21 +169,16 @@ def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y
     ``restore_binary`` does: when the rates contradict the data.
     """
     p = _require_binary(observed)
-    terms = _terms(p, err, x, y)
-    _check_compatible(p, err)
-    return _exact(terms, err)
-
-
-def _causal_effect_binary_both_y(
-    observed: JointTable, err: BinaryErrorParams, x: int
-) -> list[float]:
-    """``causal_effect_binary`` at y = 0 and at y = 1, raising what the two
-    calls in that order raise, with one compatibility check: it depends on
-    the table and the rates only."""
-    p = _require_binary(observed)
-    terms = _terms(p, err, x, 0)
-    _check_compatible(p, err)
-    return [_exact(terms, err), _exact(_terms(p, err, x, 1), err)]
+    t1, t0 = _terms(p, err, x, y)
+    total = 0.0
+    for t in (t1, t0):
+        total += (
+            (t.cell / t.x_given_w)
+            * (1.0 - t.rate / t.w_given_xy)
+            * (1.0 - t.rate / t.w_marg)
+            / (1.0 - t.rate / t.w_given_x)
+        )
+    return total / err.determinant
 
 
 def causal_effect_binary_infinitesimal(
@@ -218,7 +197,6 @@ def causal_effect_binary_infinitesimal(
     """
     p = _require_binary(observed)
     t1, t0 = _terms(p, err, x, y)
-    _check_compatible(p, err)
     total = 0.0
     for t, other_rate in ((t1, err.eps), (t0, err.delta)):
         correction = 1.0 + other_rate + t.rate * (

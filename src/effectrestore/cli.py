@@ -133,12 +133,13 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     err = _load_binary_params(args.error)[0]
     samples = _read_discrete_samples(args.input, 3)
     observed = empirical_joint(samples, (2, 2, 2), "W", smooth=args.smooth)
-    effect = binary._causal_effect_binary_both_y(observed, err, args.x)
+    effect = [binary.causal_effect_binary(observed, err, args.x, y) for y in (0, 1)]
     n = samples.shape[0]
     counts = observed.cells.ravel() * n
 
     def statistic(cells: np.ndarray) -> list[float]:
-        return binary._causal_effect_binary_both_y(JointTable(cells, "W"), err, args.x)
+        table = JointTable(cells, "W")
+        return [binary.causal_effect_binary(table, err, args.x, y) for y in (0, 1)]
 
     boots = linear.bootstrap_table_values(
         (counts / counts.sum()).reshape(2, 2, 2), n, statistic, n_boot=args.boot, seed=args.seed

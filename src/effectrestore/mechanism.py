@@ -43,13 +43,16 @@ _BLOCK_CAP = 64
 #: inverse's 1-norm and one product at side 256, 8.0 against 31 ms at 512,
 #: 40 against 158 ms at 1024 and 171 against 778 ms at 2048 on one BLAS
 #: thread, and 2.4 against 5.0, 9.3 against 24, 37 against 113 and 143
-#: against 587 ms on two (2-vCPU Xeon, idle BLAS threads sleeping).  What
-#: the factors give up is the exact condition number: ``gecon`` estimates
-#: a lower bound on it.  Below 256 a factorization saves under a
-#: millisecond (0.55 against 1.16 ms at 128), so smaller factors keep the
-#: exact value and explicit inverses, which ``_kron_blocks`` can merge into
-#: Kronecker blocks.
-_LU_MIN_SIDE = 256
+#: against 587 ms on two (2-vCPU Xeon, idle BLAS threads sleeping); at 2048
+#: a ``latent-restore`` benchmark pass takes 0.42 against 0.86 s.  What the
+#: factors give up is the exact condition number: ``gecon`` estimates a
+#: lower bound on it, whose last bits change with the BLAS thread count.
+#: The side is set high so that only factors whose inversion dominates a
+#: restoration trade the exact value for speed; no benchmark workload has
+#: a factor between 256 and 2048 to show what a lower side would gain.
+#: Smaller factors keep explicit inverses, which ``_kron_blocks`` can merge
+#: into Kronecker blocks.
+_LU_MIN_SIDE = 2048
 #: the 1-norm reads |M| in column chunks of about this many entries
 _NORM_CHUNK = 1 << 18
 

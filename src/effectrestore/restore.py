@@ -16,7 +16,7 @@ of M (of each factor, in factored form) is computed once per
 so the condition check, restoration and propensity restoration on one
 instance share a single factorization and one pair of 1-norms (a dense
 matrix's own 1-norm is found while it is validated).  A dense factor
-with a side of at least 256 (``mechanism._LU_MIN_SIDE``) is
+with a side of at least 2048 (``mechanism._LU_MIN_SIDE``) is
 LU-factorized instead of inverted, where numpy's own LAPACK is found
 (``mechanism._lapack``): restoration is then a pair of triangular solves
 per call, and its condition number is LAPACK's estimate from the same

@@ -14,6 +14,7 @@ smoothing problem.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -95,17 +96,19 @@ class JointTable:
                 raise ValueError(f"cards must be three nonnegative integers, got {cards!r}")
             cells = np.asarray(data["cells"], dtype=float)
             # flat in C order, as to_json_dict writes, or nested as (x, y, v): any
-            # other layout of the same size would be silently re-read
-            if cells.shape not in ((int(np.prod(cards)),), tuple(cards)):
+            # other layout of the same size would be silently re-read.  math.prod,
+            # unlike np.prod, cannot wrap around to match a short list
+            if cells.shape not in ((math.prod(cards),), tuple(cards)):
                 raise ValueError(
                     f"cells must be a flat list or nested as cards {cards}, got shape {cells.shape}"
                 )
+            cells = cells.reshape(cards)
             axis = str(data["axis"])
         except KeyError as exc:
             raise ValidationError(f"malformed joint-table JSON: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"malformed joint-table JSON: {exc}") from exc
-        return cls(cells.reshape(cards), axis)
+        return cls(cells, axis)
 
 
 @dataclass(frozen=True)

@@ -945,6 +945,7 @@ class TestRestoreDiscreteJsonFuzz:
     @pytest.mark.parametrize("cards, cells", [
         ([1, 1, 1], [[[[1.0]]]]),
         ([1, 2, 4], np.full((2, 2, 2), 0.125).tolist()),  # the size of cards, not its nesting
+        ([274177, 67280421310721, 1], [1.0]),  # a product of cards that wraps in int64
     ])
     def test_cells_nested_otherwise_than_cards_exit_1(self, proxy_samples, cards, cells):
         table_path = proxy_samples.with_name("nested_table.json")

@@ -202,6 +202,11 @@ class TestSerialization:
          "cells must be a flat list or nested as cards [1, 1, 1], got shape (1, 1, 1, 1)"),
         ({"cards": [1, 2, 4], "cells": np.full((2, 2, 2), 0.125).tolist(), "axis": "W"},
          "cells must be a flat list or nested as cards [1, 2, 4], got shape (2, 2, 2)"),
+        # cards whose product wraps around to the cells' length in int64
+        ({"cards": [274177, 67280421310721, 1], "cells": [1.0], "axis": "W"},
+         "cells must be a flat list or nested as cards [274177, 67280421310721, 1], got shape (1,)"),
+        ({"cards": [4294967296, 4294967296, 1], "cells": [], "axis": "W"},
+         "cells must be a flat list or nested as cards [4294967296, 4294967296, 1], got shape (0,)"),
     ])
     def test_malformed_json_names_the_fault(self, doc, message):
         with pytest.raises(ValidationError) as info:
