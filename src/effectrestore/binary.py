@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError, IncompatibleModelError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
 from .restore import TOL_VANISHING, _finalize, restore_joint
-from .rng import make_rng
+from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable
 
 __all__ = [
@@ -223,7 +223,10 @@ def synthesize_samples(
     with eps_i = delta_i = 0 every record keeps z_i = w_i.  Frequencies
     outside [delta_i, 1-eps_i] raise IncompatibleModelError naming the
     component.  Deterministic given ``seed``: one uniform per (record,
-    component), consumed in record-major order.
+    component), consumed in record-major order as ``rng.random((n, K))``
+    would draw them.  They are drawn in row blocks that concatenate to
+    exactly that block and are written straight into the int64 output, so
+    the working memory is the output plus one block of about 2^16 values.
     """
     arr = np.asarray(samples)
     k = len(errs)
@@ -233,11 +236,10 @@ def synthesize_samples(
         raise ValidationError(
             f"samples must have shape (n, {2 + k}) for {k} component(s), got {arr.shape}"
         )
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValidationError("sample values must be 0/1")
     n = arr.shape[0]
-    u = make_rng(seed).random((n, k))
-    out = arr.astype(int)
+    out = arr.astype(np.int64)
     xy = out[:, 0] * 2 + out[:, 1]
     sizes = np.bincount(xy, minlength=4)
     ones = [np.bincount(xy, weights=out[:, 2 + i], minlength=4) for i in range(k)]
@@ -262,6 +264,9 @@ def synthesize_samples(
             r = (q - err.delta) / err.determinant
             post[cell, i, 1] = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
             post[cell, i, 0] = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
-    for i in range(k):
-        out[:, 2 + i] = u[:, i] < post[xy, i, out[:, 2 + i]]
+    components = np.arange(k)
+    for start, u in _uniform_row_blocks(make_rng(seed), n, k):
+        stop = start + u.shape[0]
+        w = out[start:stop, 2:]
+        w[...] = u < post[xy[start:stop, None], components, w]
     return out

@@ -33,7 +33,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Iterable
 
 import numpy as np
@@ -65,6 +65,39 @@ _PAIRS = (
     ("cov_yv", "var_y", "var_v"),
     ("cov_wv", "var_w", "var_v"),
 )
+
+
+def _json_numbers(cls: type, data: object, what: str, integers: tuple[str, ...] = ()) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object of numbers.
+
+    Every value is converted to float, except those named in ``integers``
+    (which must be JSON integers); ``null`` leaves out an optional field.
+    The fault is named in a ValidationError: not an object, a missing or
+    unknown field, or a value that is not a number.
+    """
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        for name, f in known.items():
+            if f.default is MISSING and name not in data:
+                raise KeyError(name)
+        kwargs = {}
+        for name, value in data.items():
+            if name not in known:
+                raise ValueError(f"unknown field {name!r}")
+            if value is None and known[name].default is None:
+                continue
+            kinds = (int,) if name in integers else (int, float)
+            if type(value) not in kinds:
+                kind = "an integer" if name in integers else "a number"
+                raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
+            kwargs[name] = value if name in integers else float(value)
+        return kwargs
+    except KeyError as exc:
+        raise ValidationError(f"malformed {what} JSON: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -122,10 +155,7 @@ class CovStats:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CovStats":
-        try:
-            return cls(**{k: data[k] for k in data})
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"malformed covariance-stats JSON: {exc}") from exc
+        return cls(**_json_numbers(cls, data, "covariance-stats", integers=("n",)))
 
 
 @dataclass(frozen=True)
@@ -176,38 +206,39 @@ class LinearSemSpec:
 
     def population_cov(self) -> CovStats:
         """Exact population moments by path tracing (sums of products of
-        path coefficients and variances along connecting paths)."""
-        vz = self.var_z
-        total_zy = self.c2 + self.c0 * self.c1  # total Z->Y effect
-        var_x = self.c1**2 * vz + self.var_ex
-        kwargs: dict = {}
-        if self.has_v:
-            kwargs = {
-                "var_v": self.c_v**2 * vz + self.var_ev,
-                "cov_xv": self.c1 * self.c_v * vz,
-                "cov_yv": total_zy * self.c_v * vz,
-                "cov_wv": self.c3 * self.c_v * vz,
-            }
-        return CovStats(
-            var_x=var_x,
-            var_y=total_zy**2 * vz + self.c0**2 * self.var_ex + self.var_ey,
-            var_w=self.c3**2 * vz + self.var_ew,
-            cov_xy=self.c0 * var_x + self.c1 * self.c2 * vz,
-            cov_xw=self.c1 * self.c3 * vz,
-            cov_yw=total_zy * self.c3 * vz,
-            n=0,
-            **kwargs,
-        )
+        path coefficients and variances along connecting paths).  Raises
+        ValidationError when a moment is not a finite float64."""
+        try:
+            vz = self.var_z
+            total_zy = self.c2 + self.c0 * self.c1  # total Z->Y effect
+            var_x = self.c1**2 * vz + self.var_ex
+            kwargs: dict = {}
+            if self.has_v:
+                kwargs = {
+                    "var_v": self.c_v**2 * vz + self.var_ev,
+                    "cov_xv": self.c1 * self.c_v * vz,
+                    "cov_yv": total_zy * self.c_v * vz,
+                    "cov_wv": self.c3 * self.c_v * vz,
+                }
+            return CovStats(
+                var_x=var_x,
+                var_y=total_zy**2 * vz + self.c0**2 * self.var_ex + self.var_ey,
+                var_w=self.c3**2 * vz + self.var_ew,
+                cov_xy=self.c0 * var_x + self.c1 * self.c2 * vz,
+                cov_xw=self.c1 * self.c3 * vz,
+                cov_yw=total_zy * self.c3 * vz,
+                n=0,
+                **kwargs,
+            )
+        except OverflowError as exc:  # a float power beyond float64's range
+            raise ValidationError("population moments of this model overflow float64") from exc
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearSemSpec":
-        try:
-            return cls(**{k: data[k] for k in data})
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"malformed linear-model JSON: {exc}") from exc
+        return cls(**_json_numbers(cls, data, "linear-model"))
 
 
 def _require_v(s: CovStats, what: str) -> None:

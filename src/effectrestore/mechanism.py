@@ -387,6 +387,12 @@ class ErrorMatrix:
         whose entries were checked finite when the instance was built.  A
         dense factor with no negative entry takes its own 1-norm from that
         check: its largest column sum.  Computed once per instance and cached with the inverse.
+
+        The estimate is not byte-reproducible: the LU factors' bytes, though
+        not their pivots, differ between BLAS thread counts and between
+        processes, so its last bits can differ from run to run (a 300-side
+        factor read 1.8785585849361581 at one OpenBLAS thread, 1.886244804335621
+        at two; the exact value is 1.8947).
         """
         return self._condition
 

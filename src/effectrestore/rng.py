@@ -7,12 +7,23 @@ Substreams are derived by *index*, never by drawing from a parent stream:
 with ``seed``, so replicate loops can run in any order (or in parallel)
 and still reproduce.  The derivation rule, not the bitstream, is the
 portable contract: reimplementations matching the rule reproduce the
-same distributions, and all tests on random output are distributional.
+same distributions.  Tests on random output are distributional, or check
+how a sampler consumes the stream of ``make_rng``, never its raw bits.
+
+Philox fills a request in order from one counter, so consecutive calls
+continue a single stream: ``_uniform_row_blocks`` hands out an (n, k)
+block of uniforms in row blocks that concatenate, bit for bit, to
+``rng.random((n, k))`` and leave ``rng`` where that call would.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
+
+#: values per block yielded by :func:`_uniform_row_blocks` (512 KiB of float64)
+_BLOCK_VALUES = 1 << 16
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -20,3 +31,17 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence((int(seed), *(int(s) for s in stream))))
     )
+
+
+def _uniform_row_blocks(
+    rng: np.random.Generator, n: int, k: int, block_values: int = _BLOCK_VALUES
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Consecutive row blocks ``(start, u)`` of ``rng.random((n, k))``.
+
+    Each ``u`` holds about ``block_values`` values (at least one row); the
+    blocks concatenate to that single call bit for bit, so a caller that
+    consumes them in order needs O(block) memory for its uniforms.
+    """
+    rows = max(1, block_values // max(k, 1))
+    for start in range(0, n, rows):
+        yield start, rng.random((min(rows, n - start), k))

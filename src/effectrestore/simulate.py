@@ -11,7 +11,11 @@ population moments alongside the sample.
 Sampling is deterministic given (spec, n, seed): draws come from the
 seeded stream of :func:`effectrestore.rng.make_rng` as consecutive
 uniform blocks in a fixed order (z, x, y, w for discrete; z, e_x, e_y,
-e_w, e_v for linear), each block in sample order.
+e_w, e_v for linear), each block in sample order.  With K proxy
+components the w block is one record-major (n, K) block, as
+``rng.random((n, K))`` would draw it; it is drawn in row blocks that
+concatenate to exactly that block, so ``simulate_discrete`` works in the
+memory of its int64 output plus one block of about 2^16 uniforms.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .errors import ValidationError
 from .linear import CovStats, LinearSemSpec
 from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic, component_mechanism
 from .restore import pushforward
-from .rng import make_rng
+from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable, adjust_for_confounder
 
 @dataclass(frozen=True, eq=False)
@@ -138,17 +142,39 @@ class DiscreteModelSpec:
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteModelSpec":
         try:
-            p_z = np.asarray(data["p_z"], dtype=float)
-            p_xz = np.asarray(data["p_x_given_z"], dtype=float).T
-            p_yxz = np.moveaxis(np.asarray(data["p_y_given_xz"], dtype=float), -1, 0)
+            if not isinstance(data, dict):
+                raise TypeError(f"expected an object, got {type(data).__name__}")
+            p_z = _json_floats(data, "p_z")
+            p_xz = _json_floats(data, "p_x_given_z").T
+            p_yxz = np.moveaxis(_json_floats(data, "p_y_given_xz"), -1, 0)
             err = data["error"]
+            if not isinstance(err, dict):
+                raise TypeError(f"error must be an object, got {type(err).__name__}")
             if "matrix" in err:
                 error: ErrorMatrix | tuple = ErrorMatrix.from_json_dict(err["matrix"])
             else:
-                error = tuple(BinaryErrorParams.from_json_dict(e) for e in err["components"])
-        except (KeyError, TypeError, ValueError) as exc:
+                components = err["components"]
+                if not isinstance(components, list):
+                    raise TypeError(
+                        f"error components must be a list, got {type(components).__name__}"
+                    )
+                error = tuple(BinaryErrorParams.from_json_dict(e) for e in components)
+        except ValidationError:
+            raise  # a mechanism's own error, already named
+        except KeyError as exc:
+            raise ValidationError(f"malformed discrete-model JSON: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed discrete-model JSON: {exc}") from exc
         return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz, error=error)
+
+
+def _json_floats(data: dict, name: str) -> np.ndarray:
+    """The nested list of JSON numbers ``data[name]`` as a float array; strings,
+    booleans, nulls and integers beyond float64 are refused, not parsed."""
+    arr = np.asarray(data[name])
+    if arr.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be nested lists of numbers")
+    return arr.astype(float)
 
 
 def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -184,26 +210,29 @@ def simulate_discrete(
     if n < 0:
         raise ValidationError("n must be >= 0")
     rng = make_rng(seed)
-    u_z, u_x, u_y = rng.random(n), rng.random(n), rng.random(n)
-    z = np.searchsorted(np.cumsum(spec.p_z), u_z, side="left")
+    # each uniform block is drawn where it is used, in the documented order
+    z = np.searchsorted(np.cumsum(spec.p_z), rng.random(n), side="left")
     cum_x = np.cumsum(spec.p_x_given_z, axis=0)
-    x = _draw_categorical(cum_x.T[z], u_x)
+    x = _draw_categorical(cum_x.T[z], rng.random(n))
     cum_y = np.cumsum(spec.p_y_given_xz, axis=0)
-    y = _draw_categorical(np.moveaxis(cum_y, 0, -1)[x, z], u_y)
-    if spec.k_components is None:
-        mech = spec.mechanism()
-        u_w = rng.random(n)
-        w = _draw_by_column(np.cumsum(mech.dense(), axis=0), z, u_w)
-        samples = np.column_stack([x, y, w]).astype(int)
+    y = _draw_categorical(np.moveaxis(cum_y, 0, -1)[x, z], rng.random(n))
+    k = spec.k_components
+    samples = np.empty((n, 3 if k is None else 2 + k), dtype=np.int64)
+    samples[:, 0], samples[:, 1] = x, y
+    del x, y
+    if k is None:
+        cum_w = np.cumsum(spec.mechanism().dense(), axis=0)
+        samples[:, 2] = _draw_by_column(cum_w, z, rng.random(n))
     else:
-        k = spec.k_components
-        u_w = rng.random((n, k))
-        cols = []
-        for i, err in enumerate(spec.error):
-            bit = (z >> (k - 1 - i)) & 1
-            p_w1 = np.where(bit == 1, 1.0 - err.eps, err.delta)
-            cols.append((u_w[:, i] < p_w1).astype(int))
-        samples = np.column_stack([x, y, *cols]).astype(int)
+        # P(w_i = 1 | bit i of z), indexed [i, bit]; component 0 reads the
+        # most significant bit
+        p_w1 = np.array([[err.delta, 1.0 - err.eps] for err in spec.error])
+        shifts = np.arange(k - 1, -1, -1)
+        components = np.arange(k)
+        for start, u_w in _uniform_row_blocks(rng, n, k):
+            stop = start + u_w.shape[0]
+            bits = (z[start:stop, None] >> shifts) & 1
+            samples[start:stop, 2:] = u_w < p_w1[components, bits]
     return samples, spec.effect_table()
 
 

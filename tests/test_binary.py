@@ -303,11 +303,13 @@ def loop_synthesize_samples(samples, errs, seed):
 
 
 class TestSynthesizeSamples:
-    @pytest.mark.parametrize("case", range(8))
+    @pytest.mark.parametrize("case", range(10))
     def test_matches_per_group_loop(self, case):
-        # same draws, same warnings in the same order, same first error
+        # same draws, same warnings in the same order, same first error; cases
+        # 8 and 9 (K = 4 and 5) span several row blocks of 2^16 uniforms
         rng = np.random.default_rng(case)
-        n, k = (0, 37, 1000, 5000)[case % 4], 1 + case % 5
+        n = 70_000 if case >= 8 else (0, 37, 1000, 5000)[case % 4]
+        k = 1 + case % 5
         samples = (rng.random((n, 2 + k)) < rng.uniform(0.2, 0.8, 2 + k)).astype(int)
         if case == 5:
             samples[:, 0] = 0
@@ -381,6 +383,24 @@ class TestSynthesizeSamples:
         samples = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # no (1, 1) group
         with pytest.warns(RuntimeWarning, match=r"x=1, y=1"):
             synthesize_samples(samples, [BinaryErrorParams(0.0, 0.0)], seed=0)
+
+    def test_memory_stays_near_the_output(self):
+        # uniforms are drawn in row blocks straight into the output's w columns
+        import tracemalloc
+
+        rng = np.random.default_rng(15)
+        k, n = 12, 100_000
+        samples = rng.integers(0, 2, size=(n, 2 + k))
+        errs = [BinaryErrorParams(*rng.uniform(0.05, 0.15, 2)) for _ in range(k)]
+        synthesize_samples(samples[:1000], errs, seed=1)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            out = synthesize_samples(samples, errs, seed=16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.dtype == np.int64
+        assert peak < 1.5 * out.nbytes
 
     def test_shape_and_values_validated(self):
         errs = [BinaryErrorParams(0.1, 0.1)]

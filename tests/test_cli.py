@@ -32,6 +32,14 @@ from effectrestore.mechanism import ErrorMatrix
 from strategies import lu_from
 
 
+#: valid model documents for ``simulate-linear`` and ``simulate-discrete``
+LINEAR_MODEL = {"c0": 0.5, "c1": 0.9, "c2": 0.7, "c3": 1.1, "var_z": 1.0, "var_ex": 1.0,
+                "var_ey": 1.0, "var_ew": 0.3, "c_v": 0.8, "var_ev": 0.4}
+DISCRETE_MODEL = binary_spec(
+    0.5, [0.8, 0.2], [[0.2, 0.6], [0.4, 0.9]], BinaryErrorParams(0.2, 0.1)
+).to_json_dict()
+
+
 @pytest.fixture()
 def strong_confounding_spec():
     return binary_spec(
@@ -460,6 +468,26 @@ class TestUsageErrors:
         write_samples_csv(samples, ["x", "y", "w"], np.zeros((4, 3)), integer=True)
         code = main(["restore-binary", "--in", str(samples), "--error", str(bad)])
         assert code == 1
+
+    @pytest.mark.parametrize("command, doc, fault", [
+        ("simulate-linear", [1], "linear-model JSON: expected an object, got list"),
+        ("simulate-linear", {k: v for k, v in LINEAR_MODEL.items() if k != "c3"},
+         "linear-model JSON: missing field 'c3'"),
+        ("simulate-linear", {**LINEAR_MODEL, "c0": "0.5"},
+         "linear-model JSON: c0 must be a number, got str"),
+        ("simulate-discrete", [1], "discrete-model JSON: expected an object, got list"),
+        ("simulate-discrete", {k: v for k, v in DISCRETE_MODEL.items() if k != "p_z"},
+         "discrete-model JSON: missing field 'p_z'"),
+        ("simulate-discrete", {**DISCRETE_MODEL, "error": [DISCRETE_MODEL["error"]]},
+         "discrete-model JSON: error must be an object, got list"),
+    ])
+    def test_malformed_model_json_names_the_fault(self, tmp_path, command, doc, fault):
+        model = tmp_path / "model.json"
+        dump_json(doc, model)
+        code, out, err, leaked = run_main(
+            [command, "--in", str(model), "--out", str(tmp_path / "s.csv"), "--n", "5"])
+        assert (code, out, leaked) == (1, "", [])
+        assert err == f"effectrestore {command}: error: malformed {fault}\n"
 
     @pytest.mark.parametrize("flags", [["--strata", "5"], ["--smooth"], ["--smooth", "0.1"]])
     def test_restore_discrete_refuses_flags_it_cannot_use(self, tmp_path, capsys, flags):
@@ -957,6 +985,87 @@ class TestRestoreDiscreteJsonFuzz:
         assert (code, out, leaked) == (1, "", [])
         assert err.startswith("effectrestore restore-discrete: error: malformed joint-table "
                               "JSON: cells must be a flat list or nested as cards")
+
+
+def json_paths(doc, path=()):
+    """Every path into a JSON document below its root, with the value there."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key), value
+        yield from json_paths(value, (*path, key))
+
+
+@st.composite
+def model_documents(draw):
+    """A simulator subcommand, a model JSON document for it (as text) and
+    whether the document is malformed: a list in place of the object, a
+    missing field, a string, a NaN or an extra list around one value.  A
+    huge number is not malformed in itself: its moments may overflow."""
+    command = draw(st.sampled_from(["simulate-linear", "simulate-discrete"]))
+    if command == "simulate-linear":
+        doc = dict(LINEAR_MODEL)
+    else:
+        err = {"matrix": ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1)).to_json_dict()}
+        doc = {**DISCRETE_MODEL, "error": draw(st.sampled_from([DISCRETE_MODEL["error"], err]))}
+    doc = json.loads(json.dumps(doc))  # a deep copy
+    flaw = draw(st.sampled_from([None, "list", "missing", "string", "nan", "nesting", "huge"]))
+    if flaw == "list":
+        return command, json.dumps(draw(st.sampled_from([[], [doc], list(doc.values())]))), True
+    paths = list(json_paths(doc))
+    numbers = [p for p, v in paths if isinstance(v, (int, float))]
+    objects = [p for p, v in paths if isinstance(v, dict)]
+    if flaw == "missing":
+        # a field of the model or of one of its error components
+        parent = draw(st.sampled_from([(), *objects]))
+        holder = doc
+        for key in parent:
+            holder = holder[key]
+        del holder[draw(st.sampled_from(sorted(holder)))]
+        if command == "simulate-linear" and not {"c_v", "var_ev"} & set(doc):
+            return command, json.dumps(doc), False  # both V fields left out: a valid model
+    elif flaw is not None:
+        path = draw(st.sampled_from(
+            numbers if flaw in ("nan", "huge") else [p for p, _ in paths]))
+        holder = doc
+        for key in path[:-1]:
+            holder = holder[key]
+        value = holder[path[-1]]
+        holder[path[-1]] = {
+            "string": draw(st.sampled_from(["0.5", "abc", ""])),
+            "nan": float("nan"),
+            "nesting": [value],
+            "huge": draw(st.sampled_from([1e300, -1e300, 10**400])),
+        }[flaw]
+        # an extra list around a mechanism's entries keeps their count, so
+        # they are still read in column-major order
+        if flaw == "nesting" and "entries" in path:
+            return command, json.dumps(doc), False
+    return command, json.dumps(doc), flaw not in (None, "huge")
+
+
+class TestSimulateModelJsonFuzz:
+    """Fuzz of the simulators' model JSON: every document exits 0, 1 or 2,
+    a malformed one exits 1, and none prints a traceback or a raw warning."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(model_documents())
+    def test_exit_status_without_traceback(self, proxy_samples, case):
+        command, text, malformed = case
+        model = proxy_samples.with_name("fuzz_model.json")
+        model.write_text(text)  # json writes NaN
+        code, out, err, leaked = run_main(
+            [command, "--in", str(model), "--out", str(proxy_samples.with_name("fuzz_sim.csv")),
+             "--n", "20"])
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err and not re.search(r"\w+Warning\b", err), err
+        assert leaked == []
+        if malformed:
+            assert code == 1, out
+        if code == 1:
+            assert out == ""
+            assert err.splitlines()[-1].startswith(f"effectrestore {command}: error: ")
+        else:
+            assert json.loads(out)["method"] == command
 
 
 #: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported while an

@@ -94,6 +94,31 @@ class TestCovStats:
         back = CovStats.from_json_dict(s.to_json_dict())
         assert back == s
 
+    # the simulate-linear CLI tests cover the linear model's list and missing field
+    @pytest.mark.parametrize("cls, doc, message", [
+        (CovStats, [1], "covariance-stats JSON: expected an object, got list"),
+        (CovStats, {"var_x": 1.0, "var_y": 1.0, "var_w": 1.0, "cov_xy": 0.0, "cov_xw": 0.0},
+         "covariance-stats JSON: missing field 'cov_yw'"),
+        (CovStats, {"var_x": 1.0, "var_y": 1.0, "var_w": 1.0, "cov_xy": 0.0, "cov_xw": 0.0,
+                    "cov_yw": 0.0, "n": 2.5}, "covariance-stats JSON: n must be an integer"),
+        (LinearSemSpec, {"c0": 1.0, "c1": 1.0, "c2": 1.0, "c3": [1.0], "var_z": 1.0,
+                         "var_ex": 1.0, "var_ey": 1.0, "var_ew": 1.0},
+         "linear-model JSON: c3 must be a number, got list"),
+        (LinearSemSpec, {"c0": 1.0, "c1": 1.0, "c2": 1.0, "c3": 1.0, "var_z": 10**400,
+                         "var_ex": 1.0, "var_ey": 1.0, "var_ew": 1.0},
+         "linear-model JSON: int too large to convert to float"),
+    ])
+    def test_malformed_json_names_the_fault(self, cls, doc, message):
+        with pytest.raises(ValidationError, match=f"^malformed {message}"):
+            cls.from_json_dict(doc)
+
+    def test_moments_beyond_float64_are_refused(self):
+        spec = LinearSemSpec(
+            c0=0.5, c1=1e200, c2=1.0, c3=1.0, var_z=1.0, var_ex=1.0, var_ey=1.0, var_ew=1.0
+        )
+        with pytest.raises(ValidationError, match="overflow float64"):
+            spec.population_cov()
+
 
 class TestPathTracing:
     def test_zero_coefficients_disconnect_everything(self):

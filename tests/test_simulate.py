@@ -25,6 +25,19 @@ def example_spec():
     )
 
 
+def component_spec(rng, k):
+    """A model with K binary proxy components and random conditionals."""
+    n_z = 2**k
+    p_x1 = rng.uniform(0.2, 0.8, n_z)
+    p_y1 = rng.uniform(0.2, 0.8, (2, n_z))
+    return DiscreteModelSpec(
+        p_z=rng.dirichlet(np.ones(n_z)),
+        p_x_given_z=np.stack([1.0 - p_x1, p_x1]),
+        p_y_given_xz=np.stack([1.0 - p_y1, p_y1]),
+        error=tuple(BinaryErrorParams(*rng.uniform(0.0, 0.3, 2)) for _ in range(k)),
+    )
+
+
 class TestDiscreteModelSpec:
     def test_conditionals_must_be_distributions(self):
         with pytest.raises(ValidationError):
@@ -149,6 +162,26 @@ class TestSimulateDiscrete:
         assert samples.shape == (1000, 4)
         assert set(np.unique(samples[:, 2:])) <= {0, 1}
 
+    @pytest.mark.parametrize("k, n", [(12, 0), (12, 1000), (12, 20_000), (3, 70_000)])
+    def test_component_columns_follow_the_documented_stream(self, k, n):
+        # oracle from the module docstring: u_z, u_x, u_y (n each), then one
+        # record-major (n, K) block; column i is u_w[:, i] < P(w_i = 1 | bit_i(z)).
+        # 20_000 rows at K = 12 and 70_000 at K = 3 span more than three row
+        # blocks of 2^16 values, the last one partial
+        spec = component_spec(np.random.default_rng(k + n), k)
+        errs = spec.error
+        samples, _ = simulate_discrete(spec, n, seed=13)
+        stream = make_rng(13)
+        u_z, _, _ = (stream.random(n) for _ in range(3))
+        u_w = stream.random((n, k))
+        z = np.searchsorted(np.cumsum(spec.p_z), u_z, side="left")
+        want = np.empty((n, k), dtype=np.int64)
+        for i, err in enumerate(errs):
+            bit = (z >> (k - 1 - i)) & 1
+            want[:, i] = u_w[:, i] < np.where(bit == 1, 1.0 - err.eps, err.delta)
+        assert samples.dtype == np.int64 and samples.shape == (n, 2 + k)
+        np.testing.assert_array_equal(samples[:, 2:], want)
+
     def test_latent_draw_is_inverse_cdf_count(self):
         # noiseless components copy the bits of z, so the draw can be checked
         # against the inverse-CDF count (u > cdf).sum(), zero-mass values included
@@ -217,6 +250,22 @@ class TestSimulateDiscrete:
         finally:
             tracemalloc.stop()
         assert peak < n * 256 * 8 / 8
+
+    def test_component_draw_memory_stays_near_the_output(self):
+        # the w columns are filled row block by row block, so the uniforms
+        # never take an (n, K) array of their own
+        import tracemalloc
+
+        spec = component_spec(np.random.default_rng(14), 12)
+        n = 100_000
+        simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            samples, _ = simulate_discrete(spec, n, seed=15)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * samples.nbytes
 
 
 class TestSimulateLinear:
