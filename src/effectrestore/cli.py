@@ -73,11 +73,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_binary_params(path: str) -> list[BinaryErrorParams]:
     data = load_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list) or not data:
-        raise ValidationError(f"{path}: expected an error-params object or nonempty list")
-    return [BinaryErrorParams.from_json_dict(d) for d in data]
+    if data == []:
+        raise ValidationError(f"{path}: the list of error params is empty")
+    items = data if isinstance(data, list) else [data]
+    return [BinaryErrorParams.from_json_dict(d) for d in items]
 
 
 def _read_discrete_samples(path: str, width: int | None = None) -> np.ndarray:

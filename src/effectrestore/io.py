@@ -13,18 +13,22 @@ parser, so the grammar, the values and the row-numbered messages are the
 same either way.  JSON is written with
 full round-trip float precision (shortest representation recovering the
 exact double, up to 17 significant digits), so written files read back
-bit-exactly.
+bit-exactly.  Every ``from_json_dict`` reads through the ``_json_*`` helpers:
+numbers only, JSON integers for counts, regular arrays, no unknown fields.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import locale
 import math
 import warnings
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Any, NoReturn
+from typing import Any, Collection, Iterator, NoReturn
 
 import numpy as np
 
@@ -36,14 +40,8 @@ def _to_jsonable(obj: Any) -> Any:
         return {str(k): _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # Python floats, ints and bools, nested as the array
     return obj
 
 
@@ -60,6 +58,67 @@ def load_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
+
+
+@contextmanager
+def _json_object(what: str, data: object, known: Collection[str]) -> Iterator[None]:
+    """Read ``data``, a JSON object with no field outside ``known``, in this block.
+
+    A KeyError in the block becomes "malformed {what} JSON: missing field 'k'"
+    and a TypeError, ValueError or OverflowError "malformed {what} JSON: ...";
+    a ValidationError (a nested document's or a constructor's) passes through.
+    """
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"expected an object, got {type(data).__name__}")
+        unknown = next((name for name in data if name not in known), None)
+        if unknown is not None:
+            raise ValueError(f"unknown field {unknown!r}")
+        yield
+    except ValidationError:
+        raise
+    except KeyError as exc:
+        raise ValidationError(f"malformed {what} JSON: missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
+
+
+def _json_array(value: object, name: str) -> np.ndarray:
+    """Regular nested lists of JSON numbers as a float64 array.  Strings, booleans,
+    nulls and objects raise TypeError (``np.asarray`` reads [0.5, true] as
+    [0.5, 1.0]), ragged lists ValueError, integers beyond float64 OverflowError."""
+    arr = np.asarray(value)
+    leaves: Any = [value]
+    for _ in range(arr.ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    others = set(map(type, leaves)) - {int, float}
+    if others:
+        kind = min(t.__name__ for t in others)
+        raise TypeError(f"{name} must be nested lists of numbers, got {kind}")
+    return arr.astype(float, copy=False)
+
+
+def _json_fields(cls: type, data: object, what: str, integers: Collection[str] = ()) -> dict:
+    """Keyword arguments for the dataclass ``cls`` from a JSON object of numbers:
+    floats, JSON integers for the fields named in ``integers``; ``null`` leaves
+    out a field whose default is None.  Faults are named as by _json_object."""
+    known = {f.name: f for f in fields(cls)}
+    kwargs = {}
+    with _json_object(what, data, known):
+        for name, f in known.items():
+            if f.default is MISSING and name not in data:
+                raise KeyError(name)
+        for name, value in data.items():
+            if value is None and known[name].default is None:
+                continue
+            kinds = (int,) if name in integers else (int, float)
+            if type(value) not in kinds:
+                kind = "an integer" if name in integers else "a number"
+                raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
+            kwargs[name] = value if name in integers else float(value)
+    return kwargs
 
 
 def read_samples_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
@@ -73,13 +132,15 @@ def read_samples_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     with open(path) as fh:
         try:
             header = next(csv.reader(fh))
+            n_rows = _count_lines(path) - 1  # decodes the whole file
         except StopIteration:
             raise ValidationError(f"{path} is empty") from None
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not {exc.encoding} text: {exc.reason}") from None
         width = len(header)
         if width == 0:
             raise ValidationError(f"{path} has an empty header")
         names = [h.strip() for h in header]
-        n_rows = _count_lines(path) - 1
         if n_rows == 0:
             return names, np.empty((0, width))
         try:

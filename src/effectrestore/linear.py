@@ -33,7 +33,7 @@ import math
 import os
 import threading
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import (
     UnidentifiableError,
     ValidationError,
 )
+from .io import _json_fields
 from .rng import make_rng
 
 #: relative tolerance certifying a denominator as nonvanishing
@@ -65,39 +66,6 @@ _PAIRS = (
     ("cov_yv", "var_y", "var_v"),
     ("cov_wv", "var_w", "var_v"),
 )
-
-
-def _json_numbers(cls: type, data: object, what: str, integers: tuple[str, ...] = ()) -> dict:
-    """Keyword arguments for the dataclass ``cls`` from a JSON object of numbers.
-
-    Every value is converted to float, except those named in ``integers``
-    (which must be JSON integers); ``null`` leaves out an optional field.
-    The fault is named in a ValidationError: not an object, a missing or
-    unknown field, or a value that is not a number.
-    """
-    try:
-        if not isinstance(data, dict):
-            raise TypeError(f"expected an object, got {type(data).__name__}")
-        known = {f.name: f for f in fields(cls)}
-        for name, f in known.items():
-            if f.default is MISSING and name not in data:
-                raise KeyError(name)
-        kwargs = {}
-        for name, value in data.items():
-            if name not in known:
-                raise ValueError(f"unknown field {name!r}")
-            if value is None and known[name].default is None:
-                continue
-            kinds = (int,) if name in integers else (int, float)
-            if type(value) not in kinds:
-                kind = "an integer" if name in integers else "a number"
-                raise TypeError(f"{name} must be {kind}, got {type(value).__name__}")
-            kwargs[name] = value if name in integers else float(value)
-        return kwargs
-    except KeyError as exc:
-        raise ValidationError(f"malformed {what} JSON: missing field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed {what} JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -155,7 +123,7 @@ class CovStats:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CovStats":
-        return cls(**_json_numbers(cls, data, "covariance-stats", integers=("n",)))
+        return cls(**_json_fields(cls, data, "covariance-stats", integers=("n",)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +206,7 @@ class LinearSemSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearSemSpec":
-        return cls(**_json_numbers(cls, data, "linear-model"))
+        return cls(**_json_fields(cls, data, "linear-model"))
 
 
 def _require_v(s: CovStats, what: str) -> None:

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SingularError, ValidationError
+from .io import _json_array, _json_fields, _json_object
 
 #: column sums must match 1 within this tolerance
 TOL_STOCHASTIC = 1e-12
@@ -407,40 +408,35 @@ class ErrorMatrix:
     def to_json_dict(self) -> dict:
         out: dict = {"n_w": self.n_w, "n_z": self.n_z}
         if self.entries is not None:
-            out["entries"] = [float(v) for v in self.entries.ravel(order="F")]
+            out["entries"] = self.entries.ravel(order="F").tolist()
         else:
             out["factors"] = [f.to_json_dict() for f in self.factors]
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ErrorMatrix":
-        try:
-            if not isinstance(data, dict):
-                raise TypeError(f"expected an object, got {type(data).__name__}")
-            factors = None
+        """``n_w`` and ``n_z`` shape dense ``entries``; beside ``factors`` they are optional."""
+        with _json_object("error-matrix", data, ("n_w", "n_z", "entries", "factors")):
+            sides = {name: data[name] for name in ("n_w", "n_z") if name in data}
+            # JSON integers only: int() would truncate 2.7 and read true or
+            # "2", and reshape would infer a -1 from the entries' length
+            if not all(type(v) is int and v >= 0 for v in sides.values()):
+                raise ValueError(f"n_w and n_z must be nonnegative integers, got {sides}")
+            factors = entries = None
             if data.get("factors"):
                 if not isinstance(data["factors"], list):
                     raise TypeError("factors must be a list of error-matrix objects")
                 factors = tuple(cls.from_json_dict(f) for f in data["factors"])
-            entries = None
-            if "entries" in data and data["entries"] is not None:
-                n_w, n_z = data["n_w"], data["n_z"]
-                # JSON integers only: int() would truncate 2.7 and read true or
-                # "2", and reshape would infer a -1 from the entries' length
-                if not all(type(v) is int and v >= 0 for v in (n_w, n_z)):
-                    raise ValueError(
-                        f"n_w and n_z must be nonnegative integers, got {n_w!r} and {n_z!r}"
-                    )
-                entries = np.asarray(data["entries"], dtype=float).reshape(
-                    (n_w, n_z), order="F"
+            if data.get("entries") is not None:
+                entries = _json_array(data["entries"], "entries").reshape(
+                    (data["n_w"], data["n_z"]), order="F"
                 )
-        except ValidationError:
-            raise  # a factor's own error, already named
-        except KeyError as exc:
-            raise ValidationError(f"malformed error-matrix JSON: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed error-matrix JSON: {exc}") from exc
-        return cls(entries=entries, factors=factors)
+            mech = cls(entries=entries, factors=factors)
+            declared = (sides.get("n_w", mech.n_w), sides.get("n_z", mech.n_z))
+            if declared != (mech.n_w, mech.n_z):
+                raise ValueError(f"n_w and n_z declare a {declared[0]}x{declared[1]} mechanism, "
+                                 f"the factors make a {mech.n_w}x{mech.n_z} one")
+            return mech
 
 
 @dataclass(frozen=True)
@@ -483,14 +479,7 @@ class BinaryErrorParams:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BinaryErrorParams":
-        try:
-            if not isinstance(data, dict):
-                raise TypeError(f"expected an object, got {type(data).__name__}")
-            return cls(eps=float(data["eps"]), delta=float(data["delta"]))
-        except KeyError as exc:
-            raise ValidationError(f"malformed binary error params JSON: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed binary error params JSON: {exc}") from exc
+        return cls(**_json_fields(cls, data, "binary error params"))
 
 
 def component_mechanism(errs: Sequence[BinaryErrorParams]) -> ErrorMatrix:

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .io import _json_array, _json_object
 from .linear import CovStats, LinearSemSpec
 from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic, component_mechanism
 from .restore import pushforward
@@ -129,7 +130,7 @@ class DiscreteModelSpec:
 
     def to_json_dict(self) -> dict:
         out = {
-            "p_z": [float(v) for v in self.p_z],
+            "p_z": self.p_z.tolist(),
             "p_x_given_z": self.p_x_given_z.T.tolist(),
             "p_y_given_xz": np.moveaxis(self.p_y_given_xz, 0, -1).tolist(),
         }
@@ -141,15 +142,15 @@ class DiscreteModelSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteModelSpec":
-        try:
-            if not isinstance(data, dict):
-                raise TypeError(f"expected an object, got {type(data).__name__}")
-            p_z = _json_floats(data, "p_z")
-            p_xz = _json_floats(data, "p_x_given_z").T
-            p_yxz = np.moveaxis(_json_floats(data, "p_y_given_xz"), -1, 0)
+        with _json_object("discrete-model", data, ("p_z", "p_x_given_z", "p_y_given_xz", "error")):
+            p_z = _json_array(data["p_z"], "p_z")
+            p_xz = _json_array(data["p_x_given_z"], "p_x_given_z").T
+            p_yxz = np.moveaxis(_json_array(data["p_y_given_xz"], "p_y_given_xz"), -1, 0)
             err = data["error"]
             if not isinstance(err, dict):
                 raise TypeError(f"error must be an object, got {type(err).__name__}")
+            if list(err) not in (["matrix"], ["components"]):
+                raise ValueError(f"error must hold 'matrix' or 'components' alone, got {list(err)}")
             if "matrix" in err:
                 error: ErrorMatrix | tuple = ErrorMatrix.from_json_dict(err["matrix"])
             else:
@@ -159,22 +160,7 @@ class DiscreteModelSpec:
                         f"error components must be a list, got {type(components).__name__}"
                     )
                 error = tuple(BinaryErrorParams.from_json_dict(e) for e in components)
-        except ValidationError:
-            raise  # a mechanism's own error, already named
-        except KeyError as exc:
-            raise ValidationError(f"malformed discrete-model JSON: missing field {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed discrete-model JSON: {exc}") from exc
-        return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz, error=error)
-
-
-def _json_floats(data: dict, name: str) -> np.ndarray:
-    """The nested list of JSON numbers ``data[name]`` as a float array; strings,
-    booleans, nulls and integers beyond float64 are refused, not parsed."""
-    arr = np.asarray(data[name])
-    if arr.dtype.kind not in "iuf":
-        raise TypeError(f"{name} must be nested lists of numbers")
-    return arr.astype(float)
+            return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz, error=error)
 
 
 def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:

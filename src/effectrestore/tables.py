@@ -21,6 +21,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import PositivityError, ValidationError
+from .io import _json_array, _json_object
 
 AXIS_LATENT = "Z"
 AXIS_PROXY = "W"
@@ -80,21 +81,19 @@ class JointTable:
     def to_json_dict(self) -> dict:
         return {
             "cards": [self.card_x, self.card_y, self.card_v],
-            "cells": [float(c) for c in self.cells.ravel(order="C")],
+            "cells": self.cells.ravel().tolist(),
             "axis": self.axis,
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointTable":
-        try:
-            if not isinstance(data, dict):
-                raise TypeError(f"expected an object, got {type(data).__name__}")
+        with _json_object("joint-table", data, ("cards", "cells", "axis")):
             cards = list(data["cards"])
             # JSON integers only: int() would truncate 2.7 and read true or "2",
             # and reshape would infer a -1 from the cells' length
             if len(cards) != 3 or not all(type(c) is int and c >= 0 for c in cards):
                 raise ValueError(f"cards must be three nonnegative integers, got {cards!r}")
-            cells = np.asarray(data["cells"], dtype=float)
+            cells = _json_array(data["cells"], "cells")
             # flat in C order, as to_json_dict writes, or nested as (x, y, v): any
             # other layout of the same size would be silently re-read.  math.prod,
             # unlike np.prod, cannot wrap around to match a short list
@@ -102,13 +101,7 @@ class JointTable:
                 raise ValueError(
                     f"cells must be a flat list or nested as cards {cards}, got shape {cells.shape}"
                 )
-            cells = cells.reshape(cards)
-            axis = str(data["axis"])
-        except KeyError as exc:
-            raise ValidationError(f"malformed joint-table JSON: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed joint-table JSON: {exc}") from exc
-        return cls(cells, axis)
+            return cls(cells.reshape(cards), data["axis"])
 
 
 @dataclass(frozen=True)

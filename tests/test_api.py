@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import effectrestore
+from effectrestore.errors import ValidationError
+from effectrestore.io import dump_json
 
 
 def public_callables():
@@ -40,6 +44,59 @@ def test_no_exported_callable_takes_a_tolerance_keyword():
             continue
         knobs += [f"{qualname}({p}=)" for p in params if is_tolerance_knob(p)]
     assert knobs == []
+
+
+def json_examples() -> dict:
+    """By class name, an instance of every exported class that reads JSON,
+    in each of its JSON forms."""
+    import numpy as np
+
+    er = effectrestore
+    rates = er.BinaryErrorParams(0.2, 0.1)
+    dense = er.ErrorMatrix(entries=np.array([[0.9, 0.2], [0.1, 0.8]]))
+    spec = er.binary_spec(0.5, [0.8, 0.2], [[0.2, 0.6], [0.4, 0.9]], rates)
+    return {
+        "BinaryErrorParams": [rates],
+        "CovStats": [er.CovStats(var_x=1.0, var_y=2.0, var_w=3.0, cov_xy=0.5, cov_xw=0.25,
+                                 cov_yw=0.75, n=10)],
+        "DiscreteModelSpec": [
+            spec, er.DiscreteModelSpec(spec.p_z, spec.p_x_given_z, spec.p_y_given_xz, dense)],
+        "ErrorMatrix": [dense, er.component_mechanism([rates, er.BinaryErrorParams(0.05, 0.3)])],
+        "JointTable": [er.JointTable(np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0, "W")],
+        "LinearSemSpec": [er.LinearSemSpec(c0=0.5, c1=0.9, c2=0.7, c3=1.1, var_z=1.0, var_ex=1.0,
+                                           var_ey=1.0, var_ew=0.3, c_v=0.8, var_ev=0.4)],
+    }
+
+
+def number_paths(doc, path=()):
+    """The path to every number in a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            if type(value) in (int, float):
+                yield (*path, key)
+            yield from number_paths(value, (*path, key))
+
+
+def test_every_json_reader_refuses_what_is_not_a_number():
+    # each reader loads its own written document back, and refuses a numeric
+    # string or a boolean in place of any one of its numbers
+    readers = {q.split(".")[0] for q, _ in public_callables() if q.endswith(".from_json_dict")}
+    examples = json_examples()
+    assert readers == set(examples)
+    for name, instances in examples.items():
+        cls = getattr(effectrestore, name)
+        for obj in instances:
+            text = dump_json(obj.to_json_dict(), None)
+            assert dump_json(cls.from_json_dict(json.loads(text)).to_json_dict(), None) == text
+            for path in number_paths(json.loads(text)):
+                for bad in ("string", "boolean"):
+                    doc = json.loads(text)
+                    holder = doc
+                    for key in path[:-1]:
+                        holder = holder[key]
+                    holder[path[-1]] = repr(holder[path[-1]]) if bad == "string" else True
+                    with pytest.raises(ValidationError):
+                        cls.from_json_dict(doc)
 
 
 def run_probe(code: str, env: dict | None = None) -> dict:

@@ -468,6 +468,21 @@ class TestUsageErrors:
         write_samples_csv(samples, ["x", "y", "w"], np.zeros((4, 3)), integer=True)
         code = main(["restore-binary", "--in", str(samples), "--error", str(bad)])
         assert code == 1
+        # bytes that do not decode: a rate file, a CSV header and a CSV body
+        bad.write_bytes(b"\xff\xfe{}")
+        header = tmp_path / "header.csv"
+        header.write_bytes(b"\xff\xfex,y,w\n1,2,3\n")
+        body = tmp_path / "body.csv"
+        body.write_bytes(b"x,y,w\n1,2,3\n1,2,\xff\n")
+        for argv, path in (
+            (["effect-binary", "--in", str(samples), "--error", str(bad)], bad),
+            (["effect-linear", "--in", str(header), "--lambda", "0.5"], header),
+            (["effect-linear", "--in", str(body), "--lambda", "0.5"], body),
+        ):
+            code, out, err, leaked = run_main(argv)
+            assert (code, out, leaked) == (1, "", []), err
+            assert err.startswith(f"effectrestore {argv[0]}: error: {path} is not "), err
+            assert err.endswith(" text: invalid start byte\n"), err
 
     @pytest.mark.parametrize("command, doc, fault", [
         ("simulate-linear", [1], "linear-model JSON: expected an object, got list"),
@@ -999,8 +1014,9 @@ def json_paths(doc, path=()):
 def model_documents(draw):
     """A simulator subcommand, a model JSON document for it (as text) and
     whether the document is malformed: a list in place of the object, a
-    missing field, a string, a NaN or an extra list around one value.  A
-    huge number is not malformed in itself: its moments may overflow."""
+    missing field, a string, a boolean in place of a number, a NaN or an
+    extra list around one value.  A huge number is not malformed in itself:
+    its moments may overflow."""
     command = draw(st.sampled_from(["simulate-linear", "simulate-discrete"]))
     if command == "simulate-linear":
         doc = dict(LINEAR_MODEL)
@@ -1008,7 +1024,8 @@ def model_documents(draw):
         err = {"matrix": ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1)).to_json_dict()}
         doc = {**DISCRETE_MODEL, "error": draw(st.sampled_from([DISCRETE_MODEL["error"], err]))}
     doc = json.loads(json.dumps(doc))  # a deep copy
-    flaw = draw(st.sampled_from([None, "list", "missing", "string", "nan", "nesting", "huge"]))
+    flaw = draw(st.sampled_from(
+        [None, "list", "missing", "string", "boolean", "nan", "nesting", "huge"]))
     if flaw == "list":
         return command, json.dumps(draw(st.sampled_from([[], [doc], list(doc.values())]))), True
     paths = list(json_paths(doc))
@@ -1025,13 +1042,14 @@ def model_documents(draw):
             return command, json.dumps(doc), False  # both V fields left out: a valid model
     elif flaw is not None:
         path = draw(st.sampled_from(
-            numbers if flaw in ("nan", "huge") else [p for p, _ in paths]))
+            numbers if flaw in ("boolean", "nan", "huge") else [p for p, _ in paths]))
         holder = doc
         for key in path[:-1]:
             holder = holder[key]
         value = holder[path[-1]]
         holder[path[-1]] = {
             "string": draw(st.sampled_from(["0.5", "abc", ""])),
+            "boolean": draw(st.booleans()),
             "nan": float("nan"),
             "nesting": [value],
             "huge": draw(st.sampled_from([1e300, -1e300, 10**400])),

@@ -107,6 +107,13 @@ class TestCovStats:
         (LinearSemSpec, {"c0": 1.0, "c1": 1.0, "c2": 1.0, "c3": 1.0, "var_z": 10**400,
                          "var_ex": 1.0, "var_ey": 1.0, "var_ew": 1.0},
          "linear-model JSON: int too large to convert to float"),
+        (CovStats, {"var_x": True, "var_y": 1.0, "var_w": 1.0, "cov_xy": 0.0, "cov_xw": 0.0,
+                    "cov_yw": 0.0}, "covariance-stats JSON: var_x must be a number, got bool"),
+        (CovStats, {"var_x": 1.0, "var_y": 1.0, "var_w": 1.0, "cov_xy": 0.0, "cov_xw": 0.0,
+                    "cov_yw": 0.0, "n": True}, "covariance-stats JSON: n must be an integer"),
+        (LinearSemSpec, {"c0": 1.0, "c1": 1.0, "c2": 1.0, "c3": 1.0, "var_z": 1.0,
+                         "var_ex": 1.0, "var_ey": 1.0, "var_ew": 1.0, "c4": 1.0},
+         "linear-model JSON: unknown field 'c4'"),
     ])
     def test_malformed_json_names_the_fault(self, cls, doc, message):
         with pytest.raises(ValidationError, match=f"^malformed {message}"):

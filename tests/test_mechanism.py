@@ -57,6 +57,14 @@ class TestErrorMatrix:
         ([1.0], "expected an object, got list"),
         ({"n_z": 1, "entries": [1.0]}, "missing field 'n_w'"),
         ({"n_w": 1, "entries": [1.0]}, "missing field 'n_z'"),
+        ({"n_w": 2, "n_z": 2, "entries": ["0.9", "0.1", "0.1", "0.9"]},
+         "entries must be nested lists of numbers, got str"),
+        # numpy alone reads this as the 2x2 identity
+        ({"n_w": 2, "n_z": 2, "entries": [1, 0, 0, True]},
+         "entries must be nested lists of numbers, got bool"),
+        ({"n_w": 7, "n_z": 3, "factors": [{"n_w": 2, "n_z": 2, "entries": [1, 0, 0, 1]}]},
+         "n_w and n_z declare a 7x3 mechanism, the factors make a 2x2 one"),
+        ({"n_w": 1, "n_z": 1, "entries": [1.0], "kind": "dense"}, "unknown field 'kind'"),
     ])
     def test_malformed_json_names_the_fault(self, doc, message):
         with pytest.raises(ValidationError) as info:
@@ -143,6 +151,9 @@ class TestBinaryErrorParams:
     @pytest.mark.parametrize("doc, message", [
         ([0.1, 0.2], "expected an object, got list"),
         ({"eps": 0.1}, "missing field 'delta'"),
+        ({"eps": "0.1", "delta": False}, "eps must be a number, got str"),
+        ({"eps": 0.1, "delta": False}, "delta must be a number, got bool"),
+        ({"eps": 0.1, "delta": 0.2, "z": 1}, "unknown field 'z'"),
     ])
     def test_malformed_json_names_the_fault(self, doc, message):
         with pytest.raises(ValidationError) as info:

@@ -207,6 +207,14 @@ class TestSerialization:
          "cells must be a flat list or nested as cards [274177, 67280421310721, 1], got shape (1,)"),
         ({"cards": [4294967296, 4294967296, 1], "cells": [], "axis": "W"},
          "cells must be a flat list or nested as cards [4294967296, 4294967296, 1], got shape (0,)"),
+        # numbers only: a numeric string, a boolean (numpy reads it as 1.0) or a null
+        ({"cards": [1, 2, 1], "cells": ["0.5", "0.5"], "axis": "W"},
+         "cells must be nested lists of numbers, got str"),
+        ({"cards": [1, 2, 1], "cells": [0, True], "axis": "W"},
+         "cells must be nested lists of numbers, got bool"),
+        ({"cards": [1, 2, 1], "cells": [[[0.5], [None]]], "axis": "W"},
+         "cells must be nested lists of numbers, got NoneType"),
+        ({"cards": [1, 1, 1], "cells": [1.0], "axis": "W", "note": "x"}, "unknown field 'note'"),
     ])
     def test_malformed_json_names_the_fault(self, doc, message):
         with pytest.raises(ValidationError) as info:
