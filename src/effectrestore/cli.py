@@ -230,10 +230,8 @@ def _cmd_test_dsep(args: argparse.Namespace) -> dict:
 def _cmd_simulate_discrete(args: argparse.Namespace) -> dict:
     spec = simulate.DiscreteModelSpec.from_json_dict(load_json(args.input))
     samples, effect = simulate.simulate_discrete(spec, args.n, args.seed)
-    if spec.k_components is None:
-        header = ["x", "y", "w"]
-    else:
-        header = ["x", "y"] + [f"w{i + 1}" for i in range(spec.k_components)]
+    k = spec.k_components
+    header = ["x", "y", "w"] if k is None else ["x", "y", *(f"w{i + 1}" for i in range(k))]
     write_samples_csv(args.out, header, samples, integer=True)
     payload = {"n": args.n, "seed": args.seed, "effect": effect, "written": args.out}
     if args.truth:

@@ -428,9 +428,10 @@ class ErrorMatrix:
                     raise TypeError("factors must be a list of error-matrix objects")
                 factors = tuple(cls.from_json_dict(f) for f in data["factors"])
             if data.get("entries") is not None:
-                entries = _json_array(data["entries"], "entries").reshape(
-                    (data["n_w"], data["n_z"]), order="F"
-                )
+                entries = _json_array(data["entries"], "entries")
+                if entries.ndim != 1:  # nested one list per z, reshape would read M^T
+                    raise ValueError(f"entries must be a flat list, got shape {entries.shape}")
+                entries = entries.reshape((data["n_w"], data["n_z"]), order="F")
             mech = cls(entries=entries, factors=factors)
             declared = (sides.get("n_w", mech.n_w), sides.get("n_z", mech.n_z))
             if declared != (mech.n_w, mech.n_z):

@@ -11,11 +11,7 @@ population moments alongside the sample.
 Sampling is deterministic given (spec, n, seed): draws come from the
 seeded stream of :func:`effectrestore.rng.make_rng` as consecutive
 uniform blocks in a fixed order (z, x, y, w for discrete; z, e_x, e_y,
-e_w, e_v for linear), each block in sample order.  With K proxy
-components the w block is one record-major (n, K) block, as
-``rng.random((n, K))`` would draw it; it is drawn in row blocks that
-concatenate to exactly that block, so ``simulate_discrete`` works in the
-memory of its int64 output plus one block of about 2^16 uniforms.
+e_w, e_v for linear), each block in sample order.
 """
 
 from __future__ import annotations
@@ -103,7 +99,7 @@ class DiscreteModelSpec:
 
     @property
     def k_components(self) -> int | None:
-        """Number of binary proxy components, or None for a dense mechanism."""
+        """Number of binary proxy components, or None for an ErrorMatrix."""
         return None if isinstance(self.error, ErrorMatrix) else len(self.error)
 
     def mechanism(self) -> ErrorMatrix:
@@ -170,10 +166,9 @@ def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _draw_by_column(cum: np.ndarray, col: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of sample i from the cumulative distribution
-    ``cum[:, col[i]]`` with uniform u[i]: one ``searchsorted`` per distinct
-    column over the samples that use it, so memory stays O(n + table)
-    where a per-sample row of the table would cost O(n * len(cum))."""
+    """Inverse-CDF draw of sample i from ``cum[:, col[i]]`` with uniform u[i]:
+    one ``searchsorted`` per distinct column over the samples that use it, so
+    memory stays O(n + table) where a row per sample would cost O(n * len(cum))."""
     out = np.empty(col.shape[0], dtype=np.intp)
     order = np.argsort(col, kind="stable")
     sorted_col = col[order]
@@ -190,8 +185,14 @@ def simulate_discrete(
     """n i.i.d. draws of (x, y, w) plus the exact effect table.
 
     Returns ``(samples, effect)`` where samples has integer columns
-    (x, y, w) for a dense mechanism or (x, y, w_1..w_K) for component
-    errors, and ``effect[x]`` is the analytic P(y | do(x)).
+    (x, y, w) for a ``matrix`` mechanism or (x, y, w_1..w_K) for K
+    components, and ``effect[x]`` is the analytic P(y | do(x)).
+
+    After the z, x and y blocks, W reads ``rng.random((n, K))`` in row
+    blocks, one column per dense factor of the mechanism (K = 1 for a dense
+    matrix), each drawn by inverse CDF from the factor's column for z's
+    digit, first factor most significant.  A matrix model writes the
+    mixed-radix w index, so no factored mechanism is ever expanded.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -202,23 +203,22 @@ def simulate_discrete(
     x = _draw_categorical(cum_x.T[z], rng.random(n))
     cum_y = np.cumsum(spec.p_y_given_xz, axis=0)
     y = _draw_categorical(np.moveaxis(cum_y, 0, -1)[x, z], rng.random(n))
+    mats = spec.mechanism()._mats
+    w_sides, z_sides = zip(*(m.shape for m in mats))
+    cums = [np.cumsum(m, axis=0) for m in mats]
     k = spec.k_components
     samples = np.empty((n, 3 if k is None else 2 + k), dtype=np.int64)
     samples[:, 0], samples[:, 1] = x, y
     del x, y
-    if k is None:
-        cum_w = np.cumsum(spec.mechanism().dense(), axis=0)
-        samples[:, 2] = _draw_by_column(cum_w, z, rng.random(n))
-    else:
-        # P(w_i = 1 | bit i of z), indexed [i, bit]; component 0 reads the
-        # most significant bit
-        p_w1 = np.array([[err.delta, 1.0 - err.eps] for err in spec.error])
-        shifts = np.arange(k - 1, -1, -1)
-        components = np.arange(k)
-        for start, u_w in _uniform_row_blocks(rng, n, k):
-            stop = start + u_w.shape[0]
-            bits = (z[start:stop, None] >> shifts) & 1
-            samples[start:stop, 2:] = u_w < p_w1[components, bits]
+    for start, u_w in _uniform_row_blocks(rng, n, len(mats)):
+        stop = start + u_w.shape[0]
+        # z's digit per factor in the smallest type, so the stable sort is a radix sort
+        digits = np.unravel_index(z[start:stop], z_sides)
+        w = [_draw_by_column(cum, d.astype(np.min_scalar_type(side - 1)), u)
+             for cum, d, side, u in zip(cums, digits, z_sides, u_w.T)]
+        if k is None:
+            w = [np.ravel_multi_index(w, w_sides)]
+        samples[start:stop, 2:] = np.column_stack(w)
     return samples, spec.effect_table()
 
 

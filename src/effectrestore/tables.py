@@ -180,7 +180,7 @@ def empirical_joint(
     *,
     smooth: float = 0.0,
 ) -> JointTable:
-    """Frequency table from integer samples with columns (x, y, v).
+    """Frequency table from integer (not float) samples with columns (x, y, v).
 
     ``smooth`` adds the given pseudo-count to every cell before
     normalizing (additive smoothing for empty cells); 0 keeps raw
@@ -191,14 +191,15 @@ def empirical_joint(
         raise ValidationError(f"samples must have shape (n, 3), got {arr.shape}")
     if smooth < 0.0:
         raise ValidationError("smooth must be >= 0")
-    cx, cy, cv = cards
-    idx = (arr[:, 0] * cy + arr[:, 1]) * cv + arr[:, 2]
-    # one max per column: a row-axis reduction over (n, 3) is several times slower
-    if arr.size and (arr.min() < 0 or any(arr[:, j].max() >= cards[j] for j in range(3))):
-        raise ValidationError("sample values out of range for the given cardinalities")
-    counts = np.bincount(idx.astype(int), minlength=cx * cy * cv).astype(float)
+    try:
+        idx = np.ravel_multi_index(tuple(arr.T), cards)
+    except ValueError:
+        raise ValidationError("sample values out of range for the given cardinalities") from None
+    except TypeError:
+        raise ValidationError(f"samples must be integers, got dtype {arr.dtype}") from None
+    counts = np.bincount(idx, minlength=math.prod(cards)).astype(float)
     counts += smooth
     total = counts.sum()
     if total <= 0.0:
         raise ValidationError("cannot build a table from zero samples without smoothing")
-    return JointTable((counts / total).reshape(cx, cy, cv), axis)
+    return JointTable((counts / total).reshape(cards), axis)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from effectrestore import ErrorMatrix, mechanism
+from effectrestore import BinaryErrorParams, ErrorMatrix, mechanism
 
 
 @contextlib.contextmanager
@@ -29,6 +29,12 @@ def stochastic_matrices(draw, n):
     raw = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.01, 1.0)))
     mix = draw(st.floats(0.0, 0.4))
     return (1.0 - mix) * np.eye(n) + mix * raw / raw.sum(axis=0)
+
+
+def binary_rate_lists(max_size=4):
+    """1 to ``max_size`` misclassification pairs, each with eps + delta <= 0.9."""
+    rates = st.floats(0.0, 0.45)
+    return st.lists(st.builds(BinaryErrorParams, rates, rates), min_size=1, max_size=max_size)
 
 
 @st.composite

@@ -65,6 +65,9 @@ class TestErrorMatrix:
         ({"n_w": 7, "n_z": 3, "factors": [{"n_w": 2, "n_z": 2, "entries": [1, 0, 0, 1]}]},
          "n_w and n_z declare a 7x3 mechanism, the factors make a 2x2 one"),
         ({"n_w": 1, "n_z": 1, "entries": [1.0], "kind": "dense"}, "unknown field 'kind'"),
+        # one list per z: doubly stochastic, so read column-major it would load as M^T
+        ({"n_w": 3, "n_z": 3, "entries": [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]]},
+         "entries must be a flat list, got shape (3, 3)"),
     ])
     def test_malformed_json_names_the_fault(self, doc, message):
         with pytest.raises(ValidationError) as info:

@@ -1,7 +1,11 @@
 """Simulator: model validation, analytic oracles, determinism, convergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from effectrestore import (
     BinaryErrorParams,
@@ -10,6 +14,7 @@ from effectrestore import (
     LinearSemSpec,
     ValidationError,
     binary_spec,
+    component_mechanism,
     cov_from_samples,
     empirical_joint,
     naive_effect,
@@ -17,6 +22,7 @@ from effectrestore import (
     simulate_linear,
 )
 from effectrestore.rng import make_rng
+from strategies import binary_rate_lists
 
 
 def example_spec():
@@ -164,8 +170,9 @@ class TestSimulateDiscrete:
 
     @pytest.mark.parametrize("k, n", [(12, 0), (12, 1000), (12, 20_000), (3, 70_000)])
     def test_component_columns_follow_the_documented_stream(self, k, n):
-        # oracle from the module docstring: u_z, u_x, u_y (n each), then one
-        # record-major (n, K) block; column i is u_w[:, i] < P(w_i = 1 | bit_i(z)).
+        # oracle from simulate_discrete's docstring: u_z, u_x, u_y (n each), then one
+        # record-major (n, K) block; column i is the inverse-CDF count
+        # (u_w[:, i] > cdf of P(w_i | bit_i(z))).sum().
         # 20_000 rows at K = 12 and 70_000 at K = 3 span more than three row
         # blocks of 2^16 values, the last one partial
         spec = component_spec(np.random.default_rng(k + n), k)
@@ -178,9 +185,25 @@ class TestSimulateDiscrete:
         want = np.empty((n, k), dtype=np.int64)
         for i, err in enumerate(errs):
             bit = (z >> (k - 1 - i)) & 1
-            want[:, i] = u_w[:, i] < np.where(bit == 1, 1.0 - err.eps, err.delta)
+            cdf = np.cumsum(err.matrix(), axis=0)
+            want[:, i] = (u_w[:, i, None] > cdf.T[bit]).sum(axis=1)
         assert samples.dtype == np.int64 and samples.shape == (n, 2 + k)
         np.testing.assert_array_equal(samples[:, 2:], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(binary_rate_lists(), st.integers(0, 20_000), st.integers(0, 2**32 - 1))
+    def test_matrix_model_draws_what_its_components_draw(self, errs, n, seed):
+        # W is drawn factor by factor for both forms of the error, so at one
+        # seed the matrix's w index is the radix-2 number the component
+        # columns spell
+        base = component_spec(np.random.default_rng(seed), len(errs))
+        parts, _ = simulate_discrete(replace(base, error=errs), n, seed=seed)
+        whole, _ = simulate_discrete(replace(base, error=component_mechanism(errs)), n, seed=seed)
+        assert whole.shape == (n, 3)
+        np.testing.assert_array_equal(whole[:, :2], parts[:, :2])
+        np.testing.assert_array_equal(
+            whole[:, 2], np.ravel_multi_index(tuple(parts[:, 2:].T), (2,) * len(errs))
+        )
 
     def test_latent_draw_is_inverse_cdf_count(self):
         # noiseless components copy the bits of z, so the draw can be checked
@@ -266,6 +289,22 @@ class TestSimulateDiscrete:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * samples.nbytes
+
+    def test_factored_matrix_draw_never_expands_the_mechanism(self):
+        # 13 binary factors make an 8192 x 8192 mechanism, above DENSE_CAP
+        import tracemalloc
+
+        spec = component_spec(np.random.default_rng(16), 13)
+        spec = replace(spec, error=component_mechanism(spec.error))
+        simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
+        tracemalloc.start()
+        try:
+            samples, _ = simulate_discrete(spec, 10_000, seed=17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert samples.shape == (10_000, 3) and samples[:, 2].max() < 2**13
+        assert peak < 10e6
 
 
 class TestSimulateLinear:

@@ -245,6 +245,13 @@ class TestEmpiricalJoint:
         assert table.total() == pytest.approx(1.0)
         assert table.cells[0, 0, 0] == pytest.approx(1.5 / 5.0)
 
-    def test_out_of_range_values_rejected(self):
-        with pytest.raises(ValidationError):
-            empirical_joint(np.array([[0, 0, 2]]), (2, 2, 2))
+    @pytest.mark.parametrize("samples, message", [
+        ([[0, -1, 0]], "sample values out of range for the given cardinalities"),
+        ([[0, 0, 2]], "sample values out of range for the given cardinalities"),
+        # an index built in the float dtype would count this row in cell (0, 1, 1)
+        ([[0.5, 0.0, 1.0]], "samples must be integers, got dtype float64"),
+    ], ids=["negative", "too_large", "float"])
+    def test_out_of_range_values_rejected(self, samples, message):
+        with pytest.raises(ValidationError) as info:
+            empirical_joint(np.array(samples), (2, 2, 2))
+        assert str(info.value) == message
