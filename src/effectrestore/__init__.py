@@ -63,7 +63,6 @@ _EXPORTS = {
         "BinaryErrorParams",
         "ErrorMatrix",
         "component_mechanism",
-        "expand_factored",
     ),
     "restore": (
         "PropensityProfile",

@@ -50,7 +50,7 @@ from .io import (
     read_samples_csv,
     write_samples_csv,
 )
-from .mechanism import BinaryErrorParams, ErrorMatrix
+from .mechanism import BinaryErrorParams, ErrorMatrix, component_mechanism
 from .tables import JointTable, empirical_joint
 
 _ERROR_TAGS = (
@@ -71,75 +71,87 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _load_binary_params(path: str) -> list[BinaryErrorParams]:
+def _read_error(path: str) -> tuple[ErrorMatrix, list[BinaryErrorParams]]:
+    """``--error``: an error-matrix object, with no rates, or binary rates (an object
+    or a nonempty list) read as their ``component_mechanism``."""
     data = load_json(path)
-    if data == []:
-        raise ValidationError(f"{path}: the list of error params is empty")
+    if isinstance(data, dict) and not {"eps", "delta"} & data.keys():
+        return ErrorMatrix.from_json_dict(data), []
     items = data if isinstance(data, list) else [data]
-    return [BinaryErrorParams.from_json_dict(d) for d in items]
+    rates = [BinaryErrorParams.from_json_dict(d) for d in items]
+    return component_mechanism(rates), rates
 
 
-def _read_discrete_samples(path: str, width: int | None = None) -> np.ndarray:
+def _one_pair(args: argparse.Namespace, rates: list[BinaryErrorParams]) -> BinaryErrorParams:
+    """The rates of a binary command's ``--error``, which must hold one pair."""
+    if len(rates) != 1:
+        raise ValidationError(f"{args.error}: {args.command} takes 1 rate pair, got {len(rates)}")
+    return rates[0]
+
+
+#: most cells of a table whose x and y cards a CSV's values set: 8 MiB a float64
+#: copy, 64 times the largest such table of the tests and benchmark (2 x 2 x 4096)
+_TABLE_CAP = 1 << 20
+
+
+def _read_table(path: str, mech: ErrorMatrix, smooth: float,
+                xy_cards: tuple[int, int] | None = None) -> tuple[JointTable, int | None]:
+    """``--in`` as the observed table and its row count (None for JSON).  A CSV holds
+    x, y and one w column of ``mech.n_w`` values or one per dense factor of ``mech``
+    (its ``n_w`` the radix); x and y cards are ``xy_cards`` or inferred as max + 1."""
+    if path.endswith(".json"):
+        if smooth:
+            raise ValidationError("--smooth smooths sample counts; a .json table input has none")
+        return JointTable.from_json_dict(load_json(path)), None
     header, samples = read_integer_samples(path)
-    if width is not None and samples.shape[1] != width:
-        raise ValidationError(
-            f"{path}: expected {width} columns, got {samples.shape[1]} ({header})"
-        )
-    return samples
-
-
-def _binary_table(path: str, smooth: float) -> JointTable:
-    samples = _read_discrete_samples(path, 3)
-    return empirical_joint(samples, (2, 2, 2), "W", smooth=smooth)
+    radices = [leaf.n_w for leaf in mech._leaves]
+    w_cards = {3: [mech.n_w], 2 + len(radices): radices}.get(samples.shape[1])
+    if w_cards is None:
+        widths = " or ".join(map(str, sorted({3, 2 + len(radices)})))
+        raise ValidationError(f"{path}: expected {widths} columns, got {len(header)} ({header})")
+    if xy_cards is None:
+        xy_cards = tuple(int(samples[:, i].max(initial=0)) + 1 for i in (0, 1))
+        if xy_cards[0] * xy_cards[1] * mech.n_w > _TABLE_CAP:
+            i = int(xy_cards[1] > xy_cards[0])
+            raise ValidationError(
+                f"{path}: column {header[i]!r} holds {xy_cards[i] - 1}, so the {xy_cards[0]} x "
+                f"{xy_cards[1]} x {mech.n_w} table exceeds the cap of {_TABLE_CAP} cells")
+    return empirical_joint(samples, (*xy_cards, *w_cards), "W", smooth=smooth), len(samples)
 
 
 def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
-    if args.strata is not None and args.x is None:
+    """Also ``restore-binary``: binary x and y, one pair of rates, no --x or --strata."""
+    x, strata = getattr(args, "x", None), getattr(args, "strata", None)
+    if strata is not None and x is None:
         raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
-    if args.smooth and args.input.endswith(".json"):
-        raise ValidationError("--smooth smooths sample counts; a .json table input has none")
-    mech = ErrorMatrix.from_json_dict(load_json(args.error))
-    if args.input.endswith(".json"):
-        observed = JointTable.from_json_dict(load_json(args.input))
-    else:
-        samples = _read_discrete_samples(args.input, 3)
-        cards = (
-            int(samples[:, 0].max(initial=0)) + 1,
-            int(samples[:, 1].max(initial=0)) + 1,
-            mech.n_w,
-        )
-        observed = empirical_joint(samples, cards, "W", smooth=args.smooth)
+    mech, rates = _read_error(args.error)
+    xy_cards = (2, 2) if args.command == "restore-binary" else None
+    if xy_cards:
+        _one_pair(args, rates)
+    observed, _ = _read_table(args.input, mech, args.smooth, xy_cards)
     result = restore.restore_joint(observed, mech, clip=args.clip)
     payload = result.to_json_dict()
-    if args.x is not None:
-        payload["effect"] = restore.adjust_for_confounder(result.restored, args.x)
-        if args.strata is not None:
-            profile = restore.propensity_profile(result.restored, n_bins=args.strata)
-            payload["stratified_effect"] = restore.stratified_effect(
-                result.restored, profile, args.x
-            )
+    if x is not None:
+        payload["effect"] = restore.adjust_for_confounder(result.restored, x)
+        if strata is not None:
+            profile = restore.propensity_profile(result.restored, n_bins=strata)
+            payload["stratified_effect"] = restore.stratified_effect(result.restored, profile, x)
     return payload
 
 
-def _cmd_restore_binary(args: argparse.Namespace) -> dict:
-    err = _load_binary_params(args.error)[0]
-    observed = _binary_table(args.input, args.smooth)
-    restored = binary.restore_binary(observed, err, clip=args.clip)
-    return {"restored": restored.to_json_dict()}
-
-
 def _cmd_effect_binary(args: argparse.Namespace) -> dict:
-    err = _load_binary_params(args.error)[0]
-    samples = _read_discrete_samples(args.input, 3)
-    observed = empirical_joint(samples, (2, 2, 2), "W", smooth=args.smooth)
-    effect = [binary.causal_effect_binary(observed, err, args.x, y) for y in (0, 1)]
-    n = samples.shape[0]
-    counts = observed.cells.ravel() * n
+    mech, rates = _read_error(args.error)
+    err = _one_pair(args, rates)
+    observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
+    if n is None:
+        raise ValidationError("effect-binary bootstraps sample rows; a .json table input has none")
 
     def statistic(cells: np.ndarray) -> list[float]:
         table = JointTable(cells, "W")
         return [binary.causal_effect_binary(table, err, args.x, y) for y in (0, 1)]
 
+    effect = statistic(observed.cells)
+    counts = observed.cells.ravel() * n
     boots = linear.bootstrap_table_values(
         (counts / counts.sum()).reshape(2, 2, 2), n, statistic, n_boot=args.boot, seed=args.seed
     )
@@ -156,8 +168,8 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> dict:
-    errs = _load_binary_params(args.error)
-    samples = _read_discrete_samples(args.input, 2 + len(errs))
+    _, errs = _read_error(args.error)
+    _, samples = read_integer_samples(args.input)
     synth = binary.synthesize_samples(samples, errs, args.seed)
     header = ["x", "y"] + [f"z{i + 1}" for i in range(len(errs))]
     write_samples_csv(args.out, header, synth, integer=True)
@@ -265,7 +277,7 @@ def build_parser() -> _Parser:
         p.add_argument("--in", dest="input", required=flags.get("needs_in", True),
                        help="input CSV samples or JSON document")
         if flags.get("error"):
-            p.add_argument("--error", required=True, help="error-mechanism JSON")
+            p.add_argument("--error", required=True, help="error-mechanism or error-rates JSON")
         if flags.get("out_csv"):
             p.add_argument("--out", required=True, help="output CSV path")
         else:
@@ -296,8 +308,8 @@ def build_parser() -> _Parser:
                    help="with --x, also report the propensity-stratified effect "
                         "using this many score bins")
 
-    add("restore-binary", _cmd_restore_binary,
-        "closed-form restoration for a binary proxy",
+    add("restore-binary", _cmd_restore_discrete,
+        "restore-discrete for binary x and y with one pair of error rates",
         error=True, smooth=True, clip=True)
 
     p = add("effect-binary", _cmd_effect_binary,

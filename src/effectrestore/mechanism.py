@@ -322,10 +322,6 @@ class ErrorMatrix:
     def n_z(self) -> int:
         return int(np.prod([m.shape[1] for m in self._mats]))
 
-    @property
-    def is_square(self) -> bool:
-        return self.n_w == self.n_z
-
     def dense(self) -> np.ndarray:
         """Dense matrix; expands factors via Kronecker product (first factor
         owns the most significant digit of the composite index) up to
@@ -489,19 +485,3 @@ def component_mechanism(errs: Sequence[BinaryErrorParams]) -> ErrorMatrix:
         raise ValidationError("need at least one component")
     return ErrorMatrix(factors=tuple(ErrorMatrix.from_binary(e) for e in errs))
 
-
-def expand_factored(factors: Sequence[ErrorMatrix]) -> ErrorMatrix:
-    """Dense tensor-product expansion of per-component mechanisms.
-
-    Composite indices are mixed-radix with the first factor most
-    significant, matching ``numpy.kron``.  Each factor must be square so
-    the expansion stays invertible; the expansion's inverse equals the
-    tensor product of the per-factor inverses, which is how the factored
-    operator avoids ever forming this matrix above ``DENSE_CAP``.  The result
-    holds the dense form only.
-    """
-    factors = tuple(factors)
-    for i, f in enumerate(factors):
-        if not f.is_square:
-            raise ValidationError(f"factor {i} is {f.n_w}x{f.n_z}; inversion needs square factors")
-    return ErrorMatrix(entries=ErrorMatrix(factors=factors).dense())

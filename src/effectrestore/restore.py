@@ -106,7 +106,7 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     number compared is LAPACK's estimate, a lower bound on the exact
     value (see the numerical policy above).
     """
-    if not mechanism.is_square:
+    if mechanism.n_w != mechanism.n_z:
         raise ValidationError(
             f"restoration requires a square mechanism{where}, "
             f"got {mechanism.n_w}x{mechanism.n_z}"

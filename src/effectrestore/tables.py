@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -175,26 +175,34 @@ def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
 
 def empirical_joint(
     samples: np.ndarray,
-    cards: tuple[int, int, int],
+    cards: Sequence[int],
     axis: str = AXIS_PROXY,
     *,
     smooth: float = 0.0,
 ) -> JointTable:
-    """Frequency table from integer (not float) samples with columns (x, y, v).
+    """Frequency table from integer (not float) samples with columns (x, y, v_1..v_K).
 
-    ``smooth`` adds the given pseudo-count to every cell before
-    normalizing (additive smoothing for empty cells); 0 keeps raw
-    frequencies.
+    ``cards`` has one entry per column.  The v columns are raveled into one
+    V axis of ``prod(cards[2:])`` values, the first most significant
+    (``numpy.kron`` order, as the simulator draws a factored proxy).
+    ``smooth`` adds the given pseudo-count to every cell before normalizing
+    (additive smoothing for empty cells); 0 keeps raw frequencies.
     """
     arr = np.asarray(samples)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError(f"samples must have shape (n, 3), got {arr.shape}")
+    if len(cards) < 3 or arr.ndim != 2 or arr.shape[1] != len(cards):
+        raise ValidationError(f"samples must have shape (n, k) for k >= 3 cards, one per "
+                              f"column, got {arr.shape} and cards {cards}")
     if smooth < 0.0:
         raise ValidationError("smooth must be >= 0")
     try:
         idx = np.ravel_multi_index(tuple(arr.T), cards)
     except ValueError:
-        raise ValidationError("sample values out of range for the given cardinalities") from None
+        for j, card in enumerate(cards):
+            bad = arr[(arr[:, j] < 0) | (arr[:, j] >= card), j]
+            if bad.size:
+                raise ValidationError(
+                    f"samples column {j} holds {bad[0]}, outside [0, {card})") from None
+        raise ValidationError(f"cards {cards} do not size a table") from None
     except TypeError:
         raise ValidationError(f"samples must be integers, got dtype {arr.dtype}") from None
     counts = np.bincount(idx, minlength=math.prod(cards)).astype(float)
@@ -202,4 +210,4 @@ def empirical_joint(
     total = counts.sum()
     if total <= 0.0:
         raise ValidationError("cannot build a table from zero samples without smoothing")
-    return JointTable((counts / total).reshape(cards), axis)
+    return JointTable((counts / total).reshape(*cards[:2], -1), axis)

@@ -141,7 +141,7 @@ print(json.dumps({"names": names, "subs": subs, "listed": dir(effectrestore),
                   "star": sorted(k for k in star if k != "__builtins__"),
                   "unknown": unknown, "declared": sorted(effectrestore._SUBMODULES)}))
 """)
-        assert len(doc["names"]) == 58 and all(doc["names"].values())
+        assert len(doc["names"]) == 57 and all(doc["names"].values())
         assert doc["declared"] == sorted(doc["subs"]) and all(doc["subs"].values())
         assert set(doc["names"]) | set(doc["subs"]) <= set(doc["listed"])
         assert doc["star"] == sorted(doc["names"])

@@ -96,12 +96,54 @@ class TestRestoreBinaryCommand:
         ), seed=3)
         err_path = tmp_path / "err.json"
         dump_json({"eps": 0.4, "delta": 0.4}, err_path)
+        # two pairs of rates for a binary proxy: refused, not read as the first pair
+        pairs_path = tmp_path / "pairs.json"
+        dump_json([{"eps": 0.1, "delta": 0.15}] * 2, pairs_path)
         for command in ("restore-binary", "effect-binary"):
             out_path = tmp_path / f"{command}.json"
             code = main([command, "--in", str(samples_path), "--error", str(err_path),
                          "--out", str(out_path)])
             assert code == 2
             assert load_json(out_path)["error"] == "incompatible"
+            out_path.unlink()
+            code, out, err, leaked = run_main([command, "--in", str(samples_path), "--error",
+                                               str(pairs_path), "--out", str(out_path)])
+            assert (code, out, leaked) == (1, "", [])
+            assert err == (f"effectrestore {command}: error: {pairs_path}: {command} takes "
+                           "1 rate pair, got 2\n")
+            assert not out_path.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--smooth"], ["--clip"]])
+    def test_restored_is_the_closed_form_byte_for_byte(self, tmp_path, strong_confounding_spec,
+                                                       flags):
+        # restore-binary is restore-discrete on the 2x2 mechanism; its "restored"
+        # is what the closed-form path writes, and restore-discrete given the
+        # same rates as a matrix writes the same bytes
+        from effectrestore import restore_binary
+
+        samples_path, samples = write_binary_samples(tmp_path, strong_confounding_spec)
+        err = BinaryErrorParams(0.2, 0.1)
+        rates_path, matrix_path = tmp_path / "err.json", tmp_path / "matrix.json"
+        dump_json(err.to_json_dict(), rates_path)
+        dump_json(ErrorMatrix.from_binary(err).to_json_dict(), matrix_path)
+        smooth = 0.5 if flags == ["--smooth"] else 0.0
+        closed = restore_binary(empirical_joint(samples, (2, 2, 2), "W", smooth=smooth), err,
+                                clip=flags == ["--clip"])
+        docs = {}
+        for command, error in (("restore-binary", rates_path),
+                               ("restore-discrete", matrix_path)):
+            out_path = tmp_path / f"{command}.json"
+            assert main([command, "--in", str(samples_path), "--error", str(error), *flags,
+                         "--out", str(out_path)]) == 0
+            docs[command] = load_json(out_path)
+            assert dump_json(docs[command]["restored"], None) == dump_json(
+                closed.to_json_dict(), None)
+        binary_doc = docs["restore-binary"]
+        assert set(binary_doc) == {"method", "config", "restored", "condition_estimate",
+                                   "negative_mass", "clipped"}
+        for key in ("condition_estimate", "negative_mass", "clipped"):
+            assert binary_doc[key] == docs["restore-discrete"][key]
+        assert binary_doc["clipped"] is False
 
 
 class TestSimulateThenEstimate:
@@ -204,6 +246,96 @@ class TestRestoreDiscreteCommand:
         assert code == 0
         restored = JointTable.from_json_dict(load_json(out_path)["restored"])
         assert restored.cells.min() > 0.0
+
+
+def write_components_model(tmp_path, k, seed):
+    """A model JSON with K binary proxy components and its rates list JSON."""
+    from effectrestore import DiscreteModelSpec
+
+    rng = np.random.default_rng(seed)
+    p_z = rng.dirichlet(np.full(2**k, 5.0))
+    p_x1 = rng.uniform(0.2, 0.8, 2**k)
+    p_y1 = rng.uniform(0.2, 0.8, (2, 2**k))
+    rates = [BinaryErrorParams(*rng.uniform(0.05, 0.15, 2)) for _ in range(k)]
+    spec = DiscreteModelSpec(p_z, np.stack([1 - p_x1, p_x1]), np.stack([1 - p_y1, p_y1]),
+                             tuple(rates))
+    model_path, rates_path = tmp_path / "model.json", tmp_path / "rates.json"
+    dump_json(spec.to_json_dict(), model_path)
+    dump_json([r.to_json_dict() for r in rates], rates_path)
+    return model_path, rates_path
+
+
+class TestSimulatedComponentsRestore:
+    """A CSV that ``simulate-discrete`` writes for a ``components`` model,
+    x, y and one w column per component, restores through
+    ``restore-discrete`` with the model's rates list."""
+
+    def simulate(self, tmp_path, k, n, seed):
+        model_path, rates_path = write_components_model(tmp_path, k, seed)
+        samples_path, truth_path = tmp_path / "samples.csv", tmp_path / "truth.json"
+        assert main(["simulate-discrete", "--in", str(model_path), "--out", str(samples_path),
+                     "--truth", str(truth_path), "--n", str(n), "--seed", str(seed)]) == 0
+        return samples_path, rates_path, load_json(truth_path)["effect"]
+
+    def test_four_components_recover_the_effect(self, tmp_path):
+        samples_path, rates_path, truth = self.simulate(tmp_path, 4, 20_000, 1)
+        header, data = read_samples_csv(samples_path)
+        assert header == ["x", "y", "w1", "w2", "w3", "w4"]
+        out_path = tmp_path / "restored.json"
+        assert main(["restore-discrete", "--in", str(samples_path), "--error", str(rates_path),
+                     "--x", "1", "--out", str(out_path)]) == 0
+        doc = load_json(out_path)
+        assert doc["restored"]["cards"] == [2, 2, 16]
+        assert np.abs(np.subtract(doc["effect"], truth[1])).max() < 0.02
+        # the same samples with the components raveled into one w column, first
+        # most significant, restore to the same bytes
+        raveled = np.column_stack([data[:, :2], data[:, 2:].astype(int) @ [8, 4, 2, 1]])
+        raveled_path = tmp_path / "raveled.csv"
+        write_samples_csv(raveled_path, ["x", "y", "w"], raveled, integer=True)
+        assert main(["restore-discrete", "--in", str(raveled_path), "--error", str(rates_path),
+                     "--x", "1", "--out", str(out_path)]) == 0
+        assert load_json(out_path)["restored"] == doc["restored"]
+
+    def test_twelve_components_restore_with_clipping(self, tmp_path):
+        samples_path, rates_path, _ = self.simulate(tmp_path, 12, 100_000, 2)
+        out_path = tmp_path / "restored.json"
+        assert main(["restore-discrete", "--in", str(samples_path), "--error", str(rates_path),
+                     "--clip", "--out", str(out_path)]) == 0
+        doc = load_json(out_path)
+        assert doc["restored"]["cards"] == [2, 2, 4096]
+        assert doc["clipped"] is True
+        assert sum(doc["restored"]["cells"]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_csv_of_another_width_names_both_widths(self, tmp_path):
+        samples_path, _, _ = self.simulate(tmp_path, 3, 50, 3)
+        _, rates_path = write_components_model(tmp_path, 2, 3)
+        code, out, err, leaked = run_main(
+            ["restore-discrete", "--in", str(samples_path), "--error", str(rates_path)])
+        assert (code, out, leaked) == (1, "", [])
+        assert err == (f"effectrestore restore-discrete: error: {samples_path}: expected 3 or 4 "
+                       "columns, got 5 (['x', 'y', 'w1', 'w2', 'w3'])\n")
+
+
+class TestInferredCardsCap:
+    def test_a_huge_x_value_exits_1_before_any_table_is_allocated(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "huge.csv"
+        write_samples_csv(path, ["x", "y", "w"], np.array([[0, 0, 1], [1, 1, 0], [1000000, 1, 1]]),
+                          integer=True)
+        mech = tmp_path / "mech.json"
+        dump_json(ErrorMatrix.identity(2).to_json_dict(), mech)
+        tracemalloc.start()
+        try:
+            code, out, err, leaked = run_main(["restore-discrete", "--in", str(path),
+                                               "--error", str(mech), "--x", "1"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, leaked) == (1, "", [])
+        assert err == (f"effectrestore restore-discrete: error: {path}: column 'x' holds "
+                       "1000000, so the 1000001 x 2 x 2 table exceeds the cap of 1048576 cells\n")
+        assert peak < 4 << 20  # the uncapped table took over 100 MB
 
 
 class TestSynthesizeCommand:
@@ -519,6 +651,28 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"effectrestore restore-discrete: error: {flags[0]} ")
         assert not out.exists()
+
+    def test_binary_commands_refuse_inputs_without_rates_or_rows(self, tmp_path):
+        samples_path = tmp_path / "s.csv"
+        write_samples_csv(samples_path, ["x", "y", "w"], np.zeros((20, 3), dtype=int),
+                          integer=True)
+        matrix_path, rates_path = tmp_path / "m.json", tmp_path / "e.json"
+        dump_json(ErrorMatrix.identity(2).to_json_dict(), matrix_path)
+        dump_json({"eps": 0.1, "delta": 0.1}, rates_path)
+        table_path = tmp_path / "t.json"
+        dump_json(JointTable(np.full((2, 2, 2), 1 / 8), "W").to_json_dict(), table_path)
+        for argv, fault in (
+            (["synthesize", "--in", str(samples_path), "--error", str(matrix_path),
+              "--out", str(tmp_path / "z.csv")],
+             "need at least one proxy component"),
+            (["effect-binary", "--in", str(samples_path), "--error", str(matrix_path)],
+             f"{matrix_path}: effect-binary takes 1 rate pair, got 0"),
+            (["effect-binary", "--in", str(table_path), "--error", str(rates_path)],
+             "effect-binary bootstraps sample rows; a .json table input has none"),
+        ):
+            code, out, err, leaked = run_main(argv)
+            assert (code, out, leaked) == (1, "", [])
+            assert err == f"effectrestore {argv[0]}: error: {fault}\n"
 
     def test_stdout_json_when_no_out(self, tmp_path, capsys, strong_confounding_spec):
         samples_path, _ = write_binary_samples(tmp_path, strong_confounding_spec, n=1000)
@@ -859,13 +1013,14 @@ class TestDiscreteCommandsFuzz:
 
     @settings(max_examples=200, deadline=None)
     @given(body=discrete_csv_bodies(), command=st.sampled_from(
-        ["restore-binary", "effect-binary", "synthesize", "synthesize-2", "restore-discrete"]))
+        ["restore-binary", "effect-binary", "synthesize", "synthesize-2", "restore-discrete",
+         "restore-discrete-2"]))
     def test_exit_status_without_traceback(self, proxy_samples, body, command):
         work = proxy_samples.parent
         path = work / "discrete.csv"
         path.write_bytes(body.encode())
         rates = work / "fuzz_rates.json"
-        components = 2 if command == "synthesize-2" else 1
+        components = 2 if command.endswith("-2") else 1
         rates.write_text(json.dumps([{"eps": 0.1, "delta": 0.2}] * components))
         mech = work / "fuzz_mech2.json"
         mech.write_text(json.dumps(ErrorMatrix(entries=[[0.9, 0.2], [0.1, 0.8]]).to_json_dict()))
@@ -875,7 +1030,7 @@ class TestDiscreteCommandsFuzz:
             "restore-binary": ["--error", str(rates)],
             "effect-binary": ["--error", str(rates), "--boot", "20"],
             "synthesize": ["--error", str(rates), "--out", str(work / "fuzz_synth.csv")],
-            "restore-discrete": ["--error", str(mech), "--x", "0"],
+            "restore-discrete": ["--error", str(rates if components == 2 else mech), "--x", "0"],
         }[name]
         code, out, err, leaked = run_main(argv)
         assert code in (0, 1, 2), err

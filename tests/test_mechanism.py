@@ -15,7 +15,6 @@ from effectrestore import (
     SingularError,
     ValidationError,
     component_mechanism,
-    expand_factored,
 )
 from effectrestore import mechanism
 from strategies import factor_lists, lu_from, nested_mechanisms, stochastic_matrices
@@ -167,12 +166,12 @@ class TestBinaryErrorParams:
 class TestExpandFactored:
     def test_single_factor_unchanged(self):
         f = ErrorMatrix(entries=BinaryErrorParams(0.2, 0.1).matrix())
-        expanded = expand_factored([f])
+        expanded = ErrorMatrix(entries=ErrorMatrix(factors=(f,)).dense())
         np.testing.assert_array_equal(expanded.dense(), f.dense())
 
     def test_two_identities(self):
         eye = ErrorMatrix.identity(2)
-        expanded = expand_factored([eye, eye])
+        expanded = ErrorMatrix(entries=ErrorMatrix(factors=(eye, eye)).dense())
         np.testing.assert_array_equal(expanded.dense(), np.eye(4))
         assert expanded.factors is None
 
@@ -186,24 +185,17 @@ class TestExpandFactored:
             b = ErrorMatrix.from_binary(
                 BinaryErrorParams(rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.4))
             )
-            expanded = expand_factored([a, b]).dense()
+            expanded = ErrorMatrix(factors=(a, b)).dense()
             lhs = np.linalg.inv(expanded)
             rhs = np.kron(np.linalg.inv(a.dense()), np.linalg.inv(b.dense()))
             assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_dimension_cap(self):
         factors = [ErrorMatrix.identity(2)] * 13  # 8192 > default cap
-        with pytest.raises(ValidationError, match="cap"):
-            expand_factored(factors)
         mech = ErrorMatrix(factors=tuple(factors))
         assert mech.n_w == 8192
         with pytest.raises(ValidationError, match="cap"):
             mech.dense()
-
-    def test_rectangular_factor_rejected(self):
-        rect = ErrorMatrix(entries=np.array([[0.5, 0.1, 0.2], [0.5, 0.9, 0.8]]))
-        with pytest.raises(ValidationError):
-            expand_factored([rect])
 
 
 class TestFactoredOperatorMatchesExpansion:
@@ -211,7 +203,7 @@ class TestFactoredOperatorMatchesExpansion:
     @given(factor_lists(), st.integers(0, 2**32 - 1))
     def test_apply_inverse_and_condition(self, factors, seed):
         factored = ErrorMatrix(factors=tuple(factors))
-        dense = expand_factored(factors)
+        dense = ErrorMatrix(entries=ErrorMatrix(factors=tuple(factors)).dense())
         m = dense.dense()
         cells = np.random.default_rng(seed).random((2, 3, factored.n_z))
         np.testing.assert_allclose(factored.apply(cells), dense.apply(cells), atol=1e-14)
@@ -259,7 +251,7 @@ class TestBlockContraction:
         invs = [np.linalg.inv(m) for m in mats]
         blocked = mech.apply_inverse(cells)
         np.testing.assert_allclose(blocked, mechanism._contract(invs, cells), rtol=0, atol=1e-12)
-        expanded = expand_factored([ErrorMatrix(entries=m) for m in mats])
+        expanded = ErrorMatrix(entries=reduce(np.kron, mats))
         np.testing.assert_allclose(blocked, expanded.apply_inverse(cells), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mech.apply(blocked), cells, rtol=0, atol=1e-12)
         cond = 1.0

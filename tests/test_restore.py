@@ -137,9 +137,7 @@ class TestRestoreJoint:
         errs = [BinaryErrorParams(0.15, 0.05), BinaryErrorParams(0.1, 0.2)]
         factors = tuple(ErrorMatrix.from_binary(e) for e in errs)
         factored = ErrorMatrix(factors=factors)
-        from effectrestore import expand_factored
-
-        dense = expand_factored(factors)
+        dense = ErrorMatrix(entries=ErrorMatrix(factors=factors).dense())
         truth = random_table(rng, (2, 2, 4))
         observed_f = pushforward(truth, factored)
         observed_d = pushforward(truth, dense)

@@ -245,13 +245,27 @@ class TestEmpiricalJoint:
         assert table.total() == pytest.approx(1.0)
         assert table.cells[0, 0, 0] == pytest.approx(1.5 / 5.0)
 
-    @pytest.mark.parametrize("samples, message", [
-        ([[0, -1, 0]], "sample values out of range for the given cardinalities"),
-        ([[0, 0, 2]], "sample values out of range for the given cardinalities"),
+    @pytest.mark.parametrize("samples, cards, message", [
+        ([[0, -1, 0]], (2, 2, 2), "samples column 1 holds -1, outside [0, 2)"),
+        ([[0, 0, 2]], (2, 2, 2), "samples column 2 holds 2, outside [0, 2)"),
         # an index built in the float dtype would count this row in cell (0, 1, 1)
-        ([[0.5, 0.0, 1.0]], "samples must be integers, got dtype float64"),
-    ], ids=["negative", "too_large", "float"])
-    def test_out_of_range_values_rejected(self, samples, message):
+        ([[0.5, 0.0, 1.0]], (2, 2, 2), "samples must be integers, got dtype float64"),
+        # one card per column, at least three
+        ([[0, 0, 1]], (2, 2), "samples must have shape (n, k) for k >= 3 cards, one per "
+                              "column, got (1, 3) and cards (2, 2)"),
+        ([[0, 0, 1]], (2, 2, 2, 2), "samples must have shape (n, k) for k >= 3 cards, one per "
+                                    "column, got (1, 3) and cards (2, 2, 2, 2)"),
+        ([[0, 1, 1, 3], [1, 0, 1, 4]], (2, 2, 2, 4), "samples column 3 holds 4, outside [0, 4)"),
+    ], ids=["negative", "too_large", "float", "two_cards", "four_cards", "fourth_column"])
+    def test_out_of_range_values_rejected(self, samples, cards, message):
         with pytest.raises(ValidationError) as info:
-            empirical_joint(np.array(samples), (2, 2, 2))
+            empirical_joint(np.array(samples), cards)
         assert str(info.value) == message
+
+    def test_proxy_columns_ravel_first_most_significant(self):
+        # (x, y, w1, w2) with radices 2 and 3 read as the one index w = 3 w1 + w2
+        samples = np.array([[0, 1, 1, 2], [1, 0, 0, 1], [1, 0, 1, 0], [0, 1, 1, 2]])
+        raveled = np.column_stack([samples[:, :2], 3 * samples[:, 2] + samples[:, 3]])
+        table = empirical_joint(samples, (2, 2, 2, 3), "W")
+        assert table.cells.shape == (2, 2, 6)
+        assert (table.cells == empirical_joint(raveled, (2, 2, 6), "W").cells).all()
