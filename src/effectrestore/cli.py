@@ -51,7 +51,7 @@ from .io import (
     write_samples_csv,
 )
 from .mechanism import BinaryErrorParams, ErrorMatrix, component_mechanism
-from .tables import JointTable, empirical_joint
+from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
 
 _ERROR_TAGS = (
     (SingularError, "singular"),
@@ -96,13 +96,25 @@ _TABLE_CAP = 1 << 20
 
 def _read_table(path: str, mech: ErrorMatrix, smooth: float,
                 xy_cards: tuple[int, int] | None = None) -> tuple[JointTable, int | None]:
-    """``--in`` as the observed table and its row count (None for JSON).  A CSV holds
-    x, y and one w column of ``mech.n_w`` values or one per dense factor of ``mech``
-    (its ``n_w`` the radix); x and y cards are ``xy_cards`` or inferred as max + 1."""
+    """``--in`` as the observed table and its row count (None for JSON).  A JSON table
+    must be a distribution.  A CSV holds x, y and one w column of ``mech.n_w`` values
+    or one per dense factor of ``mech`` (its ``n_w`` the radix).  x and y cards are
+    ``xy_cards`` when given, else a CSV's max + 1."""
     if path.endswith(".json"):
         if smooth:
             raise ValidationError("--smooth smooths sample counts; a .json table input has none")
-        return JointTable.from_json_dict(load_json(path)), None
+        table = JointTable.from_json_dict(load_json(path))
+        check = validate_joint(table)
+        if check.negative_cells:
+            (cell, value), *_ = check.negative_cells
+            raise ValidationError(f"{path}: cell (x, y, v) = {cell} is negative ({value!r})")
+        if not check.valid:
+            raise ValidationError(f"{path}: cells sum to {table.total()!r}, "
+                                  f"{check.defect:.3e} from 1 (tolerance {TOL_SUM_INPUT:.0e})")
+        if xy_cards not in (None, (table.card_x, table.card_y)):
+            raise ValidationError(f"{path}: card_x={table.card_x} and card_y={table.card_y}, "
+                                  f"expected {xy_cards[0]} and {xy_cards[1]}")
+        return table, None
     header, samples = read_integer_samples(path)
     radices = [leaf.n_w for leaf in mech._leaves]
     w_cards = {3: [mech.n_w], 2 + len(radices): radices}.get(samples.shape[1])
@@ -134,7 +146,7 @@ def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
     if x is not None:
         payload["effect"] = restore.adjust_for_confounder(result.restored, x)
         if strata is not None:
-            profile = restore.propensity_profile(result.restored, n_bins=strata)
+            profile = restore.propensity_profile(result.restored, treated=x, n_bins=strata)
             payload["stratified_effect"] = restore.stratified_effect(result.restored, profile, x)
     return payload
 
@@ -242,8 +254,8 @@ def _cmd_test_dsep(args: argparse.Namespace) -> dict:
 def _cmd_simulate_discrete(args: argparse.Namespace) -> dict:
     spec = simulate.DiscreteModelSpec.from_json_dict(load_json(args.input))
     samples, effect = simulate.simulate_discrete(spec, args.n, args.seed)
-    k = spec.k_components
-    header = ["x", "y", "w"] if k is None else ["x", "y", *(f"w{i + 1}" for i in range(k))]
+    k = samples.shape[1] - 2
+    header = ["x", "y", *(["w"] if k == 1 else [f"w{i + 1}" for i in range(k)])]
     write_samples_csv(args.out, header, samples, integer=True)
     payload = {"n": args.n, "seed": args.seed, "effect": effect, "written": args.out}
     if args.truth:

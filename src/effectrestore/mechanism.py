@@ -246,7 +246,8 @@ class ErrorMatrix:
     """Column-stochastic matrix P(w | z) as a linear operator, dense or factored.
 
     An instance holds exactly one form: ``entries``, the dense matrix, or
-    ``factors``, the per-component mechanisms whose tensor product it is.
+    ``factors``, the dense per-component mechanisms whose tensor product it
+    is (a factored factor is replaced by its own factors when built).
     A dense matrix is the one-factor case of the same operator, so
     :meth:`apply`, :meth:`apply_inverse` and :meth:`condition` have one
     code path.  The inverse (per factor in factored form) and the
@@ -278,17 +279,16 @@ class ErrorMatrix:
             object.__setattr__(self, "entries", arr)
             object.__setattr__(self, "_entries_norm", norm1)
         else:
-            object.__setattr__(self, "factors", tuple(self.factors))
-            for f in self.factors:
-                if not isinstance(f, ErrorMatrix):
-                    raise ValidationError("factors must be ErrorMatrix instances")
+            factors = tuple(self.factors)
+            if not all(isinstance(f, ErrorMatrix) for f in factors):
+                raise ValidationError("factors must be ErrorMatrix instances")
+            # a factored factor's own factors, which are dense, take its place
+            object.__setattr__(self, "factors", tuple(leaf for f in factors for leaf in f._leaves))
 
     @property
     def _leaves(self) -> tuple["ErrorMatrix", ...]:
-        """The dense factors of the tensor product, nested factors flattened."""
-        if self.entries is not None:
-            return (self,)
-        return tuple(leaf for f in self.factors for leaf in f._leaves)
+        """The dense factors of the tensor product."""
+        return self.factors or (self,)
 
     @property
     def _mats(self) -> tuple[np.ndarray, ...]:
@@ -302,7 +302,7 @@ class ErrorMatrix:
         is singular."""
         if self.factors is not None:
             invs = [f._inverses for f in self.factors]
-            return None if None in invs else tuple(m for inv in invs for m in inv)
+            return None if None in invs else tuple(inv for (inv,) in invs)
         n_w, n_z = self.entries.shape
         if n_w == n_z >= _LU_MIN_SIDE and _lapack() is not None:
             lu = _LU.factor(self.entries)
@@ -372,8 +372,8 @@ class ErrorMatrix:
         """1-norm condition number ||M||_1 ||M^-1||_1 (inf when singular).
 
         For factored form it is the product, in factor order, of the
-        dense factors' own cached condition numbers (nested factors
-        flattened, so the value does not depend on the nesting), which
+        dense factors' own cached condition numbers (nested factors are
+        flattened when built, so the value does not depend on the nesting), which
         equals the dense matrix's: induced 1-norms are multiplicative over
         Kronecker products.  For a dense factor with a side of at least
         ``_LU_MIN_SIDE``, when ``_lapack()`` finds numpy's own LAPACK, the

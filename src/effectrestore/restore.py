@@ -47,8 +47,8 @@ denominator.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -265,84 +265,47 @@ def restored_propensity(
     return num / den
 
 
-def _split(members: np.ndarray, sizes) -> tuple[tuple[int, ...], ...]:
-    """Consecutive runs of ``members`` with the given lengths, as int tuples."""
-    ends = np.cumsum(sizes, dtype=np.intp).tolist()
-    flat = members.tolist()
-    return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
-
-
 @dataclass(frozen=True, eq=False)
 class PropensityProfile:
     """Latent propensity scores with a stratification of the z-space.
 
-    ``scores[z]`` is L(z) = P(X=treated | z) (NaN for zero-mass strata),
-    ``strata`` partitions the positive-mass z indices into score groups,
-    and ``weights[k]`` is the total latent mass P(l) of stratum k.  The
-    estimators read the member arrays below; a profile built by
-    :func:`propensity_profile` forms the ``strata`` tuples from them only
-    when the attribute is first read.
+    ``scores[z]`` is L(z) = P(X=treated | z) (NaN for zero-mass z),
+    ``labels[z]`` is the stratum of z, or -1 for a z in no stratum, and
+    ``weights[k]`` is the total latent mass P(l) of stratum k.  ``strata``
+    lists each stratum's z indices in increasing order; it is formed from
+    the labels when first read, and the estimators never read it.
     """
 
     scores: np.ndarray
-    strata: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
     weights: np.ndarray
-    #: every stratum's z indices concatenated in stratum order, each
-    #: stratum's size, and the stratum index of each member
-    _members: np.ndarray = field(init=False, repr=False)
-    _sizes: np.ndarray = field(init=False, repr=False)
-    _labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        sizes = np.array([len(s) for s in self.strata], dtype=np.intp)
-        members = np.fromiter(
-            itertools.chain.from_iterable(self.strata), dtype=np.intp, count=int(sizes.sum())
-        )
-        ordered = np.sort(members)
-        if (ordered[1:] == ordered[:-1]).any():
-            raise ValidationError("strata must be disjoint")
-        object.__setattr__(self, "strata", _split(members, sizes))
-        self._store(members, sizes)
-
-    def __getattr__(self, name: str):
-        # reached only for attributes not yet set: ``strata`` of a profile
-        # built from its members is formed here, once
-        if name != "strata":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        strata = _split(self._members, self._sizes)
-        object.__setattr__(self, "strata", strata)
-        return strata
-
-    @classmethod
-    def _from_members(
-        cls, scores: np.ndarray, members: np.ndarray, sizes: np.ndarray, weights: np.ndarray
-    ) -> "PropensityProfile":
-        """Profile whose strata are the consecutive runs of ``members`` with
-        lengths ``sizes``, disjoint by construction."""
-        profile = cls.__new__(cls)
-        object.__setattr__(profile, "scores", scores)
-        object.__setattr__(profile, "weights", weights)
-        profile._store(members, sizes)
-        return profile
-
-    def _store(self, members: np.ndarray, sizes: np.ndarray) -> None:
-        """Freeze the arrays, derive the member labels and check the weights."""
         scores = np.asarray(self.scores, dtype=float)
+        labels = np.asarray(self.labels)
         weights = np.asarray(self.weights, dtype=float)
-        labels = np.repeat(np.arange(len(sizes)), sizes)
-        for arr in (scores, weights, members, sizes, labels):
+        for name, arr in (("scores", scores), ("labels", labels), ("weights", weights)):
             arr.setflags(write=False)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_members", members)
-        object.__setattr__(self, "_sizes", sizes)
-        object.__setattr__(self, "_labels", labels)
-        if len(sizes) != weights.shape[0]:
-            raise ValidationError("one weight per stratum required")
+            object.__setattr__(self, name, arr)
+        if labels.shape != scores.shape or labels.dtype.kind not in "iu":
+            raise ValidationError(
+                f"labels must be integers, one per score: got {labels.dtype} of shape "
+                f"{labels.shape} for scores of shape {scores.shape}"
+            )
+        if labels.size and not (-1 <= labels.min() and labels.max() < len(weights)):
+            raise ValidationError(f"labels must lie in [-1, {len(weights)}), one weight per stratum")
         if weights.min(initial=0.0) < -1e-12:
             raise ValidationError("stratum weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"stratum weights sum to {weights.sum()!r}, expected 1")
+            raise ValidationError(f"stratum weights sum to {float(weights.sum())!r}, expected 1")
+
+    @cached_property
+    def strata(self) -> tuple[tuple[int, ...], ...]:
+        """Each stratum's z indices, in increasing order."""
+        flat = np.argsort(self.labels, kind="stable").tolist()
+        # the unlabelled z sort first, then stratum k is flat[ends[k]:ends[k + 1]]
+        ends = np.cumsum(np.bincount(self.labels + 1, minlength=len(self.weights) + 1)).tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
 def propensity_profile(
@@ -354,9 +317,7 @@ def propensity_profile(
     noise cannot split a genuinely discrete score) when they take at
     most ``n_bins`` distinct values — a lossless stratification;
     otherwise equal-width bins over [0, 1] are used, empty bins dropped.
-    Zero-mass z indices get NaN scores and belong to no stratum.  Strata
-    are labelled in a dtype just wide enough for their count, so the
-    stable sort that groups the members is a radix sort.
+    Zero-mass z indices get NaN scores and belong to no stratum.
     """
     if not 0 <= treated < table.card_x:
         raise ValidationError(f"treated={treated} out of range for card_x={table.card_x}")
@@ -376,17 +337,16 @@ def propensity_profile(
     keys = ordered[distinct]
     if len(keys) <= n_bins:
         n_strata = len(keys)
-        labels = np.searchsorted(keys, values).astype(np.min_scalar_type(n_strata))
+        pos_labels = np.searchsorted(keys, values)
     else:
         bins = np.minimum((np.clip(values, 0.0, 1.0) * n_bins).astype(np.intp), n_bins - 1)
         present = np.bincount(bins, minlength=n_bins) > 0
         n_strata = int(present.sum())
-        rank = np.cumsum(present) - 1
-        labels = rank.astype(np.min_scalar_type(n_strata))[bins]
-    members = pos_idx[np.argsort(labels, kind="stable")]
-    sizes = np.bincount(labels, minlength=n_strata)
-    weights = np.bincount(labels, weights=p_z[pos_idx], minlength=n_strata)
-    return PropensityProfile._from_members(scores, members, sizes, weights / weights.sum())
+        pos_labels = (np.cumsum(present) - 1)[bins]
+    labels = np.full(table.card_v, -1, dtype=np.intp)
+    labels[pos_idx] = pos_labels
+    weights = np.bincount(pos_labels, weights=p_z[pos_idx], minlength=n_strata)
+    return PropensityProfile(scores, labels, weights / weights.sum())
 
 
 def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> np.ndarray:
@@ -398,20 +358,22 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
     """
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
-    members, labels = profile._members, profile._labels
-    if members.size and not (0 <= members.min() and members.max() < table.card_v):
-        raise ValidationError(f"strata hold z indices outside [0, {table.card_v})")
-    covered = np.zeros(table.card_v, dtype=bool)
-    covered[members] = True
+    labels = profile.labels
+    if len(labels) != table.card_v:
+        raise ValidationError(
+            f"profile labels {len(labels)} latent values, table has card_v={table.card_v}"
+        )
+    covered = labels >= 0
     uncovered = np.flatnonzero((table.cells.sum(axis=(0, 1)) > 0.0) & ~covered)
     if uncovered.size:
         raise ValidationError(
             f"strata do not cover positive-mass z indices {uncovered.tolist()}"
         )
+    labels = labels[covered]
     n_strata = len(profile.weights)
     # P(x, y, l) for every stratum l, shape (n_strata, card_y)
     p_xyl = np.stack(
-        [np.bincount(labels, weights=table.cells[x, y, members], minlength=n_strata)
+        [np.bincount(labels, weights=table.cells[x, y, covered], minlength=n_strata)
          for y in range(table.card_y)],
         axis=1,
     )

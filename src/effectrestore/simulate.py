@@ -35,16 +35,15 @@ class DiscreteModelSpec:
 
     ``p_x_given_z[x, z]`` and ``p_y_given_xz[y, x, z]`` hold the
     conditionals with the conditioned value indexing the column; every
-    column is a distribution.  ``error`` is either a dense/factored
-    mechanism or a sequence of per-component binary misclassification
-    pairs (in which case z is a bit vector, first component most
-    significant).
+    column is a distribution.  ``error`` is the mechanism P(w | z), dense
+    or factored; a factored one reads z as mixed-radix digits, first
+    factor most significant.
     """
 
     p_z: np.ndarray
     p_x_given_z: np.ndarray
     p_y_given_xz: np.ndarray
-    error: ErrorMatrix | tuple[BinaryErrorParams, ...]
+    error: ErrorMatrix
 
     def __post_init__(self) -> None:
         p_z = np.asarray(self.p_z, dtype=float)
@@ -62,28 +61,16 @@ class DiscreteModelSpec:
         _check_stochastic(p_z[:, None], "p_z")
         _check_stochastic(p_xz, "p_x_given_z")
         _check_stochastic(p_yxz.reshape(p_yxz.shape[0], -1), "p_y_given_xz")
-        error = self.error
-        if isinstance(error, ErrorMatrix):
-            if error.n_z != n_z:
-                raise ValidationError(
-                    f"error mechanism has n_z={error.n_z}, model has {n_z} latent values"
-                )
-        else:
-            error = tuple(error)
-            if not error or not all(isinstance(e, BinaryErrorParams) for e in error):
-                raise ValidationError(
-                    "error must be an ErrorMatrix or a nonempty sequence of BinaryErrorParams"
-                )
-            if 2 ** len(error) != n_z:
-                raise ValidationError(
-                    f"{len(error)} binary components imply {2 ** len(error)} latent values, "
-                    f"model has {n_z}"
-                )
+        if not isinstance(self.error, ErrorMatrix):
+            raise ValidationError(f"error must be an ErrorMatrix, got {type(self.error).__name__}")
+        if self.error.n_z != n_z:
+            raise ValidationError(
+                f"error mechanism has n_z={self.error.n_z}, model has {n_z} latent values"
+            )
         for name, arr in (("p_z", p_z), ("p_x_given_z", p_xz), ("p_y_given_xz", p_yxz)):
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "error", error)
 
     @property
     def n_z(self) -> int:
@@ -97,16 +84,6 @@ class DiscreteModelSpec:
     def n_y(self) -> int:
         return self.p_y_given_xz.shape[0]
 
-    @property
-    def k_components(self) -> int | None:
-        """Number of binary proxy components, or None for an ErrorMatrix."""
-        return None if isinstance(self.error, ErrorMatrix) else len(self.error)
-
-    def mechanism(self) -> ErrorMatrix:
-        if isinstance(self.error, ErrorMatrix):
-            return self.error
-        return component_mechanism(self.error)
-
     def joint_xyz(self) -> JointTable:
         """Exact latent joint P(x, y, z)."""
         cells = np.einsum("z,xz,yxz->xyz", self.p_z, self.p_x_given_z, self.p_y_given_xz)
@@ -114,7 +91,7 @@ class DiscreteModelSpec:
 
     def joint_xyw(self) -> JointTable:
         """Exact observed joint P(x, y, w)."""
-        return pushforward(self.joint_xyz(), self.mechanism())
+        return pushforward(self.joint_xyz(), self.error)
 
     def effect(self, x: int) -> np.ndarray:
         """Exact P(y | do(x)) = sum_z P(y | x, z) P(z)."""
@@ -125,19 +102,17 @@ class DiscreteModelSpec:
         return np.stack([self.effect(x) for x in range(self.n_x)])
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "p_z": self.p_z.tolist(),
             "p_x_given_z": self.p_x_given_z.T.tolist(),
             "p_y_given_xz": np.moveaxis(self.p_y_given_xz, 0, -1).tolist(),
+            "error": {"matrix": self.error.to_json_dict()},
         }
-        if isinstance(self.error, ErrorMatrix):
-            out["error"] = {"matrix": self.error.to_json_dict()}
-        else:
-            out["error"] = {"components": [e.to_json_dict() for e in self.error]}
-        return out
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteModelSpec":
+        """``error`` holds a ``matrix`` or a ``components`` list of binary
+        rates, read as their ``component_mechanism``."""
         with _json_object("discrete-model", data, ("p_z", "p_x_given_z", "p_y_given_xz", "error")):
             p_z = _json_array(data["p_z"], "p_z")
             p_xz = _json_array(data["p_x_given_z"], "p_x_given_z").T
@@ -148,14 +123,15 @@ class DiscreteModelSpec:
             if list(err) not in (["matrix"], ["components"]):
                 raise ValueError(f"error must hold 'matrix' or 'components' alone, got {list(err)}")
             if "matrix" in err:
-                error: ErrorMatrix | tuple = ErrorMatrix.from_json_dict(err["matrix"])
+                error = ErrorMatrix.from_json_dict(err["matrix"])
             else:
                 components = err["components"]
                 if not isinstance(components, list):
                     raise TypeError(
                         f"error components must be a list, got {type(components).__name__}"
                     )
-                error = tuple(BinaryErrorParams.from_json_dict(e) for e in components)
+                error = component_mechanism(
+                    [BinaryErrorParams.from_json_dict(e) for e in components])
             return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz, error=error)
 
 
@@ -185,14 +161,13 @@ def simulate_discrete(
     """n i.i.d. draws of (x, y, w) plus the exact effect table.
 
     Returns ``(samples, effect)`` where samples has integer columns
-    (x, y, w) for a ``matrix`` mechanism or (x, y, w_1..w_K) for K
-    components, and ``effect[x]`` is the analytic P(y | do(x)).
+    (x, y, w_1..w_K), one w column per dense factor of the mechanism (K = 1
+    for a dense matrix), and ``effect[x]`` is the analytic P(y | do(x)).
 
     After the z, x and y blocks, W reads ``rng.random((n, K))`` in row
-    blocks, one column per dense factor of the mechanism (K = 1 for a dense
-    matrix), each drawn by inverse CDF from the factor's column for z's
-    digit, first factor most significant.  A matrix model writes the
-    mixed-radix w index, so no factored mechanism is ever expanded.
+    blocks, column i drawn by inverse CDF from factor i's column for z's
+    digit i, first factor most significant, so no factored mechanism is
+    ever expanded.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -203,22 +178,19 @@ def simulate_discrete(
     x = _draw_categorical(cum_x.T[z], rng.random(n))
     cum_y = np.cumsum(spec.p_y_given_xz, axis=0)
     y = _draw_categorical(np.moveaxis(cum_y, 0, -1)[x, z], rng.random(n))
-    mats = spec.mechanism()._mats
-    w_sides, z_sides = zip(*(m.shape for m in mats))
+    mats = spec.error._mats
+    z_sides = [m.shape[1] for m in mats]
     cums = [np.cumsum(m, axis=0) for m in mats]
-    k = spec.k_components
-    samples = np.empty((n, 3 if k is None else 2 + k), dtype=np.int64)
+    samples = np.empty((n, 2 + len(mats)), dtype=np.int64)
     samples[:, 0], samples[:, 1] = x, y
     del x, y
     for start, u_w in _uniform_row_blocks(rng, n, len(mats)):
         stop = start + u_w.shape[0]
         # z's digit per factor in the smallest type, so the stable sort is a radix sort
         digits = np.unravel_index(z[start:stop], z_sides)
-        w = [_draw_by_column(cum, d.astype(np.min_scalar_type(side - 1)), u)
-             for cum, d, side, u in zip(cums, digits, z_sides, u_w.T)]
-        if k is None:
-            w = [np.ravel_multi_index(w, w_sides)]
-        samples[start:stop, 2:] = np.column_stack(w)
+        samples[start:stop, 2:] = np.column_stack([
+            _draw_by_column(cum, d.astype(np.min_scalar_type(side - 1)), u)
+            for cum, d, side, u in zip(cums, digits, z_sides, u_w.T)])
     return samples, spec.effect_table()
 
 
@@ -271,5 +243,6 @@ def binary_spec(
     p_x_given_z = np.stack([1.0 - px1, px1])
     p_y_given_xz = np.stack([1.0 - py1, py1])
     return DiscreteModelSpec(
-        p_z=p_z, p_x_given_z=p_x_given_z, p_y_given_xz=p_y_given_xz, error=(err,)
+        p_z=p_z, p_x_given_z=p_x_given_z, p_y_given_xz=p_y_given_xz,
+        error=ErrorMatrix.from_binary(err),
     )

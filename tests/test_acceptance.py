@@ -134,7 +134,7 @@ def test_criterion_4_bias_removal_at_scale():
     spec = binary_spec(
         0.5, [0.8, 0.2], [[0.2, 0.6], [0.4, 0.9]], BinaryErrorParams(0.2, 0.1)
     )
-    mech = spec.mechanism()
+    mech = spec.error
     truth = spec.effect(1)[1]
     start = time.perf_counter()
     corrected, naive = [], []

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior over flat files."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -23,6 +24,7 @@ from effectrestore import (
     JointTable,
     binary_spec,
     causal_effect_restored,
+    component_mechanism,
     empirical_joint,
 )
 from effectrestore.cli import main
@@ -145,6 +147,16 @@ class TestRestoreBinaryCommand:
             assert binary_doc[key] == docs["restore-discrete"][key]
         assert binary_doc["clipped"] is False
 
+    def test_a_json_table_must_have_binary_x_and_y(self, tmp_path):
+        table_path, rates_path = tmp_path / "t.json", tmp_path / "e.json"
+        dump_json(JointTable(np.full((3, 3, 2), 1 / 18), "W").to_json_dict(), table_path)
+        dump_json({"eps": 0.1, "delta": 0.1}, rates_path)
+        code, out, err, leaked = run_main(
+            ["restore-binary", "--in", str(table_path), "--error", str(rates_path)])
+        assert (code, out, leaked) == (1, "", [])
+        assert err == (f"effectrestore restore-binary: error: {table_path}: card_x=3 and "
+                       "card_y=3, expected 2 and 2\n")
+
 
 class TestSimulateThenEstimate:
     def test_effect_binary_covers_ground_truth(self, tmp_path, strong_confounding_spec):
@@ -158,7 +170,7 @@ class TestSimulateThenEstimate:
         ])
         assert code == 0
         header, data = read_samples_csv(samples_path)
-        assert header == ["x", "y", "w1"]  # one binary proxy component
+        assert header == ["x", "y", "w"]  # a mechanism of one factor: one w column
         assert data.shape == (100_000, 3)
         truth = load_json(truth_path)["effect"]
 
@@ -214,7 +226,7 @@ class TestSimulateThenEstimate:
 class TestRestoreDiscreteCommand:
     def test_effect_from_table_json_matches_library(self, tmp_path, strong_confounding_spec):
         observed = strong_confounding_spec.joint_xyw()
-        mech = strong_confounding_spec.mechanism()
+        mech = strong_confounding_spec.error
         table_path = tmp_path / "observed.json"
         dump_json(observed.to_json_dict(), table_path)
         mech_path = tmp_path / "mech.json"
@@ -231,6 +243,48 @@ class TestRestoreDiscreteCommand:
         )
         np.testing.assert_allclose(doc["stratified_effect"], doc["effect"], atol=1e-9)
         assert doc["condition_estimate"] >= 1.0
+
+    @pytest.mark.parametrize("flaw, fault", [
+        ("ones", "cells sum to 8.0, 7.000e+00 from 1 (tolerance 1e-09)"),
+        ("negative", "cell (x, y, v) = (0, 1, 0) is negative (-0.05)"),
+    ], ids=["ones", "negative"])
+    def test_a_json_table_must_be_a_distribution(self, tmp_path, flaw, fault):
+        cells = np.full((2, 2, 2), 1 / 8)
+        if flaw == "ones":
+            cells[:] = 1.0
+        else:
+            cells[0, 1] = [-0.05, 0.3]  # mass still 1
+        table_path, mech_path = tmp_path / "t.json", tmp_path / "m.json"
+        dump_json(JointTable(cells, "W").to_json_dict(), table_path)
+        dump_json(ErrorMatrix.identity(2).to_json_dict(), mech_path)
+        code, out, err, leaked = run_main(
+            ["restore-discrete", "--in", str(table_path), "--error", str(mech_path), "--x", "1"])
+        assert (code, out, leaked) == (1, "", [])
+        assert err == f"effectrestore restore-discrete: error: {table_path}: {fault}\n"
+
+    def test_strata_stratify_on_the_treatment_value(self, tmp_path):
+        # six latent values with distinct scores P(X = 2 | z): one stratum per
+        # z, so the stratified effect of x = 2 is the adjusted one
+        rng = np.random.default_rng(41)
+        table_path, mech_path = tmp_path / "t.json", tmp_path / "m.json"
+        dump_json(JointTable(rng.dirichlet(np.ones(36)).reshape(3, 2, 6), "W").to_json_dict(),
+                  table_path)
+        dump_json(ErrorMatrix.identity(6).to_json_dict(), mech_path)
+        code, out, err, _ = run_main(["restore-discrete", "--in", str(table_path), "--error",
+                                      str(mech_path), "--x", "2", "--strata", "20"])
+        assert code == 0, err
+        doc = json.loads(out)
+        np.testing.assert_allclose(doc["stratified_effect"], doc["effect"], rtol=0, atol=1e-12)
+        # a CSV whose x is always 0 has card_x 1; its treatment value 0 stratifies
+        csv_path = tmp_path / "s.csv"
+        write_samples_csv(csv_path, ["x", "y", "w"], np.array([[0, 0, 0], [0, 1, 1], [0, 1, 0]]),
+                          integer=True)
+        dump_json(ErrorMatrix.identity(2).to_json_dict(), mech_path)
+        code, out, err, _ = run_main(["restore-discrete", "--in", str(csv_path), "--error",
+                                      str(mech_path), "--x", "0", "--strata", "5"])
+        assert code == 0, err
+        doc = json.loads(out)
+        np.testing.assert_allclose(doc["stratified_effect"], doc["effect"], rtol=0, atol=1e-12)
 
     def test_csv_ingestion_with_smoothing(self, tmp_path):
         samples = np.array([[0, 0, 0], [1, 1, 1], [1, 0, 1]])
@@ -258,9 +312,10 @@ def write_components_model(tmp_path, k, seed):
     p_y1 = rng.uniform(0.2, 0.8, (2, 2**k))
     rates = [BinaryErrorParams(*rng.uniform(0.05, 0.15, 2)) for _ in range(k)]
     spec = DiscreteModelSpec(p_z, np.stack([1 - p_x1, p_x1]), np.stack([1 - p_y1, p_y1]),
-                             tuple(rates))
+                             component_mechanism(rates))
     model_path, rates_path = tmp_path / "model.json", tmp_path / "rates.json"
-    dump_json(spec.to_json_dict(), model_path)
+    dump_json({**spec.to_json_dict(), "error": {"components": [r.to_json_dict() for r in rates]}},
+              model_path)
     dump_json([r.to_json_dict() for r in rates], rates_path)
     return model_path, rates_path
 
@@ -314,6 +369,80 @@ class TestSimulatedComponentsRestore:
         assert (code, out, leaked) == (1, "", [])
         assert err == (f"effectrestore restore-discrete: error: {samples_path}: expected 3 or 4 "
                        "columns, got 5 (['x', 'y', 'w1', 'w2', 'w3'])\n")
+
+
+def write_dense_model(tmp_path, seed):
+    """A model JSON with a dense 3 x 3 mechanism."""
+    from effectrestore import DiscreteModelSpec
+
+    rng = np.random.default_rng(seed)
+    p_x1 = rng.uniform(0.2, 0.8, 3)
+    p_y1 = rng.uniform(0.2, 0.8, (2, 3))
+    mech = 0.7 * np.eye(3) + 0.3 * rng.dirichlet(np.ones(3), size=3).T
+    spec = DiscreteModelSpec(rng.dirichlet(np.ones(3)), np.stack([1 - p_x1, p_x1]),
+                             np.stack([1 - p_y1, p_y1]), ErrorMatrix(entries=mech))
+    path = tmp_path / "dense_model.json"
+    dump_json(spec.to_json_dict(), path)
+    return path
+
+
+def simulated_layouts(tmp_path):
+    """CSV paths ``simulate-discrete`` wrote (--n 3000 --seed 7) for a
+    ``components`` model of three rates, a dense model and the components'
+    factored ``matrix``."""
+    components, _ = write_components_model(tmp_path, 3, 7)
+    doc = load_json(components)
+    rates = [BinaryErrorParams(**r) for r in doc["error"]["components"]]
+    matrix = tmp_path / "matrix_model.json"
+    dump_json({**doc, "error": {"matrix": component_mechanism(rates).to_json_dict()}}, matrix)
+    paths = {}
+    for name, model in (("components", components), ("dense", write_dense_model(tmp_path, 8)),
+                        ("matrix", matrix)):
+        paths[name] = tmp_path / f"{name}.csv"
+        assert main(["simulate-discrete", "--in", str(model), "--out", str(paths[name]),
+                     "--n", "3000", "--seed", "7"]) == 0
+    return paths
+
+
+class TestSimulatedLayout:
+    """``simulate-discrete`` writes x, y and one w column per dense factor of
+    the model's mechanism, headed ``w`` for one and w1..wK otherwise."""
+
+    #: SHA-256 of the CSVs of ``simulated_layouts``; "matrix" is of the
+    #: factored matrix model's CSV with its w columns raveled into one ``w``,
+    #: first most significant, the layout such models were once written in
+    DIGESTS = {
+        "components": "84f1b2be0eab0ad6c458971c932db9902c78d16d47ee68b86b2c4b90f409dc41",
+        "dense": "991bd31de2bf565edaed31acd2a3bd1e253e3c41de6bdced24f12e483c4df5a2",
+        "matrix": "7d494fd78b807de2a1c68de15173aa6ee639a701d83b1524f5e1c639c4875dc0",
+    }
+
+    def test_components_and_dense_models_keep_their_bytes(self, tmp_path):
+        paths = simulated_layouts(tmp_path)
+        for name in ("components", "dense"):
+            assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == self.DIGESTS[name]
+        assert read_samples_csv(paths["dense"])[0] == ["x", "y", "w"]
+
+    def test_factored_matrix_writes_the_components_columns(self, tmp_path):
+        paths = simulated_layouts(tmp_path)
+        assert paths["matrix"].read_bytes() == paths["components"].read_bytes()
+        header, data = read_samples_csv(paths["matrix"])
+        assert header == ["x", "y", "w1", "w2", "w3"]
+        raveled = tmp_path / "raveled.csv"
+        write_samples_csv(raveled, ["x", "y", "w"],
+                          np.column_stack([data[:, :2], data[:, 2:] @ [4, 2, 1]]), integer=True)
+        assert hashlib.sha256(raveled.read_bytes()).hexdigest() == self.DIGESTS["matrix"]
+        # restore-discrete reads both layouts, to the same bytes
+        mech = tmp_path / "mech.json"
+        dump_json(load_json(tmp_path / "matrix_model.json")["error"]["matrix"], mech)
+        table, docs = tmp_path / "table.csv", []
+        for source in (paths["matrix"], raveled):
+            table.write_bytes(source.read_bytes())
+            code, out, err, _ = run_main(["restore-discrete", "--in", str(table), "--error",
+                                          str(mech), "--x", "1", "--strata", "4"])
+            assert code == 0, err
+            docs.append(out)
+        assert docs[0] == docs[1]
 
 
 class TestInferredCardsCap:
@@ -1054,7 +1183,8 @@ def stochastic_doc(rng, n):
 def restore_discrete_documents(draw):
     """A table JSON, a factored mechanism JSON (as text) and whether either
     is malformed.  The table may have ragged or short ``cells``, a wrong
-    ``axis``, a NaN cell or non-integer ``cards``; the mechanism's
+    ``axis``, a NaN or a negative cell, a mass other than 1 or non-integer
+    ``cards``; the mechanism's
     ``factors`` may be no list, nested (too deep to load, perhaps), or hold
     one bad factor."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -1063,7 +1193,7 @@ def restore_discrete_documents(draw):
     table = {"cards": cards, "cells": list(rng.dirichlet(np.ones(math.prod(cards)))),
              "axis": "W"}
     table_flaw = draw(st.sampled_from(
-        [None, "ragged", "short", "axis", "nan", "cards", "nesting"]))
+        [None, "ragged", "short", "axis", "nan", "cards", "nesting", "mass", "negative"]))
     if table_flaw == "nesting":
         # the right size, nested in a layout other than (x, y, v)
         shape = draw(st.sampled_from([[1, *cards], cards[::-1], [cards[0], cards[1] * cards[2]]]))
@@ -1080,6 +1210,11 @@ def restore_discrete_documents(draw):
         table["axis"] = draw(st.sampled_from(["w", "Q", "", 5, None]))
     elif table_flaw == "nan":
         table["cells"][draw(st.integers(0, len(table["cells"]) - 1))] = float("nan")
+    elif table_flaw == "mass":
+        scale = draw(st.sampled_from([0.0, 0.5, 1.0 + 1e-6, 2.0]))
+        table["cells"] = [c * scale for c in table["cells"]]
+    elif table_flaw == "negative":
+        table["cells"][draw(st.integers(0, len(table["cells"]) - 1))] = -0.05
     elif table_flaw == "cards":
         table["cards"][draw(st.integers(0, 2))] = draw(st.sampled_from([1.5, 2.0, True, "2"]))
     factors = [stochastic_doc(rng, n) for n in sides]
@@ -1176,7 +1311,7 @@ def model_documents(draw):
     if command == "simulate-linear":
         doc = dict(LINEAR_MODEL)
     else:
-        err = {"matrix": ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1)).to_json_dict()}
+        err = {"components": [BinaryErrorParams(0.2, 0.1).to_json_dict()]}
         doc = {**DISCRETE_MODEL, "error": draw(st.sampled_from([DISCRETE_MODEL["error"], err]))}
     doc = json.loads(json.dumps(doc))  # a deep copy
     flaw = draw(st.sampled_from(

@@ -106,6 +106,19 @@ class TestErrorMatrix:
         with pytest.raises(ValidationError, match="not both"):
             ErrorMatrix.from_json_dict(doc)
 
+    def test_nested_factors_are_flattened_when_built(self):
+        a, b, c = (ErrorMatrix.from_binary(BinaryErrorParams(e, 0.1)) for e in (0.1, 0.2, 0.3))
+        nested = ErrorMatrix(factors=(ErrorMatrix(factors=(a, b)), c))
+        assert len(nested.factors) == 3
+        assert all(f is g for f, g in zip(nested.factors, (a, b, c)))
+        flat = ErrorMatrix(factors=(a, b, c)).to_json_dict()
+        assert [f["entries"] for f in flat["factors"]] == [m.entries.ravel("F").tolist()
+                                                          for m in (a, b, c)]
+        # a nested document is written back as a flat list
+        assert nested.to_json_dict() == flat
+        doc = {"factors": [{"factors": flat["factors"][:2]}, flat["factors"][2]]}
+        assert ErrorMatrix.from_json_dict(doc).to_json_dict() == flat
+
     def test_singular_operator(self):
         m = ErrorMatrix(entries=np.full((2, 2), 0.5))
         assert m.condition() == float("inf")
@@ -233,6 +246,9 @@ class TestBlockContraction:
     @given(st.data(), st.booleans())
     def test_apply_matches_factors_and_dense(self, data, square):
         mech, mats = data.draw(nested_mechanisms(square=square))
+        # nesting is flattened when built
+        assert len(mech.factors) == len(mats)
+        assert all(np.array_equal(f.entries, m) for f, m in zip(mech.factors, mats))
         cells = self.operand(data, mech.n_z)
         blocked = mech.apply(cells)
         assert blocked.shape == cells.shape[:-1] + (mech.n_w,)

@@ -449,7 +449,7 @@ class TestCausalEffectRestored:
             0.4, [0.7, 0.2], [[0.2, 0.6], [0.5, 0.9]], BinaryErrorParams(0.2, 0.1)
         )
         observed = spec.joint_xyw()
-        mech = spec.mechanism()
+        mech = spec.error
         for x in (0, 1):
             np.testing.assert_allclose(
                 causal_effect_restored(observed, mech, x), spec.effect(x), atol=1e-10
@@ -507,7 +507,7 @@ class TestStratifiedEffect:
         table = random_table(rng, (3, 2, 6))
         profile = PropensityProfile(
             scores=table.cells[1].sum(axis=0) / table.cells.sum(axis=(0, 1)),
-            strata=tuple((z,) for z in range(6)),
+            labels=np.arange(6),
             weights=table.cells.sum(axis=(0, 1)),
         )
         for x in range(3):
@@ -521,7 +521,7 @@ class TestStratifiedEffect:
         rng = np.random.default_rng(15)
         table = random_table(rng, (2, 2, 5))
         profile = PropensityProfile(
-            scores=np.zeros(5), strata=(tuple(range(5)),), weights=np.array([1.0])
+            scores=np.zeros(5), labels=np.zeros(5, dtype=int), weights=np.array([1.0])
         )
         p_y_given_x1 = table.cells[1].sum(axis=1) / table.cells[1].sum()
         np.testing.assert_allclose(
@@ -564,7 +564,7 @@ class TestStratifiedEffect:
         table = random_table(rng, (2, 2, 2))
         profile = PropensityProfile(
             scores=np.array([0.5, 0.5]),
-            strata=((0, 1), ()),
+            labels=np.array([0, 0]),
             weights=np.array([0.6, 0.4]),
         )
         with pytest.raises(DegenerateStratumError):
@@ -574,7 +574,7 @@ class TestStratifiedEffect:
         rng = np.random.default_rng(19)
         table = random_table(rng, (2, 2, 3))
         profile = PropensityProfile(
-            scores=np.full(3, 0.5), strata=((0, 1),), weights=np.array([1.0])
+            scores=np.full(3, 0.5), labels=np.array([0, 0, -1]), weights=np.array([1.0])
         )
         with pytest.raises(ValidationError):
             stratified_effect(table, profile, 0)
@@ -588,28 +588,28 @@ class TestStratifiedEffect:
         table = JointTable(cells, "Z")
         profile = PropensityProfile(
             scores=np.array([0.0, 0.8]),
-            strata=((0,), (1,)),
+            labels=np.array([0, 1]),
             weights=np.array([0.5, 0.5]),
         )
         with pytest.raises(PositivityError):
             stratified_effect(table, profile, 1)
 
     def test_profile_weight_validation(self):
-        with pytest.raises(ValidationError):
-            PropensityProfile(
-                scores=np.array([0.5]), strata=((0,),), weights=np.array([0.7])
-            )
-        with pytest.raises(ValidationError):
-            PropensityProfile(
-                scores=np.array([0.5, 0.5]),
-                strata=((0, 1), (1,)),
-                weights=np.array([0.5, 0.5]),
-            )
+        # weights sum to 1; one integer label per score, each in [-1, n_strata)
+        for scores, labels, weights, fault in (
+            ([0.5], [0], [0.7], "weights sum to 0.7"),
+            ([0.5, 0.5], [0, 2], [0.5, 0.5], r"labels must lie in \[-1, 2\)"),
+            ([0.5, 0.5], [-2, 0], [1.0], r"labels must lie in \[-1, 1\)"),
+            ([0.5, 0.5], [0], [1.0], "one per score"),
+            ([0.5], [0.0], [1.0], "must be integers"),
+        ):
+            with pytest.raises(ValidationError, match=fault):
+                PropensityProfile(np.array(scores), np.array(labels), np.array(weights))
 
 
 class TestLazyStrata:
-    """``propensity_profile`` keeps the strata as member arrays and forms
-    the ``strata`` tuples only when the attribute is read."""
+    """A profile keeps one stratum label per z and forms the ``strata``
+    tuples only when the attribute is read."""
 
     @staticmethod
     def profile_and_table():
@@ -623,8 +623,9 @@ class TestLazyStrata:
         assert "strata" not in vars(profile)
         strata = profile.strata
         assert profile.strata is strata
-        assert [len(s) for s in strata] == profile._sizes.tolist()
-        assert [z for s in strata for z in s] == profile._members.tolist()
+        labels = profile.labels.tolist()
+        assert [[z for z in range(len(labels)) if labels[z] == k]
+                for k in range(len(profile.weights))] == [list(s) for s in strata]
         assert all(type(z) is int for s in strata for z in s)
         np.testing.assert_array_equal(stratified_effect(table, profile, 1), effect)
         with pytest.raises(AttributeError, match="no attribute 'stratum'"):
@@ -644,16 +645,16 @@ class TestLazyStrata:
                 stratified_effect(table, clone, 1), stratified_effect(table, profile, 1)
             )
         text = repr(profile)
-        assert text.startswith("PropensityProfile(scores=") and f"strata={strata!r}" in text
-        assert "_members" not in text and "_sizes" not in text
+        assert text.startswith("PropensityProfile(scores=") and "labels=array(" in text
+        assert "strata" not in text
 
     def test_public_constructor_keeps_its_strata(self):
         profile = PropensityProfile(
-            scores=np.full(4, 0.5), strata=((2, np.int64(0)), (1,)), weights=np.array([0.6, 0.4])
+            scores=np.full(4, 0.5), labels=np.array([0, 1, 0, -1]), weights=np.array([0.6, 0.4])
         )
-        assert profile.strata == ((2, 0), (1,))
+        assert profile.strata == ((0, 2), (1,))
         assert all(type(z) is int for s in profile.strata for z in s)
-        assert profile._sizes.tolist() == [2, 1]
+        assert not profile.labels.flags.writeable
         assert pickle.loads(pickle.dumps(profile)).strata == profile.strata
 
 
@@ -719,8 +720,8 @@ def discrete_score_table(rng, n_z, n_scores, card_y=3, zero_mass=()):
 
 def reference_propensity_profile(table, *, treated=1, n_bins=20):
     """The stratification before labels were narrowed: np.unique labels and
-    an int64 stable argsort.  Returns scores, strata, weights, members and
-    the stratum label of each member."""
+    an int64 stable argsort.  Returns scores, strata, weights and the
+    stratum label of each z (-1 for a zero-mass z)."""
     p_z = table.cells.sum(axis=(0, 1))
     p_xz = table.cells.sum(axis=1)
     pos = p_z > 0.0
@@ -737,7 +738,9 @@ def reference_propensity_profile(table, *, treated=1, n_bins=20):
     ends = np.cumsum(np.bincount(labels, minlength=len(keys))).tolist()
     strata = tuple(tuple(members[a:b].tolist()) for a, b in zip([0, *ends], ends))
     weights = np.bincount(labels, weights=p_z[pos_idx], minlength=len(keys))
-    return scores, strata, weights / weights.sum(), members, labels[order]
+    labels_z = np.full(table.card_v, -1)
+    labels_z[pos_idx] = labels
+    return scores, strata, weights / weights.sum(), labels_z
 
 
 def table_with_scores(rng, scores, card_y=2, zero_mass=()):
@@ -753,15 +756,12 @@ def table_with_scores(rng, scores, card_y=2, zero_mass=()):
 
 class TestStratificationMatchesReference:
     def check(self, table, n_bins):
-        scores, strata, weights, members, labels = reference_propensity_profile(
-            table, n_bins=n_bins
-        )
+        scores, strata, weights, labels = reference_propensity_profile(table, n_bins=n_bins)
         profile = propensity_profile(table, n_bins=n_bins)
         np.testing.assert_array_equal(profile.scores, scores)
-        assert profile.strata == strata
         np.testing.assert_array_equal(profile.weights, weights)
-        np.testing.assert_array_equal(profile._members, members)
-        np.testing.assert_array_equal(profile._labels, labels)
+        np.testing.assert_array_equal(profile.labels, labels)
+        assert profile.strata == strata
         return profile
 
     @pytest.mark.parametrize("seed", range(4))
@@ -828,9 +828,11 @@ class TestStratificationMatchesLoop:
         cells[1, :, 1] = 0.0    # z = 1 never treated
         cells[1, :, 0] = 0.0    # nor z = 0
         table = JointTable(cells / cells.sum(), "Z")
-        profile = PropensityProfile(
-            scores=np.zeros(4), strata=strata, weights=np.array(weights)
-        )
+        labels = np.full(4, -1)
+        for k, members in enumerate(strata):
+            labels[list(members)] = k
+        profile = PropensityProfile(scores=np.zeros(4), labels=labels, weights=np.array(weights))
+        assert profile.strata == strata
         with pytest.raises(error) as want:
             loop_stratified_effect(table, profile, x)
         with pytest.raises(error) as got:
@@ -839,8 +841,9 @@ class TestStratificationMatchesLoop:
 
     def test_out_of_range_member_rejected(self):
         table = JointTable(np.full((2, 2, 3), 1.0 / 12), "Z")
+        # a profile of four latent values for a table of three
         profile = PropensityProfile(
-            scores=np.zeros(3), strata=((0, 1, 2, 3),), weights=np.array([1.0])
+            scores=np.zeros(4), labels=np.zeros(4, dtype=int), weights=np.array([1.0])
         )
-        with pytest.raises(ValidationError, match="outside"):
+        with pytest.raises(ValidationError, match="4 latent values, table has card_v=3"):
             stratified_effect(table, profile, 1)

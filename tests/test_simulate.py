@@ -1,7 +1,5 @@
 """Simulator: model validation, analytic oracles, determinism, convergence."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +38,8 @@ def component_spec(rng, k):
         p_z=rng.dirichlet(np.ones(n_z)),
         p_x_given_z=np.stack([1.0 - p_x1, p_x1]),
         p_y_given_xz=np.stack([1.0 - p_y1, p_y1]),
-        error=tuple(BinaryErrorParams(*rng.uniform(0.0, 0.3, 2)) for _ in range(k)),
+        error=component_mechanism(
+            [BinaryErrorParams(*rng.uniform(0.0, 0.3, 2)) for _ in range(k)]),
     )
 
 
@@ -93,7 +92,14 @@ class TestDiscreteModelSpec:
                 p_z=np.array([0.25, 0.25, 0.25, 0.25]),
                 p_x_given_z=np.full((2, 4), 0.5),
                 p_y_given_xz=np.full((2, 2, 4), 0.5),
-                error=(BinaryErrorParams(0.1, 0.1),),  # 1 component != 4 cells
+                error=component_mechanism([BinaryErrorParams(0.1, 0.1)]),  # 2 != 4 cells
+            )
+        with pytest.raises(ValidationError, match="error must be an ErrorMatrix, got tuple"):
+            DiscreteModelSpec(
+                p_z=np.array([0.5, 0.5]),
+                p_x_given_z=np.full((2, 2), 0.5),
+                p_y_given_xz=np.full((2, 2, 2), 0.5),
+                error=(BinaryErrorParams(0.1, 0.1),),
             )
 
     def test_latent_joint_and_effect(self):
@@ -110,7 +116,12 @@ class TestDiscreteModelSpec:
         spec = example_spec()
         back = DiscreteModelSpec.from_json_dict(spec.to_json_dict())
         np.testing.assert_allclose(back.joint_xyz().cells, spec.joint_xyz().cells, atol=0)
-        assert back.k_components == 1
+        # a components document is read as its factored mechanism, written as a matrix
+        errs = [BinaryErrorParams(0.2, 0.1), BinaryErrorParams(0.05, 0.3)]
+        doc = {**component_spec(np.random.default_rng(3), 2).to_json_dict(),
+               "error": {"components": [e.to_json_dict() for e in errs]}}
+        want = {"matrix": component_mechanism(errs).to_json_dict()}
+        assert DiscreteModelSpec.from_json_dict(doc).to_json_dict()["error"] == want
         dense = DiscreteModelSpec(
             p_z=np.array([0.3, 0.7]),
             p_x_given_z=np.array([[0.9, 0.4], [0.1, 0.6]]),
@@ -118,7 +129,7 @@ class TestDiscreteModelSpec:
             error=ErrorMatrix.from_binary(BinaryErrorParams(0.1, 0.2)),
         )
         back = DiscreteModelSpec.from_json_dict(dense.to_json_dict())
-        np.testing.assert_allclose(back.mechanism().dense(), dense.mechanism().dense())
+        np.testing.assert_allclose(back.error.dense(), dense.error.dense())
 
 
 class TestSimulateDiscrete:
@@ -162,7 +173,7 @@ class TestSimulateDiscrete:
             p_z=np.full(4, 0.25),
             p_x_given_z=np.tile(np.array([[0.7], [0.3]]), (1, 4)),
             p_y_given_xz=np.full((2, 2, 4), 0.5),
-            error=errs,
+            error=component_mechanism(errs),
         )
         samples, _ = simulate_discrete(spec, 1000, seed=4)
         assert samples.shape == (1000, 4)
@@ -176,16 +187,16 @@ class TestSimulateDiscrete:
         # 20_000 rows at K = 12 and 70_000 at K = 3 span more than three row
         # blocks of 2^16 values, the last one partial
         spec = component_spec(np.random.default_rng(k + n), k)
-        errs = spec.error
+        mats = spec.error._mats
         samples, _ = simulate_discrete(spec, n, seed=13)
         stream = make_rng(13)
         u_z, _, _ = (stream.random(n) for _ in range(3))
         u_w = stream.random((n, k))
         z = np.searchsorted(np.cumsum(spec.p_z), u_z, side="left")
         want = np.empty((n, k), dtype=np.int64)
-        for i, err in enumerate(errs):
+        for i, m in enumerate(mats):
             bit = (z >> (k - 1 - i)) & 1
-            cdf = np.cumsum(err.matrix(), axis=0)
+            cdf = np.cumsum(m, axis=0)
             want[:, i] = (u_w[:, i, None] > cdf.T[bit]).sum(axis=1)
         assert samples.dtype == np.int64 and samples.shape == (n, 2 + k)
         np.testing.assert_array_equal(samples[:, 2:], want)
@@ -193,17 +204,21 @@ class TestSimulateDiscrete:
     @settings(max_examples=40, deadline=None)
     @given(binary_rate_lists(), st.integers(0, 20_000), st.integers(0, 2**32 - 1))
     def test_matrix_model_draws_what_its_components_draw(self, errs, n, seed):
-        # W is drawn factor by factor for both forms of the error, so at one
-        # seed the matrix's w index is the radix-2 number the component
-        # columns spell
-        base = component_spec(np.random.default_rng(seed), len(errs))
-        parts, _ = simulate_discrete(replace(base, error=errs), n, seed=seed)
-        whole, _ = simulate_discrete(replace(base, error=component_mechanism(errs)), n, seed=seed)
-        assert whole.shape == (n, 3)
-        np.testing.assert_array_equal(whole[:, :2], parts[:, :2])
-        np.testing.assert_array_equal(
-            whole[:, 2], np.ravel_multi_index(tuple(parts[:, 2:].T), (2,) * len(errs))
-        )
+        # a components document and a matrix document of the same factors,
+        # nested or not, load as one mechanism and draw the same samples
+        base = component_spec(np.random.default_rng(seed), len(errs)).to_json_dict()
+        factors = [ErrorMatrix.from_binary(e) for e in errs]
+        nested = ErrorMatrix(factors=(ErrorMatrix(factors=tuple(factors[:1])), *factors[1:]))
+        draws = [
+            simulate_discrete(DiscreteModelSpec.from_json_dict({**base, "error": error}), n,
+                              seed=seed)[0]
+            for error in ({"components": [e.to_json_dict() for e in errs]},
+                          {"matrix": ErrorMatrix(factors=tuple(factors)).to_json_dict()},
+                          {"matrix": nested.to_json_dict()})
+        ]
+        assert draws[0].shape == (n, 2 + len(errs))
+        for other in draws[1:]:
+            np.testing.assert_array_equal(other, draws[0])
 
     def test_latent_draw_is_inverse_cdf_count(self):
         # noiseless components copy the bits of z, so the draw can be checked
@@ -213,7 +228,7 @@ class TestSimulateDiscrete:
             p_z=p_z,
             p_x_given_z=np.full((2, 8), 0.5),
             p_y_given_xz=np.full((2, 2, 8), 0.5),
-            error=(BinaryErrorParams(0.0, 0.0),) * 3,
+            error=component_mechanism([BinaryErrorParams(0.0, 0.0)] * 3),
         )
         samples, _ = simulate_discrete(spec, 5000, seed=6)
         z = samples[:, 2:] @ np.array([4, 2, 1])
@@ -257,7 +272,7 @@ class TestSimulateDiscrete:
         rng = make_rng(10)
         u_z, _, _, u_w = (rng.random(n) for _ in range(4))
         z = (u_z[:, None] > np.cumsum(spec.p_z)).sum(axis=1)
-        cum_w = np.cumsum(spec.mechanism().dense(), axis=0)
+        cum_w = np.cumsum(spec.error.dense(), axis=0)
         np.testing.assert_array_equal(samples[:, 2], (u_w[:, None] > cum_w.T[z]).sum(axis=1))
 
     def test_dense_proxy_draw_memory_stays_below_samples_times_values(self):
@@ -295,7 +310,6 @@ class TestSimulateDiscrete:
         import tracemalloc
 
         spec = component_spec(np.random.default_rng(16), 13)
-        spec = replace(spec, error=component_mechanism(spec.error))
         simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
         tracemalloc.start()
         try:
@@ -303,7 +317,7 @@ class TestSimulateDiscrete:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert samples.shape == (10_000, 3) and samples[:, 2].max() < 2**13
+        assert samples.shape == (10_000, 2 + 13) and set(np.unique(samples[:, 2:])) <= {0, 1}
         assert peak < 10e6
 
 
