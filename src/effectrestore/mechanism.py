@@ -56,6 +56,9 @@ _BLOCK_CAP = 64
 _LU_MIN_SIDE = 2048
 #: the 1-norm reads |M| in column chunks of about this many entries
 _NORM_CHUNK = 1 << 18
+#: ``_contract`` applies a Kronecker block to the work table in chunks of
+#: about this many entries (512 KB), each through a temporary of that size
+_CONTRACT_CHUNK = 1 << 16
 
 
 def _check_stochastic(arr: np.ndarray, name: str) -> float | None:
@@ -179,9 +182,12 @@ class _LU:
         return None if info > 0 else cls(lu, piv)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 rhs for an (n, k) ``rhs``."""
+        """M^-1 rhs for an (n, k) ``rhs``, in a new array."""
+        return self.solve_in_place(np.array(rhs, dtype=np.float64, order="F"))
+
+    def solve_in_place(self, out: np.ndarray) -> np.ndarray:
+        """Overwrite the Fortran-ordered (n, k) ``out`` with M^-1 out; returns it."""
         n = self.shape[0]
-        out = np.array(rhs, dtype=np.float64, order="F")
         if out.ndim != 2 or out.shape[0] != n:  # LAPACK would read past the array
             raise ValueError(f"operand must have shape ({n}, k), got {out.shape}")
         _lapack().getrs(_COL_MAJOR, b"T", n, out.shape[1], self.lu, n, self.piv, out, n)
@@ -220,25 +226,68 @@ def _contract(blocks: Sequence[np.ndarray | _LU], cells: np.ndarray) -> np.ndarr
     """Apply the tensor product of ``blocks`` along the last axis of ``cells``.
 
     The last axis is read as mixed-radix digits, the first block owning
-    the most significant one (``numpy.kron`` order).  The blocks are
-    applied last to first, one GEMM each: a block contracts the trailing
-    digit of the (rows, digit) view and its output digit becomes the
-    leading axis, so after the first block the digits stand in order in
-    front of the leading shape and no pass copies or transposes the
-    operand.  The product itself is never formed; a dense matrix is the
-    one-block case, a single ``m @ cells.T``.  A block of LU factors is
-    applied by its triangular solves in place of the GEMM.
+    the most significant one (``numpy.kron`` order).  The product itself
+    is never formed.  A single dense block is one GEMM from ``cells`` into
+    the result.  Otherwise the blocks contract their digits last to first
+    in one C-ordered work table whose rows are the leading cells: the
+    first block reads ``cells`` and writes a new table, and every later
+    one rewrites the table in place.  A block reads the table as
+    (rows * pre, digit, post), where pre and post are the sides of the
+    digits before and after its own, and is applied to chunks of about
+    ``_CONTRACT_CHUNK`` entries, each product going to a chunk-sized
+    temporary that is then written back: the last digit (post = 1) by one
+    2-D GEMM per row chunk, every other digit by a batched matmul.  A block
+    of LU factors on the last digit is one triangular solve (``getrs``) of
+    the whole table in place, the table's transpose being the
+    Fortran-ordered right-hand side LAPACK reads (``cells`` is copied into
+    the table first when this block comes first); elsewhere its chunks are
+    solved through a transposed temporary.  A non-square block, which only
+    ``apply`` of a non-square mechanism has, writes a new table of its
+    output size.  So beside ``cells`` a square operator holds one table and
+    one chunk, and the table, already in the leading shape, is the result.
     """
     cells = np.asarray(cells, dtype=float)
-    size = int(np.prod([b.shape[1] for b in blocks]))
+    size = math.prod(b.shape[1] for b in blocks)
     if cells.shape[-1:] != (size,):
         raise ValidationError(f"operand's last axis must have length {size}, got {cells.shape}")
-    out = cells.reshape(-1, size)
+    lead = cells.shape[:-1]
+    if len(blocks) == 1 and isinstance(blocks[0], np.ndarray):
+        return np.dot(cells.reshape(-1, size), blocks[0].T).reshape(*lead, blocks[0].shape[0])
+    # the caller's cells are only read; ``fresh`` once ``work`` is a table of our own
+    work, fresh = np.ascontiguousarray(cells.reshape(-1, size)), False
+    rows, pre, post = work.shape[0], size, 1
     for b in reversed(blocks):
-        operand = out.reshape(-1, b.shape[1]).T
-        out = b.solve(operand) if isinstance(b, _LU) else np.dot(b, operand)
-    n_out = int(np.prod([b.shape[0] for b in blocks]))
-    return out.reshape(n_out, -1).T.reshape(*cells.shape[:-1], n_out)
+        n_out, n_in = b.shape
+        pre //= n_in
+        if isinstance(b, _LU) and post == 1:
+            if not fresh:
+                work, fresh = work.copy(), True
+            b.solve_in_place(work.reshape(-1, n_in).T)
+        else:
+            src = work.reshape(rows * pre, n_in, post)
+            if n_out != n_in or not fresh:
+                work, fresh = np.empty((rows, pre * n_out * post)), True
+            dst = work.reshape(rows * pre, n_out, post)
+            # whole (digit, post) slabs per chunk, or one slab in column strips
+            step = max(1, _CONTRACT_CHUNK // (max(n_in, n_out) * post))
+            width = min(post, max(1, _CONTRACT_CHUNK // max(n_in, n_out)))
+            for q in range(0, rows * pre, step):
+                for c in range(0, post, width):
+                    tile = (slice(q, q + step), slice(None), slice(c, c + width))
+                    dst[tile] = _apply_block(b, src[tile])
+        post *= n_out
+    return work.reshape(*lead, post)
+
+
+def _apply_block(b: np.ndarray | _LU, src: np.ndarray) -> np.ndarray:
+    """``b`` applied along axis 1 of the (chunk, digit, width) ``src``."""
+    if isinstance(b, _LU):
+        tmp = np.ascontiguousarray(src.transpose(0, 2, 1))
+        b.solve_in_place(tmp.reshape(-1, b.shape[1]).T)
+        return tmp.transpose(0, 2, 1)
+    if src.shape[2] == 1:
+        return np.dot(src[:, :, 0], b.T)[:, :, None]
+    return np.matmul(b, src)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +322,7 @@ class ErrorMatrix:
         if self.entries is not None and self.factors is not None:
             raise ValidationError("an ErrorMatrix holds dense entries or factors, not both")
         if self.entries is not None:
-            arr = np.asarray(self.entries, dtype=float).copy()
+            arr = np.array(self.entries, dtype=float, order="C")  # one copy, whatever the input
             norm1 = _check_stochastic(arr, "mechanism")
             arr.setflags(write=False)
             object.__setattr__(self, "entries", arr)

@@ -43,6 +43,15 @@ anything larger means the postulated mechanism is incompatible with the
 data and raises unless clipping is explicitly forced.  A restored
 probability below ``TOL_VANISHING`` in absolute value is a vanishing
 denominator.
+
+Working set: a step holds its input, at most one table of the restored
+table's size and one chunk.  Restoration and the pushforward contract
+the operand into one work table in chunks of
+``mechanism._CONTRACT_CHUNK`` entries, clip it in place, and hand it to
+the returned ``JointTable`` without a copy.  The propensity
+profile and the stratified effect hold only vectors of the latent
+length (at most four: P(z), the scores, one sorted copy of them and the
+labels), and the profile takes its arrays without copying them.
 """
 
 from __future__ import annotations
@@ -61,7 +70,7 @@ from .errors import (
     ValidationError,
 )
 from .mechanism import ErrorMatrix
-from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, adjust_for_confounder
+from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, _adopt, adjust_for_confounder
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
@@ -95,7 +104,7 @@ def pushforward(table: JointTable, mechanism: ErrorMatrix) -> JointTable:
         raise ValidationError(
             f"mechanism has n_z={mechanism.n_z} but table card_v={table.card_v}"
         )
-    return JointTable(mechanism.apply(table.cells), AXIS_PROXY)
+    return _adopt(JointTable, mechanism.apply(table.cells), AXIS_PROXY)
 
 
 def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
@@ -126,12 +135,13 @@ def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
 
     Returns (cells, total absolute negative mass before clipping, clipped
     flag).  Clipping zeroes the negatives and rescales each (x, y) slice
-    back to its pre-clip mass, which restoration conserves.
+    back to its pre-clip mass, which restoration conserves; it overwrites
+    ``raw``, a fresh array of the caller's, and returns it.
     """
-    neg = raw < 0.0
-    negative_mass = float(-raw[neg].sum()) if neg.any() else 0.0
-    if negative_mass == 0.0:
+    if raw.min() >= 0.0:  # no mask of the table's size when nothing is negative
         return raw, 0.0, False
+    neg = raw < 0.0
+    negative_mass = float(-raw[neg].sum())
     if negative_mass > TOL_INCOMPATIBLE and not clip:
         raise IncompatibleModelError(
             f"restored table carries negative mass {negative_mass:.3e} "
@@ -140,8 +150,8 @@ def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
             "will be obtained"
         )
     target = raw.sum(axis=2)
-    cells = np.where(neg, 0.0, raw)
-    slice_sum = cells.sum(axis=2)
+    raw[neg] = 0.0
+    slice_sum = raw.sum(axis=2)
     bad = (target > 0.0) & (slice_sum <= 0.0)
     if bad.any():
         x, y = (int(i[0]) for i in np.nonzero(bad))
@@ -149,7 +159,8 @@ def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
             f"slice (x={x}, y={y}) has no nonnegative mass left after clipping"
         )
     scale = np.divide(target, slice_sum, out=np.ones_like(target), where=slice_sum > 0.0)
-    return cells * scale[:, :, None], negative_mass, True
+    raw *= scale[:, :, None]
+    return raw, negative_mass, True
 
 
 def restore_joint(
@@ -171,7 +182,7 @@ def restore_joint(
     raw = mechanism.apply_inverse(observed.cells)
     cells, negative_mass, clipped = _finalize(raw, clip=clip)
     return RestorationResult(
-        restored=JointTable(cells, AXIS_LATENT),
+        restored=_adopt(JointTable, cells, AXIS_LATENT),
         condition_estimate=cond,
         negative_mass=negative_mass,
         clipped=clipped,
@@ -212,7 +223,7 @@ def restore_joint_differential(
         raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
     cells, negative_mass, clipped = _finalize(raw, clip=clip)
     return RestorationResult(
-        restored=JointTable(cells, AXIS_LATENT),
+        restored=_adopt(JointTable, cells, AXIS_LATENT),
         condition_estimate=worst,
         negative_mass=negative_mass,
         clipped=clipped,
@@ -281,12 +292,14 @@ class PropensityProfile:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.asarray(self.scores, dtype=float)
-        labels = np.asarray(self.labels)
-        weights = np.asarray(self.weights, dtype=float)
-        for name, arr in (("scores", scores), ("labels", labels), ("weights", weights)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        # the profile owns copies of the caller's arrays
+        for name, dtype in (("scores", float), ("labels", None), ("weights", float)):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Check the arrays and make them read-only in place."""
+        scores, labels, weights = self.scores, self.labels, self.weights
         if labels.shape != scores.shape or labels.dtype.kind not in "iu":
             raise ValidationError(
                 f"labels must be integers, one per score: got {labels.dtype} of shape "
@@ -298,6 +311,8 @@ class PropensityProfile:
             raise ValidationError("stratum weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > 1e-9:
             raise ValidationError(f"stratum weights sum to {float(weights.sum())!r}, expected 1")
+        for arr in (scores, labels, weights):
+            arr.setflags(write=False)
 
     @cached_property
     def strata(self) -> tuple[tuple[int, ...], ...]:
@@ -324,29 +339,40 @@ def propensity_profile(
     if n_bins < 1:
         raise ValidationError("n_bins must be >= 1")
     p_z = table.cells.sum(axis=(0, 1))
-    p_xz = table.cells[treated].sum(axis=0)
+    scores = table.cells[treated].sum(axis=0)
     pos = p_z > 0.0
-    scores = np.divide(p_xz, p_z, out=np.full(table.card_v, np.nan), where=pos)
-    pos_idx = np.flatnonzero(pos)
-    values = np.round(scores[pos_idx], 12)
-    # the distinct values, sorted: np.unique spelled out, because its first
+    unlabelled = ~pos
+    # L(z) = P(treated, z) / P(z), written over P(treated, z)
+    np.divide(scores, p_z, out=scores, where=pos)
+    scores[unlabelled] = np.nan
+    # the one sorted copy, of the scores to 12 decimals: the positive-mass
+    # z first, the NaN last.  np.unique is spelled out, because its first
     # call keeps about 0.5 MB allocated for the rest of the process
-    ordered = np.sort(values)
-    distinct = np.ones(len(ordered), dtype=bool)
-    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
-    keys = ordered[distinct]
-    if len(keys) <= n_bins:
+    values = np.round(scores, 12)
+    values.sort()
+    ordered = values[:np.count_nonzero(pos)]
+    changes = ordered[1:] != ordered[:-1]
+    # each z is labelled with its stratum, the zero-mass z with n_strata
+    # until the weights are summed
+    if np.count_nonzero(changes) + min(len(ordered), 1) <= n_bins:
+        keys = np.concatenate((ordered[:1], ordered[1:][changes]))
         n_strata = len(keys)
-        pos_labels = np.searchsorted(keys, values)
+        labels = np.searchsorted(keys, np.round(scores, 12, out=values))  # NaN sorts last
     else:
-        bins = np.minimum((np.clip(values, 0.0, 1.0) * n_bins).astype(np.intp), n_bins - 1)
-        present = np.bincount(bins, minlength=n_bins) > 0
+        np.round(scores, 12, out=values)
+        np.clip(values, 0.0, 1.0, out=values)
+        values *= n_bins
+        np.minimum(values, n_bins - 1, out=values)
+        values[unlabelled] = n_bins
+        labels = values.astype(np.intp)
+        present = np.bincount(labels, minlength=n_bins + 1)[:n_bins] > 0
         n_strata = int(present.sum())
-        pos_labels = (np.cumsum(present) - 1)[bins]
-    labels = np.full(table.card_v, -1, dtype=np.intp)
-    labels[pos_idx] = pos_labels
-    weights = np.bincount(pos_labels, weights=p_z[pos_idx], minlength=n_strata)
-    return PropensityProfile(scores, labels, weights / weights.sum())
+        del values, ordered  # the scratch goes before the relabelled copy comes
+        labels = np.append(np.cumsum(present) - 1, n_strata)[labels]
+    weights = np.bincount(labels, weights=p_z, minlength=n_strata + 1)[:n_strata]
+    weights /= weights.sum()
+    labels[unlabelled] = -1
+    return _adopt(PropensityProfile, scores, labels, weights)
 
 
 def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> np.ndarray:
@@ -363,24 +389,26 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
         raise ValidationError(
             f"profile labels {len(labels)} latent values, table has card_v={table.card_v}"
         )
-    covered = labels >= 0
-    uncovered = np.flatnonzero((table.cells.sum(axis=(0, 1)) > 0.0) & ~covered)
-    if uncovered.size:
-        raise ValidationError(
-            f"strata do not cover positive-mass z indices {uncovered.tolist()}"
-        )
-    labels = labels[covered]
     n_strata = len(profile.weights)
+    # stratum + 1 of each z: the z in no stratum count in bin 0
+    bins = labels + 1
+    counts = np.bincount(bins, minlength=n_strata + 1)
+    if counts[0]:
+        uncovered = np.flatnonzero((table.cells.sum(axis=(0, 1)) > 0.0) & (labels < 0))
+        if uncovered.size:
+            raise ValidationError(
+                f"strata do not cover positive-mass z indices {uncovered.tolist()}"
+            )
     # P(x, y, l) for every stratum l, shape (n_strata, card_y)
     p_xyl = np.stack(
-        [np.bincount(labels, weights=table.cells[x, y, covered], minlength=n_strata)
+        [np.bincount(bins, weights=table.cells[x, y], minlength=n_strata + 1)[1:]
          for y in range(table.card_y)],
         axis=1,
     )
     p_xl = p_xyl.sum(axis=1)
     weights = profile.weights
     active = weights > 0.0
-    empty = np.bincount(labels, minlength=n_strata) == 0
+    empty = counts[1:] == 0
     bad = np.flatnonzero(active & (empty | (p_xl <= 0.0)))
     if bad.size:
         k = int(bad[0])

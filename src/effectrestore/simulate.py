@@ -27,7 +27,7 @@ from .linear import CovStats, LinearSemSpec
 from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic, component_mechanism
 from .restore import pushforward
 from .rng import _uniform_row_blocks, make_rng
-from .tables import JointTable, adjust_for_confounder
+from .tables import JointTable, _adopt, adjust_for_confounder
 
 @dataclass(frozen=True, eq=False)
 class DiscreteModelSpec:
@@ -46,9 +46,10 @@ class DiscreteModelSpec:
     error: ErrorMatrix
 
     def __post_init__(self) -> None:
-        p_z = np.asarray(self.p_z, dtype=float)
-        p_xz = np.asarray(self.p_x_given_z, dtype=float)
-        p_yxz = np.asarray(self.p_y_given_xz, dtype=float)
+        # the spec owns copies of the caller's arrays, made in one pass each
+        p_z = np.array(self.p_z, dtype=float, order="C")
+        p_xz = np.array(self.p_x_given_z, dtype=float, order="C")
+        p_yxz = np.array(self.p_y_given_xz, dtype=float, order="C")
         if p_z.ndim != 1 or p_xz.ndim != 2 or p_yxz.ndim != 3:
             raise ValidationError("p_z, p_x_given_z, p_y_given_xz must be 1-d, 2-d, 3-d")
         n_z = p_z.shape[0]
@@ -68,7 +69,6 @@ class DiscreteModelSpec:
                 f"error mechanism has n_z={self.error.n_z}, model has {n_z} latent values"
             )
         for name, arr in (("p_z", p_z), ("p_x_given_z", p_xz), ("p_y_given_xz", p_yxz)):
-            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -87,7 +87,7 @@ class DiscreteModelSpec:
     def joint_xyz(self) -> JointTable:
         """Exact latent joint P(x, y, z)."""
         cells = np.einsum("z,xz,yxz->xyz", self.p_z, self.p_x_given_z, self.p_y_given_xz)
-        return JointTable(cells, "Z")
+        return _adopt(JointTable, cells, "Z")
 
     def joint_xyw(self) -> JointTable:
         """Exact observed joint P(x, y, w)."""

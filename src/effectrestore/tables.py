@@ -14,6 +14,7 @@ smoothing problem.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,6 +35,20 @@ TOL_NEG = 1e-9
 _AXIS_ORDER = ("x", "y", "v")
 
 
+def _adopt(cls, *fields):
+    """An instance of the frozen array dataclass ``cls`` (``JointTable`` or
+    ``restore.PropensityProfile``) that takes ``fields``, in field order,
+    without copying them: for fresh arrays that the library made and no
+    one else holds.  ``cls._freeze`` checks them and makes them read-only
+    in place; the public constructor copies the caller's arrays and then
+    runs the same ``_freeze``."""
+    obj = object.__new__(cls)
+    for f, value in zip(dataclasses.fields(cls), fields, strict=True):
+        object.__setattr__(obj, f.name, value)
+    obj._freeze()
+    return obj
+
+
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Dense joint distribution P(x, y, v) with v tagged as latent or proxy.
@@ -48,16 +63,26 @@ class JointTable:
     axis: str = AXIS_PROXY
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.cells, dtype=float)
+        # the table owns a copy of the caller's array, made in one pass
+        object.__setattr__(self, "cells", np.array(self.cells, dtype=float, order="C"))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Check the cells and the axis tag, and make the cells read-only in
+        place (cells not in C order are copied into it first)."""
+        arr = self.cells
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"cells must be a 3-d array, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        arr = np.ascontiguousarray(arr, dtype=float)
+        object.__setattr__(self, "cells", arr)
+        # a finite sum has finite terms; only an infinite one needs the cell-wise test
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf or overflow
+            total = arr.sum()
+        if not (np.isfinite(total) or np.isfinite(arr).all()):
             raise ValidationError("cells must be finite")
         if self.axis not in (AXIS_LATENT, AXIS_PROXY):
             raise ValidationError(f"axis must be {AXIS_LATENT!r} or {AXIS_PROXY!r}, got {self.axis!r}")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "cells", arr)
 
     @property
     def card_x(self) -> int:
@@ -75,8 +100,9 @@ class JointTable:
         return float(self.cells.sum())
 
     def with_axis(self, axis: str) -> "JointTable":
-        """Same cells, relabelled third axis (proxy treated as latent or vice versa)."""
-        return JointTable(self.cells, axis)
+        """Same cells, relabelled third axis (proxy treated as latent or vice versa);
+        the read-only cells are shared, not copied."""
+        return _adopt(JointTable, self.cells, axis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,15 +187,18 @@ def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
     p_v = table.cells.sum(axis=(0, 1))
-    p_xv = table.cells.sum(axis=1)
-    bad = np.nonzero((p_v > 0.0) & (p_xv[x] <= 0.0))[0]
+    p_xv = table.cells[x].sum(axis=0)
+    pos = p_v > 0.0
+    bad = np.flatnonzero(pos & (p_xv <= 0.0))
     if bad.size:
         v = bad[0]
         raise PositivityError(
             f"P(x={x} | v={v}) = 0 while P(v={v}) = {p_v[v]:.6g}: "
             f"stratum v={v} violates positivity"
         )
-    weight = np.divide(p_v, p_xv[x], out=np.zeros_like(p_v), where=p_v > 0.0)
+    # P(v) / P(x, v), written over P(x, v); 0 where P(v) = 0
+    weight = np.divide(p_v, p_xv, out=p_xv, where=pos)
+    weight[~pos] = 0.0
     return table.cells[x] @ weight
 
 
@@ -210,4 +239,6 @@ def empirical_joint(
     total = counts.sum()
     if total <= 0.0:
         raise ValidationError("cannot build a table from zero samples without smoothing")
-    return JointTable((counts / total).reshape(*cards[:2], -1), axis)
+    counts /= total
+    return _adopt(JointTable, counts.reshape(*cards[:2], -1), axis)
+

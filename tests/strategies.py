@@ -1,6 +1,7 @@
 """Hypothesis strategies and helpers shared by the test modules."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,12 +23,24 @@ def lu_from(side, lapack=True):
         yield
 
 
+def traced_peak(fn):
+    """``fn()``'s result and the peak of the memory it allocated, in bytes,
+    as ``tracemalloc`` counts it from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @st.composite
-def stochastic_matrices(draw, n):
+def stochastic_matrices(draw, n, max_mix=0.4):
     """Column-stochastic n x n matrices, column-diagonally dominant: invertible,
-    with 1-norm condition number at most 1 / (1 - 2 mix) <= 5."""
+    with 1-norm condition number at most 1 / (1 - 2 mix), mix <= ``max_mix``
+    (5 at the default)."""
     raw = draw(hnp.arrays(np.float64, (n, n), elements=st.floats(0.01, 1.0)))
-    mix = draw(st.floats(0.0, 0.4))
+    mix = draw(st.floats(0.0, max_mix))
     return (1.0 - mix) * np.eye(n) + mix * raw / raw.sum(axis=0)
 
 
@@ -74,3 +87,23 @@ def nested_mechanisms(draw, *, square, max_side=400):
         factors.append(group[0] if run == 1 else ErrorMatrix(factors=tuple(group)))
         i += run
     return ErrorMatrix(factors=tuple(factors)), mats
+
+
+@st.composite
+def kron_factors(draw, *, square, max_side=1024):
+    """1 to 12 dense factors with sides 1-8, binary ones most likely so that
+    runs of them fill ``mechanism._BLOCK_CAP``-wide blocks, their Kronecker
+    product at most ``max_side`` per side.  Square factors are well
+    conditioned (at most 1 / (1 - 2 * 0.2) each); non-square ones have
+    positive entries."""
+    sides = st.sampled_from([2, 2, 2, 2, 1, 3, 4, 5, 8])
+    mats, n_w, n_z = [], 1, 1
+    for _ in range(draw(st.integers(1, 12))):
+        rows = draw(sides)
+        cols = rows if square else draw(sides)
+        if max(n_w * rows, n_z * cols) > max_side:
+            break
+        mats.append(draw(stochastic_matrices(rows, max_mix=0.2)) if square
+                    else draw(rectangular_matrices(rows, cols)))
+        n_w, n_z = n_w * rows, n_z * cols
+    return mats

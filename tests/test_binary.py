@@ -30,6 +30,7 @@ from effectrestore import (
 )
 from effectrestore.restore import TOL_INCOMPATIBLE
 from effectrestore.rng import make_rng
+from strategies import traced_peak
 
 
 def random_valid_instance(rng, margin=0.03):
@@ -386,19 +387,12 @@ class TestSynthesizeSamples:
 
     def test_memory_stays_near_the_output(self):
         # uniforms are drawn in row blocks straight into the output's w columns
-        import tracemalloc
-
         rng = np.random.default_rng(15)
         k, n = 12, 100_000
         samples = rng.integers(0, 2, size=(n, 2 + k))
         errs = [BinaryErrorParams(*rng.uniform(0.05, 0.15, 2)) for _ in range(k)]
         synthesize_samples(samples[:1000], errs, seed=1)  # warm up lazy allocations
-        tracemalloc.start()
-        try:
-            out = synthesize_samples(samples, errs, seed=16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(lambda: synthesize_samples(samples, errs, seed=16))
         assert out.dtype == np.int64
         assert peak < 1.5 * out.nbytes
 

@@ -31,7 +31,7 @@ from effectrestore.cli import main
 from effectrestore.io import dump_json, load_json, read_samples_csv, write_samples_csv
 from effectrestore.mechanism import ErrorMatrix
 
-from strategies import lu_from
+from strategies import lu_from, traced_peak
 
 
 #: valid model documents for ``simulate-linear`` and ``simulate-discrete``
@@ -447,20 +447,13 @@ class TestSimulatedLayout:
 
 class TestInferredCardsCap:
     def test_a_huge_x_value_exits_1_before_any_table_is_allocated(self, tmp_path):
-        import tracemalloc
-
         path = tmp_path / "huge.csv"
         write_samples_csv(path, ["x", "y", "w"], np.array([[0, 0, 1], [1, 1, 0], [1000000, 1, 1]]),
                           integer=True)
         mech = tmp_path / "mech.json"
         dump_json(ErrorMatrix.identity(2).to_json_dict(), mech)
-        tracemalloc.start()
-        try:
-            code, out, err, leaked = run_main(["restore-discrete", "--in", str(path),
-                                               "--error", str(mech), "--x", "1"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (code, out, err, leaked), peak = traced_peak(lambda: run_main(
+            ["restore-discrete", "--in", str(path), "--error", str(mech), "--x", "1"]))
         assert (code, out, leaked) == (1, "", [])
         assert err == (f"effectrestore restore-discrete: error: {path}: column 'x' holds "
                        "1000000, so the 1000001 x 2 x 2 table exceeds the cap of 1048576 cells\n")

@@ -17,7 +17,14 @@ from effectrestore import (
     component_mechanism,
 )
 from effectrestore import mechanism
-from strategies import factor_lists, lu_from, nested_mechanisms, stochastic_matrices
+from strategies import (
+    factor_lists,
+    kron_factors,
+    lu_from,
+    nested_mechanisms,
+    stochastic_matrices,
+    traced_peak,
+)
 
 
 class TestErrorMatrix:
@@ -284,6 +291,80 @@ class TestBlockContraction:
         assert mech._blocks[1] is big.entries
         dense = ErrorMatrix(entries=BinaryErrorParams(0.1, 0.2).matrix())
         assert dense._blocks == (dense.entries,)
+
+
+class TestInPlaceContraction:
+    """The work table is contracted digit by digit in chunks; any chunk size
+    gives the dense Kronecker product's result."""
+
+    @staticmethod
+    def assert_close(got, cells, dense):
+        # componentwise: |error| <= 1e-12 (|cells| @ |dense|^T), whatever the summation order
+        want = cells @ dense.T
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * (np.abs(cells) @ np.abs(dense).T))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.booleans(), st.sampled_from([1, 5, 64, 700, mechanism._CONTRACT_CHUNK]),
+           st.sampled_from([None, 3, 5]))
+    def test_matches_the_dense_kronecker_product(self, data, square, chunk, lu_side):
+        mats = data.draw(kron_factors(square=square))
+        mech = ErrorMatrix(factors=tuple(ErrorMatrix(entries=m) for m in mats))
+        lead = data.draw(st.sampled_from([(), (4,), (2, 3), (3, 2, 2)]))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        cells = np.random.default_rng(seed).random((*lead, mech.n_z))
+        cells.setflags(write=False)  # the operand is read, never written
+        with pytest.MonkeyPatch.context() as mp, lu_from(lu_side or mechanism._LU_MIN_SIDE):
+            mp.setattr(mechanism, "_CONTRACT_CHUNK", chunk)
+            pushed = mech.apply(cells)
+            self.assert_close(pushed, cells, reduce(np.kron, mats))
+            if square:
+                restored = mech.apply_inverse(cells)
+                inverse = reduce(np.kron, [np.linalg.inv(m) for m in mats])
+                self.assert_close(restored, cells, inverse)
+                np.testing.assert_allclose(mech.apply_inverse(pushed), cells, rtol=0, atol=1e-12)
+
+    def test_a_dense_block_is_one_gemm(self):
+        rng = np.random.default_rng(40)
+        m = rng.random((50, 50))
+        m /= m.sum(axis=0)
+        cells = rng.random((2, 3, 50))
+        # bit for bit the single product m @ cells^T
+        product = np.dot(m, cells.reshape(-1, 50).T).T.reshape(2, 3, 50)
+        assert np.array_equal(ErrorMatrix(entries=m).apply(cells), product)
+        inv = np.linalg.inv(m)
+        assert np.array_equal(mechanism._contract((inv,), cells),
+                              np.dot(inv, cells.reshape(-1, 50).T).T.reshape(2, 3, 50))
+
+    def test_lu_factors_are_one_solve_in_place(self):
+        rng = np.random.default_rng(41)
+        m = 0.7 * np.eye(64) + 0.3 * rng.dirichlet(np.ones(64), 64).T
+        cells = rng.random((2, 2, 256, 64))
+        with lu_from(64):
+            mech = ErrorMatrix(entries=m)
+            mech.apply_inverse(cells[0, 0, :1])  # factor first
+            (lu,) = mech._inverse_blocks
+            restored, peak = traced_peak(lambda: mech.apply_inverse(cells))
+        # bit for bit the single solve of cells^T
+        assert np.array_equal(restored, lu.solve(cells.reshape(-1, 64).T).T.reshape(cells.shape))
+        # the work table is the right-hand side: no second table
+        assert peak < 1.1 * cells.nbytes
+
+    def test_a_factored_pass_holds_one_table_and_one_chunk(self):
+        mech = component_mechanism([BinaryErrorParams(0.1, 0.05)] * 16)
+        cells = np.random.default_rng(42).random((2, 2, 2**16))
+        mech.apply_inverse(cells)  # invert and block the factors first
+        restored, peak = traced_peak(lambda: mech.apply_inverse(cells))
+        assert restored.flags.c_contiguous
+        assert peak < cells.nbytes + 1.1 * 8 * mechanism._CONTRACT_CHUNK
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    def test_entries_are_copied_once(self, dtype):
+        entries = np.full((512, 512), 1, dtype=dtype)
+        entries[1:] = 0
+        mech, peak = traced_peak(lambda: ErrorMatrix(entries=entries))
+        assert mech.entries.dtype == np.float64 and mech.entries.base is None
+        assert peak <= 1.1 * mech.entries.nbytes
 
 
 @st.composite

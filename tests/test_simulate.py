@@ -20,7 +20,7 @@ from effectrestore import (
     simulate_linear,
 )
 from effectrestore.rng import make_rng
-from strategies import binary_rate_lists
+from strategies import binary_rate_lists, traced_peak
 
 
 def example_spec():
@@ -276,47 +276,26 @@ class TestSimulateDiscrete:
         np.testing.assert_array_equal(samples[:, 2], (u_w[:, None] > cum_w.T[z]).sum(axis=1))
 
     def test_dense_proxy_draw_memory_stays_below_samples_times_values(self):
-        import tracemalloc
-
         spec = self.dense_spec(np.random.default_rng(11), 256)
         n = 20_000
         simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
-        tracemalloc.start()
-        try:
-            simulate_discrete(spec, n, seed=12)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: simulate_discrete(spec, n, seed=12))
         assert peak < n * 256 * 8 / 8
 
     def test_component_draw_memory_stays_near_the_output(self):
         # the w columns are filled row block by row block, so the uniforms
         # never take an (n, K) array of their own
-        import tracemalloc
-
         spec = component_spec(np.random.default_rng(14), 12)
         n = 100_000
         simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
-        tracemalloc.start()
-        try:
-            samples, _ = simulate_discrete(spec, n, seed=15)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (samples, _), peak = traced_peak(lambda: simulate_discrete(spec, n, seed=15))
         assert peak < 1.5 * samples.nbytes
 
     def test_factored_matrix_draw_never_expands_the_mechanism(self):
         # 13 binary factors make an 8192 x 8192 mechanism, above DENSE_CAP
-        import tracemalloc
-
         spec = component_spec(np.random.default_rng(16), 13)
         simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
-        tracemalloc.start()
-        try:
-            samples, _ = simulate_discrete(spec, 10_000, seed=17)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (samples, _), peak = traced_peak(lambda: simulate_discrete(spec, 10_000, seed=17))
         assert samples.shape == (10_000, 2 + 13) and set(np.unique(samples[:, 2:])) <= {0, 1}
         assert peak < 10e6
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from effectrestore import tables
 from effectrestore import (
     JointTable,
     PositivityError,
@@ -12,6 +13,7 @@ from effectrestore import (
     marginal,
     validate_joint,
 )
+from strategies import traced_peak
 
 
 def random_table(rng, cards=(2, 2, 4), axis="Z"):
@@ -54,6 +56,24 @@ class TestValidation:
         table = JointTable(np.full((2, 2, 2), 1 / 8), "Z")
         with pytest.raises(ValueError):
             table.cells[0, 0, 0] = 1.0
+
+    def test_the_callers_array_is_copied_once(self):
+        cells = np.full((2, 2, 2**16), 1 / 2**18, dtype=np.float32)
+        table, peak = traced_peak(lambda: JointTable(cells, "Z"))
+        assert table.cells.dtype == np.float64 and peak <= 1.1 * table.cells.nbytes
+        assert cells.flags.writeable
+
+    def test_fresh_arrays_are_adopted_in_place(self):
+        cells = np.full((2, 2, 2), 1 / 8)
+        table = tables._adopt(JointTable, cells, "Z")
+        assert table.cells is cells and not cells.flags.writeable
+        # relabelling shares the read-only cells
+        assert table.with_axis("W").cells is cells
+        # cells out of C order are copied into it
+        adopted = tables._adopt(JointTable, np.full((2, 2, 3), 1 / 12).transpose(1, 0, 2), "Z")
+        assert adopted.cells.flags.c_contiguous
+        with pytest.raises(ValidationError, match="finite"):
+            tables._adopt(JointTable, np.full((2, 2, 2), np.inf), "Z")
 
 
 class TestMarginal:
