@@ -4,14 +4,15 @@ With misclassification rates eps = P(w0|z1) and delta = P(w1|z0), the
 2x2 mechanism inverts in closed form (``restore_binary`` is the general
 ``restore_joint`` applied to that 2x2 matrix):
 
-    P(x,y,z0) = [(1-eps) P(x,y,w0) - eps P(x,y,w1)] / (1 - eps - delta)
-    P(x,y,z1) = [-delta P(x,y,w0) + (1-delta) P(x,y,w1)] / (1 - eps - delta)
+    P(x,y,z0) = [(1-eps) P(x,y) - P(x,y,w1)] / (1 - eps - delta)
+    P(x,y,z1) = [P(x,y,w1) - delta P(x,y)] / (1 - eps - delta)
 
-Each (x, y) pair of proxy cells splits its combined weight between the
-two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
-function of the observed fraction P(w1|x,y), pinned to 0 at delta and
-diverging at 1 - eps.  Observed fractions outside [delta, 1-eps] mean
-the postulated rates contradict the data.
+Each (x, y) pair of proxy cells splits its combined weight P(x,y) between
+the two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
+function of the observed fraction P(w1|x,y), exactly 0 at delta and
+infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
+negative cell; every function here leaves the verdict to
+``restore._finalize``, which refuses a table whose rates contradict it.
 
 ``causal_effect_binary`` evaluates the effect in one pass over observed
 quantities only (it is algebraically the restoration composed with
@@ -22,8 +23,8 @@ noisy proxy demands.  ``causal_effect_binary_infinitesimal`` is its
 first-order expansion in (eps, delta), accurate to second order.
 
 For K independent binary proxy components, ``synthesize_samples`` turns
-observed (x, y, w) records into latent (x, y, z) records: within each
-(x, y) group the component split uses the group's empirical frequency,
+observed (x, y, w) records into latent (x, y, z) records: each
+component's split restores its empirical (x, y, w_i) frequency table,
 and each record keeps its own reading by drawing z from the posterior
 given w, so the noiseless mechanism reproduces the input exactly while
 group-level frequencies reproduce the restored distribution.
@@ -38,9 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, IncompatibleModelError, ValidationError
+from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .restore import TOL_VANISHING, _finalize, restore_joint
+from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, _finalize, restore_joint
 from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable
 
@@ -75,26 +76,37 @@ def restore_binary(
     return restore_joint(observed, ErrorMatrix.from_binary(err), clip=clip).restored
 
 
+def _restore_slices(mass: np.ndarray, w1: np.ndarray, err: BinaryErrorParams, where: str = "",
+                    *, n: float = 1.0, warn: bool = True) -> np.ndarray:
+    """Latent P(x, y, z) of the (x, y) slices of proxy mass ``mass`` and w1
+    cell ``w1`` (counts out of ``n``), restored in closed form and passed to
+    ``restore._finalize``, whose messages name ``where``; a clipped table
+    is reported in a RuntimeWarning unless ``warn`` is false."""
+    raw = np.stack(((1.0 - err.eps) * mass - w1, w1 - err.delta * mass), axis=-1)
+    raw /= err.determinant * n
+    cells, negative_mass, clipped = _finalize(raw, clip=False, where=where)
+    if clipped and warn:
+        warnings.warn(f"clipped the restored table{where}; its negative mass "
+                      f"{negative_mass:.3e} is within the tolerance {TOL_INCOMPATIBLE:.1e}",
+                      RuntimeWarning, stacklevel=3)
+    return cells
+
+
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
     """Latent odds P(z1|x,y) / P(z0|x,y) implied by the observed fraction.
 
     Strictly increasing on (delta, 1-eps); returns 0 at the lower
     endpoint and math.inf at the upper one (all weight moves to the z1
-    cell).  Fractions outside [delta, 1-eps] are incompatible with the
-    postulated rates.
+    cell).  The slice (1-p, p) is restored as ``restore_binary`` restores
+    a table of that one slice: a fraction outside [delta, 1-eps] is
+    clipped to the nearer end with a RuntimeWarning, or refused, as there.
     """
     p = float(p_w1_given_xy)
     if not math.isfinite(p):
         raise ValidationError(f"p_w1_given_xy must be finite, got {p!r}")
-    if p < err.delta or p > 1.0 - err.eps:
-        raise IncompatibleModelError(
-            f"P(w1|x,y) = {p:.6g} lies outside [delta, 1-eps] = "
-            f"[{err.delta:.6g}, {1.0 - err.eps:.6g}]: observed data and "
-            "postulated error rates are incompatible"
-        )
-    if p == 1.0 - err.eps:
-        return math.inf
-    return (p - err.delta) / (1.0 - err.eps - p)
+    cells = _restore_slices(np.ones((1, 1)), np.full((1, 1), p), err, f" for P(w1|x,y) = {p!r}")
+    z0, z1 = cells[0, 0].tolist()
+    return math.inf if z0 == 0.0 else z1 / z0
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,12 @@ class _Term:
     rate: float        # the misclassification rate paired with this branch
 
 
+def _nonvanishing(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if abs(value) < TOL_VANISHING:
+            raise DegenerateDenominatorError(f"{name} = {value:.3e} vanishes")
+
+
 def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term, _Term]:
     if x not in (0, 1) or y not in (0, 1):
         raise ValidationError(f"x and y must be 0 or 1, got x={x}, y={y}")
@@ -116,15 +134,8 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
     p_x = p.sum(axis=(1, 2))
     p_xw = p.sum(axis=1)
     p_xy = p.sum(axis=2)
-    checks = {
-        "P(w1)": p_w[1],
-        "P(w0)": p_w[0],
-        f"P(x={x})": p_x[x],
-        f"P(x={x},y={y})": p_xy[x, y],
-    }
-    for name, value in checks.items():
-        if abs(value) < TOL_VANISHING:
-            raise DegenerateDenominatorError(f"{name} = {value:.3e} vanishes")
+    _nonvanishing(("P(w1)", p_w[1]), ("P(w0)", p_w[0]), (f"P(x={x})", p_x[x]),
+                  (f"P(x={x},y={y})", p_xy[x, y]))
     terms = []
     for w, rate in ((1, err.delta), (0, err.eps)):
         t = _Term(
@@ -135,14 +146,8 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
             w_given_x=float(p_xw[x, w] / p_x[x]),
             rate=float(rate),
         )
-        if abs(t.x_given_w) < TOL_VANISHING:
-            raise DegenerateDenominatorError(f"P(x={x}|w{w}) = {t.x_given_w:.3e} vanishes")
-        if abs(t.w_given_xy) < TOL_VANISHING:
-            raise DegenerateDenominatorError(
-                f"P(w{w}|x={x},y={y}) = {t.w_given_xy:.3e} vanishes"
-            )
-        bracket = 1.0 - t.rate / t.w_given_x if abs(t.w_given_x) >= TOL_VANISHING else 0.0
-        if abs(t.w_given_x) < TOL_VANISHING or abs(bracket) < TOL_VANISHING:
+        _nonvanishing((f"P(x={x}|w{w})", t.x_given_w), (f"P(w{w}|x={x},y={y})", t.w_given_xy))
+        if abs(t.w_given_x) < TOL_VANISHING or abs(1.0 - t.rate / t.w_given_x) < TOL_VANISHING:
             raise DegenerateDenominatorError(
                 f"bracket denominator 1 - rate/P(w{w}|x={x}) vanishes "
                 f"(P(w{w}|x={x}) = {t.w_given_x:.3e}, rate = {t.rate:.3g}): "
@@ -151,10 +156,8 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
         terms.append(t)
     # the closed form is restoration composed with adjustment, so once its
     # denominators are known not to vanish it refuses what restoration
-    # refuses: latent cells, inverted in closed form, whose negative mass
-    # exceeds restore.TOL_INCOMPATIBLE
-    inverse_t = np.array([[1.0 - err.eps, -err.delta], [-err.eps, 1.0 - err.delta]])
-    _finalize(p @ inverse_t / err.determinant, clip=False)
+    # refuses; it reads the observed cells, not the clipped restored ones
+    _restore_slices(p_xy, p[:, :, 1], err, warn=False)
     return terms[0], terms[1]
 
 
@@ -168,16 +171,11 @@ def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y
     away from zero by construction.  Raises IncompatibleModelError where
     ``restore_binary`` does: when the rates contradict the data.
     """
-    p = _require_binary(observed)
-    t1, t0 = _terms(p, err, x, y)
-    total = 0.0
-    for t in (t1, t0):
-        total += (
-            (t.cell / t.x_given_w)
-            * (1.0 - t.rate / t.w_given_xy)
-            * (1.0 - t.rate / t.w_marg)
-            / (1.0 - t.rate / t.w_given_x)
-        )
+    total = sum(
+        (t.cell / t.x_given_w) * (1.0 - t.rate / t.w_given_xy) * (1.0 - t.rate / t.w_marg)
+        / (1.0 - t.rate / t.w_given_x)
+        for t in _terms(_require_binary(observed), err, x, y)
+    )
     return total / err.determinant
 
 
@@ -195,8 +193,7 @@ def causal_effect_binary_infinitesimal(
     from it by O((eps + delta)^2).  Refuses rates that contradict the data
     as ``causal_effect_binary`` does.
     """
-    p = _require_binary(observed)
-    t1, t0 = _terms(p, err, x, y)
+    t1, t0 = _terms(_require_binary(observed), err, x, y)
     total = 0.0
     for t, other_rate in ((t1, err.eps), (t0, err.delta)):
         correction = 1.0 + other_rate + t.rate * (
@@ -211,18 +208,16 @@ def synthesize_samples(
 ) -> np.ndarray:
     """Latent (x, y, z_1..z_K) records mirroring observed (x, y, w_1..w_K) ones.
 
-    Within each (x, y) group, component i's split uses the group's
-    empirical frequency q_i = mean(w_i); a record with reading w_i draws
-    z_i from the posterior of the restored split given w_i:
+    Component i's split R_i(x, y, z_i) restores its empirical frequency
+    table P_i(x, y, w_i) as ``restore_binary`` would, so it is clipped
+    with a RuntimeWarning or refused as there, naming the component.  A
+    record with reading w_i draws z_i from the posterior given w_i,
 
-        P(z_i=1 | w_i=1) = (1-eps_i) r_i / q_i
-        P(z_i=1 | w_i=0) = eps_i r_i / (1 - q_i)
+        P(z_i=1 | x, y, w_i) = M_i(w_i, 1) R_i(x, y, 1) / P_i(x, y, w_i)
 
-    with r_i = (q_i - delta_i) / (1 - eps_i - delta_i) the restored
-    frequency.  Averaged over the group this reproduces r_i exactly, and
-    with eps_i = delta_i = 0 every record keeps z_i = w_i.  Frequencies
-    outside [delta_i, 1-eps_i] raise IncompatibleModelError naming the
-    component.  Deterministic given ``seed``: one uniform per (record,
+    with M_i the component's 2x2 mechanism.  Averaged over an (x, y) group
+    this reproduces R_i exactly, and with eps_i = delta_i = 0 every record
+    keeps z_i = w_i.  Deterministic given ``seed``: one uniform per (record,
     component), consumed in record-major order as ``rng.random((n, K))``
     would draw them.  They are drawn in row blocks that concatenate to
     exactly that block and are written straight into the int64 output, so
@@ -241,29 +236,19 @@ def synthesize_samples(
     n = arr.shape[0]
     out = arr.astype(np.int64)
     xy = out[:, 0] * 2 + out[:, 1]
-    sizes = np.bincount(xy, minlength=4)
-    ones = [np.bincount(xy, weights=out[:, 2 + i], minlength=4) for i in range(k)]
+    sizes = np.bincount(xy, minlength=4).reshape(2, 2).astype(float)
+    for cx, cy in zip(*np.nonzero(sizes == 0.0)):
+        warnings.warn(f"no samples in group (x={cx}, y={cy}); nothing to synthesize there",
+                      RuntimeWarning, stacklevel=2)
     # P(z_i = 1 | group, w_i), indexed [group, i, w_i]
     post = np.zeros((4, k, 2))
-    for cell in range(4):
-        cx, cy = divmod(cell, 2)
-        if not sizes[cell]:
-            warnings.warn(
-                f"no samples in group (x={cx}, y={cy}); nothing to synthesize there",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            continue
-        for i, err in enumerate(errs):
-            q = float(ones[i][cell] / sizes[cell])
-            if q < err.delta or q > 1.0 - err.eps:
-                raise IncompatibleModelError(
-                    f"component {i}: empirical P(w{i + 1}=1|x={cx},y={cy}) = {q:.6g} "
-                    f"lies outside [delta, 1-eps] = [{err.delta:.6g}, {1.0 - err.eps:.6g}]"
-                )
-            r = (q - err.delta) / err.determinant
-            post[cell, i, 1] = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
-            post[cell, i, 0] = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
+    for i, err in enumerate(errs):
+        ones = np.bincount(xy, weights=out[:, 2 + i], minlength=4).reshape(2, 2)
+        restored = _restore_slices(sizes, ones, err, f" for component {i}", n=max(n, 1))
+        observed = np.stack((sizes - ones, ones), axis=-1) / max(n, 1)
+        joint = err.matrix()[:, 1] * restored[:, :, 1:]  # P_i(x, y, w_i, z_i = 1)
+        post[:, i] = np.divide(joint, observed, out=np.zeros_like(joint),
+                               where=observed > 0.0).reshape(4, 2)
     components = np.arange(k)
     for start, u in _uniform_row_blocks(make_rng(seed), n, k):
         stop = start + u.shape[0]

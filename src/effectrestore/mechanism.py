@@ -32,6 +32,9 @@ from .io import _json_array, _json_fields, _json_object
 TOL_STOCHASTIC = 1e-12
 #: |1 - eps - delta| below this is treated as non-invertible
 TOL_SINGULAR = 1e-6
+#: mechanisms whose 1-norm condition number is not below this cap refuse to
+#: invert (``restore._check_invertible``)
+CONDITION_CAP = 1e8
 #: largest dimension at which a factored mechanism may be expanded densely
 DENSE_CAP = 4096
 #: largest side of a Kronecker block of consecutive factors that the
@@ -47,10 +50,12 @@ _BLOCK_CAP = 64
 #: against 587 ms on two (2-vCPU Xeon, idle BLAS threads sleeping); at 2048
 #: a ``latent-restore`` benchmark pass takes 0.42 against 0.86 s.  What the
 #: factors give up is the exact condition number: ``gecon`` estimates a
-#: lower bound on it, whose last bits change with the BLAS thread count.
-#: The side is set high so that only factors whose inversion dominates a
-#: restoration trade the exact value for speed; no benchmark workload has
-#: a factor between 256 and 2048 to show what a lower side would gain.
+#: lower bound on it, whose last bits change with the BLAS thread count
+#: (an estimate within a factor of 10 of ``CONDITION_CAP`` is replaced by
+#: the exact value, solved from the factors).  The side is set high so
+#: that only factors whose inversion dominates a restoration trade the
+#: exact value for speed; no benchmark workload has a factor between 256
+#: and 2048 to show what a lower side would gain.
 #: Smaller factors keep explicit inverses, which ``_kron_blocks`` can merge
 #: into Kronecker blocks.
 _LU_MIN_SIDE = 2048
@@ -194,14 +199,24 @@ class _LU:
         return out
 
     def condition(self, norm1: float) -> float:
-        """LAPACK's estimate of ||M||_1 ||M^-1||_1 from the factors, given
-        ``norm1`` = ||M||_1 (the infinity norm of the factored M^T); a lower
-        bound on the exact value (Higham, ACM TOMS 14, 1988)."""
+        """||M||_1 ||M^-1||_1 from the factors, given ``norm1`` = ||M||_1 (the
+        infinity norm of the factored M^T).
+
+        LAPACK's estimate, a lower bound on the exact value (Higham, ACM
+        TOMS 14, 1988), unless it is a finite value of at least a tenth of
+        ``CONDITION_CAP``: then M^-1 is solved from the factors and its
+        exact 1-norm taken, so that the cap is never compared with an
+        underestimate (the worst estimate seen on random near-singular
+        matrices was a third of the exact value).
+        """
         n = self.shape[0]
         rcond = ctypes.c_double()
         _lapack().gecon(_COL_MAJOR, b"I", n, self.lu, n, norm1, ctypes.byref(rcond),
                         np.empty(4 * n), np.empty(n, dtype=np.int64))
-        return 1.0 / rcond.value if rcond.value > 0.0 else float("inf")
+        estimate = 1.0 / rcond.value if rcond.value > 0.0 else float("inf")
+        if not CONDITION_CAP / 10 <= estimate < float("inf"):
+            return estimate
+        return norm1 * _norm1(self.solve_in_place(np.eye(n, order="F")))
 
 
 def _kron_blocks(mats: Sequence[np.ndarray | _LU]) -> tuple[np.ndarray | _LU, ...]:
@@ -308,9 +323,10 @@ class ErrorMatrix:
     own LAPACK: its LU factors are cached in place of the inverse, M^-1
     is applied by triangular solves, and its condition number is
     LAPACK's estimate from the same factors, a lower bound on the exact
-    1-norm value.  Elsewhere it is inverted as smaller factors are.  All
-    cached arrays are read-only; ``dense()`` materializes the product
-    only within ``DENSE_CAP``.
+    1-norm value, or the exact value near ``CONDITION_CAP``.  Elsewhere
+    it is inverted as smaller factors are.  All cached arrays are
+    read-only; ``dense()`` materializes the product only within
+    ``DENSE_CAP``.
     """
 
     entries: np.ndarray | None = None
@@ -333,6 +349,11 @@ class ErrorMatrix:
                 raise ValidationError("factors must be ErrorMatrix instances")
             # a factored factor's own factors, which are dense, take its place
             object.__setattr__(self, "factors", tuple(leaf for f in factors for leaf in f._leaves))
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which freezes the
+        # copy; the cached inverses and factors are not carried
+        return type(self), (self.entries, self.factors)
 
     @property
     def _leaves(self) -> tuple["ErrorMatrix", ...]:
@@ -429,8 +450,11 @@ class ErrorMatrix:
         value is the estimate of LAPACKE's ``dgecon_work`` from its LU
         factors (``dgetrf_work``), a lower bound on the exact value:
         typically within a few per cent of it, but with no guaranteed
-        ratio.  The ``_work`` forms skip LAPACKE's NaN scan of the matrix,
-        whose entries were checked finite when the instance was built.  A
+        ratio, so an estimate of at least ``CONDITION_CAP`` / 10 is
+        replaced by the exact value, ||M||_1 times the 1-norm of M^-1
+        solved from the same factors (``_LU.condition``).  The ``_work``
+        forms skip LAPACKE's NaN scan of the matrix, whose entries were
+        checked finite when the instance was built.  A
         dense factor with no negative entry takes its own 1-norm from that
         check: its largest column sum.  Computed once per instance and cached with the inverse.
 
@@ -495,7 +519,7 @@ class BinaryErrorParams:
     scaling as 1 / (1 - eps - delta).  This is the one invertibility gate
     for binary mechanisms: every instance has a usable ``determinant``,
     and its 1-norm condition number, at most 2 / |1 - eps - delta|, stays
-    below ``restore.CONDITION_CAP``.
+    below ``CONDITION_CAP``.
     """
 
     eps: float

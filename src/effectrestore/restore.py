@@ -33,16 +33,24 @@ that check runs before the inverse is applied and is the only one a
 matrix mechanism gets (a binary one is already gated by
 ``mechanism.TOL_SINGULAR`` when its ``BinaryErrorParams`` is built).
 For an LU-factorized factor the check compares the cap with that lower
-bound.  The estimate is usually within a few per cent of the exact
-value, but Higham's estimator guarantees no ratio, so such a factor
-whose exact condition number lies somewhat above the cap can pass.
-Restored cells may come out slightly negative; a total absolute negative
-mass up to ``TOL_INCOMPATIBLE`` is treated as numerical noise and
-clipped (renormalizing each (x, y) slice to its conserved mass), while
-anything larger means the postulated mechanism is incompatible with the
-data and raises unless clipping is explicitly forced.  A restored
-probability below ``TOL_VANISHING`` in absolute value is a vanishing
-denominator.
+bound while it is below a tenth of the cap.  The estimate is usually
+within a few per cent of the exact value, but Higham's estimator
+guarantees no ratio (a third was seen), so from a tenth of the cap up
+the exact value, solved from the same factors, is compared and reported.
+Restored cells may come out slightly negative.  Whether that means the
+data contradict the mechanism is decided by ``_finalize`` alone, for
+every consumer: ``restore_joint`` and ``restore_joint_differential``
+here, and through them ``restore-discrete`` and ``restore_binary``; and
+the binary closed forms of ``causal_effect_binary`` (with its
+first-order form), ``weight_split`` and ``synthesize_samples``, which
+restore their slices in closed form and hand them to it.  A total
+absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
+numerical noise and clipped (renormalizing each (x, y) slice to its
+conserved mass), while anything larger means the postulated mechanism
+is incompatible with the data and raises ``IncompatibleModelError``
+unless clipping is explicitly forced.  No other module raises it.  A
+restored probability below ``TOL_VANISHING`` in absolute value is a
+vanishing denominator.
 
 Working set: a step holds its input, at most one table of the restored
 table's size and one chunk.  Restoration and the pushforward contract
@@ -69,13 +77,11 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .mechanism import ErrorMatrix
+from .mechanism import CONDITION_CAP, ErrorMatrix
 from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, _adopt, adjust_for_confounder
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
-#: mechanisms whose 1-norm condition estimate exceeds this cap refuse to invert
-CONDITION_CAP = 1e8
 #: a denominator below this in absolute value vanishes
 TOL_VANISHING = 1e-9
 
@@ -113,7 +119,8 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
 
     For a dense factor of side ``mechanism._LU_MIN_SIDE`` or more the
     number compared is LAPACK's estimate, a lower bound on the exact
-    value (see the numerical policy above).
+    value, below a tenth of the cap and the exact value from there on
+    (see the numerical policy above).
     """
     if mechanism.n_w != mechanism.n_z:
         raise ValidationError(
@@ -130,8 +137,10 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     return cond
 
 
-def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
-    """Clip-or-reject policy for negative restored cells.
+def _finalize(raw: np.ndarray, *, clip: bool, where: str = "") -> tuple[np.ndarray, float, bool]:
+    """Clip-or-reject policy for negative restored cells: the one test of
+    whether the data contradict a mechanism.  ``where`` names the table in
+    the messages.
 
     Returns (cells, total absolute negative mass before clipping, clipped
     flag).  Clipping zeroes the negatives and rescales each (x, y) slice
@@ -144,7 +153,7 @@ def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
     negative_mass = float(-raw[neg].sum())
     if negative_mass > TOL_INCOMPATIBLE and not clip:
         raise IncompatibleModelError(
-            f"restored table carries negative mass {negative_mass:.3e} "
+            f"restored table{where} carries negative mass {negative_mass:.3e} "
             f"(> {TOL_INCOMPATIBLE:.1e}): the postulated error mechanism is "
             "incompatible with the observed distribution, so no estimate "
             "will be obtained"
@@ -156,7 +165,7 @@ def _finalize(raw: np.ndarray, *, clip: bool) -> tuple[np.ndarray, float, bool]:
     if bad.any():
         x, y = (int(i[0]) for i in np.nonzero(bad))
         raise IncompatibleModelError(
-            f"slice (x={x}, y={y}) has no nonnegative mass left after clipping"
+            f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
         )
     scale = np.divide(target, slice_sum, out=np.ones_like(target), where=slice_sum > 0.0)
     raw *= scale[:, :, None]
@@ -313,6 +322,10 @@ class PropensityProfile:
             raise ValidationError(f"stratum weights sum to {float(weights.sum())!r}, expected 1")
         for arr in (scores, labels, weights):
             arr.setflags(write=False)
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which freezes the copy
+        return type(self), (self.scores, self.labels, self.weights)
 
     @cached_property
     def strata(self) -> tuple[tuple[int, ...], ...]:

@@ -84,6 +84,10 @@ class JointTable:
             raise ValidationError(f"axis must be {AXIS_LATENT!r} or {AXIS_PROXY!r}, got {self.axis!r}")
         arr.setflags(write=False)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which freezes the copy
+        return type(self), (self.cells, self.axis)
+
     @property
     def card_x(self) -> int:
         return self.cells.shape[0]

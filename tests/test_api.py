@@ -1,6 +1,7 @@
 """Public API shape: numerical tolerances are module constants, not
 arguments, and the package resolves its names lazily."""
 
+import ast
 import inspect
 import json
 import os
@@ -146,3 +147,70 @@ print(json.dumps({"names": names, "subs": subs, "listed": dir(effectrestore),
         assert set(doc["names"]) | set(doc["subs"]) <= set(doc["listed"])
         assert doc["star"] == sorted(doc["names"])
         assert doc["unknown"] == "module 'effectrestore' has no attribute 'no_such_name'"
+
+
+def raised_names(tree):
+    """Names of the exceptions a module's ``raise`` statements raise."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_only_restore_decides_that_data_contradict_a_mechanism():
+    # one rule for every consumer: ``restore._finalize``, nowhere else
+    package = Path(effectrestore.__file__).parent
+    raisers = sorted(
+        path.name for path in package.glob("*.py")
+        if "IncompatibleModelError" in raised_names(ast.parse(path.read_text()))
+    )
+    assert raisers == ["restore.py"]
+
+
+def frozen_objects():
+    """A table, a dense mechanism with its inverse cached, a factored one
+    with its LU factors cached, and a propensity profile, each with the
+    read-only arrays that must stay read-only."""
+    import numpy as np
+
+    from effectrestore import ErrorMatrix, JointTable, mechanism
+    from effectrestore.restore import PropensityProfile
+
+    table = JointTable(np.full((2, 2, 2), 1 / 8), "Z")
+    dense = ErrorMatrix(entries=np.array([[0.9, 0.2], [0.1, 0.8]]))
+    dense.condition()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanism, "_LU_MIN_SIDE", 2)
+        factored = ErrorMatrix(factors=(dense, ErrorMatrix(entries=[[0.7, 0.4], [0.3, 0.6]])))
+        factored.apply_inverse(np.ones(4))
+    profile = PropensityProfile(
+        scores=np.full(4, 0.5), labels=np.array([0, 1, 0, -1]), weights=np.array([0.6, 0.4])
+    )
+    return {
+        "table": (table, lambda t: [t.cells]),
+        "dense": (dense, lambda m: [m.entries]),
+        "factored": (factored, lambda m: [f.entries for f in m.factors]),
+        "profile": (profile, lambda p: [p.scores, p.labels, p.weights]),
+    }
+
+
+@pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
+@pytest.mark.parametrize("kind", ["table", "dense", "factored", "profile"])
+def test_copies_stay_frozen(kind, copier):
+    import copy
+    import pickle
+
+    import numpy as np
+
+    obj, arrays = frozen_objects()[kind]
+    clone = copy.deepcopy(obj) if copier == "deepcopy" else pickle.loads(pickle.dumps(obj))
+    assert type(clone) is type(obj)
+    for got, want in zip(arrays(clone), arrays(obj), strict=True):
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+    # caches are rebuilt from the entries, not carried over as writeable copies
+    assert not {"_inverses", "_condition", "_inverse_blocks"} & set(vars(clone))
+    if kind in ("dense", "factored"):
+        # the clone, built outside the LU block, inverts its factors explicitly
+        assert clone.condition() == pytest.approx(obj.condition(), rel=1e-12)

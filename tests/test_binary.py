@@ -1,6 +1,7 @@
 """Binary closed forms: restoration, weight split, corrected IPW, synthesis."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -279,26 +280,39 @@ class TestInfinitesimalApproximation:
 
 
 def loop_synthesize_samples(samples, errs, seed):
-    """Reference synthesis: one boolean mask per (x, y) group and component."""
+    """Reference synthesis: one boolean mask per (x, y) group and component.
+
+    Component i's restored table carries the negative mass
+    sum over groups of P(x, y) max(0, delta - q, q - (1 - eps)) / (1 - eps - delta)
+    for group frequencies q (for eps + delta < 1): above ``TOL_INCOMPATIBLE``
+    it is refused, and a smaller one is clipped, moving a group's split to
+    the nearer end of [0, 1].
+    """
     arr = np.asarray(samples)
     u = make_rng(seed).random((arr.shape[0], len(errs)))
     out = arr.astype(int)
     xy = arr[:, 0] * 2 + arr[:, 1]
-    for cell in range(4):
-        mask = xy == cell
-        cx, cy = divmod(cell, 2)
+    masks = [xy == cell for cell in range(4)]
+    for cell, mask in enumerate(masks):
         if not mask.any():
-            warnings.warn(f"no samples in group (x={cx}, y={cy})", RuntimeWarning)
-            continue
-        w = arr[mask, 2:]
-        for i, err in enumerate(errs):
-            q = float(w[:, i].mean())
-            if q < err.delta or q > 1.0 - err.eps:
-                raise IncompatibleModelError(f"component {i}: (x={cx}, y={cy})")
-            r = (q - err.delta) / err.determinant
+            warnings.warn(f"no samples in group (x={cell // 2}, y={cell % 2})", RuntimeWarning)
+    for i, err in enumerate(errs):
+        qs = [float(arr[mask, 2 + i].mean()) if mask.any() else None for mask in masks]
+        negative_mass = sum(
+            mask.mean() * max(0.0, err.delta - q, q - (1.0 - err.eps)) / err.determinant
+            for mask, q in zip(masks, qs) if q is not None
+        )
+        if negative_mass > TOL_INCOMPATIBLE:
+            raise IncompatibleModelError(f"component {i}: negative mass {negative_mass}")
+        if negative_mass > 0.0:
+            warnings.warn(f"clipped the restored table for component {i}", RuntimeWarning)
+        for mask, q in zip(masks, qs):
+            if q is None:
+                continue
+            r = min(max((q - err.delta) / err.determinant, 0.0), 1.0)
             post1 = (1.0 - err.eps) * r / q if q > 0.0 else 0.0
             post0 = err.eps * r / (1.0 - q) if q < 1.0 else 0.0
-            prob = np.where(w[:, i] == 1, post1, post0)
+            prob = np.where(arr[mask, 2 + i] == 1, post1, post0)
             out[mask, 2 + i] = (u[mask, i] < prob).astype(int)
     return out
 
@@ -323,7 +337,7 @@ class TestSynthesizeSamples:
                 try:
                     result = fn(samples, errs, seed=case)
                 except IncompatibleModelError as exc:
-                    result = str(exc).split(":")[0]
+                    result = re.search(r"component \d+", str(exc)).group()
             outcomes.append((result, [str(w.message).split(";")[0] for w in caught]))
         (want, want_warned), (got, got_warned) = outcomes
         assert got_warned == want_warned
@@ -402,6 +416,111 @@ class TestSynthesizeSamples:
             synthesize_samples(np.array([[0, 0]]), errs, seed=0)
         with pytest.raises(ValidationError):
             synthesize_samples(np.array([[0, 0, 2]]), errs, seed=0)
+
+
+def near_an_end(err, offset, upper):
+    """P(w1|x,y) within ``offset`` of delta or, with ``upper``, of 1 - eps."""
+    return min(max((1.0 - err.eps if upper else err.delta) + offset, 0.0), 1.0)
+
+
+def verdict(fn, *args):
+    """True when ``fn(*args)`` is accepted, False when it is refused as incompatible."""
+    try:
+        fn(*args)
+    except IncompatibleModelError:
+        return False
+    return True
+
+
+near_tolerance = st.floats(-3 * TOL_INCOMPATIBLE, 3 * TOL_INCOMPATIBLE)
+
+
+class TestOneCompatibilityRule:
+    """Every binary consumer refuses what ``restore._finalize`` refuses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 0.4), st.floats(0.0, 0.4),
+        hnp.arrays(np.float64, (2, 2), elements=st.floats(0.05, 1.0)),
+        st.lists(st.tuples(near_tolerance, st.booleans()), min_size=4, max_size=4),
+        st.integers(0, 1), st.integers(0, 1),
+    )
+    def test_effect_and_restoration_agree_near_the_ends(self, eps, delta, mass, ends, x, y):
+        err = BinaryErrorParams(eps, delta)
+        q = np.array([near_an_end(err, *end) for end in ends]).reshape(2, 2)
+        mass = mass / mass.sum()
+        observed = JointTable(np.stack((mass * (1.0 - q), mass * q), axis=-1), "W")
+        mech = ErrorMatrix.from_binary(err)
+        negative_mass = restore_joint(observed, mech, clip=True).negative_mass
+        assume(abs(negative_mass - TOL_INCOMPATIBLE) > 1e-12)  # not a rounding tie
+        try:
+            effect = verdict(causal_effect_binary, observed, err, x, y)
+        except DegenerateDenominatorError:
+            reject()
+        assert effect == verdict(restore_binary, observed, err)
+        assert effect == (negative_mass <= TOL_INCOMPATIBLE)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 0.4), st.floats(0.0, 0.4), near_tolerance, st.booleans(),
+        st.integers(0, 3),
+    )
+    def test_weight_split_and_restoration_agree_near_the_ends(self, eps, delta, offset, upper,
+                                                               cell):
+        err = BinaryErrorParams(eps, delta)
+        p = near_an_end(err, offset, upper)
+        cells = np.zeros((2, 2, 2))
+        cells[divmod(cell, 2)] = [1.0 - p, p]
+        observed = JointTable(cells, "W")
+        mech = ErrorMatrix.from_binary(err)
+        negative_mass = restore_joint(observed, mech, clip=True).negative_mass
+        assume(abs(negative_mass - TOL_INCOMPATIBLE) > 1e-12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            split = verdict(weight_split, p, err)
+        assert split == verdict(restore_binary, observed, err)
+        # a clip within the tolerance is reported, never silent; at either end
+        # the closed form restores an exact 0, so there is nothing to clip
+        assert len(caught) == (split and not err.delta <= p <= 1.0 - err.eps)
+
+    def test_a_fraction_just_below_delta_is_clipped_everywhere(self):
+        err = BinaryErrorParams(0.2, 0.1)
+        q = np.array([[err.delta - 1e-9, 0.3], [0.5, 0.6]])
+        mass = np.array([[0.2, 0.3], [0.25, 0.25]])
+        observed = JointTable(np.stack((mass * (1.0 - q), mass * q), axis=-1), "W")
+        assert restore_binary(observed, err).cells[0, 0, 1] == 0.0
+        assert math.isfinite(causal_effect_binary(observed, err, 1, 1))
+        with pytest.warns(RuntimeWarning, match=r"clipped .* P\(w1\|x,y\) = 0\.099999999; "
+                                                 r"its negative mass 1\.429e-09"):
+            assert weight_split(err.delta - 1e-9, err) == 0.0
+        with pytest.raises(IncompatibleModelError, match=r"for P\(w1\|x,y\) = 0\.0999"):
+            weight_split(err.delta - 1e-6, err)
+
+    @pytest.mark.parametrize("n, ones, accepted", [
+        (2_000_000, 199_999, True),
+        (2_000_000, 199_990, False),
+        # a one-record defect needs n >= 1 / (1e-6 (1 - eps - delta)), about 1.43e6
+        (1_400_000, 139_999, False),
+    ])
+    def test_synthesis_refuses_what_restoration_refuses(self, n, ones, accepted):
+        err = BinaryErrorParams(0.2, 0.1)
+        samples = np.zeros((n, 3), dtype=np.int8)  # one (x, y) group
+        samples[:ones, 2] = 1
+        observed = JointTable(np.array([[[n - ones, ones], [0, 0]], [[0, 0], [0, 0]]]) / n, "W")
+        assert verdict(restore_binary, observed, err) == accepted
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if not accepted:
+                with pytest.raises(IncompatibleModelError, match="for component 0"):
+                    synthesize_samples(samples, [err], seed=0)
+                return
+            out = synthesize_samples(samples, [err], seed=0)
+        clipped = [str(w.message) for w in caught if "clipped" in str(w.message)]
+        assert clipped == [
+            "clipped the restored table for component 0; its negative mass 7.143e-07 "
+            "is within the tolerance 1.0e-06"
+        ]
+        assert not out[:, 2].any()  # the split is clipped to P(z1|x,y) = 0
 
 
 def test_effect_composition_equivalence_with_matrix_route():

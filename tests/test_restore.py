@@ -358,6 +358,45 @@ class TestLUPath:
                 restored_propensity(np.full(n, 0.5), p_w, mech)
 
 
+    @pytest.mark.parametrize("lu_side", [2, None])
+    def test_an_estimate_below_the_cap_is_checked_exactly(self, lu_side):
+        # LAPACK estimates this 3-side mechanism's condition number as 7.6e7,
+        # below the cap; the exact value, 1.238e8, is above it
+        rng = np.random.default_rng(5640)
+        n = int(rng.integers(3, 12))
+        mix = rng.random((n, n)) ** rng.uniform(1, 6)
+        mix /= mix.sum(axis=0)
+        base = mix @ np.diag(rng.dirichlet(np.ones(n)))
+        base /= base.sum(axis=0)
+        singular = np.outer(rng.dirichlet(np.ones(n)), np.ones(n))
+        gap = 10 ** rng.uniform(-9.5, -7.0)
+        m = gap * base + (1 - gap) * singular
+        m /= m.sum(axis=0)
+        exact = np.linalg.norm(m, 1) * np.linalg.norm(np.linalg.inv(m), 1)
+        with lu_from(lu_side or mechanism._LU_MIN_SIDE):
+            mech = ErrorMatrix(entries=m)
+            assert isinstance(mech._inverses[0], mechanism._LU) == (lu_side is not None)
+            assert mech.condition() == pytest.approx(exact, rel=1e-6)
+            with pytest.raises(SingularError, match=r"condition estimate 1\.238e\+08"):
+                restore_joint(random_table(rng, (2, 2, n), axis="W"), mech)
+
+    @pytest.mark.parametrize("lu_side", [2, None])
+    @pytest.mark.parametrize("share, accepted", [(1.02, False), (0.5, True)])
+    def test_the_cap_on_a_family_whose_estimate_is_exact(self, lu_side, share, accepted):
+        # gap I + (1 - gap) / n has condition number (n + (n - 2)(1 - gap)) / (n gap)
+        n = 8
+        gap = (2 * n - 2) / (n * share * CONDITION_CAP + n - 2)
+        m = gap * np.eye(n) + (1.0 - gap) / n
+        observed = random_table(np.random.default_rng(25), (2, 2, n), axis="W")
+        with lu_from(lu_side or mechanism._LU_MIN_SIDE):
+            mech = ErrorMatrix(entries=m)
+            if not accepted:
+                with pytest.raises(SingularError, match="condition estimate"):
+                    restore_joint(observed, mech)
+                return
+            result = restore_joint(observed, mech, clip=True)
+        assert result.condition_estimate == pytest.approx(share * CONDITION_CAP, rel=1e-6)
+
 class TestBinaryIsTheTwoByTwoCase:
     @settings(max_examples=100, deadline=None)
     @given(
