@@ -14,13 +14,13 @@ infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
 negative cell; every function here leaves the verdict to
 ``restore._finalize``, which refuses a table whose rates contradict it.
 
-``causal_effect_binary`` evaluates the effect in one pass over observed
-quantities only (it is algebraically the restoration composed with
-confounder adjustment, and agrees with that composition to rounding
-error); with eps = delta = 0 it reduces to standard inverse probability
-weighting, and the extra factors are exactly the weight modifiers that a
-noisy proxy demands.  ``causal_effect_binary_infinitesimal`` is its
-first-order expansion in (eps, delta), accurate to second order.
+``causal_effect_binary`` is that restoration followed by confounder
+adjustment, the 2x2 case of ``restore.causal_effect_restored``.  The
+paper's closed form (modified inverse probability weighting over observed
+quantities, standard IPW at eps = delta = 0) is algebraically the same
+composition; it is kept in the tests as its oracle.
+``causal_effect_binary_infinitesimal`` is that closed form's first-order
+expansion in (eps, delta), accurate to second order.
 
 For K independent binary proxy components, ``synthesize_samples`` turns
 observed (x, y, w) records into latent (x, y, z) records: each
@@ -43,7 +43,7 @@ from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
 from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, _finalize, restore_joint
 from .rng import _uniform_row_blocks, make_rng
-from .tables import JointTable
+from .tables import JointTable, adjust_for_confounder
 
 __all__ = [
     "restore_binary",
@@ -69,11 +69,22 @@ def restore_binary(
 
     This is ``restore_joint`` on the 2x2 mechanism, so it shares its
     negative-mass policy: total negative mass up to
-    ``restore.TOL_INCOMPATIBLE`` is clipped as numerical noise, anything
-    larger raises IncompatibleModelError unless ``clip`` forces the repair.
+    ``restore.TOL_INCOMPATIBLE`` is clipped as numerical noise, with a
+    RuntimeWarning, and anything larger raises IncompatibleModelError
+    unless ``clip`` forces the repair.
     """
     _require_binary(observed)
-    return restore_joint(observed, ErrorMatrix.from_binary(err), clip=clip).restored
+    result = restore_joint(observed, ErrorMatrix.from_binary(err), clip=clip)
+    if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
+        _warn_clipped(result.negative_mass, stacklevel=3)
+    return result.restored
+
+
+def _warn_clipped(negative_mass: float, where: str = "", *, stacklevel: int) -> None:
+    """The RuntimeWarning of a table clipped within the tolerance."""
+    warnings.warn(f"clipped the restored table{where}; its negative mass "
+                  f"{negative_mass:.3e} is within the tolerance {TOL_INCOMPATIBLE:.1e}",
+                  RuntimeWarning, stacklevel=stacklevel)
 
 
 def _restore_slices(mass: np.ndarray, w1: np.ndarray, err: BinaryErrorParams, where: str = "",
@@ -86,9 +97,7 @@ def _restore_slices(mass: np.ndarray, w1: np.ndarray, err: BinaryErrorParams, wh
     raw /= err.determinant * n
     cells, negative_mass, clipped = _finalize(raw, clip=False, where=where)
     if clipped and warn:
-        warnings.warn(f"clipped the restored table{where}; its negative mass "
-                      f"{negative_mass:.3e} is within the tolerance {TOL_INCOMPATIBLE:.1e}",
-                      RuntimeWarning, stacklevel=3)
+        _warn_clipped(negative_mass, where, stacklevel=4)
     return cells
 
 
@@ -111,7 +120,7 @@ def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
 
 @dataclass(frozen=True)
 class _Term:
-    """Observed ingredients of one w-branch of the closed form."""
+    """Observed ingredients of one w-branch of the first-order form."""
 
     cell: float        # P(x, y, w)
     x_given_w: float   # P(x | w)
@@ -127,9 +136,13 @@ def _nonvanishing(*named: tuple[str, float]) -> None:
             raise DegenerateDenominatorError(f"{name} = {value:.3e} vanishes")
 
 
-def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term, _Term]:
+def _check_xy(x: int, y: int) -> None:
     if x not in (0, 1) or y not in (0, 1):
         raise ValidationError(f"x and y must be 0 or 1, got x={x}, y={y}")
+
+
+def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term, _Term]:
+    _check_xy(x, y)
     p_w = p.sum(axis=(0, 1))
     p_x = p.sum(axis=(1, 2))
     p_xw = p.sum(axis=1)
@@ -146,37 +159,25 @@ def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term
             w_given_x=float(p_xw[x, w] / p_x[x]),
             rate=float(rate),
         )
-        _nonvanishing((f"P(x={x}|w{w})", t.x_given_w), (f"P(w{w}|x={x},y={y})", t.w_given_xy))
-        if abs(t.w_given_x) < TOL_VANISHING or abs(1.0 - t.rate / t.w_given_x) < TOL_VANISHING:
-            raise DegenerateDenominatorError(
-                f"bracket denominator 1 - rate/P(w{w}|x={x}) vanishes "
-                f"(P(w{w}|x={x}) = {t.w_given_x:.3e}, rate = {t.rate:.3g}): "
-                f"the restored stratum P(x={x}, z{w}) is empty"
-            )
+        _nonvanishing((f"P(x={x}|w{w})", t.x_given_w), (f"P(w{w}|x={x},y={y})", t.w_given_xy),
+                      (f"P(w{w}|x={x})", t.w_given_x))
         terms.append(t)
-    # the closed form is restoration composed with adjustment, so once its
-    # denominators are known not to vanish it refuses what restoration
-    # refuses; it reads the observed cells, not the clipped restored ones
+    # the first-order form reads the observed cells, not the clipped restored
+    # ones, but it refuses what restoration refuses
     _restore_slices(p_xy, p[:, :, 1], err, warn=False)
     return terms[0], terms[1]
 
 
 def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y: int) -> float:
-    """P(y | do(x)) for binary data, straight from observed quantities.
+    """P(y | do(x)) for binary data: ``restore_binary`` then ``adjust_for_confounder``.
 
-    Modified inverse probability weighting: each w-branch of the standard
-    IPW sum P(x,y,w)/P(x|w) is multiplied by correction factors built
-    from the misclassification rate paired with that branch, and the
-    whole sum is rescaled by 1/(1 - eps - delta), which ``err`` keeps
-    away from zero by construction.  Raises IncompatibleModelError where
-    ``restore_binary`` does: when the rates contradict the data.
+    This is ``restore.causal_effect_restored`` on the 2x2 mechanism,
+    entry y, so it clips and warns or raises IncompatibleModelError where
+    ``restore_binary`` does, and raises PositivityError where the
+    restored propensity P(x | z) of a stratum vanishes.
     """
-    total = sum(
-        (t.cell / t.x_given_w) * (1.0 - t.rate / t.w_given_xy) * (1.0 - t.rate / t.w_marg)
-        / (1.0 - t.rate / t.w_given_x)
-        for t in _terms(_require_binary(observed), err, x, y)
-    )
-    return total / err.determinant
+    _check_xy(x, y)
+    return float(adjust_for_confounder(restore_binary(observed, err), x)[y])
 
 
 def causal_effect_binary_infinitesimal(
@@ -191,7 +192,8 @@ def causal_effect_binary_infinitesimal(
 
     which coincides with the exact value at eps = delta = 0 and deviates
     from it by O((eps + delta)^2).  Refuses rates that contradict the data
-    as ``causal_effect_binary`` does.
+    as ``causal_effect_binary`` does, after DegenerateDenominatorError for
+    any observed quantity it divides by that vanishes.
     """
     t1, t0 = _terms(_require_binary(observed), err, x, y)
     total = 0.0

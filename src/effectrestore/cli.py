@@ -3,9 +3,11 @@
     effectrestore <subcommand> --in <csv|json> [--error <json>] [--out <json|csv>] ...
 
 Exit status: 0 on success, 2 when the model is incompatible with the
-data (singular mechanism, negative restored mass, degenerate strata or
-denominators), 1 on usage or IO errors.  Model-level failures also emit
-a machine-readable ``{"error": <tag>, "message": ...}`` JSON document.
+data (singular mechanism, negative restored mass, degenerate strata,
+positivity), 1 on usage or IO errors.  Model-level failures also emit
+a machine-readable ``{"error": <tag>, "message": ...}`` JSON document;
+where ``restore-discrete`` restored the table but one requested estimate
+failed, that object stands in the estimate's place in the full document.
 All result documents carry a ``method`` field and echo the effective
 configuration.  Warnings raised while a command runs are not printed:
 their messages go into the document's ``warnings`` list, which is
@@ -34,7 +36,6 @@ import numpy as np  # noqa: E402  (after the policy, which OpenBLAS reads on loa
 
 from . import binary, dsep, linear, restore, simulate
 from .errors import (
-    DegenerateDenominatorError,
     DegenerateStratumError,
     IncompatibleModelError,
     InvalidErrorVarianceError,
@@ -58,10 +59,23 @@ _ERROR_TAGS = (
     (IncompatibleModelError, "incompatible"),
     (PositivityError, "positivity"),
     (DegenerateStratumError, "degenerate_stratum"),
-    (DegenerateDenominatorError, "degenerate_denominator"),
     (UnidentifiableError, "unidentifiable"),
     (InvalidErrorVarianceError, "invalid_error_variance"),
 )
+_MODEL_ERRORS = tuple(cls for cls, _ in _ERROR_TAGS)
+
+
+def _failure(exc: Exception) -> dict:
+    """The ``{"error": tag, "message": ...}`` object of a model failure."""
+    return {"error": next(t for cls, t in _ERROR_TAGS if isinstance(exc, cls)), "message": str(exc)}
+
+
+def _estimate(fn, *args) -> object:
+    """``fn(*args)``, or in its place the failure object of the model error it raised."""
+    try:
+        return fn(*args)
+    except _MODEL_ERRORS as exc:
+        return _failure(exc)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -144,25 +158,29 @@ def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
     result = restore.restore_joint(observed, mech, clip=args.clip)
     payload = result.to_json_dict()
     if x is not None:
-        payload["effect"] = restore.adjust_for_confounder(result.restored, x)
+        # each estimate stands alone: a model failure of one takes only its place
+        restored = result.restored
+        payload["effect"] = _estimate(restore.adjust_for_confounder, restored, x)
         if strata is not None:
-            profile = restore.propensity_profile(result.restored, treated=x, n_bins=strata)
-            payload["stratified_effect"] = restore.stratified_effect(result.restored, profile, x)
+            profile = restore.propensity_profile(restored, treated=x, n_bins=strata)
+            payload["stratified_effect"] = _estimate(restore.stratified_effect, restored, profile, x)
     return payload
 
 
 def _cmd_effect_binary(args: argparse.Namespace) -> dict:
+    """``restore-discrete --x`` on the 2x2 mechanism, with a bootstrap of the
+    same restoration and adjustment on every resampled table."""
     mech, rates = _read_error(args.error)
-    err = _one_pair(args, rates)
+    _one_pair(args, rates)
     observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
     if n is None:
         raise ValidationError("effect-binary bootstraps sample rows; a .json table input has none")
 
-    def statistic(cells: np.ndarray) -> list[float]:
-        table = JointTable(cells, "W")
-        return [binary.causal_effect_binary(table, err, args.x, y) for y in (0, 1)]
+    def statistic(cells: np.ndarray) -> np.ndarray:
+        return restore.causal_effect_restored(JointTable(cells, "W"), mech, args.x)
 
-    effect = statistic(observed.cells)
+    result = restore.restore_joint(observed, mech)
+    effect = restore.adjust_for_confounder(result.restored, args.x)
     counts = observed.cells.ravel() * n
     boots = linear.bootstrap_table_values(
         (counts / counts.sum()).reshape(2, 2, 2), n, statistic, n_boot=args.boot, seed=args.seed
@@ -176,6 +194,9 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
         "ci95": ci,
         "n": n,
         "boot_used": len(boots),
+        "condition_estimate": result.condition_estimate,
+        "negative_mass": result.negative_mass,
+        "clipped": result.clipped,
     }
 
 
@@ -390,13 +411,13 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             payload = args.func(args)
-    except tuple(cls for cls, _ in _ERROR_TAGS) as exc:
-        tag = next(t for cls, t in _ERROR_TAGS if isinstance(exc, cls))
-        doc = {"method": args.command, "error": tag, "message": str(exc), **_warned(caught)}
+    except _MODEL_ERRORS as exc:
+        failure = _failure(exc)
+        doc = {"method": args.command, **failure, **_warned(caught)}
         text = dump_json(doc, json_out)
         if json_out is None:
             sys.stdout.write(text)
-        print(f"effectrestore {args.command}: {tag}: {exc}", file=sys.stderr)
+        print(f"effectrestore {args.command}: {failure['error']}: {exc}", file=sys.stderr)
         return 2
     except (ValidationError, OSError, RecursionError) as exc:
         # RecursionError: a JSON input nested too deep to decode or to load
@@ -408,7 +429,11 @@ def main(argv: list[str] | None = None) -> int:
     text = dump_json(doc, json_out)
     if json_out is None:
         sys.stdout.write(text)
-    return 0
+    failed = [v for v in payload.values() if isinstance(v, dict) and "error" in v]
+    for failure in failed:
+        print(f"effectrestore {args.command}: {failure['error']}: {failure['message']}",
+              file=sys.stderr)
+    return 2 if failed else 0
 
 
 if __name__ == "__main__":

@@ -40,9 +40,9 @@ the exact value, solved from the same factors, is compared and reported.
 Restored cells may come out slightly negative.  Whether that means the
 data contradict the mechanism is decided by ``_finalize`` alone, for
 every consumer: ``restore_joint`` and ``restore_joint_differential``
-here, and through them ``restore-discrete`` and ``restore_binary``; and
-the binary closed forms of ``causal_effect_binary`` (with its
-first-order form), ``weight_split`` and ``synthesize_samples``, which
+here, and through them ``restore-discrete``, ``effect-binary``,
+``restore_binary`` and ``causal_effect_binary``; and the binary
+first-order form, ``weight_split`` and ``synthesize_samples``, which
 restore their slices in closed form and hand them to it.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
@@ -50,7 +50,11 @@ conserved mass), while anything larger means the postulated mechanism
 is incompatible with the data and raises ``IncompatibleModelError``
 unless clipping is explicitly forced.  No other module raises it.  A
 restored probability below ``TOL_VANISHING`` in absolute value is a
-vanishing denominator.
+vanishing denominator.  Positivity has one rule too, owned by
+``tables._adjustment_weights`` and applied by ``adjust_for_confounder``
+and ``stratified_effect`` alike: a stratum of positive mass whose
+restored propensity is below ``TOL_VANISHING`` raises
+``PositivityError``, so no effect rests on a rounding-noise propensity.
 
 Working set: a step holds its input, at most one table of the restored
 table's size and one chunk.  Restoration and the pushforward contract
@@ -73,17 +77,15 @@ import numpy as np
 from .errors import (
     DegenerateStratumError,
     IncompatibleModelError,
-    PositivityError,
     SingularError,
     ValidationError,
 )
 from .mechanism import CONDITION_CAP, ErrorMatrix
-from .tables import AXIS_LATENT, AXIS_PROXY, JointTable, _adopt, adjust_for_confounder
+from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_VANISHING, JointTable, _adjustment_weights,
+                     _adopt, adjust_for_confounder)
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
-#: a denominator below this in absolute value vanishes
-TOL_VANISHING = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,7 +395,10 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
 
     With one stratum per distinct latent value this reproduces full
     confounder adjustment exactly; with coarser strata it trades bias for
-    the ability to work from sparse cell statistics.
+    the ability to work from sparse cell statistics.  Positivity is
+    ``adjust_for_confounder``'s rule, applied to the strata: a stratum of
+    positive weight whose propensity P(x | l) is below ``TOL_VANISHING``
+    raises PositivityError.
     """
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
@@ -418,16 +423,9 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
          for y in range(table.card_y)],
         axis=1,
     )
-    p_xl = p_xyl.sum(axis=1)
     weights = profile.weights
-    active = weights > 0.0
-    empty = counts[1:] == 0
-    bad = np.flatnonzero(active & (empty | (p_xl <= 0.0)))
-    if bad.size:
-        k = int(bad[0])
-        if empty[k]:
-            raise DegenerateStratumError(f"stratum {k} is empty but has weight {weights[k]:.3e}")
-        raise PositivityError(
-            f"P(x={x}, l) = 0 in stratum {k} (weight {weights[k]:.3e}): positivity violated"
-        )
-    return (weights[active, None] * (p_xyl[active] / p_xl[active, None])).sum(axis=0)
+    empty = np.flatnonzero((weights > 0.0) & (counts[1:] == 0))
+    if empty.size:
+        k = int(empty[0])
+        raise DegenerateStratumError(f"stratum {k} is empty but has weight {weights[k]:.3e}")
+    return _adjustment_weights(weights, p_xyl.sum(axis=1), x, "l") @ p_xyl

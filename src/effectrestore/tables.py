@@ -8,7 +8,10 @@ shareable across threads.
 Tolerances: tables built from empirical data are accepted when their mass
 is within 1e-9 of 1; tables produced internally by restoration are held
 to 1e-12 in tests.  The positivity precondition of the adjustment formula
-is checked strictly (no epsilon): an empirical zero cell is the caller's
+has one owner, ``_adjustment_weights``, which both the cell-level and the
+stratified adjustment call: a stratum of positive mass whose propensity
+is below ``TOL_VANISHING`` is refused, so an effect never rests on a
+rounding-noise propensity.  An empirical zero cell is the caller's
 smoothing problem.
 """
 
@@ -31,6 +34,8 @@ AXIS_PROXY = "W"
 TOL_SUM_INPUT = 1e-9
 #: tolerance below which a slightly negative cell counts as numerical noise
 TOL_NEG = 1e-9
+#: a propensity or denominator below this in absolute value vanishes
+TOL_VANISHING = 1e-9
 
 _AXIS_ORDER = ("x", "y", "v")
 
@@ -179,30 +184,41 @@ def marginal(table: JointTable, axes: Iterable[str]) -> np.ndarray:
     return table.cells.sum(axis=drop) if drop else np.array(table.cells)
 
 
+def _adjustment_weights(p_v: np.ndarray, p_xv: np.ndarray, x: int, v: str = "v") -> np.ndarray:
+    """The adjustment formula's weights P(v) / P(x, v), written over ``p_xv``
+    (0 where P(v) = 0), after the package's one positivity test: a stratum
+    with P(v) > 0 whose propensity P(x | v) is below ``TOL_VANISHING``
+    raises PositivityError.  ``v`` names the strata in the message.  The
+    test reads the weight, which is 1 / P(x | v), so it needs no buffer of
+    its own."""
+    pos = p_v > 0.0
+    with np.errstate(divide="ignore", over="ignore"):  # the test below reads inf
+        weight = np.divide(p_v, p_xv, out=p_xv, where=pos)
+    weight[~pos] = 0.0
+    # P(x | v) < TOL_VANISHING: a weight above 1 / TOL_VANISHING, infinite or negative
+    if weight.max() * TOL_VANISHING > 1.0 or weight.min() < 0.0:
+        i = int(np.flatnonzero((weight * TOL_VANISHING > 1.0) | (weight < 0.0))[0])
+        raise PositivityError(
+            f"P(x={x} | {v}={i}) = {1.0 / weight[i]:.3g} while P({v}={i}) = {p_v[i]:.6g}: "
+            f"stratum {v}={i} violates positivity (propensity below {TOL_VANISHING:.0e})"
+        )
+    return weight
+
+
 def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     """Confounder-adjusted outcome distribution sum_v P(y | x, v) P(v).
 
     Treats the table's V axis as a sufficient confounder set; this is only
     a causal effect when that reading is justified (V latent, back-door
-    criterion satisfied).  Requires strict positivity: every stratum v
-    with P(v) > 0 must have P(x, v) > 0.  For a valid nonnegative table
-    the result is a probability vector (sums to 1 within 1e-12).
+    criterion satisfied).  Requires positivity: every stratum v with
+    P(v) > 0 must have a propensity P(x | v) of at least ``TOL_VANISHING``,
+    or PositivityError names the first that does not.  For a valid
+    nonnegative table the result is a probability vector (sums to 1 within
+    1e-12).
     """
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
-    p_v = table.cells.sum(axis=(0, 1))
-    p_xv = table.cells[x].sum(axis=0)
-    pos = p_v > 0.0
-    bad = np.flatnonzero(pos & (p_xv <= 0.0))
-    if bad.size:
-        v = bad[0]
-        raise PositivityError(
-            f"P(x={x} | v={v}) = 0 while P(v={v}) = {p_v[v]:.6g}: "
-            f"stratum v={v} violates positivity"
-        )
-    # P(v) / P(x, v), written over P(x, v); 0 where P(v) = 0
-    weight = np.divide(p_v, p_xv, out=p_xv, where=pos)
-    weight[~pos] = 0.0
+    weight = _adjustment_weights(table.cells.sum(axis=(0, 1)), table.cells[x].sum(axis=0), x)
     return table.cells[x] @ weight
 
 

@@ -102,14 +102,19 @@ def test_criterion_1_roundtrip_restoration():
 
 
 def test_criterion_2_closed_form_equals_composition():
+    # the paper's closed form, kept in the tests as the oracle of the
+    # restore-then-adjust composition that ``causal_effect_binary`` is
+    from test_binary import closed_form_effect
+
     rng = np.random.default_rng(102)
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
         observed, err = random_valid_binary_instance(rng)
         x, y = int(rng.integers(2)), int(rng.integers(2))
-        composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
-        direct = causal_effect_binary(observed, err, x, y)
+        composed = causal_effect_binary(observed, err, x, y)
+        assert composed == adjust_for_confounder(restore_binary(observed, err), x)[y]
+        direct = closed_form_effect(observed, err, x, y)
         worst = max(worst, abs(direct - composed))
     elapsed = time.perf_counter() - start
     assert worst < 1e-12

@@ -168,6 +168,17 @@ def test_only_restore_decides_that_data_contradict_a_mechanism():
     assert raisers == ["restore.py"]
 
 
+def test_only_tables_decides_positivity():
+    # one rule for the cell-level and the stratified adjustment:
+    # ``tables._adjustment_weights``, nowhere else
+    package = Path(effectrestore.__file__).parent
+    raisers = sorted(
+        path.name for path in package.glob("*.py")
+        if "PositivityError" in raised_names(ast.parse(path.read_text()))
+    )
+    assert raisers == ["tables.py"]
+
+
 def frozen_objects():
     """A table, a dense mechanism with its inverse cached, a factored one
     with its LU factors cached, and a propensity profile, each with the

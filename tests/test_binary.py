@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from effectrestore import (
     EffectRestoreError,
     IncompatibleModelError,
     JointTable,
+    PositivityError,
     SingularError,
     UnidentifiableError,
     ValidationError,
@@ -29,9 +31,53 @@ from effectrestore import (
     synthesize_samples,
     weight_split,
 )
-from effectrestore.restore import TOL_INCOMPATIBLE
+from effectrestore.restore import TOL_INCOMPATIBLE, TOL_VANISHING
 from effectrestore.rng import make_rng
 from strategies import traced_peak
+
+
+def closed_form_effect(observed, err, x, y, tol=TOL_VANISHING):
+    """The paper's modified inverse-probability weighting, the oracle of
+    ``causal_effect_binary``: P(y | do(x)) straight from observed quantities,
+
+        sum_w P(x,y,w)/P(x|w) (1 - r/P(w|x,y)) (1 - r/P(w)) / (1 - r/P(w|x)) / (1 - eps - delta)
+
+    with r = delta on the w1 branch and eps on the w0 one.  Raises
+    DegenerateDenominatorError when a denominator is below ``tol`` in
+    absolute value (the bracket 1 - r/P(w|x) is 0 exactly when the restored
+    stratum P(x, z_w) is empty), and then IncompatibleModelError when the
+    closed-form restoration of the observed cells carries negative mass
+    above ``TOL_INCOMPATIBLE``.
+    """
+    p = observed.cells
+    p_w, p_x, p_xw, p_xy = p.sum(axis=(0, 1)), p.sum(axis=(1, 2)), p.sum(axis=1), p.sum(axis=2)
+    total = 0.0
+    for w, rate in ((1, err.delta), (0, err.eps)):
+        with np.errstate(all="ignore"):  # each ratio is checked after its denominator
+            denominators = {
+                "P(w)": p_w[w], "P(x)": p_x[x], "P(x,y)": p_xy[x, y],
+                "P(x|w)": p_xw[x, w] / p_w[w], "P(w|x,y)": p[x, y, w] / p_xy[x, y],
+                "P(w|x)": p_xw[x, w] / p_x[x],
+            }
+            denominators["bracket"] = 1.0 - rate / denominators["P(w|x)"]
+        for name, value in denominators.items():
+            if abs(value) < tol:
+                raise DegenerateDenominatorError(f"{name} of branch w{w} = {value:.3e} vanishes")
+        d = denominators
+        total += (p[x, y, w] / d["P(x|w)"]) * (1.0 - rate / d["P(w|x,y)"]) \
+            * (1.0 - rate / d["P(w)"]) / d["bracket"]
+    raw = np.stack(((1.0 - err.eps) * p_xy - p[:, :, 1], p[:, :, 1] - err.delta * p_xy), axis=-1)
+    if -raw[raw < 0.0].sum() / err.determinant > TOL_INCOMPATIBLE:
+        raise IncompatibleModelError("negative restored mass")
+    return total / err.determinant
+
+
+@contextmanager
+def recorded_warnings():
+    """A block whose warnings are recorded in the yielded list, not raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield caught
 
 
 def random_valid_instance(rng, margin=0.03):
@@ -152,14 +198,15 @@ class TestCausalEffectBinary:
                 )
 
     def test_matches_restore_then_adjust_composition(self):
-        # oracle: explicit restoration followed by confounder adjustment
+        # oracle: the paper's closed form, on tables away from its denominators' zeros
         rng = np.random.default_rng(5)
         for _ in range(1000):
             observed, err, _ = random_valid_instance(rng)
             x, y = int(rng.integers(2)), int(rng.integers(2))
             composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
-            direct = causal_effect_binary(observed, err, x, y)
+            direct = closed_form_effect(observed, err, x, y)
             assert abs(direct - composed) < 1e-12
+            assert causal_effect_binary(observed, err, x, y) == composed
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -168,12 +215,19 @@ class TestCausalEffectBinary:
         st.integers(0, 1), st.integers(0, 1),
     )
     def test_closed_form_is_the_composition(self, eps, delta, latent, x, y):
-        # the closed form divides by err.determinant unchecked: the params'
-        # own gate must be enough for it to agree with restore-then-adjust
+        # on compatible tables whose closed-form denominators are all >= 1e-6
+        # the two agree to rounding.  The closed form divides by err.determinant
+        # unchecked, and its rounding grows as 1 / (1 - eps - delta): 1.5e-14
+        # was seen at eps = delta = 0.4
         err = BinaryErrorParams(eps, delta)
         observed = JointTable(np.einsum("wz,xyz->xyw", err.matrix(), latent / latent.sum()), "W")
-        composed = adjust_for_confounder(restore_binary(observed, err), x)[y]
-        assert causal_effect_binary(observed, err, x, y) == pytest.approx(composed, abs=1e-12)
+        try:
+            oracle = closed_form_effect(observed, err, x, y, tol=1e-6)
+        except DegenerateDenominatorError:
+            reject()
+        with recorded_warnings():  # a rounding-level negative cell is clipped, with a warning
+            value = causal_effect_binary(observed, err, x, y)
+        assert abs(value - oracle) <= 1e-14 / err.determinant
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -195,9 +249,14 @@ class TestCausalEffectBinary:
             restored = None
         for effect in (causal_effect_binary, causal_effect_binary_infinitesimal):
             try:
-                value = effect(observed, err, x, y)
+                with recorded_warnings():
+                    value = effect(observed, err, x, y)
             except DegenerateDenominatorError:
-                reject()  # checked before compatibility; nothing to compare
+                reject()  # the first-order form checks it before compatibility
+            except PositivityError:
+                # the composition's adjustment, reached only past restoration
+                assert effect is causal_effect_binary and restored is not None
+                continue
             except IncompatibleModelError:
                 assert restored is None
                 continue
@@ -215,25 +274,66 @@ class TestCausalEffectBinary:
             got = [causal_effect_binary(observed, err, x, y) for y in (0, 1)]
             np.testing.assert_allclose(got, expected, atol=1e-11)
 
-    def test_bracket_denominator_hits_zero(self):
-        # P(w1|x=1, y) pinned at delta for both y: the restored stratum
-        # P(x=1, z1) is empty and the bracket denominator vanishes
+    @staticmethod
+    def empty_stratum_table():
+        """P(w1|x=1, y) pinned at delta for both y, at rates (0.2, 0.1): the
+        restored stratum P(x=1, z1) is empty."""
         err = BinaryErrorParams(0.2, 0.1)
         cells = np.empty((2, 2, 2))
         cells[0, 0] = [0.15, 0.15]
         cells[0, 1] = [0.1, 0.1]
         for y, mass in ((0, 0.3), (1, 0.2)):
             cells[1, y] = [(1 - err.delta) * mass, err.delta * mass]
-        table = JointTable(cells, "W")
+        return JointTable(cells, "W"), err
+
+    def test_bracket_denominator_hits_zero(self):
+        # the closed form's bracket denominator 1 - delta / P(w1|x=1) vanishes
+        table, err = self.empty_stratum_table()
         with pytest.raises(DegenerateDenominatorError, match="bracket"):
-            causal_effect_binary(table, err, 1, 1)
+            closed_form_effect(table, err, 1, 1)
+
+    def test_an_empty_restored_stratum_violates_positivity(self):
+        # the composition refuses the same table on its restored propensity
+        # P(x=1 | z1), rounding noise of 1e-17 or an exact 0 after a clip
+        table, err = self.empty_stratum_table()
+        with recorded_warnings() as caught:
+            for y in (0, 1):
+                with pytest.raises(PositivityError, match=r"P\(x=1 \| v=1\) = \S+ while"):
+                    causal_effect_binary(table, err, 1, y)
+            untreated = causal_effect_binary(table, err, 0, 1)
+        for w in caught:  # a clip of a rounding-level cell is reported, and nothing else
+            negative_mass = float(re.search(r"negative mass (\S+) is within", str(w.message))[1])
+            assert negative_mass < 1e-15
+        assert untreated == pytest.approx(0.4, abs=1e-12)
 
     def test_vanishing_cell_denominator(self):
+        # P(w1|1,1) = 0: the closed form's P(w1|x,y) vanishes
         err = BinaryErrorParams(0.2, 0.1)
         cells = np.full((2, 2, 2), 1 / 8)
-        cells[1, 1] = [0.25, 0.0]  # P(w1|1,1) = 0
-        with pytest.raises(DegenerateDenominatorError):
+        cells[1, 1] = [0.25, 0.0]
+        with pytest.raises(DegenerateDenominatorError, match=r"P\(w\|x,y\) of branch w1"):
+            closed_form_effect(JointTable(cells, "W"), err, 1, 1)
+
+    def test_a_fraction_below_delta_is_incompatible(self):
+        # the composition refuses the same table: P(w1|1,1) = 0 < delta
+        # restores to a negative cell of mass 0.1 * 0.25 / 0.7
+        err = BinaryErrorParams(0.2, 0.1)
+        cells = np.full((2, 2, 2), 1 / 8)
+        cells[1, 1] = [0.25, 0.0]
+        with pytest.raises(IncompatibleModelError, match="negative mass 3.571e-02"):
             causal_effect_binary(JointTable(cells, "W"), err, 1, 1)
+
+    def test_an_empty_slice_gets_an_estimate(self):
+        # a pushforward whose latent P(x=1, y=1, .) = 0: the closed form's
+        # P(x=1,y=1) vanishes, while the composition adjusts the y = 0 slice
+        err = BinaryErrorParams(0.2, 0.1)
+        latent = np.full((2, 2, 2), 1 / 6)
+        latent[1, 1] = 0.0
+        observed = JointTable(np.einsum("wz,xyz->xyw", err.matrix(), latent), "W")
+        with pytest.raises(DegenerateDenominatorError, match=r"P\(x,y\) of branch w1 = 0"):
+            closed_form_effect(observed, err, 1, 1)
+        got = [causal_effect_binary(observed, err, 1, y) for y in (0, 1)]
+        assert got == [pytest.approx(1.0, abs=1e-15), 0.0]
 
 
 class TestInfinitesimalApproximation:
@@ -391,8 +491,11 @@ class TestSynthesizeSamples:
         err = BinaryErrorParams(0.3, 0.1)
         samples = np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0], [1, 1, 1]])
         # group (0,0) has P(w=1) = 1 > 1 - eps
-        with pytest.raises(IncompatibleModelError, match="component 0"):
+        with pytest.raises(IncompatibleModelError, match="component 0"), \
+                pytest.warns(RuntimeWarning, match="no samples in group") as caught:
             synthesize_samples(samples, [err], seed=0)
+        assert [str(w.message).split(";")[0] for w in caught] == [
+            "no samples in group (x=0, y=1)", "no samples in group (x=1, y=0)"]
 
     def test_empty_group_warns(self):
         samples = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # no (1, 1) group
@@ -446,6 +549,9 @@ class TestOneCompatibilityRule:
         st.integers(0, 1), st.integers(0, 1),
     )
     def test_effect_and_restoration_agree_near_the_ends(self, eps, delta, mass, ends, x, y):
+        # the effect, its closed-form oracle and restoration give one verdict
+        # wherever the oracle's denominators exist.  The effect's positivity
+        # refusal comes after its restoration was accepted
         err = BinaryErrorParams(eps, delta)
         q = np.array([near_an_end(err, *end) for end in ends]).reshape(2, 2)
         mass = mass / mass.sum()
@@ -454,11 +560,16 @@ class TestOneCompatibilityRule:
         negative_mass = restore_joint(observed, mech, clip=True).negative_mass
         assume(abs(negative_mass - TOL_INCOMPATIBLE) > 1e-12)  # not a rounding tie
         try:
-            effect = verdict(causal_effect_binary, observed, err, x, y)
+            oracle = verdict(closed_form_effect, observed, err, x, y)
         except DegenerateDenominatorError:
             reject()
-        assert effect == verdict(restore_binary, observed, err)
-        assert effect == (negative_mass <= TOL_INCOMPATIBLE)
+        with recorded_warnings():
+            try:
+                effect = verdict(causal_effect_binary, observed, err, x, y)
+            except PositivityError:
+                effect = True
+            restored = verdict(restore_binary, observed, err)
+        assert effect == oracle == restored == (negative_mass <= TOL_INCOMPATIBLE)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -478,7 +589,8 @@ class TestOneCompatibilityRule:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             split = verdict(weight_split, p, err)
-        assert split == verdict(restore_binary, observed, err)
+        with recorded_warnings():
+            assert split == verdict(restore_binary, observed, err)
         # a clip within the tolerance is reported, never silent; at either end
         # the closed form restores an exact 0, so there is nothing to clip
         assert len(caught) == (split and not err.delta <= p <= 1.0 - err.eps)
@@ -488,8 +600,11 @@ class TestOneCompatibilityRule:
         q = np.array([[err.delta - 1e-9, 0.3], [0.5, 0.6]])
         mass = np.array([[0.2, 0.3], [0.25, 0.25]])
         observed = JointTable(np.stack((mass * (1.0 - q), mass * q), axis=-1), "W")
-        assert restore_binary(observed, err).cells[0, 0, 1] == 0.0
-        assert math.isfinite(causal_effect_binary(observed, err, 1, 1))
+        clipped = r"clipped the restored table; its negative mass 2\.857e-10 is within"
+        with pytest.warns(RuntimeWarning, match=clipped):
+            assert restore_binary(observed, err).cells[0, 0, 1] == 0.0
+        with pytest.warns(RuntimeWarning, match=clipped):
+            assert math.isfinite(causal_effect_binary(observed, err, 1, 1))
         with pytest.warns(RuntimeWarning, match=r"clipped .* P\(w1\|x,y\) = 0\.099999999; "
                                                  r"its negative mass 1\.429e-09"):
             assert weight_split(err.delta - 1e-9, err) == 0.0
@@ -507,7 +622,8 @@ class TestOneCompatibilityRule:
         samples = np.zeros((n, 3), dtype=np.int8)  # one (x, y) group
         samples[:ones, 2] = 1
         observed = JointTable(np.array([[[n - ones, ones], [0, 0]], [[0, 0], [0, 0]]]) / n, "W")
-        assert verdict(restore_binary, observed, err) == accepted
+        with recorded_warnings():
+            assert verdict(restore_binary, observed, err) == accepted
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             if not accepted:
@@ -534,7 +650,7 @@ def test_effect_composition_equivalence_with_matrix_route():
         mech = ErrorMatrix.from_binary(err)
         x = int(rng.integers(2))
         via_matrix = causal_effect_restored(observed, mech, x)
-        via_closed = [causal_effect_binary(observed, err, x, y) for y in (0, 1)]
+        via_closed = [closed_form_effect(observed, err, x, y) for y in (0, 1)]
         np.testing.assert_allclose(via_closed, via_matrix, atol=1e-12)
 
 
@@ -581,7 +697,7 @@ class TestTableBootstrap:
 
     def test_skips_undefined_resamples_like_the_loop(self):
         # 40 records with rare (x=1) cells: some resamples miss one, and the
-        # statistic's denominators vanish there
+        # rates contradict the slice that is left
         cells = np.array([[[7, 7], [7, 7]], [[2, 3], [2, 3]]], dtype=float) / 40
         observed, err = JointTable(cells, "W"), BinaryErrorParams(0.1, 0.1)
         got = table_bootstrap(observed, err, 1, 40, 60, 3)

@@ -286,6 +286,30 @@ class TestRestoreDiscreteCommand:
         doc = json.loads(out)
         np.testing.assert_allclose(doc["stratified_effect"], doc["effect"], rtol=0, atol=1e-12)
 
+    def test_each_estimate_stands_alone(self, tmp_path):
+        # z0 carries mass but is never treated: the cell-level effect of x = 1
+        # fails on positivity, while one stratum over every z does not
+        cells = np.zeros((2, 2, 3))
+        cells[0, :, 0] = [0.1, 0.1]
+        cells[0, :, 1:] = 0.05
+        cells[1, :, 1] = [0.1, 0.15]
+        cells[1, :, 2] = [0.2, 0.15]
+        table_path, mech_path = tmp_path / "t.json", tmp_path / "m.json"
+        dump_json(JointTable(cells, "W").to_json_dict(), table_path)
+        dump_json(ErrorMatrix.identity(3).to_json_dict(), mech_path)
+        code, out, err, leaked = run_main(["restore-discrete", "--in", str(table_path),
+                                           "--error", str(mech_path), "--x", "1", "--strata", "1"])
+        assert (code, leaked) == (2, [])
+        doc = json.loads(out)
+        message = "P(x=1 | v=0) = 0 while P(v=0) = 0.2: stratum v=0 violates positivity " \
+                  "(propensity below 1e-09)"
+        assert doc["effect"] == {"error": "positivity", "message": message}
+        assert err == f"effectrestore restore-discrete: positivity: {message}\n"
+        # the restoration and the stratified effect are kept: P(y | x=1) over all z
+        assert doc["restored"]["cells"] == cells.ravel().tolist()
+        assert doc["condition_estimate"] == 1.0 and doc["clipped"] is False
+        np.testing.assert_allclose(doc["stratified_effect"], [0.5, 0.5], rtol=0, atol=1e-15)
+
     def test_csv_ingestion_with_smoothing(self, tmp_path):
         samples = np.array([[0, 0, 0], [1, 1, 1], [1, 0, 1]])
         path = tmp_path / "tiny.csv"
@@ -361,6 +385,20 @@ class TestSimulatedComponentsRestore:
         assert doc["clipped"] is True
         assert sum(doc["restored"]["cells"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_twelve_components_keep_the_stratified_effect(self, tmp_path):
+        # a clipped latent value of positive mass is never treated, so the
+        # cell-level effect fails on positivity; the stratified one stands
+        samples_path, rates_path, truth = self.simulate(tmp_path, 12, 100_000, 2)
+        code, out, err, leaked = run_main([
+            "restore-discrete", "--in", str(samples_path), "--error", str(rates_path), "--clip",
+            "--x", "1", "--strata", "20"])
+        assert (code, leaked) == (2, [])
+        doc = json.loads(out)
+        assert "error" not in doc and doc["clipped"] is True
+        assert doc["effect"]["error"] == "positivity"
+        assert err == f"effectrestore restore-discrete: positivity: {doc['effect']['message']}\n"
+        assert np.abs(np.subtract(doc["stratified_effect"], truth[1])).max() < 0.01
+
     def test_a_csv_of_another_width_names_both_widths(self, tmp_path):
         samples_path, _, _ = self.simulate(tmp_path, 3, 50, 3)
         _, rates_path = write_components_model(tmp_path, 2, 3)
@@ -369,6 +407,68 @@ class TestSimulatedComponentsRestore:
         assert (code, out, leaked) == (1, "", [])
         assert err == (f"effectrestore restore-discrete: error: {samples_path}: expected 3 or 4 "
                        "columns, got 5 (['x', 'y', 'w1', 'w2', 'w3'])\n")
+
+
+#: (x, y, w) counts of 100 rows whose P(w1 | x=1, y) is 0.1 for both y: at rates
+#: (eps, delta) = (0.2, 0.1) the restored stratum P(x=1, z1) is empty
+EMPTY_STRATUM_COUNTS = {(0, 0, 0): 15, (0, 0, 1): 15, (0, 1, 0): 10, (0, 1, 1): 10,
+                        (1, 0, 0): 27, (1, 0, 1): 3, (1, 1, 0): 18, (1, 1, 1): 2}
+
+
+class TestOneBinaryPath:
+    """``effect-binary`` restores and adjusts as ``restore-discrete --x`` does,
+    and both refuse a rounding-noise propensity."""
+
+    def test_an_empty_restored_stratum_exits_2_positivity(self, tmp_path):
+        from effectrestore import DegenerateDenominatorError, PositivityError, causal_effect_binary
+        from test_binary import closed_form_effect, recorded_warnings
+
+        rows = np.array([key for key, count in EMPTY_STRATUM_COUNTS.items() for _ in range(count)])
+        samples_path, rates_path = tmp_path / "rows.csv", tmp_path / "rates.json"
+        write_samples_csv(samples_path, ["x", "y", "w"], rows, integer=True)
+        err = BinaryErrorParams(0.2, 0.1)
+        dump_json(err.to_json_dict(), rates_path)
+        base = ["--in", str(samples_path), "--error", str(rates_path), "--x", "1"]
+        for argv, failed in (
+            (["effect-binary", *base], ["error"]),
+            (["restore-discrete", *base], ["effect"]),
+            (["restore-discrete", *base, "--strata", "2"], ["effect", "stratified_effect"]),
+        ):
+            code, out, err_text, leaked = run_main(argv)
+            assert (code, leaked) == (2, [])
+            doc = json.loads(out)
+            for key in failed:
+                failure = doc if key == "error" else doc[key]
+                assert failure["error"] == "positivity"
+                assert "P(x=1 | " in failure["message"]
+                assert "violates positivity (propensity below 1e-09)" in failure["message"]
+        observed = empirical_joint(rows, (2, 2, 2), "W")
+        with recorded_warnings():
+            with pytest.raises(PositivityError):
+                causal_effect_binary(observed, err, 1, 1)
+        with pytest.raises(DegenerateDenominatorError, match="bracket"):
+            closed_form_effect(observed, err, 1, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_effect_binary_writes_restore_discretes_effect(self, tmp_path, seed):
+        model_path, samples_path = tmp_path / "model.json", tmp_path / "samples.csv"
+        dump_json(DISCRETE_MODEL, model_path)
+        assert main(["simulate-discrete", "--in", str(model_path), "--out", str(samples_path),
+                     "--n", "5000", "--seed", str(seed)]) == 0
+        rates_path = tmp_path / "rates.json"
+        dump_json({"eps": 0.2, "delta": 0.1}, rates_path)
+        texts = []
+        for command in ("effect-binary", "restore-discrete"):
+            code, out, err, _ = run_main([command, "--in", str(samples_path), "--error",
+                                          str(rates_path), "--x", "1"])
+            assert code == 0, err
+            texts.append(out)
+        # the same bytes of the printed effect, and the same diagnostics
+        effect_a, effect_b = (re.search(r'"effect": \[[^]]*\]', text)[0] for text in texts)
+        assert effect_a == effect_b
+        binary_doc, discrete_doc = map(json.loads, texts)
+        for key in ("condition_estimate", "negative_mass", "clipped"):
+            assert binary_doc[key] == discrete_doc[key]
 
 
 def write_dense_model(tmp_path, seed):
@@ -606,8 +706,8 @@ class TestLinearCommands:
         assert captured.out == ""
 
     def test_effect_binary_mostly_undefined_bootstrap_exits_2(self, tmp_path, capsys):
-        # 12 rows with each x=1 cell once: most resamples miss one of them,
-        # and a few contradict the rates
+        # 12 rows with each x=1 cell once: most resamples keep one reading of
+        # an x=1 slice, which contradicts the rates, or miss x=1 altogether
         samples_path = tmp_path / "rows.csv"
         rows = [[1, i // 2, i % 2] for i in range(4)]
         rows += [[0, (i // 2) % 2, i % 2] for i in range(8)]
@@ -622,7 +722,7 @@ class TestLinearCommands:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert doc["error"] == "unidentifiable"
-        assert "used 5/50" in doc["message"]
+        assert "used 13/50" in doc["message"]
         assert "unidentifiable" in captured.err
         assert "Traceback" not in captured.err
 
@@ -1163,7 +1263,9 @@ class TestDiscreteCommandsFuzz:
             assert err.splitlines()[-1].startswith(f"effectrestore {name}: error: ")
         else:
             doc = json.loads(out)
-            assert doc["method"] == name and ("error" in doc) == (code == 2)
+            # a failed estimate of restore-discrete stands in its own place
+            failed = [v for v in (doc, doc.get("effect")) if isinstance(v, dict) and "error" in v]
+            assert doc["method"] == name and bool(failed) == (code == 2)
 
 
 def stochastic_doc(rng, n):

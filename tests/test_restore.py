@@ -737,9 +737,10 @@ def loop_stratified_effect(table, profile, x):
             raise DegenerateStratumError(f"stratum {k} is empty but has weight {weight:.3e}")
         idx = list(members)
         p_xl = float(table.cells[x, :, idx].sum())
-        if p_xl <= 0.0:
+        if p_xl / weight < 1e-9:
             raise PositivityError(
-                f"P(x={x}, l) = 0 in stratum {k} (weight {weight:.3e}): positivity violated"
+                f"P(x={x} | l={k}) = {p_xl / weight:.3g} while P(l={k}) = {weight:.6g}: "
+                f"stratum l={k} violates positivity (propensity below 1e-09)"
             )
         p_xyl = table.cells[x, :, idx].sum(axis=0)
         out += weight * (p_xyl / p_xl)

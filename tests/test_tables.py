@@ -172,6 +172,28 @@ class TestAdjustForConfounder:
         with pytest.raises(PositivityError, match=r"P\(x=0 \| v=1\) = 0 .* stratum v=1 "):
             adjust_for_confounder(table, 0)
 
+    @pytest.mark.parametrize("propensity, refused", [(0.0, True), (1e-12, True), (1e-6, False)])
+    def test_one_positivity_rule_for_cells_and_strata(self, propensity, refused):
+        # P(x=1 | v=1) = propensity: below 1e-9 it is rounding noise, and the
+        # cell-level and the stratified adjustment both refuse it
+        from effectrestore import PropensityProfile, stratified_effect
+
+        cells = np.full((2, 2, 2), 0.125)
+        cells[1, :, 1] = 0.25 * propensity
+        cells[0, :, 1] = 0.25 * (1.0 - propensity)
+        table = JointTable(cells, "Z")
+        profile = PropensityProfile(np.array([0.5, propensity]), np.array([0, 1]),
+                                    np.array([0.5, 0.5]))
+        for v, estimate in (("v", lambda: adjust_for_confounder(table, 1)),
+                            ("l", lambda: stratified_effect(table, profile, 1))):
+            if refused:
+                with pytest.raises(PositivityError, match=(
+                        rf"P\(x=1 \| {v}=1\) = {propensity:.3g} while P\({v}=1\) = 0\.5: "
+                        rf"stratum {v}=1 violates positivity \(propensity below 1e-09\)")):
+                    estimate()
+            else:
+                np.testing.assert_allclose(estimate(), [0.5, 0.5], rtol=0, atol=1e-12)
+
     def test_zero_mass_strata_are_skipped(self):
         # oracle: the same loop over positive-mass strata that the adjustment
         # formula writes out, summed in stratum order
