@@ -1,8 +1,7 @@
-"""Closed-form effect restoration when X, Y, Z, W are all binary.
+"""Effect restoration when X, Y, Z, W are all binary.
 
 With misclassification rates eps = P(w0|z1) and delta = P(w1|z0), the
-2x2 mechanism inverts in closed form (``restore_binary`` is the general
-``restore_joint`` applied to that 2x2 matrix):
+2x2 mechanism [[1-delta, eps], [delta, 1-eps]] has the inverse
 
     P(x,y,z0) = [(1-eps) P(x,y) - P(x,y,w1)] / (1 - eps - delta)
     P(x,y,z1) = [P(x,y,w1) - delta P(x,y)] / (1 - eps - delta)
@@ -11,8 +10,11 @@ Each (x, y) pair of proxy cells splits its combined weight P(x,y) between
 the two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
 function of the observed fraction P(w1|x,y), exactly 0 at delta and
 infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
-negative cell; every function here leaves the verdict to
-``restore._finalize``, which refuses a table whose rates contradict it.
+negative cell.  No function here evaluates that inverse itself: every
+one restores through ``restore._restore_cells`` on
+``ErrorMatrix.from_binary``, the 2x2 case of ``restore_joint``, so
+``restore._finalize`` judges the result, sets a rounding residue at
+either end to exactly 0 and refuses a table whose rates contradict it.
 
 ``causal_effect_binary`` is that restoration followed by confounder
 adjustment, the 2x2 case of ``restore.causal_effect_restored``.  The
@@ -34,14 +36,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, _finalize, restore_joint
+from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, RestorationResult, _restore_cells
 from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable, adjust_for_confounder
 
@@ -62,43 +63,32 @@ def _require_binary(table: JointTable) -> np.ndarray:
     return table.cells
 
 
+def _restored(cells: np.ndarray, err: BinaryErrorParams, where: str = "", *,
+              clip: bool = False) -> RestorationResult:
+    """The (x, y, w) ``cells`` restored by the rates' 2x2 mechanism, as
+    ``restore_joint`` restores them; a table clipped within the tolerance
+    is reported in a RuntimeWarning whose message names ``where``."""
+    result = _restore_cells(cells, ErrorMatrix.from_binary(err), clip=clip, where=where)
+    if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
+        warnings.warn(f"clipped the restored table{where}; its negative mass "
+                      f"{result.negative_mass:.3e} is within the tolerance "
+                      f"{TOL_INCOMPATIBLE:.1e}", RuntimeWarning, stacklevel=3)
+    return result
+
+
 def restore_binary(
     observed: JointTable, err: BinaryErrorParams, *, clip: bool = False
 ) -> JointTable:
     """Latent binary joint P(x, y, z) from the observed P(x, y, w).
 
     This is ``restore_joint`` on the 2x2 mechanism, so it shares its
-    negative-mass policy: total negative mass up to
+    negative-mass policy: a rounding residue at either end of [delta,
+    1-eps] is set to exactly 0, total negative mass beyond it up to
     ``restore.TOL_INCOMPATIBLE`` is clipped as numerical noise, with a
     RuntimeWarning, and anything larger raises IncompatibleModelError
     unless ``clip`` forces the repair.
     """
-    _require_binary(observed)
-    result = restore_joint(observed, ErrorMatrix.from_binary(err), clip=clip)
-    if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
-        _warn_clipped(result.negative_mass, stacklevel=3)
-    return result.restored
-
-
-def _warn_clipped(negative_mass: float, where: str = "", *, stacklevel: int) -> None:
-    """The RuntimeWarning of a table clipped within the tolerance."""
-    warnings.warn(f"clipped the restored table{where}; its negative mass "
-                  f"{negative_mass:.3e} is within the tolerance {TOL_INCOMPATIBLE:.1e}",
-                  RuntimeWarning, stacklevel=stacklevel)
-
-
-def _restore_slices(mass: np.ndarray, w1: np.ndarray, err: BinaryErrorParams, where: str = "",
-                    *, n: float = 1.0, warn: bool = True) -> np.ndarray:
-    """Latent P(x, y, z) of the (x, y) slices of proxy mass ``mass`` and w1
-    cell ``w1`` (counts out of ``n``), restored in closed form and passed to
-    ``restore._finalize``, whose messages name ``where``; a clipped table
-    is reported in a RuntimeWarning unless ``warn`` is false."""
-    raw = np.stack(((1.0 - err.eps) * mass - w1, w1 - err.delta * mass), axis=-1)
-    raw /= err.determinant * n
-    cells, negative_mass, clipped = _finalize(raw, clip=False, where=where)
-    if clipped and warn:
-        _warn_clipped(negative_mass, where, stacklevel=4)
-    return cells
+    return _restored(_require_binary(observed), err, clip=clip).restored
 
 
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
@@ -113,21 +103,9 @@ def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
     p = float(p_w1_given_xy)
     if not math.isfinite(p):
         raise ValidationError(f"p_w1_given_xy must be finite, got {p!r}")
-    cells = _restore_slices(np.ones((1, 1)), np.full((1, 1), p), err, f" for P(w1|x,y) = {p!r}")
+    cells = _restored(np.array([[[1.0 - p, p]]]), err, f" for P(w1|x,y) = {p!r}").restored.cells
     z0, z1 = cells[0, 0].tolist()
     return math.inf if z0 == 0.0 else z1 / z0
-
-
-@dataclass(frozen=True)
-class _Term:
-    """Observed ingredients of one w-branch of the first-order form."""
-
-    cell: float        # P(x, y, w)
-    x_given_w: float   # P(x | w)
-    w_given_xy: float  # P(w | x, y)
-    w_marg: float      # P(w)
-    w_given_x: float   # P(w | x)
-    rate: float        # the misclassification rate paired with this branch
 
 
 def _nonvanishing(*named: tuple[str, float]) -> None:
@@ -139,33 +117,6 @@ def _nonvanishing(*named: tuple[str, float]) -> None:
 def _check_xy(x: int, y: int) -> None:
     if x not in (0, 1) or y not in (0, 1):
         raise ValidationError(f"x and y must be 0 or 1, got x={x}, y={y}")
-
-
-def _terms(p: np.ndarray, err: BinaryErrorParams, x: int, y: int) -> tuple[_Term, _Term]:
-    _check_xy(x, y)
-    p_w = p.sum(axis=(0, 1))
-    p_x = p.sum(axis=(1, 2))
-    p_xw = p.sum(axis=1)
-    p_xy = p.sum(axis=2)
-    _nonvanishing(("P(w1)", p_w[1]), ("P(w0)", p_w[0]), (f"P(x={x})", p_x[x]),
-                  (f"P(x={x},y={y})", p_xy[x, y]))
-    terms = []
-    for w, rate in ((1, err.delta), (0, err.eps)):
-        t = _Term(
-            cell=float(p[x, y, w]),
-            x_given_w=float(p_xw[x, w] / p_w[w]),
-            w_given_xy=float(p[x, y, w] / p_xy[x, y]),
-            w_marg=float(p_w[w]),
-            w_given_x=float(p_xw[x, w] / p_x[x]),
-            rate=float(rate),
-        )
-        _nonvanishing((f"P(x={x}|w{w})", t.x_given_w), (f"P(w{w}|x={x},y={y})", t.w_given_xy),
-                      (f"P(w{w}|x={x})", t.w_given_x))
-        terms.append(t)
-    # the first-order form reads the observed cells, not the clipped restored
-    # ones, but it refuses what restoration refuses
-    _restore_slices(p_xy, p[:, :, 1], err, warn=False)
-    return terms[0], terms[1]
 
 
 def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y: int) -> float:
@@ -195,14 +146,23 @@ def causal_effect_binary_infinitesimal(
     as ``causal_effect_binary`` does, after DegenerateDenominatorError for
     any observed quantity it divides by that vanishes.
     """
-    t1, t0 = _terms(_require_binary(observed), err, x, y)
-    total = 0.0
-    for t, other_rate in ((t1, err.eps), (t0, err.delta)):
-        correction = 1.0 + other_rate + t.rate * (
-            1.0 - 1.0 / t.w_given_xy - 1.0 / t.w_marg + 1.0 / t.w_given_x
-        )
-        total += (t.cell / t.x_given_w) * correction
-    return total
+    p = _require_binary(observed)
+    _check_xy(x, y)
+    p_w, p_x, p_xw, p_xy = p.sum(axis=(0, 1)), p.sum(axis=(1, 2)), p.sum(axis=1), p.sum(axis=2)
+    _nonvanishing(("P(w1)", p_w[1]), ("P(w0)", p_w[0]), (f"P(x={x})", p_x[x]),
+                  (f"P(x={x},y={y})", p_xy[x, y]))
+    # indexed by w: P(x | w), P(w | x, y), P(w | x)
+    x_given_w, w_given_xy, w_given_x = p_xw[x] / p_w, p[x, y] / p_xy[x, y], p_xw[x] / p_x[x]
+    for w in (1, 0):
+        _nonvanishing((f"P(x={x}|w{w})", x_given_w[w]), (f"P(w{w}|x={x},y={y})", w_given_xy[w]),
+                      (f"P(w{w}|x={x})", w_given_x[w]))
+    # the first-order form reads the observed cells, not the clipped restored
+    # ones, but it refuses what restoration refuses
+    _restore_cells(p, ErrorMatrix.from_binary(err), clip=False)
+    rate, other_rate = np.array([err.eps, err.delta]), np.array([err.delta, err.eps])
+    correction = 1.0 + other_rate + rate * (1.0 - 1.0 / w_given_xy - 1.0 / p_w + 1.0 / w_given_x)
+    branch = p[x, y] / x_given_w * correction
+    return float(branch[1] + branch[0])
 
 
 def synthesize_samples(
@@ -246,8 +206,8 @@ def synthesize_samples(
     post = np.zeros((4, k, 2))
     for i, err in enumerate(errs):
         ones = np.bincount(xy, weights=out[:, 2 + i], minlength=4).reshape(2, 2)
-        restored = _restore_slices(sizes, ones, err, f" for component {i}", n=max(n, 1))
         observed = np.stack((sizes - ones, ones), axis=-1) / max(n, 1)
+        restored = _restored(observed, err, f" for component {i}").restored.cells
         joint = err.matrix()[:, 1] * restored[:, :, 1:]  # P_i(x, y, w_i, z_i = 1)
         post[:, i] = np.divide(joint, observed, out=np.zeros_like(joint),
                                where=observed > 0.0).reshape(4, 2)

@@ -37,13 +37,16 @@ bound while it is below a tenth of the cap.  The estimate is usually
 within a few per cent of the exact value, but Higham's estimator
 guarantees no ratio (a third was seen), so from a tenth of the cap up
 the exact value, solved from the same factors, is compared and reported.
-Restored cells may come out slightly negative.  Whether that means the
-data contradict the mechanism is decided by ``_finalize`` alone, for
-every consumer: ``restore_joint`` and ``restore_joint_differential``
-here, and through them ``restore-discrete``, ``effect-binary``,
-``restore_binary`` and ``causal_effect_binary``; and the binary
-first-order form, ``weight_split`` and ``synthesize_samples``, which
-restore their slices in closed form and hand them to it.  A total
+Restored cells may come out slightly negative, or slightly positive
+where the exact value is 0.  A cell within ``RESIDUE_ROUNDINGS`` *
+eps_mach * kappa * |its slice's mass| of 0, kappa the checked condition
+number (the standard bound on the rounding of a matrix-vector product),
+is a residue of the inversion: ``_finalize`` sets it to exactly 0, and
+it is neither negative mass nor a clip.  Whether the cells still
+negative mean that the data contradict the mechanism is decided by
+``_finalize`` alone.  Every consumer reaches it through
+``restore_joint_differential`` or ``_restore_cells``, which
+``restore_joint`` and every binary restoration run.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
@@ -86,6 +89,9 @@ from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_VANISHING, JointTable, _adjust
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
+#: a restored cell within this many eps_mach * condition * |slice mass| of 0
+#: is a rounding residue of the inversion, and is set to exactly 0
+RESIDUE_ROUNDINGS = 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,19 +145,31 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     return cond
 
 
-def _finalize(raw: np.ndarray, *, clip: bool, where: str = "") -> tuple[np.ndarray, float, bool]:
+def _finalize(raw: np.ndarray, cond: float, *, clip: bool,
+              where: str = "") -> tuple[np.ndarray, float, bool]:
     """Clip-or-reject policy for negative restored cells: the one test of
-    whether the data contradict a mechanism.  ``where`` names the table in
-    the messages.
+    whether the data contradict a mechanism.  ``cond`` is the condition
+    number of the restoration and ``where`` names the table in the
+    messages.
 
     Returns (cells, total absolute negative mass before clipping, clipped
-    flag).  Clipping zeroes the negatives and rescales each (x, y) slice
+    flag).  A residue, a cell within ``RESIDUE_ROUNDINGS`` * eps_mach *
+    ``cond`` * |its slice's mass| of 0, is set to 0 first and counts as
+    neither.  Clipping zeroes the negatives and rescales each (x, y) slice
     back to its pre-clip mass, which restoration conserves; it overwrites
     ``raw``, a fresh array of the caller's, and returns it.
     """
-    if raw.min() >= 0.0:  # no mask of the table's size when nothing is negative
+    mass = raw.sum(axis=2)
+    floor = RESIDUE_ROUNDINGS * np.finfo(float).eps * cond * np.abs(mass)
+    if raw.min() > floor.max():  # no mask of the table's size when there is no residue
         return raw, 0.0, False
-    neg = raw < 0.0
+    floor = floor[:, :, None]
+    residue = raw <= floor
+    residue &= raw >= -floor
+    raw[residue] = 0.0
+    if raw.min() >= 0.0:
+        return raw, 0.0, False
+    neg = np.less(raw, 0.0, out=residue)  # in the residue mask's memory
     negative_mass = float(-raw[neg].sum())
     if negative_mass > TOL_INCOMPATIBLE and not clip:
         raise IncompatibleModelError(
@@ -160,18 +178,33 @@ def _finalize(raw: np.ndarray, *, clip: bool, where: str = "") -> tuple[np.ndarr
             "incompatible with the observed distribution, so no estimate "
             "will be obtained"
         )
-    target = raw.sum(axis=2)
     raw[neg] = 0.0
     slice_sum = raw.sum(axis=2)
-    bad = (target > 0.0) & (slice_sum <= 0.0)
+    bad = (mass > 0.0) & (slice_sum <= 0.0)
     if bad.any():
         x, y = (int(i[0]) for i in np.nonzero(bad))
         raise IncompatibleModelError(
             f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
         )
-    scale = np.divide(target, slice_sum, out=np.ones_like(target), where=slice_sum > 0.0)
+    scale = np.divide(mass, slice_sum, out=np.ones_like(mass), where=slice_sum > 0.0)
     raw *= scale[:, :, None]
     return raw, negative_mass, True
+
+
+def _restore_cells(cells: np.ndarray, mechanism: ErrorMatrix, *, clip: bool,
+                   where: str = "") -> RestorationResult:
+    """M^-1 applied to the (x, y, w) ``cells`` and judged by ``_finalize``:
+    the one restoration of a table by one mechanism, whose messages name
+    ``where``."""
+    cond = _check_invertible(mechanism, where=where)
+    restored, negative_mass, clipped = _finalize(mechanism.apply_inverse(cells), cond,
+                                                 clip=clip, where=where)
+    return RestorationResult(
+        restored=_adopt(JointTable, restored, AXIS_LATENT),
+        condition_estimate=cond,
+        negative_mass=negative_mass,
+        clipped=clipped,
+    )
 
 
 def restore_joint(
@@ -189,15 +222,7 @@ def restore_joint(
         raise ValidationError(
             f"mechanism has n_w={mechanism.n_w} but observed card_v={observed.card_v}"
         )
-    cond = _check_invertible(mechanism)
-    raw = mechanism.apply_inverse(observed.cells)
-    cells, negative_mass, clipped = _finalize(raw, clip=clip)
-    return RestorationResult(
-        restored=_adopt(JointTable, cells, AXIS_LATENT),
-        condition_estimate=cond,
-        negative_mass=negative_mass,
-        clipped=clipped,
-    )
+    return _restore_cells(observed.cells, mechanism, clip=clip)
 
 
 def restore_joint_differential(
@@ -232,7 +257,7 @@ def restore_joint_differential(
             )
         worst = max(worst, _check_invertible(mech, where=f" for (x={x}, y={y})"))
         raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
-    cells, negative_mass, clipped = _finalize(raw, clip=clip)
+    cells, negative_mass, clipped = _finalize(raw, worst, clip=clip)
     return RestorationResult(
         restored=_adopt(JointTable, cells, AXIS_LATENT),
         condition_estimate=worst,

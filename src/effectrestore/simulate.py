@@ -72,6 +72,10 @@ class DiscreteModelSpec:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the constructor, which freezes the copy
+        return type(self), (self.p_z, self.p_x_given_z, self.p_y_given_xz, self.error)
+
     @property
     def n_z(self) -> int:
         return self.p_z.shape[0]

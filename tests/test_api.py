@@ -179,13 +179,31 @@ def test_only_tables_decides_positivity():
     assert raisers == ["tables.py"]
 
 
+def called_names(tree):
+    """Names of the functions a module's calls call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            yield node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+
+
+def test_every_restoration_reaches_the_verdict_through_restore():
+    # one 2x2 kernel: binary code restores through the operator path, and
+    # only restore.py hands raw cells to ``restore._finalize``
+    package = Path(effectrestore.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert sorted(name for name, tree in trees.items()
+                  if "_finalize" in called_names(tree)) == ["restore.py"]
+    assert not [node for node in ast.walk(trees["binary.py"])
+                if isinstance(node, ast.Attribute) and node.attr == "determinant"]
+
+
 def frozen_objects():
     """A table, a dense mechanism with its inverse cached, a factored one
-    with its LU factors cached, and a propensity profile, each with the
-    read-only arrays that must stay read-only."""
+    with its LU factors cached, a propensity profile and a discrete model,
+    each with the read-only arrays that must stay read-only."""
     import numpy as np
 
-    from effectrestore import ErrorMatrix, JointTable, mechanism
+    from effectrestore import DiscreteModelSpec, ErrorMatrix, JointTable, mechanism
     from effectrestore.restore import PropensityProfile
 
     table = JointTable(np.full((2, 2, 2), 1 / 8), "Z")
@@ -198,16 +216,19 @@ def frozen_objects():
     profile = PropensityProfile(
         scores=np.full(4, 0.5), labels=np.array([0, 1, 0, -1]), weights=np.array([0.6, 0.4])
     )
+    spec = DiscreteModelSpec(p_z=[0.4, 0.6], p_x_given_z=[[0.7, 0.2], [0.3, 0.8]],
+                             p_y_given_xz=np.full((2, 2, 2), 0.5), error=dense)
     return {
         "table": (table, lambda t: [t.cells]),
         "dense": (dense, lambda m: [m.entries]),
         "factored": (factored, lambda m: [f.entries for f in m.factors]),
         "profile": (profile, lambda p: [p.scores, p.labels, p.weights]),
+        "spec": (spec, lambda s: [s.p_z, s.p_x_given_z, s.p_y_given_xz, s.error.entries]),
     }
 
 
 @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
-@pytest.mark.parametrize("kind", ["table", "dense", "factored", "profile"])
+@pytest.mark.parametrize("kind", ["table", "dense", "factored", "profile", "spec"])
 def test_copies_stay_frozen(kind, copier):
     import copy
     import pickle

@@ -3,7 +3,7 @@
 import math
 import re
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -31,7 +31,7 @@ from effectrestore import (
     synthesize_samples,
     weight_split,
 )
-from effectrestore.restore import TOL_INCOMPATIBLE, TOL_VANISHING
+from effectrestore.restore import RESIDUE_ROUNDINGS, TOL_INCOMPATIBLE, TOL_VANISHING
 from effectrestore.rng import make_rng
 from strategies import traced_peak
 
@@ -225,8 +225,7 @@ class TestCausalEffectBinary:
             oracle = closed_form_effect(observed, err, x, y, tol=1e-6)
         except DegenerateDenominatorError:
             reject()
-        with recorded_warnings():  # a rounding-level negative cell is clipped, with a warning
-            value = causal_effect_binary(observed, err, x, y)
+        value = causal_effect_binary(observed, err, x, y)  # nothing to clip: no warning
         assert abs(value - oracle) <= 1e-14 / err.determinant
 
     @settings(max_examples=300, deadline=None)
@@ -294,16 +293,16 @@ class TestCausalEffectBinary:
 
     def test_an_empty_restored_stratum_violates_positivity(self):
         # the composition refuses the same table on its restored propensity
-        # P(x=1 | z1), rounding noise of 1e-17 or an exact 0 after a clip
+        # P(x=1 | z1): the restored P(x=1, z1) is a rounding residue, set to an
+        # exact 0, which is no clip, so nothing is warned
         table, err = self.empty_stratum_table()
-        with recorded_warnings() as caught:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             for y in (0, 1):
-                with pytest.raises(PositivityError, match=r"P\(x=1 \| v=1\) = \S+ while"):
+                with pytest.raises(PositivityError, match=r"P\(x=1 \| v=1\) = 0 while"):
                     causal_effect_binary(table, err, 1, y)
             untreated = causal_effect_binary(table, err, 0, 1)
-        for w in caught:  # a clip of a rounding-level cell is reported, and nothing else
-            negative_mass = float(re.search(r"negative mass (\S+) is within", str(w.message))[1])
-            assert negative_mass < 1e-15
+        assert caught == []
         assert untreated == pytest.approx(0.4, abs=1e-12)
 
     def test_vanishing_cell_denominator(self):
@@ -521,6 +520,23 @@ class TestSynthesizeSamples:
             synthesize_samples(np.array([[0, 0, 2]]), errs, seed=0)
 
 
+def exceeds_the_floor(mech, cells):
+    """Whether the restoration of ``cells`` has a cell below -floor, the
+    floor of its (x, y) slice being RESIDUE_ROUNDINGS * eps_mach * the
+    condition number * |the slice's mass|."""
+    raw = mech.apply_inverse(np.asarray(cells, dtype=float))
+    floor = RESIDUE_ROUNDINGS * np.finfo(float).eps * mech.condition() * np.abs(raw.sum(axis=2))
+    return bool((raw < -floor[:, :, None]).any())
+
+
+def clip_warning(expected):
+    """A block that must raise the clip warning when ``expected``, and
+    otherwise no warning at all."""
+    if expected:
+        return pytest.warns(RuntimeWarning, match="clipped the restored table")
+    return nullcontext()
+
+
 def near_an_end(err, offset, upper):
     """P(w1|x,y) within ``offset`` of delta or, with ``upper``, of 1 - eps."""
     return min(max((1.0 - err.eps if upper else err.delta) + offset, 0.0), 1.0)
@@ -586,14 +602,52 @@ class TestOneCompatibilityRule:
         mech = ErrorMatrix.from_binary(err)
         negative_mass = restore_joint(observed, mech, clip=True).negative_mass
         assume(abs(negative_mass - TOL_INCOMPATIBLE) > 1e-12)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            split = verdict(weight_split, p, err)
-        with recorded_warnings():
-            assert split == verdict(restore_binary, observed, err)
-        # a clip within the tolerance is reported, never silent; at either end
-        # the closed form restores an exact 0, so there is nothing to clip
-        assert len(caught) == (split and not err.delta <= p <= 1.0 - err.eps)
+        accepted = negative_mass <= TOL_INCOMPATIBLE
+        # each warns iff it is accepted and its clipped mass exceeds the
+        # floor; a residue at or below the floor is set to 0 silently
+        split_table = np.array([[[1.0 - p, p]]])
+        with clip_warning(accepted and exceeds_the_floor(mech, split_table)):
+            assert verdict(weight_split, p, err) == accepted
+        with clip_warning(accepted and exceeds_the_floor(mech, cells)):
+            assert verdict(restore_binary, observed, err) == accepted
+
+    @pytest.mark.parametrize("eps, delta", [(0.2, 0.1), (0.0, 0.3), (0.35, 0.0), (0.05, 0.45),
+                                            (0.3, 0.25)])
+    def test_the_exact_ends_restore_an_exact_zero_without_a_warning(self, eps, delta):
+        # P(w1|x,y) = delta in the y = 0 slices and 1 - eps in the y = 1 ones
+        err = BinaryErrorParams(eps, delta)
+        q = np.array([[delta, 1.0 - eps], [delta, 1.0 - eps]])
+        mass = np.array([[0.1, 0.2], [0.3, 0.4]])
+        observed = JointTable(np.stack((mass * (1.0 - q), mass * q), axis=-1), "W")
+        result = restore_joint(observed, ErrorMatrix.from_binary(err))
+        assert (result.negative_mass, result.clipped) == (0.0, False)
+        restored = restore_binary(observed, err)  # a warning would fail the test
+        assert restored.cells[:, 0, 1].tolist() == [0.0, 0.0]
+        assert restored.cells[:, 1, 0].tolist() == [0.0, 0.0]
+        np.testing.assert_allclose(restored.cells.sum(axis=2), mass, rtol=1e-15)
+        assert weight_split(delta, err) == 0.0
+        assert weight_split(1.0 - eps, err) == math.inf
+
+    @pytest.mark.parametrize("upper", [False, True])
+    def test_a_defect_ten_times_the_floor_is_clipped_and_reported(self, upper):
+        err = BinaryErrorParams(0.2, 0.1)
+        mech = ErrorMatrix.from_binary(err)
+        defect = 10.0 * RESIDUE_ROUNDINGS * np.finfo(float).eps * mech.condition()
+        # the restored end cell of a slice of mass 1 is about -defect
+        p = 1.0 - err.eps + defect * err.determinant if upper else \
+            err.delta - defect * err.determinant
+        cells = np.zeros((2, 2, 2))
+        cells[1, 0] = [1.0 - p, p]
+        observed = JointTable(cells, "W")
+        result = restore_joint(observed, mech)
+        assert result.clipped
+        assert result.negative_mass == pytest.approx(defect, rel=0.01)
+        message = f"clipped the restored table; its negative mass {result.negative_mass:.3e} "
+        with pytest.warns(RuntimeWarning, match=message):
+            assert restore_binary(observed, err).cells[1, 0, 0 if upper else 1] == 0.0
+        # the one slice alone restores to within rounding of the same defect
+        with pytest.warns(RuntimeWarning, match=r"P\(w1\|x,y\) = \S+; its negative mass \S+e-15 "):
+            assert weight_split(p, err) == (math.inf if upper else 0.0)
 
     def test_a_fraction_just_below_delta_is_clipped_everywhere(self):
         err = BinaryErrorParams(0.2, 0.1)
