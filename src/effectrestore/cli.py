@@ -169,21 +169,20 @@ def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
 
 def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     """``restore-discrete --x`` on the 2x2 mechanism, with a bootstrap of the
-    same restoration and adjustment on every resampled table."""
+    same restoration and adjustment, run on each chunk of resampled tables
+    at once."""
     mech, rates = _read_error(args.error)
     _one_pair(args, rates)
     observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
     if n is None:
         raise ValidationError("effect-binary bootstraps sample rows; a .json table input has none")
-
-    def statistic(cells: np.ndarray) -> np.ndarray:
-        return restore.causal_effect_restored(JointTable(cells, "W"), mech, args.x)
-
     result = restore.restore_joint(observed, mech)
     effect = restore.adjust_for_confounder(result.restored, args.x)
     counts = observed.cells.ravel() * n
     boots = linear.bootstrap_table_values(
-        (counts / counts.sum()).reshape(2, 2, 2), n, statistic, n_boot=args.boot, seed=args.seed
+        (counts / counts.sum()).reshape(2, 2, 2), n,
+        lambda chunk: restore._restored_effects(chunk, mech, args.x),
+        n_boot=args.boot, seed=args.seed,
     )
     se = np.std(boots, axis=0, ddof=1)
     ci = [[e - 1.96 * s, e + 1.96 * s] for e, s in zip(effect, se)]

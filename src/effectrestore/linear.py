@@ -469,7 +469,7 @@ def _fill_counts(block: np.ndarray, gens: list, workers: int) -> None:
 def bootstrap_table_values(
     p: np.ndarray,
     n: int,
-    statistic: Callable[[np.ndarray], object],
+    statistic: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     *,
     n_boot: int = DEFAULT_BOOTSTRAP,
     seed: int = 0,
@@ -479,11 +479,14 @@ def bootstrap_table_values(
 
     Resample b draws n records over the cells of ``p`` (cell
     probabilities, any shape) from stream b of ``seed``
-    (``make_rng(seed, b).multinomial(n, p)``), and the statistic gets
-    the resampled frequencies in the shape of ``p``.  A resample on which
-    it raises a model error (any EffectRestoreError but ValidationError)
-    is counted as undefined and skipped; the values of the others are
-    returned in resample order, one row per resample.
+    (``make_rng(seed, b).multinomial(n, p)``), as frequencies in the
+    shape of ``p``.  The resamples are stacked in chunks of at most
+    ``_COUNT_CELLS`` cells (at least one resample a chunk), the row
+    engine's memory rule, and the statistic is called once per chunk: it
+    gets the (B, *p.shape) chunk and returns its values, one row per
+    resample, and a boolean mask of the resamples on which it is
+    defined.  The defined values are returned in resample order; what
+    the statistic raises propagates.
 
     Raises ValidationError below ``MIN_ROWS`` records or for n_boot < 2,
     and UnidentifiableError when the statistic is undefined on more than
@@ -491,10 +494,20 @@ def bootstrap_table_values(
     """
     _require_resamples(n, n_boot)
     p = np.asarray(p, dtype=float)
-    tables = (
-        (make_rng(seed, b).multinomial(n, p.ravel()) / n).reshape(p.shape) for b in range(n_boot)
-    )
-    return _defined_values(statistic, tables, n_boot)
+    flat = p.ravel()
+    per_chunk = max(1, _COUNT_CELLS // max(flat.size, 1))
+    values, defined = [], []
+    for start in range(0, n_boot, per_chunk):
+        chunk = np.empty((min(per_chunk, n_boot - start), flat.size))
+        for r in range(chunk.shape[0]):
+            chunk[r] = make_rng(seed, start + r).multinomial(n, flat)
+        chunk /= n
+        chunk_values, chunk_defined = statistic(chunk.reshape(-1, *p.shape))
+        values.append(np.asarray(chunk_values, dtype=float))
+        defined.append(np.asarray(chunk_defined, dtype=bool))
+    kept = np.concatenate(values)[np.concatenate(defined)]
+    _require_defined(len(kept), n_boot)
+    return kept
 
 
 def _require_resamples(n: int, n_boot: int) -> None:
@@ -506,12 +519,24 @@ def _require_resamples(n: int, n_boot: int) -> None:
         raise ValidationError("n_boot must be >= 2")
 
 
-def _defined_values(statistic: Callable, resamples: Iterable, n_boot: int) -> np.ndarray:
-    """The statistic on each of the ``n_boot`` resamples where it is defined.
+def _require_defined(used: int, n_boot: int) -> None:
+    """The skip verdict of both resampling engines: a statistic defined on
+    ``used`` of ``n_boot`` resamples has an estimable standard error only
+    when at least two and at least half of them remain."""
+    if used < 2 or 2 * used < n_boot:
+        raise UnidentifiableError(
+            f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
+            f"(used {used}/{n_boot}); its standard error is not estimable"
+        )
 
-    The skip rule of both resampling engines: a model error (any
-    EffectRestoreError but ValidationError) marks the resample undefined,
-    while a ValidationError is a contract violation and propagates.
+
+def _defined_values(statistic: Callable, resamples: Iterable, n_boot: int) -> np.ndarray:
+    """The statistic on each of the ``n_boot`` resamples where it is defined,
+    one call per resample, for the row engine.
+
+    A model error (any EffectRestoreError but ValidationError) marks the
+    resample undefined, while a ValidationError is a contract violation
+    and propagates.
     """
     values = []
     for resample in resamples:
@@ -521,12 +546,7 @@ def _defined_values(statistic: Callable, resamples: Iterable, n_boot: int) -> np
             raise
         except EffectRestoreError:
             continue
-    used = len(values)
-    if used < 2 or 2 * used < n_boot:
-        raise UnidentifiableError(
-            f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
-            f"(used {used}/{n_boot}); its standard error is not estimable"
-        )
+    _require_defined(len(values), n_boot)
     return np.asarray(values, dtype=float)
 
 

@@ -44,9 +44,13 @@ number (the standard bound on the rounding of a matrix-vector product),
 is a residue of the inversion: ``_finalize`` sets it to exactly 0, and
 it is neither negative mass nor a clip.  Whether the cells still
 negative mean that the data contradict the mechanism is decided by
-``_finalize`` alone.  Every consumer reaches it through
-``restore_joint_differential`` or ``_restore_cells``, which
-``restore_joint`` and every binary restoration run.  A total
+``_finalize`` alone.  It works on a leading batch axis and returns
+per-table masks, not exceptions.  Its one-table call ``_judged`` turns a
+refusal into ``IncompatibleModelError`` for ``_restore_cells``, which
+``restore_joint`` and every binary restoration run, and for
+``restore_joint_differential``; ``_restored_effects`` restores and
+adjusts a stack of tables in one call, as the table bootstrap of
+``effect-binary`` does with each chunk of resamples.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
@@ -57,7 +61,8 @@ vanishing denominator.  Positivity has one rule too, owned by
 ``tables._adjustment_weights`` and applied by ``adjust_for_confounder``
 and ``stratified_effect`` alike: a stratum of positive mass whose
 restored propensity is below ``TOL_VANISHING`` raises
-``PositivityError``, so no effect rests on a rounding-noise propensity.
+``PositivityError``, so no effect rests on a rounding-noise propensity;
+on a stack of tables it is a per-table mask too.
 
 Working set: a step holds its input, at most one table of the restored
 table's size and one chunk.  Restoration and the pushforward contract
@@ -71,6 +76,7 @@ labels), and the profile takes its arrays without copying them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -84,8 +90,8 @@ from .errors import (
     ValidationError,
 )
 from .mechanism import CONDITION_CAP, ErrorMatrix
-from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_VANISHING, JointTable, _adjustment_weights,
-                     _adopt, adjust_for_confounder)
+from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_VANISHING, JointTable, _adjusted, _adopt,
+                     _positive_weights, adjust_for_confounder)
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
@@ -145,66 +151,90 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     return cond
 
 
-def _finalize(raw: np.ndarray, cond: float, *, clip: bool,
-              where: str = "") -> tuple[np.ndarray, float, bool]:
+def _finalize(raw: np.ndarray, cond: float, *, clip: bool
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip-or-reject policy for negative restored cells: the one test of
-    whether the data contradict a mechanism.  ``cond`` is the condition
-    number of the restoration and ``where`` names the table in the
-    messages.
+    whether the data contradict a mechanism.  ``raw[..., x, y, w]`` holds
+    restored tables along any leading batch axes, and ``cond`` is the
+    condition number of their restoration.
 
-    Returns (cells, total absolute negative mass before clipping, clipped
-    flag).  A residue, a cell within ``RESIDUE_ROUNDINGS`` * eps_mach *
+    Returns (cells, negative_mass, clipped, refused, emptied): ``cells``
+    is ``raw`` judged, and per table the total absolute negative mass
+    before clipping, whether the table was clipped and whether it is
+    refused.  A residue, a cell within ``RESIDUE_ROUNDINGS`` * eps_mach *
     ``cond`` * |its slice's mass| of 0, is set to 0 first and counts as
-    neither.  Clipping zeroes the negatives and rescales each (x, y) slice
-    back to its pre-clip mass, which restoration conserves; it overwrites
-    ``raw``, a fresh array of the caller's, and returns it.
+    neither.  Clipping zeroes a table's negatives and rescales each of its
+    (x, y) slices back to its pre-clip mass, which restoration conserves;
+    it overwrites ``raw``, a fresh array of the caller's, and returns it.
+    A table is refused when its negative mass exceeds ``TOL_INCOMPATIBLE``
+    and ``clip`` is off, or else when clipping leaves a slice of positive
+    mass with none: ``emptied[..., x, y]`` marks those slices.  A refused
+    table is clipped all the same, so that every returned cell is finite
+    and nonnegative.
     """
-    mass = raw.sum(axis=2)
+    lead = raw.shape[:-3]
+    accepted = (np.zeros(lead), np.zeros(lead, dtype=bool), np.zeros(lead, dtype=bool),
+                np.zeros(raw.shape[:-1], dtype=bool))
+    mass = raw.sum(axis=-1)
     floor = RESIDUE_ROUNDINGS * np.finfo(float).eps * cond * np.abs(mass)
-    if raw.min() > floor.max():  # no mask of the table's size when there is no residue
-        return raw, 0.0, False
-    floor = floor[:, :, None]
+    if raw.min() > floor.max():  # no mask of the tables' size when there is no residue
+        return (raw, *accepted)
+    floor = floor[..., None]
     residue = raw <= floor
     residue &= raw >= -floor
     raw[residue] = 0.0
     if raw.min() >= 0.0:
-        return raw, 0.0, False
+        return (raw, *accepted)
     neg = np.less(raw, 0.0, out=residue)  # in the residue mask's memory
-    negative_mass = float(-raw[neg].sum())
-    if negative_mass > TOL_INCOMPATIBLE and not clip:
+    # each table's negatives summed in C order, with 0.0 - s so that a table
+    # without any reports +0.0
+    flat = (-1, math.prod(raw.shape[-3:]))
+    negative_mass = 0.0 - raw.reshape(flat).sum(axis=-1, where=neg.reshape(flat)).reshape(lead)
+    clipped = negative_mass > 0.0
+    refused = (negative_mass > TOL_INCOMPATIBLE) & (not clip)
+    raw[neg] = 0.0
+    slice_sum = raw.sum(axis=-1)
+    emptied = (mass > 0.0) & (slice_sum <= 0.0)
+    emptied &= (clipped & ~refused)[..., None, None]
+    refused |= emptied.any(axis=(-2, -1))
+    scale = np.divide(mass, slice_sum, out=np.ones_like(mass),
+                      where=(slice_sum > 0.0) & clipped[..., None, None])
+    raw *= scale[..., None]
+    return raw, negative_mass, clipped, refused, emptied
+
+
+def _judged(raw: np.ndarray, cond: float, *, clip: bool, where: str = "") -> RestorationResult:
+    """One restored (x, y, w) table judged by ``_finalize``: the
+    RestorationResult, or IncompatibleModelError with a message that names
+    ``where``."""
+    cells, negative_mass, clipped, refused, emptied = _finalize(raw, cond, clip=clip)
+    if emptied.any():
+        x, y = (int(i[0]) for i in np.nonzero(emptied))
         raise IncompatibleModelError(
-            f"restored table{where} carries negative mass {negative_mass:.3e} "
+            f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
+        )
+    if refused:
+        raise IncompatibleModelError(
+            f"restored table{where} carries negative mass {float(negative_mass):.3e} "
             f"(> {TOL_INCOMPATIBLE:.1e}): the postulated error mechanism is "
             "incompatible with the observed distribution, so no estimate "
             "will be obtained"
         )
-    raw[neg] = 0.0
-    slice_sum = raw.sum(axis=2)
-    bad = (mass > 0.0) & (slice_sum <= 0.0)
-    if bad.any():
-        x, y = (int(i[0]) for i in np.nonzero(bad))
-        raise IncompatibleModelError(
-            f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
-        )
-    scale = np.divide(mass, slice_sum, out=np.ones_like(mass), where=slice_sum > 0.0)
-    raw *= scale[:, :, None]
-    return raw, negative_mass, True
+    return RestorationResult(
+        restored=_adopt(JointTable, cells, AXIS_LATENT),
+        condition_estimate=cond,
+        negative_mass=float(negative_mass),
+        clipped=bool(clipped),
+    )
 
 
 def _restore_cells(cells: np.ndarray, mechanism: ErrorMatrix, *, clip: bool,
                    where: str = "") -> RestorationResult:
-    """M^-1 applied to the (x, y, w) ``cells`` and judged by ``_finalize``:
-    the one restoration of a table by one mechanism, whose messages name
+    """M^-1 applied to the (x, y, w) ``cells`` and ``_judged``: the one
+    restoration of a table by one mechanism, whose messages name
     ``where``."""
     cond = _check_invertible(mechanism, where=where)
-    restored, negative_mass, clipped = _finalize(mechanism.apply_inverse(cells), cond,
-                                                 clip=clip, where=where)
-    return RestorationResult(
-        restored=_adopt(JointTable, restored, AXIS_LATENT),
-        condition_estimate=cond,
-        negative_mass=negative_mass,
-        clipped=clipped,
-    )
+    return _judged(mechanism.apply_inverse(cells), cond, clip=clip, where=where)
 
 
 def restore_joint(
@@ -257,13 +287,7 @@ def restore_joint_differential(
             )
         worst = max(worst, _check_invertible(mech, where=f" for (x={x}, y={y})"))
         raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
-    cells, negative_mass, clipped = _finalize(raw, worst, clip=clip)
-    return RestorationResult(
-        restored=_adopt(JointTable, cells, AXIS_LATENT),
-        condition_estimate=worst,
-        negative_mass=negative_mass,
-        clipped=clipped,
-    )
+    return _judged(raw, worst, clip=clip)
 
 
 def causal_effect_restored(
@@ -276,6 +300,21 @@ def causal_effect_restored(
     both the definition and the efficient implementation.
     """
     return adjust_for_confounder(restore_joint(observed, mechanism, clip=clip).restored, x)
+
+
+def _restored_effects(cells: np.ndarray, mechanism: ErrorMatrix, x: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``causal_effect_restored`` of every table of ``cells[..., x, y, w]``
+    at once, refusing nothing: the effects[..., y] and the mask of the
+    tables on which that function returns.  The inverse is one operator
+    call over all tables.  Its BLAS products may round a table's last bits
+    differently from a call on that table alone where the kernel changes
+    with the row count (one-row tables, Kronecker blocks of side 32 or
+    more), but not for the 2x2 mechanism of ``effect-binary``."""
+    cond = _check_invertible(mechanism)
+    restored, _, _, refused, _ = _finalize(mechanism.apply_inverse(cells), cond, clip=False)
+    effects, positive = _adjusted(restored, x)
+    return effects, positive & ~refused
 
 
 def restored_propensity(
@@ -453,4 +492,4 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
     if empty.size:
         k = int(empty[0])
         raise DegenerateStratumError(f"stratum {k} is empty but has weight {weights[k]:.3e}")
-    return _adjustment_weights(weights, p_xyl.sum(axis=1), x, "l") @ p_xyl
+    return _positive_weights(weights, p_xyl.sum(axis=1), x, "l") @ p_xyl

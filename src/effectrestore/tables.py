@@ -11,7 +11,9 @@ to 1e-12 in tests.  The positivity precondition of the adjustment formula
 has one owner, ``_adjustment_weights``, which both the cell-level and the
 stratified adjustment call: a stratum of positive mass whose propensity
 is below ``TOL_VANISHING`` is refused, so an effect never rests on a
-rounding-noise propensity.  An empirical zero cell is the caller's
+rounding-noise propensity.  The rule works on a leading batch axis: it
+returns one pass-or-fail entry per table, and only a one-table caller
+turns a failure into PositivityError.  An empirical zero cell is the caller's
 smoothing problem.
 """
 
@@ -184,25 +186,58 @@ def marginal(table: JointTable, axes: Iterable[str]) -> np.ndarray:
     return table.cells.sum(axis=drop) if drop else np.array(table.cells)
 
 
-def _adjustment_weights(p_v: np.ndarray, p_xv: np.ndarray, x: int, v: str = "v") -> np.ndarray:
-    """The adjustment formula's weights P(v) / P(x, v), written over ``p_xv``
-    (0 where P(v) = 0), after the package's one positivity test: a stratum
-    with P(v) > 0 whose propensity P(x | v) is below ``TOL_VANISHING``
-    raises PositivityError.  ``v`` names the strata in the message.  The
-    test reads the weight, which is 1 / P(x | v), so it needs no buffer of
-    its own."""
+def _vanishing(weight: np.ndarray) -> np.ndarray:
+    """Where the propensity P(x | v) that a weight 1 / P(x | v) stands for is
+    below ``TOL_VANISHING``: a weight above 1 / ``TOL_VANISHING``, infinite
+    or negative.  The package's one positivity rule."""
+    return (weight * TOL_VANISHING > 1.0) | (weight < 0.0)
+
+
+def _adjustment_weights(p_v: np.ndarray, p_xv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adjustment formula's weights P(v) / P(x, v) of each batch element
+    of ``p_v[..., v]`` and ``p_xv[..., v]``, written over ``p_xv`` (0 where
+    P(v) = 0), and a mask, one entry per element, of the elements that pass
+    the positivity test: no stratum with P(v) > 0 whose propensity
+    P(x | v) is ``_vanishing``.  The test reads each element's largest and
+    smallest weight, so it needs no buffer of the weights' size."""
     pos = p_v > 0.0
     with np.errstate(divide="ignore", over="ignore"):  # the test below reads inf
         weight = np.divide(p_v, p_xv, out=p_xv, where=pos)
     weight[~pos] = 0.0
-    # P(x | v) < TOL_VANISHING: a weight above 1 / TOL_VANISHING, infinite or negative
-    if weight.max() * TOL_VANISHING > 1.0 or weight.min() < 0.0:
-        i = int(np.flatnonzero((weight * TOL_VANISHING > 1.0) | (weight < 0.0))[0])
+    positive = ~(_vanishing(weight.max(axis=-1)) | _vanishing(weight.min(axis=-1)))
+    return weight, positive
+
+
+def _positive_weights(p_v: np.ndarray, p_xv: np.ndarray, x: int, v: str = "v") -> np.ndarray:
+    """One table's ``_adjustment_weights``, or PositivityError naming its
+    first stratum that fails the test; ``v`` names the strata."""
+    weight, positive = _adjustment_weights(p_v, p_xv)
+    if not positive:
+        i = int(np.flatnonzero(_vanishing(weight))[0])
         raise PositivityError(
             f"P(x={x} | {v}={i}) = {1.0 / weight[i]:.3g} while P({v}={i}) = {p_v[i]:.6g}: "
             f"stratum {v}={i} violates positivity (propensity below {TOL_VANISHING:.0e})"
         )
     return weight
+
+
+def _adjusted(cells: np.ndarray, x: int, *, refuse: bool = False
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """sum_v P(y | x, v) P(v) of each table of ``cells[..., x, y, v]``, and
+    the mask of the tables that pass the positivity test.  The effect of a
+    table that fails it is 0; with ``refuse``, for one table, it raises
+    PositivityError instead (``_positive_weights``).
+
+    The products are ``np.matmul`` of each table's x row by its weights,
+    one matrix-vector product per table, so a table's effect has the same
+    bits whether it is adjusted alone or in a batch."""
+    p_v, p_xv = cells.sum(axis=(-3, -2)), cells[..., x, :, :].sum(axis=-2)
+    if refuse:
+        weight, positive = _positive_weights(p_v, p_xv, x), np.True_
+    else:
+        weight, positive = _adjustment_weights(p_v, p_xv)
+        weight[~positive] = 0.0
+    return np.matmul(cells[..., x, :, :], weight[..., :, None])[..., 0], positive
 
 
 def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
@@ -214,12 +249,11 @@ def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     P(v) > 0 must have a propensity P(x | v) of at least ``TOL_VANISHING``,
     or PositivityError names the first that does not.  For a valid
     nonnegative table the result is a probability vector (sums to 1 within
-    1e-12).
+    1e-12).  This is the one-table call of ``_adjusted``.
     """
     if not 0 <= x < table.card_x:
         raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
-    weight = _adjustment_weights(table.cells.sum(axis=(0, 1)), table.cells[x].sum(axis=0), x)
-    return table.cells[x] @ weight
+    return _adjusted(table.cells, x, refuse=True)[0]
 
 
 def empirical_joint(

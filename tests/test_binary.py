@@ -31,6 +31,7 @@ from effectrestore import (
     synthesize_samples,
     weight_split,
 )
+from effectrestore import linear, restore
 from effectrestore.restore import RESIDUE_ROUNDINGS, TOL_INCOMPATIBLE, TOL_VANISHING
 from effectrestore.rng import make_rng
 from strategies import traced_peak
@@ -723,9 +724,12 @@ def loop_table_bootstrap(observed, err, x, n, n_boot, seed):
 
 
 def effect_statistic(err, x):
-    def statistic(cells):
-        table = JointTable(cells.reshape(2, 2, 2), "W")
-        return [causal_effect_binary(table, err, x, y) for y in (0, 1)]
+    """The chunk statistic of ``effect-binary``: every resampled table of a
+    chunk restored and adjusted at once, with the mask of those defined."""
+    mech = ErrorMatrix.from_binary(err)
+
+    def statistic(chunk):
+        return restore._restored_effects(chunk.reshape(-1, 2, 2, 2), mech, x)
 
     return statistic
 
@@ -775,8 +779,44 @@ class TestTableBootstrap:
             table_bootstrap(observed, err, 1, 12, 50, 0)
 
     def test_validation_errors_are_not_counted_as_undefined(self):
-        def statistic(cells):
+        def statistic(chunk):
+            assert chunk.shape == (10, 8)
             raise ValidationError("bad statistic")
 
         with pytest.raises(ValidationError, match="bad statistic"):
             bootstrap_table_values(np.full(8, 0.125), 100, statistic, n_boot=10, seed=0)
+
+    def test_one_statistic_call_for_the_default_resamples(self):
+        # 200 resamples of a 2x2x2 table are 1600 cells, one chunk
+        observed, err, _ = random_valid_instance(np.random.default_rng(22))
+        chunks = []
+        inner = effect_statistic(err, 1)
+
+        def statistic(chunk):
+            chunks.append(chunk.shape)
+            return inner(chunk)
+
+        counts = observed.cells * 1000
+        got = bootstrap_table_values(counts / counts.sum(), 1000, statistic, n_boot=200, seed=4)
+        assert chunks == [(200, 2, 2, 2)]
+        want = loop_table_bootstrap(observed, err, 1, 1000, 200, 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("cells_cap", [8, 24, 100])
+    def test_a_chunk_holds_at_most_the_count_buffers_cells(self, monkeypatch, cells_cap):
+        monkeypatch.setattr(linear, "_COUNT_CELLS", cells_cap)
+        cells = np.array([[[7, 7], [7, 7]], [[2, 3], [2, 3]]], dtype=float) / 40
+        observed, err = JointTable(cells, "W"), BinaryErrorParams(0.1, 0.1)
+        sizes = []
+        inner = effect_statistic(err, 1)
+
+        def statistic(chunk):
+            sizes.append(chunk.size)
+            return inner(chunk)
+
+        counts = observed.cells * 40
+        got = bootstrap_table_values(counts / counts.sum(), 40, statistic, n_boot=60, seed=3)
+        assert max(sizes) <= cells_cap and sum(sizes) == 60 * 8
+        assert len(sizes) == -(-60 // (cells_cap // 8))
+        want = loop_table_bootstrap(observed, err, 1, 40, 60, 3)
+        assert got.tobytes() == want.tobytes()

@@ -5,7 +5,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -30,7 +30,7 @@ from effectrestore import (
     restored_propensity,
     stratified_effect,
 )
-from effectrestore import mechanism
+from effectrestore import mechanism, restore, tables
 from effectrestore.restore import CONDITION_CAP
 
 from strategies import factor_lists, lu_from, stochastic_matrices, traced_peak
@@ -182,6 +182,140 @@ def mechanisms(draw):
     if draw(st.booleans()):
         return ErrorMatrix(entries=draw(stochastic_matrices(draw(st.integers(1, 6)))))
     return ErrorMatrix(factors=tuple(draw(factor_lists())))
+
+
+@st.composite
+def stacked_tables(draw, mech, xy_cards=st.integers(1, 3)):
+    """B in {1, 2, 7} observed (x, y, w) tables of one shape for ``mech``,
+    each a pushforward of a latent table with zero cells (restored to
+    rounding residues, and to a vanishing propensity where a stratum has
+    no mass at x), the same with noise of either sign up to 1e-7 on its
+    cells (negative mass near ``TOL_INCOMPATIBLE``), or any table (often
+    incompatible with ``mech``)."""
+    b = draw(st.sampled_from([1, 2, 7]))
+    cx, cy = draw(xy_cards), draw(xy_cards)
+    cells = st.sampled_from([0.0]) | st.floats(0.01, 1.0)
+    stack = []
+    for _ in range(b):
+        kind = draw(st.sampled_from(["latent", "noisy", "any"]))
+        table = draw(hnp.arrays(np.float64, (cx, cy, mech.n_z), elements=cells))
+        table = table / table.sum() if table.sum() > 0.0 else np.full(table.shape, 1 / table.size)
+        if kind != "any":
+            table = mech.apply(table)
+        if kind == "noisy":
+            table = table + draw(hnp.arrays(np.float64, table.shape,
+                                            elements=st.floats(-1e-7, 1e-7)))
+        stack.append(table)
+    return np.stack(stack), draw(st.integers(0, cx - 1))
+
+
+def check_stack_per_table(stack, mech, x, clip, *, whole_stack):
+    """The batched restoration and adjustment kernels against the one-table
+    functions on every table of ``stack``: the same bits, negative mass and
+    clipped flag, and a refusal exactly where those functions raise.  With
+    ``whole_stack`` the inverse of the stack is one operator call, as in
+    ``restore._restored_effects``; else each table's inverse is taken
+    alone.  Returns the outcomes seen."""
+    if whole_stack:
+        raw = mech.apply_inverse(stack)
+    else:
+        raw = np.stack([mech.apply_inverse(table) for table in stack])
+    restored, negative_mass, clipped, refused, _ = restore._finalize(
+        raw, mech.condition(), clip=clip)
+    effects, positive = tables._adjusted(restored, x)
+    assert restored.shape == stack.shape and effects.shape == stack.shape[:1] + stack.shape[2:3]
+    if whole_stack and not clip:
+        got, defined = restore._restored_effects(stack, mech, x)
+        assert got.tobytes() == effects.tobytes()
+        assert (defined == positive & ~refused).all()
+    seen = set()
+    for b, cells in enumerate(stack):
+        try:
+            one = restore_joint(JointTable(cells, "W"), mech, clip=clip)
+        except IncompatibleModelError:
+            assert refused[b]
+            seen.add("refused")
+            continue
+        assert not refused[b]
+        assert restored[b].tobytes() == one.restored.cells.tobytes()
+        assert negative_mass[b].tobytes() == np.float64(one.negative_mass).tobytes()
+        assert clipped[b] == one.clipped
+        if one.clipped:
+            seen.add("clipped beyond the tolerance" if one.negative_mass > 1e-6 else "clipped")
+        elif ((one.restored.cells == 0.0) & (mech.apply_inverse(cells) != 0.0)).any():
+            seen.add("residue")
+        try:
+            effect = adjust_for_confounder(one.restored, x)
+        except PositivityError:
+            assert not positive[b]
+            seen.add("positivity")
+            continue
+        assert positive[b]
+        assert effects[b].tobytes() == effect.tobytes()
+        seen.add("defined")
+    return seen
+
+
+def binary_mechanisms():
+    rates = st.floats(0.0, 0.45)
+    return st.builds(lambda e, d: ErrorMatrix.from_binary(BinaryErrorParams(e, d)), rates, rates)
+
+
+def outcome_stack(rng, mech, n_w):
+    """Seven (2, 2, ``n_w``) tables for ``mech``: one whose stratum z = 0 has
+    no mass at x = 1, one with an empty stratum z = 1, one that restores
+    to a cell of -1e-7, one with a slice all at w = 0, which no mechanism
+    with mixing produces, and three pushforwards."""
+    latent = rng.uniform(0.5, 1.5, (7, 2, 2, n_w))
+    latent[0, 1, :, 0] = 0.0
+    latent[1, :, :, 1] = 0.0
+    latent[2, 0, 0, 0] = 0.0
+    latent /= latent.sum(axis=(1, 2, 3), keepdims=True)
+    stack = mech.apply(latent)
+    stack[2, 0, 0] += mech.apply(np.eye(n_w)[1] - np.eye(n_w)[0]) * 1e-7
+    stack[3, 1, 1] = np.eye(n_w)[0] * stack[3, 1, 1].sum()  # restores to negatives
+    return stack
+
+
+class TestBatchedKernelsMatchOneTable:
+    """``restore._finalize`` and ``tables._adjusted`` take a leading batch
+    axis; every table of a batch gets what the one-table functions give it
+    alone.  The inverse itself is a BLAS product whose last bits may depend
+    on how many rows it holds (a one-row product is a GEMV; a GEMM of a
+    side of 32 or more switches kernels with its size), so a general
+    mechanism's tables are inverted one at a time here, and a whole stack
+    in one call only for the 2x2 mechanism of ``effect-binary``, whose
+    bits do not depend on the row count."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_table_of_a_stack(self, data):
+        mech = data.draw(mechanisms())
+        stack, x = data.draw(stacked_tables(mech))
+        for kind in check_stack_per_table(stack, mech, x, data.draw(st.booleans()),
+                                          whole_stack=False):
+            event(kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_each_binary_table_of_a_stack_restored_at_once(self, data):
+        mech = data.draw(binary_mechanisms())
+        stack, x = data.draw(stacked_tables(mech, xy_cards=st.just(2)))
+        for kind in check_stack_per_table(stack, mech, x, data.draw(st.booleans()),
+                                          whole_stack=True):
+            event(kind)
+
+    @pytest.mark.parametrize("clip", [False, True])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_every_outcome_in_one_stack(self, clip, binary):
+        rng = np.random.default_rng(46)
+        mech = (ErrorMatrix.from_binary(BinaryErrorParams(0.15, 0.1)) if binary
+                else well_conditioned_mechanism(rng, 5))
+        stack = outcome_stack(rng, mech, mech.n_w)
+        seen = check_stack_per_table(stack, mech, 1, clip, whole_stack=binary)
+        expected = {"positivity", "residue", "clipped", "defined"}
+        expected |= {"clipped beyond the tolerance"} if clip else {"refused"}
+        assert seen == expected
 
 
 class TestRestoreInvertsPushforward:
@@ -914,6 +1048,14 @@ class TestLatentPathMemory:
         mech, observed, restored = latent
         assert self.tables(lambda: restore_joint(observed, mech), restored) <= 1.3
         assert self.tables(lambda: pushforward(restored, mech), restored) <= 1.3
+
+    def test_clipped_restoration(self, latent):
+        # the latent cells read as proxy ones restore with negatives, clipped;
+        # 1.43 tables before the negatives were summed in place
+        mech, _, restored = latent
+        proxy = restored.with_axis("W")
+        assert restore_joint(proxy, mech, clip=True).clipped
+        assert self.tables(lambda: restore_joint(proxy, mech, clip=True), restored) <= 1.5
 
     def test_profile(self, latent):
         _, _, restored = latent
