@@ -33,8 +33,8 @@ from .errors import UnidentifiableError, ValidationError
 from .linear import (
     DEFAULT_BOOTSTRAP,
     MIN_ROWS,
-    TOL_DEN,
     CovStats,
+    _check_den,
     bootstrap_se,
     cov_from_samples,
 )
@@ -116,9 +116,7 @@ def tetrad_residual(s: CovStats) -> float:
     """
     if not s.has_v:
         raise ValidationError("tetrad_residual requires the second-indicator moments (V fields)")
-    scale = math.sqrt(max(s.var_w * s.var_v, 0.0))
-    if abs(s.cov_wv) < TOL_DEN * max(scale, 1e-300):
-        raise UnidentifiableError(f"cov(WV) = {s.cov_wv:.3e} vanishes")
+    _check_den(s.cov_wv, math.sqrt(max(s.var_w * s.var_v, 0.0)), "cov(WV)")
     return s.cov_xy - s.cov_yw * s.cov_xv / s.cov_wv
 
 

@@ -34,7 +34,7 @@ import os
 import threading
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -53,9 +53,9 @@ TOL_DEN = 1e-9
 DEFAULT_BOOTSTRAP = 1000
 #: fewest rows a sample test or bootstrap standard error is computed from
 MIN_ROWS = 10
-#: cells of the reused float64 resample-count buffer (16 MB): each chunk holds
-#: this many // n resamples of n counts (at least one per fill thread), so
-#: memory stays linear in n
+#: cells of the one reused float64 count buffer of both bootstraps (16 MB): a
+#: chunk holds this many // width resamples of width counts (n row counts, or a
+#: table's cells), and at least one per fill thread
 _COUNT_CELLS = 1 << 21
 
 _PAIRS = (
@@ -286,8 +286,7 @@ def c0_noiseless(s: CovStats) -> float:
     beta_wx = s.cov_xw / s.var_x
     beta_xw = s.cov_xw / s.var_w
     den = 1.0 - beta_xw * beta_wx
-    if abs(den) < TOL_DEN * max(1.0, abs(beta_xw * beta_wx)):
-        raise UnidentifiableError("X and W are collinear; the partial coefficient is undefined")
+    _check_den(den, max(1.0, abs(beta_xw * beta_wx)), "1 - beta_xw beta_wx")
     return (beta_yx - beta_yw * beta_wx) / den
 
 
@@ -303,8 +302,7 @@ def c0_error_prone_k(
     if not math.isfinite(k) or not 0.0 < k <= 1.0:
         raise ValidationError(f"k must lie in (0, 1], got {k!r}")
     den = 1.0 - beta_xw * beta_wx / k
-    if abs(den) < TOL_DEN * max(1.0, abs(beta_xw * beta_wx / k)):
-        raise UnidentifiableError("denominator 1 - beta_xw beta_wx / k vanishes")
+    _check_den(den, max(1.0, abs(beta_xw * beta_wx / k)), "1 - beta_xw beta_wx / k")
     return (beta_yx - beta_yw * beta_wx / k) / den
 
 
@@ -396,7 +394,6 @@ def bootstrap_values(
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValidationError(f"rows must have shape (n, 3) or (n, 4), got {arr.shape}")
     n, k = arr.shape
-    _require_resamples(n, n_boot)
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
     names = "xywv"
     fields = [f"var_{names[i]}" if i == j else f"cov_{names[i]}{names[j]}" for i, j in pairs]
@@ -404,24 +401,29 @@ def bootstrap_values(
     diag = [pairs.index((i, i)) for i in range(k)]
     centered = arr - arr.mean(axis=0)
     stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
-    workers = _fill_workers()
-    counts = np.empty((min(n_boot, max(workers, _COUNT_CELLS // n)), n))
 
-    def resamples():
-        for start in range(0, n_boot, counts.shape[0]):
-            block = counts[: min(counts.shape[0], n_boot - start)]
-            gens = [make_rng(seed, start + r) for r in range(block.shape[0])]
-            _fill_counts(block, gens, workers)
-            sums = block @ stacked
-            mean = sums[:, :k] / n
-            cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
-            about_full_mean = sums[:, k:][:, diag]
-            constant = cov[:, diag] * (n - 1) <= TOL_DEN * about_full_mean
-            cov[constant[:, left] | constant[:, right]] = 0.0
-            for moments in cov.tolist():
-                yield CovStats(**dict(zip(fields, moments)), n=n)
+    def defined(block: np.ndarray) -> list:
+        sums = block @ stacked
+        mean = sums[:, :k] / n
+        cov = (sums[:, k:] - n * mean[:, left] * mean[:, right]) / (n - 1)
+        about_full_mean = sums[:, k:][:, diag]
+        constant = cov[:, diag] * (n - 1) <= TOL_DEN * about_full_mean
+        cov[constant[:, left] | constant[:, right]] = 0.0
+        values = []
+        for moments in cov.tolist():
+            resample = CovStats(**dict(zip(fields, moments)), n=n)
+            try:
+                values.append(statistic(resample))
+            except ValidationError:
+                raise
+            except EffectRestoreError:
+                continue
+        return values
 
-    return _defined_values(statistic, resamples(), n_boot)
+    return _resampled(
+        n, n_boot, seed, n, lambda g: np.bincount(g.integers(0, n, size=n), minlength=n),
+        defined, threads=_fill_workers(),
+    )
 
 
 def _fill_workers() -> int:
@@ -432,8 +434,8 @@ def _fill_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_counts(block: np.ndarray, gens: list, workers: int) -> None:
-    """Row r of ``block`` becomes the index counts of n draws from ``gens[r]``.
+def _fill_counts(block: np.ndarray, gens: list, draw: Callable, workers: int) -> None:
+    """Row r of ``block`` becomes ``draw(gens[r])``.
 
     The rows are split into at most ``workers`` contiguous slices; the
     calling thread fills the first and one new thread each of the others
@@ -441,13 +443,13 @@ def _fill_counts(block: np.ndarray, gens: list, workers: int) -> None:
     before this returns or raises, and a fault in any of them is raised
     here.
     """
-    m, n = block.shape
+    m = block.shape[0]
     faults: list[BaseException] = []
 
     def fill(rows: range) -> None:
         try:
             for r in rows:
-                block[r] = np.bincount(gens[r].integers(0, n, size=n), minlength=n)
+                block[r] = draw(gens[r])
         except BaseException as exc:  # re-raised on the calling thread
             faults.append(exc)
 
@@ -480,74 +482,61 @@ def bootstrap_table_values(
     Resample b draws n records over the cells of ``p`` (cell
     probabilities, any shape) from stream b of ``seed``
     (``make_rng(seed, b).multinomial(n, p)``), as frequencies in the
-    shape of ``p``.  The resamples are stacked in chunks of at most
-    ``_COUNT_CELLS`` cells (at least one resample a chunk), the row
-    engine's memory rule, and the statistic is called once per chunk: it
-    gets the (B, *p.shape) chunk and returns its values, one row per
-    resample, and a boolean mask of the resamples on which it is
-    defined.  The defined values are returned in resample order; what
-    the statistic raises propagates.
+    shape of ``p``.  The resamples are drawn on the calling thread into
+    the count buffer of both bootstraps, in chunks of at most
+    ``_COUNT_CELLS`` cells (at least one resample a chunk), and the
+    statistic is called once per chunk: it gets the (B, *p.shape) chunk
+    and returns its values, one row per resample, and a boolean mask of
+    the resamples on which it is defined.  The defined values are
+    returned in resample order; what the statistic raises propagates.
 
     Raises ValidationError below ``MIN_ROWS`` records or for n_boot < 2,
     and UnidentifiableError when the statistic is undefined on more than
     half of the resamples or fewer than two remain.
     """
-    _require_resamples(n, n_boot)
     p = np.asarray(p, dtype=float)
     flat = p.ravel()
-    per_chunk = max(1, _COUNT_CELLS // max(flat.size, 1))
-    values, defined = [], []
-    for start in range(0, n_boot, per_chunk):
-        chunk = np.empty((min(per_chunk, n_boot - start), flat.size))
-        for r in range(chunk.shape[0]):
-            chunk[r] = make_rng(seed, start + r).multinomial(n, flat)
-        chunk /= n
-        chunk_values, chunk_defined = statistic(chunk.reshape(-1, *p.shape))
-        values.append(np.asarray(chunk_values, dtype=float))
-        defined.append(np.asarray(chunk_defined, dtype=bool))
-    kept = np.concatenate(values)[np.concatenate(defined)]
-    _require_defined(len(kept), n_boot)
-    return kept
+
+    def defined(counts: np.ndarray) -> list:
+        values, mask = statistic((counts / n).reshape(-1, *p.shape))
+        return list(np.asarray(values, dtype=float)[np.asarray(mask, dtype=bool)])
+
+    return _resampled(n, n_boot, seed, flat.size, lambda g: g.multinomial(n, flat), defined,
+                      threads=1)
 
 
-def _require_resamples(n: int, n_boot: int) -> None:
+def _resampled(n: int, n_boot: int, seed: int, width: int, draw: Callable, defined: Callable,
+               *, threads: int) -> np.ndarray:
+    """The one resampling driver: the values ``defined`` keeps of ``n_boot``
+    resamples of ``n`` records, in resample order.
+
+    Row r of a chunk of the reused count buffer (see ``_COUNT_CELLS``)
+    becomes resample b = start + r, the ``width`` counts
+    ``draw(make_rng(seed, b))``, filled on up to ``threads`` threads; then
+    ``defined`` gets the chunk on the calling thread and returns the
+    values of its resamples on which the statistic is defined.  The
+    errors are those of both bootstraps, and the skip verdict is here.
+    """
     if n < MIN_ROWS:
         raise ValidationError(
             f"need at least {MIN_ROWS} rows for a bootstrap standard error, got {n}"
         )
     if n_boot < 2:
         raise ValidationError("n_boot must be >= 2")
-
-
-def _require_defined(used: int, n_boot: int) -> None:
-    """The skip verdict of both resampling engines: a statistic defined on
-    ``used`` of ``n_boot`` resamples has an estimable standard error only
-    when at least two and at least half of them remain."""
+    counts = np.empty((min(n_boot, max(threads, _COUNT_CELLS // max(width, 1))), width))
+    kept: list = []
+    for start in range(0, n_boot, counts.shape[0]):
+        block = counts[: min(counts.shape[0], n_boot - start)]
+        gens = [make_rng(seed, start + r) for r in range(block.shape[0])]
+        _fill_counts(block, gens, draw, threads)
+        kept += defined(block)
+    used = len(kept)
     if used < 2 or 2 * used < n_boot:
         raise UnidentifiableError(
             f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
             f"(used {used}/{n_boot}); its standard error is not estimable"
         )
-
-
-def _defined_values(statistic: Callable, resamples: Iterable, n_boot: int) -> np.ndarray:
-    """The statistic on each of the ``n_boot`` resamples where it is defined,
-    one call per resample, for the row engine.
-
-    A model error (any EffectRestoreError but ValidationError) marks the
-    resample undefined, while a ValidationError is a contract violation
-    and propagates.
-    """
-    values = []
-    for resample in resamples:
-        try:
-            values.append(statistic(resample))
-        except ValidationError:
-            raise
-        except EffectRestoreError:
-            continue
-    _require_defined(len(values), n_boot)
-    return np.asarray(values, dtype=float)
+    return np.asarray(kept, dtype=float)
 
 
 def bootstrap_se(

@@ -47,10 +47,11 @@ negative mean that the data contradict the mechanism is decided by
 ``_finalize`` alone.  It works on a leading batch axis and returns
 per-table masks, not exceptions.  Its one-table call ``_judged`` turns a
 refusal into ``IncompatibleModelError`` for ``_restore_cells``, which
-``restore_joint`` and every binary restoration run, and for
-``restore_joint_differential``; ``_restored_effects`` restores and
-adjusts a stack of tables in one call, as the table bootstrap of
-``effect-binary`` does with each chunk of resamples.  A total
+``restore_joint``, ``restored_propensity`` and every binary
+restoration run, and for ``restore_joint_differential``;
+``_restored_effects`` restores and adjusts a stack of tables in one
+call, as the table bootstrap of ``effect-binary`` does with each chunk
+of resamples.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
@@ -322,11 +323,12 @@ def restored_propensity(
 ) -> np.ndarray:
     """Latent propensity score from the error-prone one.
 
-    L(z) = sum_w I(z,w) L(w) P(w) / sum_w I(z,w) P(w), where L(w) is the
-    observable score P(X=1 | w) and I is the mechanism inverse.  Both
-    numerator and denominator are single inverse applications, so only
-    the proxy-level score and marginal ever need to be estimated from
-    data.
+    L(z) = R(1, z) / sum_x R(x, z), where R is the (x, z) table
+    [(1 - L(w)) P(w), L(w) P(w)] restored by ``_restore_cells``, L(w) is
+    the observable score P(X=1 | w) and P(w) the proxy marginal.  So only
+    those two ever need to be estimated from data, and the restored
+    table is judged like any other: IncompatibleModelError when a latent
+    stratum would get negative mass.
     """
     score_w = np.asarray(score_w, dtype=float)
     p_w = np.asarray(p_w, dtype=float)
@@ -337,10 +339,13 @@ def restored_propensity(
         )
     if not (np.isfinite(score_w).all() and np.isfinite(p_w).all()):
         raise ValidationError("score_w and p_w must be finite")
+    if score_w.min() < 0.0 or score_w.max() > 1.0:
+        raise ValidationError("score_w must lie in [0, 1]")
     if abs(p_w.sum() - 1.0) > 1e-9 or p_w.min() < -1e-12:
         raise ValidationError("p_w must be a probability distribution")
-    _check_invertible(mechanism)
-    num, den = mechanism.apply_inverse(np.stack([score_w * p_w, p_w]))
+    cells = np.stack([(1.0 - score_w) * p_w, score_w * p_w])[:, None, :]
+    restored = _restore_cells(cells, mechanism, clip=False).restored.cells[:, 0]
+    num, den = restored[1], restored.sum(axis=0)
     small = np.abs(den) < TOL_VANISHING
     if small.any():
         z = int(np.nonzero(small)[0][0])

@@ -197,6 +197,31 @@ def test_every_restoration_reaches_the_verdict_through_restore():
                 if isinstance(node, ast.Attribute) and node.attr == "determinant"]
 
 
+def callers(tree, name):
+    """Names of a module's top-level functions that call ``name``."""
+    return sorted(node.name for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and name in called_names(node))
+
+
+def test_every_inverse_reaches_the_verdict():
+    # no restored cells leave restore.py without ``_finalize`` judging them
+    package = Path(effectrestore.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    assert sorted(name for name, tree in trees.items()
+                  if "apply_inverse" in called_names(tree)) == ["restore.py"]
+    restore_tree = trees["restore.py"]
+    judged = set(callers(restore_tree, "_judged")) | set(callers(restore_tree, "_finalize"))
+    assert callers(restore_tree, "apply_inverse")
+    assert set(callers(restore_tree, "apply_inverse")) <= judged
+
+
+def test_one_resampling_driver():
+    # both bootstraps draw through ``linear._resampled``: it alone makes the
+    # resample streams and fills the count buffer
+    tree = ast.parse((Path(effectrestore.__file__).parent / "linear.py").read_text())
+    assert callers(tree, "make_rng") == callers(tree, "_fill_counts") == ["_resampled"]
+
+
 def frozen_objects():
     """A table, a dense mechanism with its inverse cached, a factored one
     with its LU factors cached, a propensity profile and a discrete model,

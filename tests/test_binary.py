@@ -820,3 +820,32 @@ class TestTableBootstrap:
         assert len(sizes) == -(-60 // (cells_cap // 8))
         want = loop_table_bootstrap(observed, err, 1, 40, 60, 3)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(10, 80),
+        n_boot=st.integers(2, 70),
+        cells_cap=st.integers(1, 300),
+        workers=st.sampled_from([1, 2, 3, 131]),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_values_do_not_depend_on_chunks_or_threads(
+        self, n, n_boot, cells_cap, workers, data_seed
+    ):
+        # small n leaves some resamples undefined and sometimes most of them
+        rng = np.random.default_rng(data_seed)
+        observed, err, _ = random_valid_instance(rng)
+        x, seed = int(rng.integers(2)), int(rng.integers(100))
+
+        def outcome():
+            try:
+                got = table_bootstrap(observed, err, x, n, n_boot, seed)
+                return got.shape, got.tobytes()
+            except EffectRestoreError as exc:
+                return type(exc), str(exc)
+
+        want = outcome()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linear, "_COUNT_CELLS", cells_cap)
+            mp.setattr(linear, "_fill_workers", lambda: workers)
+            assert outcome() == want

@@ -632,7 +632,8 @@ class TestBootstrapEngine:
 def serial_bootstrap_values(rows, statistic, n_boot, seed, per_chunk):
     """Reference engine: the chunked count-matrix bootstrap with its counts
     drawn one resample after another on the calling thread, ``per_chunk``
-    resamples per matrix product."""
+    resamples per matrix product.  A model error from the statistic skips
+    the resample; fewer than two or than half kept is unidentifiable."""
     arr = np.asarray(rows, dtype=float)
     n, k = arr.shape
     pairs = [(i, j) for i in range(k) for j in range(i, k)]
@@ -658,7 +659,21 @@ def serial_bootstrap_values(rows, statistic, n_boot, seed, per_chunk):
             for moments in cov.tolist():
                 yield CovStats(**dict(zip(fields, moments)), n=n)
 
-    return linear._defined_values(statistic, resamples(), n_boot)
+    values = []
+    for resample in resamples():
+        try:
+            values.append(statistic(resample))
+        except ValidationError:
+            raise
+        except EffectRestoreError:
+            continue
+    used = len(values)
+    if used < 2 or 2 * used < n_boot:
+        raise UnidentifiableError(
+            f"statistic undefined on {n_boot - used} of {n_boot} bootstrap resamples "
+            f"(used {used}/{n_boot}); its standard error is not estimable"
+        )
+    return np.asarray(values, dtype=float)
 
 
 def outcome(engine):

@@ -673,6 +673,19 @@ class TestRestoredPropensity:
         with pytest.raises(DegenerateStratumError):
             restored_propensity(np.array([0.5, 0.5]), p_w, mech)
 
+    def test_negative_latent_mass_is_incompatible(self):
+        # M^-1 P(w) = (1.071, -0.071): the z1 stratum would carry negative
+        # mass, which used to come back as a propensity of 0.14
+        mech = ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1))
+        with pytest.raises(IncompatibleModelError, match="negative mass 7.143e-02"):
+            restored_propensity(np.array([0.5, 0.9]), np.array([0.95, 0.05]), mech)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1])
+    def test_score_outside_the_unit_interval_rejected(self, bad):
+        mech = ErrorMatrix.from_binary(BinaryErrorParams(0.2, 0.1))
+        with pytest.raises(ValidationError, match=r"score_w must lie in \[0, 1\]"):
+            restored_propensity(np.array([0.5, bad]), np.array([0.4, 0.6]), mech)
+
 
 class TestStratifiedEffect:
     def test_singleton_strata_equal_full_adjustment(self):
