@@ -11,7 +11,7 @@ the two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
 function of the observed fraction P(w1|x,y), exactly 0 at delta and
 infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
 negative cell.  No function here evaluates that inverse itself: every
-one restores through ``restore._restore_cells`` on
+one restores through the kernel ``restore._inverted`` on
 ``ErrorMatrix.from_binary``, the 2x2 case of ``restore_joint``, so
 ``restore._finalize`` judges the result, sets a rounding residue at
 either end to exactly 0 and refuses a table whose rates contradict it.
@@ -25,11 +25,12 @@ composition; it is kept in the tests as its oracle.
 expansion in (eps, delta), accurate to second order.
 
 For K independent binary proxy components, ``synthesize_samples`` turns
-observed (x, y, w) records into latent (x, y, z) records: each
-component's split restores its empirical (x, y, w_i) frequency table,
-and each record keeps its own reading by drawing z from the posterior
-given w, so the noiseless mechanism reproduces the input exactly while
-group-level frequencies reproduce the restored distribution.
+observed (x, y, w) records into latent (x, y, z) records: the
+components' (x, y, w_i) frequency tables are restored as one stack, each
+by its own split, and each record keeps its own reading by drawing z
+from the posterior given w, so the noiseless mechanism reproduces the
+input exactly while group-level frequencies reproduce the restored
+distribution.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, RestorationResult, _restore_cells
+from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, _inverted, _judged, restore_joint
 from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable, adjust_for_confounder
 
@@ -63,17 +64,21 @@ def _require_binary(table: JointTable) -> np.ndarray:
     return table.cells
 
 
-def _restored(cells: np.ndarray, err: BinaryErrorParams, where: str = "", *,
-              clip: bool = False) -> RestorationResult:
-    """The (x, y, w) ``cells`` restored by the rates' 2x2 mechanism, as
-    ``restore_joint`` restores them; a table clipped within the tolerance
-    is reported in a RuntimeWarning whose message names ``where``."""
-    result = _restore_cells(cells, ErrorMatrix.from_binary(err), clip=clip, where=where)
-    if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
-        warnings.warn(f"clipped the restored table{where}; its negative mass "
-                      f"{result.negative_mass:.3e} is within the tolerance "
-                      f"{TOL_INCOMPATIBLE:.1e}", RuntimeWarning, stacklevel=3)
-    return result
+def _restored(tables: np.ndarray, errs: Sequence[BinaryErrorParams],
+              wheres: Sequence[str] = ("",), *, clip: bool = False) -> list[JointTable]:
+    """Each (x, y, w) table ``tables[i]`` restored by the 2x2 mechanism of
+    ``errs[i]`` as ``restore_joint`` restores it, and when clipped within
+    the tolerance reported, in order and before any refusal, in a
+    RuntimeWarning whose message names ``wheres[i]``."""
+    raw, conds = _inverted(tables, [ErrorMatrix.from_binary(err) for err in errs], wheres)
+    results = []
+    for result, where in zip(_judged(raw, conds, clip=clip, wheres=wheres), wheres):
+        if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
+            warnings.warn(f"clipped the restored table{where}; its negative mass "
+                          f"{result.negative_mass:.3e} is within the tolerance "
+                          f"{TOL_INCOMPATIBLE:.1e}", RuntimeWarning, stacklevel=3)
+        results.append(result.restored)
+    return results
 
 
 def restore_binary(
@@ -88,7 +93,7 @@ def restore_binary(
     RuntimeWarning, and anything larger raises IncompatibleModelError
     unless ``clip`` forces the repair.
     """
-    return _restored(_require_binary(observed), err, clip=clip).restored
+    return _restored(_require_binary(observed)[None], [err], clip=clip)[0]
 
 
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
@@ -103,8 +108,8 @@ def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
     p = float(p_w1_given_xy)
     if not math.isfinite(p):
         raise ValidationError(f"p_w1_given_xy must be finite, got {p!r}")
-    cells = _restored(np.array([[[1.0 - p, p]]]), err, f" for P(w1|x,y) = {p!r}").restored.cells
-    z0, z1 = cells[0, 0].tolist()
+    (table,) = _restored(np.array([[[[1.0 - p, p]]]]), [err], [f" for P(w1|x,y) = {p!r}"])
+    z0, z1 = table.cells[0, 0].tolist()
     return math.inf if z0 == 0.0 else z1 / z0
 
 
@@ -158,7 +163,7 @@ def causal_effect_binary_infinitesimal(
                       (f"P(w{w}|x={x})", w_given_x[w]))
     # the first-order form reads the observed cells, not the clipped restored
     # ones, but it refuses what restoration refuses
-    _restore_cells(p, ErrorMatrix.from_binary(err), clip=False)
+    restore_joint(observed, ErrorMatrix.from_binary(err))
     rate, other_rate = np.array([err.eps, err.delta]), np.array([err.delta, err.eps])
     correction = 1.0 + other_rate + rate * (1.0 - 1.0 / w_given_xy - 1.0 / p_w + 1.0 / w_given_x)
     branch = p[x, y] / x_given_w * correction
@@ -202,15 +207,14 @@ def synthesize_samples(
     for cx, cy in zip(*np.nonzero(sizes == 0.0)):
         warnings.warn(f"no samples in group (x={cx}, y={cy}); nothing to synthesize there",
                       RuntimeWarning, stacklevel=2)
-    # P(z_i = 1 | group, w_i), indexed [group, i, w_i]
-    post = np.zeros((4, k, 2))
-    for i, err in enumerate(errs):
-        ones = np.bincount(xy, weights=out[:, 2 + i], minlength=4).reshape(2, 2)
-        observed = np.stack((sizes - ones, ones), axis=-1) / max(n, 1)
-        restored = _restored(observed, err, f" for component {i}").restored.cells
-        joint = err.matrix()[:, 1] * restored[:, :, 1:]  # P_i(x, y, w_i, z_i = 1)
-        post[:, i] = np.divide(joint, observed, out=np.zeros_like(joint),
-                               where=observed > 0.0).reshape(4, 2)
+    ones = np.stack([np.bincount(xy, weights=w, minlength=4).reshape(2, 2) for w in out[:, 2:].T])
+    observed = np.stack((sizes - ones, ones), axis=-1) / max(n, 1)
+    restored = np.stack([table.cells for table in _restored(
+        observed, errs, [f" for component {i}" for i in range(k)])])
+    # P_i(x, y, w_i, z_i = 1), then P(z_i = 1 | group, w_i) indexed [group, i, w_i]
+    joint = np.stack([err.matrix()[:, 1] for err in errs])[:, None, None] * restored[..., 1:]
+    post = np.divide(joint, observed, out=np.zeros_like(joint), where=observed > 0.0)
+    post = post.reshape(k, 4, 2).transpose(1, 0, 2)
     components = np.arange(k)
     for start, u in _uniform_row_blocks(make_rng(seed), n, k):
         stop = start + u.shape[0]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnidentifiableError, ValidationError
+from .errors import ValidationError
 from .linear import (
     DEFAULT_BOOTSTRAP,
     MIN_ROWS,
@@ -153,10 +153,7 @@ def two_stage_test(
     vc = xc - (c1 / alpha_param) * wc
     svv = float(vc @ vc) / (n - 1)
     scale = (float(xc @ xc) + (c1 / alpha_param) ** 2 * float(wc @ wc)) / (n - 1)
-    if svv <= 1e-12 * max(scale, 1e-300):
-        raise UnidentifiableError(
-            "the fictitious regressor X - (cov(XW)/alpha) W is degenerate (no variation)"
-        )
+    _check_den(svv, scale, "var(X - (cov(XW)/alpha) W)")
     target = float(vc @ yc) / (n - 1)  # cov(Y, V) = the constraint residual
     a = target / svv
     s_yw = float(yc @ wc) / (n - 1)

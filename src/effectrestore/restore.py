@@ -44,14 +44,17 @@ number (the standard bound on the rounding of a matrix-vector product),
 is a residue of the inversion: ``_finalize`` sets it to exactly 0, and
 it is neither negative mass nor a clip.  Whether the cells still
 negative mean that the data contradict the mechanism is decided by
-``_finalize`` alone.  It works on a leading batch axis and returns
-per-table masks, not exceptions.  Its one-table call ``_judged`` turns a
-refusal into ``IncompatibleModelError`` for ``_restore_cells``, which
-``restore_joint``, ``restored_propensity`` and every binary
-restoration run, and for ``restore_joint_differential``;
-``_restored_effects`` restores and adjusts a stack of tables in one
-call, as the table bootstrap of ``effect-binary`` does with each chunk
-of resamples.  A total
+``_finalize`` alone.  It works on a leading batch axis, with a
+condition number per table or one for all, and returns per-table masks,
+not exceptions.  Every inverse comes from one kernel, ``_inverted``: it
+restores table i of a stack by mechanism i, or a whole stack by one.
+``_judged`` yields the results in order and raises
+``IncompatibleModelError`` at the first refused table, naming it:
+``restore_joint_differential`` restores its (x, y) slices as one stack,
+judged at the worst condition number, ``synthesize_samples`` its K
+components as one.  ``_restored_effects`` hands the kernel's stack to
+``_finalize`` and adjusts it, refusing nothing, as the table bootstrap
+of ``effect-binary`` does with each chunk of resamples.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
@@ -80,7 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -152,12 +155,12 @@ def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
     return cond
 
 
-def _finalize(raw: np.ndarray, cond: float, *, clip: bool
+def _finalize(raw: np.ndarray, cond: float | Sequence[float], *, clip: bool
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Clip-or-reject policy for negative restored cells: the one test of
     whether the data contradict a mechanism.  ``raw[..., x, y, w]`` holds
     restored tables along any leading batch axes, and ``cond`` is the
-    condition number of their restoration.
+    condition number of their restoration, one for all or one per table.
 
     Returns (cells, negative_mass, clipped, refused, emptied): ``cells``
     is ``raw`` judged, and per table the total absolute negative mass
@@ -177,7 +180,7 @@ def _finalize(raw: np.ndarray, cond: float, *, clip: bool
     accepted = (np.zeros(lead), np.zeros(lead, dtype=bool), np.zeros(lead, dtype=bool),
                 np.zeros(raw.shape[:-1], dtype=bool))
     mass = raw.sum(axis=-1)
-    floor = RESIDUE_ROUNDINGS * np.finfo(float).eps * cond * np.abs(mass)
+    floor = RESIDUE_ROUNDINGS * np.finfo(float).eps * np.asarray(cond)[..., None, None] * abs(mass)
     if raw.min() > floor.max():  # no mask of the tables' size when there is no residue
         return (raw, *accepted)
     floor = floor[..., None]
@@ -204,38 +207,49 @@ def _finalize(raw: np.ndarray, cond: float, *, clip: bool
     return raw, negative_mass, clipped, refused, emptied
 
 
-def _judged(raw: np.ndarray, cond: float, *, clip: bool, where: str = "") -> RestorationResult:
-    """One restored (x, y, w) table judged by ``_finalize``: the
-    RestorationResult, or IncompatibleModelError with a message that names
-    ``where``."""
-    cells, negative_mass, clipped, refused, emptied = _finalize(raw, cond, clip=clip)
-    if emptied.any():
-        x, y = (int(i[0]) for i in np.nonzero(emptied))
-        raise IncompatibleModelError(
-            f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
+def _inverted(tables: np.ndarray, mechanisms: Sequence[ErrorMatrix], wheres: Sequence[str]
+              ) -> tuple[np.ndarray, list[float]]:
+    """The raw restored stack M_i^-1 ``tables[i, ..., w]`` and the condition
+    numbers, once each M_i has passed ``_check_invertible`` naming
+    ``wheres[i]``.  One mechanism restores a whole stack in one call."""
+    conds = [_check_invertible(m, where=where) for m, where in zip(mechanisms, wheres)]
+    if len(mechanisms) == 1:
+        return mechanisms[0].apply_inverse(tables), conds
+    return np.stack([m.apply_inverse(t) for m, t in zip(mechanisms, tables)]), conds
+
+
+def _judged(raw: np.ndarray, conds: Sequence[float], *, clip: bool, wheres: Sequence[str]
+            ) -> Iterator[RestorationResult]:
+    """Each restored (x, y, w) table ``raw[i]``, of condition number
+    ``conds[i]``, judged by ``_finalize``: its RestorationResult in order,
+    until a refused one raises IncompatibleModelError naming ``wheres[i]``."""
+    cells, negative_mass, clipped, refused, emptied = _finalize(raw, conds, clip=clip)
+    for i, where in enumerate(wheres):
+        if emptied[i].any():
+            x, y = (int(j[0]) for j in np.nonzero(emptied[i]))
+            raise IncompatibleModelError(
+                f"slice (x={x}, y={y}){where} has no nonnegative mass left after clipping"
+            )
+        if refused[i]:
+            raise IncompatibleModelError(
+                f"restored table{where} carries negative mass {float(negative_mass[i]):.3e} "
+                f"(> {TOL_INCOMPATIBLE:.1e}): the postulated error mechanism is "
+                "incompatible with the observed distribution, so no estimate "
+                "will be obtained"
+            )
+        yield RestorationResult(
+            restored=_adopt(JointTable, cells[i], AXIS_LATENT),
+            condition_estimate=conds[i],
+            negative_mass=float(negative_mass[i]),
+            clipped=bool(clipped[i]),
         )
-    if refused:
-        raise IncompatibleModelError(
-            f"restored table{where} carries negative mass {float(negative_mass):.3e} "
-            f"(> {TOL_INCOMPATIBLE:.1e}): the postulated error mechanism is "
-            "incompatible with the observed distribution, so no estimate "
-            "will be obtained"
-        )
-    return RestorationResult(
-        restored=_adopt(JointTable, cells, AXIS_LATENT),
-        condition_estimate=cond,
-        negative_mass=float(negative_mass),
-        clipped=bool(clipped),
-    )
 
 
 def _restore_cells(cells: np.ndarray, mechanism: ErrorMatrix, *, clip: bool,
                    where: str = "") -> RestorationResult:
-    """M^-1 applied to the (x, y, w) ``cells`` and ``_judged``: the one
-    restoration of a table by one mechanism, whose messages name
-    ``where``."""
-    cond = _check_invertible(mechanism, where=where)
-    return _judged(mechanism.apply_inverse(cells), cond, clip=clip, where=where)
+    """M^-1 applied to the (x, y, w) ``cells`` and judged: the restoration
+    of one table by one mechanism, whose messages name ``where``."""
+    return next(_judged(*_inverted(cells[None], [mechanism], [where]), clip=clip, wheres=[where]))
 
 
 def restore_joint(
@@ -269,16 +283,10 @@ def restore_joint_differential(
     inverted with its own matrix.  Errors are reported with the offending
     (x, y) pair; the condition estimate is the worst across pairs.
     """
-    missing = [
-        (x, y)
-        for x in range(observed.card_x)
-        for y in range(observed.card_y)
-        if (x, y) not in mechanisms
-    ]
+    pairs = list(np.ndindex(observed.card_x, observed.card_y))
+    missing = [pair for pair in pairs if pair not in mechanisms]
     if missing:
         raise ValidationError(f"no mechanism supplied for (x, y) pairs {missing}")
-    raw = np.empty((observed.card_x, observed.card_y, observed.card_v))
-    worst = 1.0
     for (x, y), mech in mechanisms.items():
         if not (0 <= x < observed.card_x and 0 <= y < observed.card_y):
             raise ValidationError(f"mechanism key (x={x}, y={y}) out of table range")
@@ -286,9 +294,10 @@ def restore_joint_differential(
             raise ValidationError(
                 f"mechanism for (x={x}, y={y}) has n_w={mech.n_w}, expected {observed.card_v}"
             )
-        worst = max(worst, _check_invertible(mech, where=f" for (x={x}, y={y})"))
-        raw[x, y, :] = mech.apply_inverse(observed.cells[x, y, :])
-    return _judged(raw, worst, clip=clip)
+    raw, conds = _inverted(observed.cells.reshape(len(pairs), -1), [mechanisms[p] for p in pairs],
+                           [f" for (x={x}, y={y})" for x, y in pairs])
+    return next(_judged(raw.reshape(1, *observed.cells.shape), [max(1.0, *conds)], clip=clip,
+                        wheres=[""]))
 
 
 def causal_effect_restored(
@@ -312,8 +321,7 @@ def _restored_effects(cells: np.ndarray, mechanism: ErrorMatrix, x: int
     differently from a call on that table alone where the kernel changes
     with the row count (one-row tables, Kronecker blocks of side 32 or
     more), but not for the 2x2 mechanism of ``effect-binary``."""
-    cond = _check_invertible(mechanism)
-    restored, _, _, refused, _ = _finalize(mechanism.apply_inverse(cells), cond, clip=False)
+    restored, _, _, refused, _ = _finalize(*_inverted(cells, [mechanism], [""]), clip=False)
     effects, positive = _adjusted(restored, x)
     return effects, positive & ~refused
 

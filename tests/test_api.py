@@ -204,15 +204,30 @@ def callers(tree, name):
 
 
 def test_every_inverse_reaches_the_verdict():
-    # no restored cells leave restore.py without ``_finalize`` judging them
+    # one restoration kernel, ``restore._inverted``: it alone checks and
+    # applies an inverse, every function that calls it hands what it returns
+    # to the verdict, and one function of restore.py raises the refusal
     package = Path(effectrestore.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
-    assert sorted(name for name, tree in trees.items()
-                  if "apply_inverse" in called_names(tree)) == ["restore.py"]
-    restore_tree = trees["restore.py"]
-    judged = set(callers(restore_tree, "_judged")) | set(callers(restore_tree, "_finalize"))
-    assert callers(restore_tree, "apply_inverse")
-    assert set(callers(restore_tree, "apply_inverse")) <= judged
+    functions = [((module, node.name), node) for module, tree in sorted(trees.items())
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def calling(name):
+        return [(key, node) for key, node in functions if name in called_names(node)]
+
+    for name in ("apply_inverse", "_check_invertible"):
+        assert [key for key, _ in calling(name)] == [("restore.py", "_inverted")]
+        ((_, kernel),) = calling(name)
+        # and no call outside a function
+        assert (sum(list(called_names(tree)).count(name) for tree in trees.values())
+                == list(called_names(kernel)).count(name))
+    users = calling("_inverted")
+    assert {("restore.py", "restore_joint_differential"), ("binary.py", "_restored")} <= {
+        key for key, _ in users}
+    for key, node in users:
+        assert {"_judged", "_finalize"} & set(called_names(node)), key
+    assert [node.name for node in trees["restore.py"].body if isinstance(node, ast.FunctionDef)
+            and "IncompatibleModelError" in raised_names(node)] == ["_judged"]
 
 
 def test_one_resampling_driver():

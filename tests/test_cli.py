@@ -754,6 +754,21 @@ class TestLinearCommands:
         assert doc["test_method"] == "two_stage"
         assert doc["decision"] == "accept"
 
+    def test_test_dsep_two_stage_near_degenerate_regressor_exits_2(self, tmp_path, capsys):
+        from test_dsep import near_degenerate_regressor_rows
+
+        rows, alpha = near_degenerate_regressor_rows()
+        samples_path = tmp_path / "rows.csv"
+        write_samples_csv(samples_path, ["x", "y", "w"], rows)
+        code = main(["test-dsep", "--in", str(samples_path), "--method", "two-stage",
+                     "--alpha-param", repr(alpha)])
+        assert code == 2
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert doc["error"] == "unidentifiable"
+        assert doc["message"].startswith("var(X - (cov(XW)/alpha) W) = ")
+        assert "unidentifiable" in captured.err and "Traceback" not in captured.err
+
     def test_test_dsep_theorem1_requires_lambda(self, tmp_path):
         from effectrestore import LinearSemSpec
 

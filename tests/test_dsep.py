@@ -36,6 +36,15 @@ def make_spec(rng, *, c0=0.0, with_v=False, var_ew=None):
     )
 
 
+def near_degenerate_regressor_rows(n=2000):
+    """Rows (x, y, w) with w = x + 1e-5 e, and alpha = cov(x, w): the
+    fictitious regressor X - (cov(XW)/alpha) W keeps a relative variance of
+    about 5e-11."""
+    x, y, e = np.random.default_rng(19).normal(size=(3, n))
+    w = x + 1e-5 * e
+    return np.column_stack([x, y, w]), float(np.cov(x, w)[0, 1])
+
+
 class TestTheorem1Residual:
     def test_null_population_residual_vanishes(self):
         rng = np.random.default_rng(1)
@@ -180,6 +189,18 @@ class TestTwoStage:
         rows = np.column_stack([w, y, w])  # X == W exactly
         alpha = float(np.var(w, ddof=1))
         with pytest.raises(UnidentifiableError):
+            two_stage_test(rows, alpha)
+
+    def test_near_degenerate_regressor_rejected(self):
+        # between the 1e-12 relative cut this test had of its own and
+        # linear.TOL_DEN, which _check_den applies: with it the test accepted
+        # the missing edge on a standard error of the order of 1e6
+        rows, alpha = near_degenerate_regressor_rows()
+        x, w = rows[:, 0], rows[:, 2]
+        v = (x - x.mean()) - (w - w.mean())  # alpha is cov(x, w)
+        scale = float(np.var(x, ddof=1) + np.var(w, ddof=1))
+        assert 1e-12 < float(np.var(v, ddof=1)) / scale < 1e-9
+        with pytest.raises(UnidentifiableError, match=r"^var\(X - .* vanishes"):
             two_stage_test(rows, alpha)
 
     def test_input_contracts(self):

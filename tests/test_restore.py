@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -316,6 +317,86 @@ class TestBatchedKernelsMatchOneTable:
         expected = {"positivity", "residue", "clipped", "defined"}
         expected |= {"clipped beyond the tolerance"} if clip else {"refused"}
         assert seen == expected
+
+
+@st.composite
+def rational_mechanisms(draw, n):
+    """A mechanism of side ``n`` with rational entries: for n = 2 possibly
+    the binary one of rates in hundredths, else one whose column z is
+    integer weights, w = z outweighing the rest (so that it is
+    invertible), divided by their sum."""
+    if n == 2 and draw(st.booleans()):
+        eps, delta = (draw(st.integers(0, 45)) / 100 for _ in range(2))
+        return ErrorMatrix.from_binary(BinaryErrorParams(eps, delta))
+    weights = draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, 4)))  # [z, w]
+    np.fill_diagonal(weights, 0)
+    np.fill_diagonal(weights, weights.sum(axis=1)
+                     + draw(hnp.arrays(np.int64, n, elements=st.integers(1, 9))))
+    return ErrorMatrix(entries=np.array([[Fraction(int(weights[z, w]), int(weights[z].sum()))
+                                          for z in range(n)] for w in range(n)], dtype=float))
+
+
+def latent_counts():
+    """Cell counts of a latent table, half of them exactly zero."""
+    return st.just(0) | st.integers(1, 6)
+
+
+def exact_pushforward(counts, mech):
+    """The latent table ``counts`` / its total and its pushforward through
+    ``mech``'s float entries, computed in ``Fraction`` and rounded once."""
+    latent = np.vectorize(lambda c: Fraction(int(c), int(counts.sum())), otypes=[object])(counts)
+    entries = np.vectorize(Fraction, otypes=[object])(mech.dense())
+    return latent.astype(float), np.dot(latent, entries.T).astype(float)
+
+
+def check_exact_zeros(result, counts, latent):
+    """A compatible table restores with no clip, and every exactly-zero
+    latent cell to exactly 0.0."""
+    assert not result.clipped and result.negative_mass == 0.0
+    cells = result.restored.cells
+    assert (cells[counts == 0] == 0.0).all()
+    np.testing.assert_allclose(cells, latent, rtol=0, atol=1e-12)
+    return int(np.count_nonzero(counts == 0))
+
+
+class TestExactZerosRestoreToZero:
+    """Latent tables with exact zeros, pushed forward exactly by rational
+    mechanisms of side 2-4 and binary ones: the restored zeros come back as
+    exactly 0.0 (rounding residues of the inversion), and nothing is
+    clipped."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_table(self, data):
+        mech = data.draw(rational_mechanisms(data.draw(st.integers(2, 4))))
+        cards = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), mech.n_z)
+        counts = data.draw(hnp.arrays(np.int64, cards, elements=latent_counts()))
+        counts.flat[data.draw(st.integers(0, counts.size - 1))] += 1  # some mass
+        latent, observed = exact_pushforward(counts, mech)
+        result = restore_joint(JointTable(observed, "W"), mech)
+        event(f"exact zeros: {check_exact_zeros(result, counts, latent) > 0}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_stack_through_the_kernel(self, data):
+        # K tables with one mechanism each, or one mechanism for all of them
+        n, k = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 4))
+        cards = (k, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)), n)
+        counts = data.draw(hnp.arrays(np.int64, cards, elements=latent_counts()))
+        counts[:, 0, 0, 0] += 1  # some mass in each table
+        mechs = [data.draw(rational_mechanisms(n))
+                 for _ in range(k if data.draw(st.booleans()) else 1)]
+        pairs = [exact_pushforward(c, mechs[i % len(mechs)]) for i, c in enumerate(counts)]
+        wheres = [f" for table {i}" for i in range(k)]
+        raw, conds = restore._inverted(np.stack([obs for _, obs in pairs]), mechs,
+                                       wheres[:len(mechs)])
+        results = list(restore._judged(raw, conds * (k // len(conds)), clip=False, wheres=wheres))
+        assert len(results) == k
+        for i, (result, (latent, observed)) in enumerate(zip(results, pairs)):
+            check_exact_zeros(result, counts[i], latent)
+            if len(mechs) == k:  # a table of its own mechanism gets restore_joint's bits
+                one = restore_joint(JointTable(observed, "W"), mechs[i])
+                assert one.restored.cells.tobytes() == result.restored.cells.tobytes()
 
 
 class TestRestoreInvertsPushforward:
