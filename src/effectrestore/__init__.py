@@ -71,7 +71,6 @@ _EXPORTS = {
         "propensity_profile",
         "pushforward",
         "restore_joint",
-        "restore_joint_differential",
         "restored_propensity",
         "stratified_effect",
     ),

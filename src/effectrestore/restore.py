@@ -50,11 +50,12 @@ not exceptions.  Every inverse comes from one kernel, ``_inverted``: it
 restores table i of a stack by mechanism i, or a whole stack by one.
 ``_judged`` yields the results in order and raises
 ``IncompatibleModelError`` at the first refused table, naming it:
-``restore_joint_differential`` restores its (x, y) slices as one stack,
-judged at the worst condition number, ``synthesize_samples`` its K
-components as one.  ``_restored_effects`` hands the kernel's stack to
-``_finalize`` and adjusts it, refusing nothing, as the table bootstrap
-of ``effect-binary`` does with each chunk of resamples.  A total
+``restore_joint`` given a per-(x, y) grid of mechanisms restores its
+(x, y) slices as one stack, judged at the worst condition number,
+``synthesize_samples`` its K components as one.  ``_restored_effects``
+hands the kernel's stack to ``_finalize`` and adjusts it, refusing
+nothing, as the table bootstrap of ``effect-binary`` does with each
+chunk of resamples.  A total
 absolute negative mass up to ``TOL_INCOMPATIBLE`` is treated as
 numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
@@ -83,7 +84,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -245,69 +246,63 @@ def _judged(raw: np.ndarray, conds: Sequence[float], *, clip: bool, wheres: Sequ
         )
 
 
-def _restore_cells(cells: np.ndarray, mechanism: ErrorMatrix, *, clip: bool,
-                   where: str = "") -> RestorationResult:
-    """M^-1 applied to the (x, y, w) ``cells`` and judged: the restoration
-    of one table by one mechanism, whose messages name ``where``."""
-    return next(_judged(*_inverted(cells[None], [mechanism], [where]), clip=clip, wheres=[where]))
-
-
 def restore_joint(
-    observed: JointTable, mechanism: ErrorMatrix, *, clip: bool = False
+    observed: JointTable,
+    mechanism: ErrorMatrix | Sequence[Sequence[ErrorMatrix]],
+    *,
+    clip: bool = False,
 ) -> RestorationResult:
-    """Recover P(x, y, z) from P(x, y, w) and a shared mechanism P(w | z).
+    """Recover P(x, y, z) from P(x, y, w) and the mechanism P(w | z).
 
+    ``mechanism`` is one ``ErrorMatrix`` shared by every (x, y) slice, or,
+    when the error is differential (the proxy's error rates depend on
+    treatment and outcome), a card_x x card_y grid whose ``grid[x][y]``
+    inverts slice (x, y), e.g. ``[[m00, m01], [m10, m11]]``.  A grid's
+    slices are restored as one stack, its errors name the offending
+    (x, y) pair, and its condition estimate is the worst across pairs.
     The per-(x, y) mass is conserved exactly (the inverse's columns sum to
     one because the mechanism's do), so the restored table is normalized
     whenever the observed one is.  Raises SingularError for
     non-invertible mechanisms and IncompatibleModelError when the data
     contradict the postulated mechanism (see module docstring).
     """
-    if mechanism.n_w != observed.card_v:
-        raise ValidationError(
-            f"mechanism has n_w={mechanism.n_w} but observed card_v={observed.card_v}"
-        )
-    return _restore_cells(observed.cells, mechanism, clip=clip)
-
-
-def restore_joint_differential(
-    observed: JointTable,
-    mechanisms: Mapping[tuple[int, int], ErrorMatrix],
-    *,
-    clip: bool = False,
-) -> RestorationResult:
-    """Restoration with a separate mechanism P(w | z, x, y) per (x, y) pair.
-
-    Used when the measurement error is differential: the proxy's error
-    rates depend on treatment and outcome, so each (x, y) slice is
-    inverted with its own matrix.  Errors are reported with the offending
-    (x, y) pair; the condition estimate is the worst across pairs.
-    """
-    pairs = list(np.ndindex(observed.card_x, observed.card_y))
-    missing = [pair for pair in pairs if pair not in mechanisms]
-    if missing:
-        raise ValidationError(f"no mechanism supplied for (x, y) pairs {missing}")
-    for (x, y), mech in mechanisms.items():
-        if not (0 <= x < observed.card_x and 0 <= y < observed.card_y):
-            raise ValidationError(f"mechanism key (x={x}, y={y}) out of table range")
-        if mech.n_w != observed.card_v:
+    cells = observed.cells
+    if isinstance(mechanism, ErrorMatrix):
+        if mechanism.n_w != observed.card_v:
             raise ValidationError(
-                f"mechanism for (x={x}, y={y}) has n_w={mech.n_w}, expected {observed.card_v}"
+                f"mechanism has n_w={mechanism.n_w} but observed card_v={observed.card_v}"
             )
-    raw, conds = _inverted(observed.cells.reshape(len(pairs), -1), [mechanisms[p] for p in pairs],
-                           [f" for (x={x}, y={y})" for x, y in pairs])
-    return next(_judged(raw.reshape(1, *observed.cells.shape), [max(1.0, *conds)], clip=clip,
-                        wheres=[""]))
+        raw, conds = _inverted(cells[None], [mechanism], [""])
+    else:
+        grid = np.array(mechanism, dtype=object)
+        if grid.shape != cells.shape[:2]:
+            raise ValidationError(f"mechanism grid has shape {grid.shape} but the observed "
+                                  f"table has (x, y) cards {cells.shape[:2]}")
+        wheres = [f" for (x={x}, y={y})" for x, y in np.ndindex(grid.shape)]
+        for mech, where in zip(grid.flat, wheres):
+            if mech.n_w != observed.card_v:
+                raise ValidationError(
+                    f"mechanism{where} has n_w={mech.n_w}, expected {observed.card_v}"
+                )
+        raw, conds = _inverted(cells.reshape(grid.size, -1), list(grid.flat), wheres)
+        # one table, judged at the worst slice's condition number
+        raw, conds = raw.reshape(1, *cells.shape), [max(1.0, *conds)]
+    return next(_judged(raw, conds, clip=clip, wheres=[""]))
 
 
 def causal_effect_restored(
-    observed: JointTable, mechanism: ErrorMatrix, x: int, *, clip: bool = False
+    observed: JointTable,
+    mechanism: ErrorMatrix | Sequence[Sequence[ErrorMatrix]],
+    x: int,
+    *,
+    clip: bool = False,
 ) -> np.ndarray:
     """P(y | do(x)) from proxy data: restore the latent joint, then adjust.
 
-    The one inverse matrix enters every summation of the adjustment
-    formula, so computing the restored table once and adjusting it is
-    both the definition and the efficient implementation.
+    ``mechanism`` is one mechanism or a per-(x, y) grid, as in
+    ``restore_joint``.  The one inverse enters every summation of the
+    adjustment formula, so computing the restored table once and
+    adjusting it is both the definition and the efficient implementation.
     """
     return adjust_for_confounder(restore_joint(observed, mechanism, clip=clip).restored, x)
 
@@ -332,7 +327,7 @@ def restored_propensity(
     """Latent propensity score from the error-prone one.
 
     L(z) = R(1, z) / sum_x R(x, z), where R is the (x, z) table
-    [(1 - L(w)) P(w), L(w) P(w)] restored by ``_restore_cells``, L(w) is
+    [(1 - L(w)) P(w), L(w) P(w)] restored by ``restore_joint``, L(w) is
     the observable score P(X=1 | w) and P(w) the proxy marginal.  So only
     those two ever need to be estimated from data, and the restored
     table is judged like any other: IncompatibleModelError when a latent
@@ -352,7 +347,7 @@ def restored_propensity(
     if abs(p_w.sum() - 1.0) > 1e-9 or p_w.min() < -1e-12:
         raise ValidationError("p_w must be a probability distribution")
     cells = np.stack([(1.0 - score_w) * p_w, score_w * p_w])[:, None, :]
-    restored = _restore_cells(cells, mechanism, clip=False).restored.cells[:, 0]
+    restored = restore_joint(_adopt(JointTable, cells, AXIS_PROXY), mechanism).restored.cells[:, 0]
     num, den = restored[1], restored.sum(axis=0)
     small = np.abs(den) < TOL_VANISHING
     if small.any():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,6 @@ from effectrestore import (
     pushforward,
     restore_binary,
     restore_joint,
-    restore_joint_differential,
     restored_propensity,
     stratified_effect,
 )
@@ -631,58 +631,98 @@ class TestBinaryIsTheTwoByTwoCase:
         np.testing.assert_allclose(restored.cells, expected, atol=1e-14)
 
 
+ERROR_FREE = ErrorMatrix.identity(2)
+
+
 class TestRestoreJointDifferential:
+    # ``restore_joint`` with a grid[x][y] of mechanisms, one per (x, y) slice
+
     def test_equal_mechanisms_collapse_to_shared_restoration(self):
         rng = np.random.default_rng(6)
         mech = well_conditioned_mechanism(rng, 3)
         observed = pushforward(random_table(rng, (2, 2, 3)), mech)
-        family = {(x, y): mech for x in range(2) for y in range(2)}
-        a = restore_joint_differential(observed, family).restored.cells
+        a = restore_joint(observed, [[mech, mech], [mech, mech]]).restored.cells
         b = restore_joint(observed, mech).restored.cells
         np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_identity_family_is_noop(self):
         rng = np.random.default_rng(7)
         observed = random_table(rng, (2, 2, 3), axis="W")
-        family = {(x, y): ErrorMatrix.identity(3) for x in range(2) for y in range(2)}
-        result = restore_joint_differential(observed, family)
+        identity = ErrorMatrix.identity(3)
+        result = restore_joint(observed, [[identity] * 2] * 2)
         np.testing.assert_array_equal(result.restored.cells, observed.cells)
 
-    def test_matches_per_pair_solve_oracle(self):
-        # oracle: independent 2x2 linear solve per (x, y) slice
-        rng = np.random.default_rng(8)
-        truth = random_table(rng, (2, 2, 2))
+    @staticmethod
+    def two_rate_family():
+        # a differential family, its latent truth and the exact observed table
         m_a = ErrorMatrix.from_binary(BinaryErrorParams(0.1, 0.2))
         m_b = ErrorMatrix.from_binary(BinaryErrorParams(0.25, 0.05))
-        family = {(0, 0): m_a, (0, 1): m_b, (1, 0): m_b, (1, 1): m_a}
+        grid = [[m_a, m_b], [m_b, m_a]]
+        truth = random_table(np.random.default_rng(8), (2, 2, 2))
         cells = np.stack(
-            [
-                [family[(x, y)].dense() @ truth.cells[x, y, :] for y in range(2)]
-                for x in range(2)
-            ]
+            [[grid[x][y].dense() @ truth.cells[x, y, :] for y in range(2)] for x in range(2)]
         )
-        observed = JointTable(cells, "W")
-        restored = restore_joint_differential(observed, family).restored
-        for (x, y), mech in family.items():
-            expected = np.linalg.solve(mech.dense(), observed.cells[x, y, :])
-            np.testing.assert_allclose(restored.cells[x, y, :], expected, atol=1e-12)
+        return grid, truth, JointTable(cells, "W")
+
+    @staticmethod
+    def per_pair_solve(grid, observed):
+        # oracle: an independent linear solve per (x, y) slice
+        return np.stack([[np.linalg.solve(grid[x][y].dense(), observed.cells[x, y, :])
+                          for y in range(observed.card_y)] for x in range(observed.card_x)])
+
+    def test_matches_per_pair_solve_oracle(self):
+        grid, truth, observed = self.two_rate_family()
+        restored = restore_joint(observed, grid).restored
+        np.testing.assert_allclose(restored.cells, self.per_pair_solve(grid, observed),
+                                   atol=1e-12)
         np.testing.assert_allclose(restored.cells, truth.cells, atol=1e-12)
 
     def test_missing_pair_rejected(self):
         rng = np.random.default_rng(9)
         observed = random_table(rng, (2, 2, 2), axis="W")
-        with pytest.raises(ValidationError):
-            restore_joint_differential(observed, {(0, 0): ErrorMatrix.identity(2)})
+        identity = ErrorMatrix.identity(2)
+        with pytest.raises(ValidationError, match=r"grid has shape \(2,\)"):
+            restore_joint(observed, [[identity, identity], [identity]])
+
+    @pytest.mark.parametrize("grid, shape", [
+        ([[ERROR_FREE] * 2], (1, 2)),
+        ([[ERROR_FREE] * 2] * 2, (2, 2)),
+        ([[ERROR_FREE] * 2] * 3, (3, 2)),
+        ([ERROR_FREE] * 6, (6,)),
+        ({(x, y): ERROR_FREE for x in range(2) for y in range(3)}, ()),  # a mapping is no grid
+    ], ids=["1x2", "2x2", "3x2", "flat", "mapping"])
+    def test_wrong_shaped_grid_rejected(self, grid, shape):
+        observed = random_table(np.random.default_rng(12), (2, 3, 2), axis="W")
+        with pytest.raises(ValidationError, match=(
+                rf"^mechanism grid has shape {re.escape(str(shape))} but the observed table "
+                r"has \(x, y\) cards \(2, 3\)$")):
+            restore_joint(observed, grid)
+
+    def test_wrong_n_w_named_by_its_pair(self):
+        rng = np.random.default_rng(13)
+        observed = random_table(rng, (2, 2, 2), axis="W")
+        grid = [[ErrorMatrix.identity(2)] * 2 for _ in range(2)]
+        grid[0][1] = ErrorMatrix.identity(3)
+        with pytest.raises(ValidationError,
+                           match=r"^mechanism for \(x=0, y=1\) has n_w=3, expected 2$"):
+            restore_joint(observed, grid)
 
     def test_singular_reported_with_pair(self):
         rng = np.random.default_rng(10)
         observed = random_table(rng, (2, 2, 2), axis="W")
         bad = ErrorMatrix(entries=np.array([[0.5, 0.5], [0.5, 0.5]]))
-        family = {(x, y): ErrorMatrix.identity(2) for x in range(2) for y in range(2)}
-        family[(1, 0)] = bad
+        grid = [[ErrorMatrix.identity(2)] * 2 for _ in range(2)]
+        grid[1][0] = bad
         with pytest.raises(SingularError) as info:
-            restore_joint_differential(observed, family)
+            restore_joint(observed, grid)
         assert str(info.value).count("(x=1, y=0)") == 1
+
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_causal_effect_takes_the_grid(self, x):
+        grid, _, observed = self.two_rate_family()
+        expected = adjust_for_confounder(JointTable(self.per_pair_solve(grid, observed), "Z"), x)
+        np.testing.assert_allclose(causal_effect_restored(observed, grid, x), expected,
+                                   atol=1e-12)
 
 
 class TestCausalEffectRestored:
