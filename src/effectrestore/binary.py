@@ -11,8 +11,8 @@ the two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
 function of the observed fraction P(w1|x,y), exactly 0 at delta and
 infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
 negative cell.  No function here evaluates that inverse itself: every
-one restores through the kernel ``restore._inverted`` on
-``ErrorMatrix.from_binary``, the 2x2 case of ``restore_joint``, so
+one restores through the kernel ``restore._inverted`` on a 2x2
+``ErrorMatrix``, the 2x2 case of ``restore_joint``, so
 ``restore._finalize`` judges the result, sets a rounding residue at
 either end to exactly 0 and refuses a table whose rates contradict it.
 
@@ -64,13 +64,13 @@ def _require_binary(table: JointTable) -> np.ndarray:
     return table.cells
 
 
-def _restored(tables: np.ndarray, errs: Sequence[BinaryErrorParams],
+def _restored(tables: np.ndarray, mechanisms: Sequence[ErrorMatrix],
               wheres: Sequence[str] = ("",), *, clip: bool = False) -> list[JointTable]:
-    """Each (x, y, w) table ``tables[i]`` restored by the 2x2 mechanism of
-    ``errs[i]`` as ``restore_joint`` restores it, and when clipped within
-    the tolerance reported, in order and before any refusal, in a
-    RuntimeWarning whose message names ``wheres[i]``."""
-    raw, conds = _inverted(tables, [ErrorMatrix.from_binary(err) for err in errs], wheres)
+    """Each (x, y, w) table ``tables[i]`` restored by ``mechanisms[i]`` as
+    ``restore_joint`` restores it, and when clipped within the tolerance
+    reported, in order and before any refusal, in a RuntimeWarning whose
+    message names ``wheres[i]``."""
+    raw, conds = _inverted(tables, mechanisms, wheres)
     results = []
     for result, where in zip(_judged(raw, conds, clip=clip, wheres=wheres), wheres):
         if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
@@ -93,7 +93,7 @@ def restore_binary(
     RuntimeWarning, and anything larger raises IncompatibleModelError
     unless ``clip`` forces the repair.
     """
-    return _restored(_require_binary(observed)[None], [err], clip=clip)[0]
+    return _restored(_require_binary(observed)[None], [ErrorMatrix.from_binary(err)], clip=clip)[0]
 
 
 def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
@@ -108,7 +108,8 @@ def weight_split(p_w1_given_xy: float, err: BinaryErrorParams) -> float:
     p = float(p_w1_given_xy)
     if not math.isfinite(p):
         raise ValidationError(f"p_w1_given_xy must be finite, got {p!r}")
-    (table,) = _restored(np.array([[[[1.0 - p, p]]]]), [err], [f" for P(w1|x,y) = {p!r}"])
+    (table,) = _restored(np.array([[[[1.0 - p, p]]]]), [ErrorMatrix.from_binary(err)],
+                         [f" for P(w1|x,y) = {p!r}"])
     z0, z1 = table.cells[0, 0].tolist()
     return math.inf if z0 == 0.0 else z1 / z0
 
@@ -170,11 +171,11 @@ def causal_effect_binary_infinitesimal(
     return float(branch[1] + branch[0])
 
 
-def synthesize_samples(
-    samples: np.ndarray, errs: Sequence[BinaryErrorParams], seed: int
-) -> np.ndarray:
+def synthesize_samples(samples: np.ndarray, mechanism: ErrorMatrix, seed: int) -> np.ndarray:
     """Latent (x, y, z_1..z_K) records mirroring observed (x, y, w_1..w_K) ones.
 
+    The components are the K dense factors of ``mechanism``, each 2x2 (another
+    shape is refused, naming its component), as ``component_mechanism(rates)`` builds.
     Component i's split R_i(x, y, z_i) restores its empirical frequency
     table P_i(x, y, w_i) as ``restore_binary`` would, so it is clipped
     with a RuntimeWarning or refused as there, naming the component.  A
@@ -182,7 +183,7 @@ def synthesize_samples(
 
         P(z_i=1 | x, y, w_i) = M_i(w_i, 1) R_i(x, y, 1) / P_i(x, y, w_i)
 
-    with M_i the component's 2x2 mechanism.  Averaged over an (x, y) group
+    with M_i the component's factor.  Averaged over an (x, y) group
     this reproduces R_i exactly, and with eps_i = delta_i = 0 every record
     keeps z_i = w_i.  Deterministic given ``seed``: one uniform per (record,
     component), consumed in record-major order as ``rng.random((n, K))``
@@ -190,10 +191,15 @@ def synthesize_samples(
     exactly that block and are written straight into the int64 output, so
     the working memory is the output plus one block of about 2^16 values.
     """
+    if not isinstance(mechanism, ErrorMatrix):
+        raise ValidationError(f"mechanism must be an ErrorMatrix, got {type(mechanism).__name__}")
+    leaves = mechanism._leaves
+    for i, leaf in enumerate(leaves):
+        if leaf.entries.shape != (2, 2):
+            raise ValidationError(f"component {i} of the mechanism is "
+                                  f"{leaf.n_w}x{leaf.n_z}, not 2x2")
     arr = np.asarray(samples)
-    k = len(errs)
-    if k == 0:
-        raise ValidationError("need at least one proxy component")
+    k = len(leaves)
     if arr.ndim != 2 or arr.shape[1] != 2 + k:
         raise ValidationError(
             f"samples must have shape (n, {2 + k}) for {k} component(s), got {arr.shape}"
@@ -210,9 +216,9 @@ def synthesize_samples(
     ones = np.stack([np.bincount(xy, weights=w, minlength=4).reshape(2, 2) for w in out[:, 2:].T])
     observed = np.stack((sizes - ones, ones), axis=-1) / max(n, 1)
     restored = np.stack([table.cells for table in _restored(
-        observed, errs, [f" for component {i}" for i in range(k)])])
+        observed, leaves, [f" for component {i}" for i in range(k)])])
     # P_i(x, y, w_i, z_i = 1), then P(z_i = 1 | group, w_i) indexed [group, i, w_i]
-    joint = np.stack([err.matrix()[:, 1] for err in errs])[:, None, None] * restored[..., 1:]
+    joint = np.stack([leaf.entries[:, 1] for leaf in leaves])[:, None, None] * restored[..., 1:]
     post = np.divide(joint, observed, out=np.zeros_like(joint), where=observed > 0.0)
     post = post.reshape(k, 4, 2).transpose(1, 0, 2)
     components = np.arange(k)

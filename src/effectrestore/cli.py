@@ -51,7 +51,7 @@ from .io import (
     read_samples_csv,
     write_samples_csv,
 )
-from .mechanism import BinaryErrorParams, ErrorMatrix, component_mechanism
+from .mechanism import ErrorMatrix
 from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
 
 _ERROR_TAGS = (
@@ -85,22 +85,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _read_error(path: str) -> tuple[ErrorMatrix, list[BinaryErrorParams]]:
-    """``--error``: an error-matrix object, with no rates, or binary rates (an object
-    or a nonempty list) read as their ``component_mechanism``."""
-    data = load_json(path)
-    if isinstance(data, dict) and not {"eps", "delta"} & data.keys():
-        return ErrorMatrix.from_json_dict(data), []
-    items = data if isinstance(data, list) else [data]
-    rates = [BinaryErrorParams.from_json_dict(d) for d in items]
-    return component_mechanism(rates), rates
-
-
-def _one_pair(args: argparse.Namespace, rates: list[BinaryErrorParams]) -> BinaryErrorParams:
-    """The rates of a binary command's ``--error``, which must hold one pair."""
-    if len(rates) != 1:
-        raise ValidationError(f"{args.error}: {args.command} takes 1 rate pair, got {len(rates)}")
-    return rates[0]
+def _require_2x2(args: argparse.Namespace, mech: ErrorMatrix) -> None:
+    """A binary command's ``--error`` must be a 2x2 mechanism."""
+    if (mech.n_w, mech.n_z) != (2, 2):
+        raise ValidationError(f"{args.error}: {args.command} takes a 2x2 mechanism (one rates "
+                              f"pair or a 2x2 matrix), got {mech.n_w}x{mech.n_z}")
 
 
 #: most cells of a table whose x and y cards a CSV's values set: 8 MiB a float64
@@ -146,14 +135,14 @@ def _read_table(path: str, mech: ErrorMatrix, smooth: float,
 
 
 def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
-    """Also ``restore-binary``: binary x and y, one pair of rates, no --x or --strata."""
+    """Also ``restore-binary``: binary x and y, a 2x2 mechanism, no --x or --strata."""
     x, strata = getattr(args, "x", None), getattr(args, "strata", None)
     if strata is not None and x is None:
         raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
-    mech, rates = _read_error(args.error)
+    mech = ErrorMatrix.from_json_dict(load_json(args.error))
     xy_cards = (2, 2) if args.command == "restore-binary" else None
     if xy_cards:
-        _one_pair(args, rates)
+        _require_2x2(args, mech)
     observed, _ = _read_table(args.input, mech, args.smooth, xy_cards)
     result = restore.restore_joint(observed, mech, clip=args.clip)
     payload = result.to_json_dict()
@@ -171,8 +160,8 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     """``restore-discrete --x`` on the 2x2 mechanism, with a bootstrap of the
     same restoration and adjustment, run on each chunk of resampled tables
     at once."""
-    mech, rates = _read_error(args.error)
-    _one_pair(args, rates)
+    mech = ErrorMatrix.from_json_dict(load_json(args.error))
+    _require_2x2(args, mech)
     observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
     if n is None:
         raise ValidationError("effect-binary bootstraps sample rows; a .json table input has none")
@@ -200,12 +189,13 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> dict:
-    _, errs = _read_error(args.error)
+    mech = ErrorMatrix.from_json_dict(load_json(args.error))
     _, samples = read_integer_samples(args.input)
-    synth = binary.synthesize_samples(samples, errs, args.seed)
-    header = ["x", "y"] + [f"z{i + 1}" for i in range(len(errs))]
+    synth = binary.synthesize_samples(samples, mech, args.seed)
+    k = synth.shape[1] - 2
+    header = ["x", "y"] + [f"z{i + 1}" for i in range(k)]
     write_samples_csv(args.out, header, synth, integer=True)
-    return {"n": int(synth.shape[0]), "components": len(errs), "written": args.out}
+    return {"n": int(synth.shape[0]), "components": k, "written": args.out}
 
 
 def _cmd_effect_linear(args: argparse.Namespace) -> dict:
@@ -299,6 +289,10 @@ def _cmd_simulate_linear(args: argparse.Namespace) -> dict:
     return payload
 
 
+#: commands whose --out is the CSV they produce; their result JSON goes to stdout
+_CSV_OUT = {"synthesize", "simulate-discrete", "simulate-linear"}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="effectrestore", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
@@ -306,11 +300,11 @@ def build_parser() -> _Parser:
     def add(name: str, func, help_text: str, **flags) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--in", dest="input", required=flags.get("needs_in", True),
+        p.add_argument("--in", dest="input", required=True,
                        help="input CSV samples or JSON document")
         if flags.get("error"):
             p.add_argument("--error", required=True, help="error-mechanism or error-rates JSON")
-        if flags.get("out_csv"):
+        if name in _CSV_OUT:
             p.add_argument("--out", required=True, help="output CSV path")
         else:
             p.add_argument("--out", default=None, help="result JSON path (default: stdout)")
@@ -351,7 +345,7 @@ def build_parser() -> _Parser:
 
     add("synthesize", _cmd_synthesize,
         "draw latent (x, y, z) records mirroring observed (x, y, w) ones",
-        error=True, out_csv=True, seed=True)
+        error=True, seed=True)
 
     p = add("effect-linear", _cmd_effect_linear,
             "proxy-corrected treatment coefficient from linear samples",
@@ -379,7 +373,7 @@ def build_parser() -> _Parser:
         ("simulate-linear", _cmd_simulate_linear,
          "draw samples from a linear ground-truth model"),
     ):
-        p = add(name, func, help_text, out_csv=True, seed=True, n=True)
+        p = add(name, func, help_text, seed=True, n=True)
         p.add_argument("--truth", default=None, help="also write the ground truth JSON here")
 
     return parser
@@ -393,10 +387,6 @@ def _config_echo(args: argparse.Namespace) -> dict:
 def _warned(caught: list[warnings.WarningMessage]) -> dict:
     """The ``warnings`` entry of a result document: absent when none was raised."""
     return {"warnings": [str(w.message) for w in caught]} if caught else {}
-
-
-#: commands whose --out is the CSV they produce; their result JSON goes to stdout
-_CSV_OUT = {"synthesize", "simulate-discrete", "simulate-linear"}
 
 
 def main(argv: list[str] | None = None) -> int:

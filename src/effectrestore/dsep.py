@@ -35,6 +35,7 @@ from .linear import (
     MIN_ROWS,
     CovStats,
     _check_den,
+    _require_v,
     bootstrap_se,
     cov_from_samples,
 )
@@ -114,8 +115,7 @@ def tetrad_residual(s: CovStats) -> float:
     two-indicator estimate of lam; a vanishing-determinant constraint
     among four covariances.
     """
-    if not s.has_v:
-        raise ValidationError("tetrad_residual requires the second-indicator moments (V fields)")
+    _require_v(s, "tetrad_residual")
     _check_den(s.cov_wv, math.sqrt(max(s.var_w * s.var_v, 0.0)), "cov(WV)")
     return s.cov_xy - s.cov_yw * s.cov_xv / s.cov_wv
 
@@ -140,6 +140,8 @@ def two_stage_test(
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] < 3:
         raise ValidationError(f"rows must have shape (n, >=3), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("rows must be finite")
     n = arr.shape[0]
     if n < MIN_ROWS:
         raise ValidationError(f"need at least {MIN_ROWS} rows, got {n}")

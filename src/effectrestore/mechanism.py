@@ -186,10 +186,6 @@ class _LU:
         info = _lapack().getrf(_COL_MAJOR, n, n, lu, n, piv)
         return None if info > 0 else cls(lu, piv)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 rhs for an (n, k) ``rhs``, in a new array."""
-        return self.solve_in_place(np.array(rhs, dtype=np.float64, order="F"))
-
     def solve_in_place(self, out: np.ndarray) -> np.ndarray:
         """Overwrite the Fortran-ordered (n, k) ``out`` with M^-1 out; returns it."""
         n = self.shape[0]
@@ -483,7 +479,16 @@ class ErrorMatrix:
         return out
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ErrorMatrix":
+    def from_json_dict(cls, data: object) -> "ErrorMatrix":
+        """The one reader of a mechanism document: an error-matrix object, or binary
+        rates (an ``eps``/``delta`` object or a nonempty list) as their ``component_mechanism``."""
+        if isinstance(data, dict) and not {"eps", "delta"} & data.keys():
+            return cls._from_matrix_json(data)
+        items = data if isinstance(data, list) else [data]
+        return component_mechanism([BinaryErrorParams.from_json_dict(d) for d in items])
+
+    @classmethod
+    def _from_matrix_json(cls, data: object) -> "ErrorMatrix":
         """``n_w`` and ``n_z`` shape dense ``entries``; beside ``factors`` they are optional."""
         with _json_object("error-matrix", data, ("n_w", "n_z", "entries", "factors")):
             sides = {name: data[name] for name in ("n_w", "n_z") if name in data}
@@ -495,7 +500,7 @@ class ErrorMatrix:
             if data.get("factors"):
                 if not isinstance(data["factors"], list):
                     raise TypeError("factors must be a list of error-matrix objects")
-                factors = tuple(cls.from_json_dict(f) for f in data["factors"])
+                factors = tuple(cls._from_matrix_json(f) for f in data["factors"])
             if data.get("entries") is not None:
                 entries = _json_array(data["entries"], "entries")
                 if entries.ndim != 1:  # nested one list per z, reshape would read M^T

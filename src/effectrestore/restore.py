@@ -280,6 +280,9 @@ def restore_joint(
                                   f"table has (x, y) cards {cells.shape[:2]}")
         wheres = [f" for (x={x}, y={y})" for x, y in np.ndindex(grid.shape)]
         for mech, where in zip(grid.flat, wheres):
+            if not isinstance(mech, ErrorMatrix):
+                raise ValidationError(
+                    f"mechanism{where} must be an ErrorMatrix, got {type(mech).__name__}")
             if mech.n_w != observed.card_v:
                 raise ValidationError(
                     f"mechanism{where} has n_w={mech.n_w}, expected {observed.card_v}"

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import ValidationError
 from .io import _json_array, _json_object
 from .linear import CovStats, LinearSemSpec
-from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic, component_mechanism
+from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic
 from .restore import pushforward
 from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable, _adopt, adjust_for_confounder
@@ -115,8 +115,8 @@ class DiscreteModelSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteModelSpec":
-        """``error`` holds a ``matrix`` or a ``components`` list of binary
-        rates, read as their ``component_mechanism``."""
+        """``error`` holds a ``matrix`` or ``components``, either one a
+        mechanism document read by ``ErrorMatrix.from_json_dict``."""
         with _json_object("discrete-model", data, ("p_z", "p_x_given_z", "p_y_given_xz", "error")):
             p_z = _json_array(data["p_z"], "p_z")
             p_xz = _json_array(data["p_x_given_z"], "p_x_given_z").T
@@ -126,17 +126,8 @@ class DiscreteModelSpec:
                 raise TypeError(f"error must be an object, got {type(err).__name__}")
             if list(err) not in (["matrix"], ["components"]):
                 raise ValueError(f"error must hold 'matrix' or 'components' alone, got {list(err)}")
-            if "matrix" in err:
-                error = ErrorMatrix.from_json_dict(err["matrix"])
-            else:
-                components = err["components"]
-                if not isinstance(components, list):
-                    raise TypeError(
-                        f"error components must be a list, got {type(components).__name__}"
-                    )
-                error = component_mechanism(
-                    [BinaryErrorParams.from_json_dict(e) for e in components])
-            return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz, error=error)
+            return cls(p_z=p_z, p_x_given_z=p_xz, p_y_given_xz=p_yxz,
+                       error=ErrorMatrix.from_json_dict(*err.values()))
 
 
 def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:

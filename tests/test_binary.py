@@ -26,6 +26,7 @@ from effectrestore import (
     bootstrap_table_values,
     causal_effect_binary,
     causal_effect_binary_infinitesimal,
+    component_mechanism,
     restore_binary,
     restore_joint,
     synthesize_samples,
@@ -435,7 +436,8 @@ class TestSynthesizeSamples:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 try:
-                    result = fn(samples, errs, seed=case)
+                    result = (fn(samples, errs, seed=case) if fn is loop_synthesize_samples
+                              else fn(samples, component_mechanism(errs), seed=case))
                 except IncompatibleModelError as exc:
                     result = re.search(r"component \d+", str(exc)).group()
             outcomes.append((result, [str(w.message).split(";")[0] for w in caught]))
@@ -450,17 +452,17 @@ class TestSynthesizeSamples:
         rng = np.random.default_rng(10)
         samples = rng.integers(0, 2, size=(500, 4))
         errs = [BinaryErrorParams(0.0, 0.0), BinaryErrorParams(0.0, 0.0)]
-        out = synthesize_samples(samples, errs, seed=7)
+        out = synthesize_samples(samples, component_mechanism(errs), seed=7)
         np.testing.assert_array_equal(out, samples)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(11)
         samples = rng.integers(0, 2, size=(300, 3))
         errs = [BinaryErrorParams(0.2, 0.1)]
-        a = synthesize_samples(samples, errs, seed=42)
-        b = synthesize_samples(samples, errs, seed=42)
+        a = synthesize_samples(samples, component_mechanism(errs), seed=42)
+        b = synthesize_samples(samples, component_mechanism(errs), seed=42)
         np.testing.assert_array_equal(a, b)
-        c = synthesize_samples(samples, errs, seed=43)
+        c = synthesize_samples(samples, component_mechanism(errs), seed=43)
         assert (a != c).any()
 
     def test_synthetic_distribution_matches_restoration(self):
@@ -473,7 +475,7 @@ class TestSynthesizeSamples:
         samples, _ = simulate_discrete(spec, 200_000, seed=12)
         observed = empirical_joint(samples, (2, 2, 2), "W")
         restored = restore_binary(observed, err, clip=True)
-        synth = synthesize_samples(samples, [err], seed=13)
+        synth = synthesize_samples(samples, component_mechanism([err]), seed=13)
         synthetic = empirical_joint(synth, (2, 2, 2), "Z")
         n = samples.shape[0]
         for x in (0, 1):
@@ -493,14 +495,15 @@ class TestSynthesizeSamples:
         # group (0,0) has P(w=1) = 1 > 1 - eps
         with pytest.raises(IncompatibleModelError, match="component 0"), \
                 pytest.warns(RuntimeWarning, match="no samples in group") as caught:
-            synthesize_samples(samples, [err], seed=0)
+            synthesize_samples(samples, component_mechanism([err]), seed=0)
         assert [str(w.message).split(";")[0] for w in caught] == [
             "no samples in group (x=0, y=1)", "no samples in group (x=1, y=0)"]
 
     def test_empty_group_warns(self):
         samples = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 1]])  # no (1, 1) group
         with pytest.warns(RuntimeWarning, match=r"x=1, y=1"):
-            synthesize_samples(samples, [BinaryErrorParams(0.0, 0.0)], seed=0)
+            synthesize_samples(samples, component_mechanism([BinaryErrorParams(0.0, 0.0)]),
+                               seed=0)
 
     def test_memory_stays_near_the_output(self):
         # uniforms are drawn in row blocks straight into the output's w columns
@@ -508,17 +511,35 @@ class TestSynthesizeSamples:
         k, n = 12, 100_000
         samples = rng.integers(0, 2, size=(n, 2 + k))
         errs = [BinaryErrorParams(*rng.uniform(0.05, 0.15, 2)) for _ in range(k)]
-        synthesize_samples(samples[:1000], errs, seed=1)  # warm up lazy allocations
-        out, peak = traced_peak(lambda: synthesize_samples(samples, errs, seed=16))
+        mech = component_mechanism(errs)
+        synthesize_samples(samples[:1000], mech, seed=1)  # warm up lazy allocations
+        out, peak = traced_peak(lambda: synthesize_samples(samples, mech, seed=16))
         assert out.dtype == np.int64
         assert peak < 1.5 * out.nbytes
 
+    def test_the_components_are_the_mechanisms_2x2_factors(self):
+        # any mechanism whose dense factors are 2x2 synthesizes as its rates
+        # would; a factor of another shape is refused, naming its component
+        rng = np.random.default_rng(17)
+        samples = rng.integers(0, 2, size=(2000, 4))
+        errs = [BinaryErrorParams(0.1, 0.05), BinaryErrorParams(0.2, 0.1)]
+        dense = ErrorMatrix(factors=tuple(ErrorMatrix(entries=e.matrix()) for e in errs))
+        np.testing.assert_array_equal(synthesize_samples(samples, dense, seed=3),
+                                      synthesize_samples(samples, component_mechanism(errs),
+                                                         seed=3))
+        wide = ErrorMatrix(factors=(ErrorMatrix.from_binary(errs[0]), ErrorMatrix.identity(3)))
+        with pytest.raises(ValidationError, match=r"^component 1 of the mechanism is 3x3, "
+                                                  r"not 2x2$"):
+            synthesize_samples(samples, wide, seed=3)
+        with pytest.raises(ValidationError, match="must be an ErrorMatrix, got list"):
+            synthesize_samples(samples, errs, seed=3)
+
     def test_shape_and_values_validated(self):
-        errs = [BinaryErrorParams(0.1, 0.1)]
+        mech = component_mechanism([BinaryErrorParams(0.1, 0.1)])
         with pytest.raises(ValidationError):
-            synthesize_samples(np.array([[0, 0]]), errs, seed=0)
+            synthesize_samples(np.array([[0, 0]]), mech, seed=0)
         with pytest.raises(ValidationError):
-            synthesize_samples(np.array([[0, 0, 2]]), errs, seed=0)
+            synthesize_samples(np.array([[0, 0, 2]]), mech, seed=0)
 
 
 def exceeds_the_floor(mech, cells):
@@ -683,9 +704,9 @@ class TestOneCompatibilityRule:
             warnings.simplefilter("always")
             if not accepted:
                 with pytest.raises(IncompatibleModelError, match="for component 0"):
-                    synthesize_samples(samples, [err], seed=0)
+                    synthesize_samples(samples, component_mechanism([err]), seed=0)
                 return
-            out = synthesize_samples(samples, [err], seed=0)
+            out = synthesize_samples(samples, component_mechanism([err]), seed=0)
         clipped = [str(w.message) for w in caught if "clipped" in str(w.message)]
         assert clipped == [
             "clipped the restored table for component 0; its negative mass 7.143e-07 "

@@ -98,7 +98,8 @@ class TestRestoreBinaryCommand:
         ), seed=3)
         err_path = tmp_path / "err.json"
         dump_json({"eps": 0.4, "delta": 0.4}, err_path)
-        # two pairs of rates for a binary proxy: refused, not read as the first pair
+        # two pairs of rates, a 4x4 mechanism, for a binary proxy: refused, not read
+        # as the first pair
         pairs_path = tmp_path / "pairs.json"
         dump_json([{"eps": 0.1, "delta": 0.15}] * 2, pairs_path)
         for command in ("restore-binary", "effect-binary"):
@@ -112,7 +113,7 @@ class TestRestoreBinaryCommand:
                                                str(pairs_path), "--out", str(out_path)])
             assert (code, out, leaked) == (1, "", [])
             assert err == (f"effectrestore {command}: error: {pairs_path}: {command} takes "
-                           "1 rate pair, got 2\n")
+                           "a 2x2 mechanism (one rates pair or a 2x2 matrix), got 4x4\n")
             assert not out_path.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--smooth"], ["--clip"]])
@@ -896,17 +897,19 @@ class TestUsageErrors:
         samples_path = tmp_path / "s.csv"
         write_samples_csv(samples_path, ["x", "y", "w"], np.zeros((20, 3), dtype=int),
                           integer=True)
+        # a 4x4 mechanism is no binary proxy's
         matrix_path, rates_path = tmp_path / "m.json", tmp_path / "e.json"
-        dump_json(ErrorMatrix.identity(2).to_json_dict(), matrix_path)
+        dump_json(ErrorMatrix.identity(4).to_json_dict(), matrix_path)
         dump_json({"eps": 0.1, "delta": 0.1}, rates_path)
         table_path = tmp_path / "t.json"
         dump_json(JointTable(np.full((2, 2, 2), 1 / 8), "W").to_json_dict(), table_path)
         for argv, fault in (
             (["synthesize", "--in", str(samples_path), "--error", str(matrix_path),
               "--out", str(tmp_path / "z.csv")],
-             "need at least one proxy component"),
+             "component 0 of the mechanism is 4x4, not 2x2"),
             (["effect-binary", "--in", str(samples_path), "--error", str(matrix_path)],
-             f"{matrix_path}: effect-binary takes 1 rate pair, got 0"),
+             f"{matrix_path}: effect-binary takes a 2x2 mechanism (one rates pair or a 2x2 "
+             "matrix), got 4x4"),
             (["effect-binary", "--in", str(table_path), "--error", str(rates_path)],
              "effect-binary bootstraps sample rows; a .json table input has none"),
         ):
@@ -921,6 +924,45 @@ class TestUsageErrors:
         assert main(["restore-binary", "--in", str(samples_path), "--error", str(err_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "restore-binary"
+
+
+class TestOneMechanismGrammar:
+    """Every ``--error`` is read by ``ErrorMatrix.from_json_dict``: binary
+    rates are only the parameters of their mechanism, so a rates document
+    and the matrix document of the same mechanism give the same output."""
+
+    @pytest.mark.parametrize("argv", [["restore-binary"], ["effect-binary"],
+                                      ["restore-discrete", "--x", "1"]])
+    def test_rates_and_their_2x2_matrix_write_the_same_bytes(self, tmp_path, argv,
+                                                             strong_confounding_spec):
+        samples_path, _ = write_binary_samples(tmp_path, strong_confounding_spec, n=5000)
+        err = BinaryErrorParams(0.2, 0.1)
+        error_path = tmp_path / "error.json"  # one path, so the config echoes match
+        runs = []
+        for doc in (err.to_json_dict(), ErrorMatrix.from_binary(err).to_json_dict()):
+            dump_json(doc, error_path)
+            runs.append(run_main([*argv, "--in", str(samples_path), "--error", str(error_path)]))
+        assert runs[0][0] == 0 and runs[0][2:] == ("", [])
+        assert runs[1] == runs[0]
+
+    def test_synthesize_reads_rates_and_their_factors_alike(self, tmp_path):
+        model_path, rates_path = write_components_model(tmp_path, 3, 11)
+        samples_path = tmp_path / "samples.csv"
+        assert main(["simulate-discrete", "--in", str(model_path), "--out", str(samples_path),
+                     "--n", "4000", "--seed", "11"]) == 0
+        rates = [BinaryErrorParams(**r) for r in load_json(rates_path)]
+        factors = {"factors": [ErrorMatrix.from_binary(r).to_json_dict() for r in rates]}
+        error_path, runs = tmp_path / "error.json", []
+        for doc in (load_json(rates_path), factors):
+            dump_json(doc, error_path)
+            out_path = tmp_path / f"synth{len(runs)}.csv"
+            code, out, err, leaked = run_main(["synthesize", "--in", str(samples_path), "--error",
+                                               str(error_path), "--out", str(out_path),
+                                               "--seed", "4"])
+            assert (code, err, leaked) == (0, "", [])
+            runs.append((out.replace(out_path.name, "synth.csv"), out_path.read_bytes()))
+        assert runs[1] == runs[0]
+        assert read_samples_csv(tmp_path / "synth0.csv")[0] == ["x", "y", "z1", "z2", "z3"]
 
 
 @st.composite

@@ -214,6 +214,15 @@ class TestTwoStage:
         with pytest.raises(ValidationError):
             two_stage_test(rows, 1.0, level=1.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_refused(self, bad):
+        # refused before any moment is formed, as theorem1 and tetrad refuse
+        # them through CovStats: a NaN statistic must not read as p = 0
+        rows = np.random.default_rng(18).normal(size=(50, 3))
+        rows[7, 2] = bad
+        with pytest.raises(ValidationError, match="^rows must be finite$"):
+            two_stage_test(rows, 1.0)
+
 
 class TestResultContracts:
     def test_decision_consistency_enforced(self):

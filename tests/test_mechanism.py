@@ -60,7 +60,8 @@ class TestErrorMatrix:
         assert str(info.value) == message
 
     @pytest.mark.parametrize("doc, message", [
-        ([1.0], "expected an object, got list"),
+        # a factor must be an error-matrix object (a top-level list is read as rates)
+        ({"factors": [[1.0]]}, "expected an object, got list"),
         ({"n_z": 1, "entries": [1.0]}, "missing field 'n_w'"),
         ({"n_w": 1, "entries": [1.0]}, "missing field 'n_z'"),
         ({"n_w": 2, "n_z": 2, "entries": ["0.9", "0.1", "0.1", "0.9"]},
@@ -79,6 +80,28 @@ class TestErrorMatrix:
         with pytest.raises(ValidationError) as info:
             ErrorMatrix.from_json_dict(doc)
         assert str(info.value) == f"malformed error-matrix JSON: {message}"
+
+    def test_rates_are_read_as_their_component_mechanism(self):
+        # one reader for every mechanism document: a rates object or a list of
+        # them is the factored mechanism of its pairs, bit for bit
+        rates = [BinaryErrorParams(0.2, 0.1), BinaryErrorParams(0.05, 0.3)]
+        for doc, errs in (([r.to_json_dict() for r in rates], rates),
+                          (rates[0].to_json_dict(), rates[:1])):
+            mech = ErrorMatrix.from_json_dict(doc)
+            assert [f.entries.tobytes() for f in mech._leaves] == [
+                f.entries.tobytes() for f in component_mechanism(errs)._leaves]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1.0], "malformed binary error params JSON: expected an object, got float"),
+        ("abc", "malformed binary error params JSON: expected an object, got str"),
+        ({"eps": 0.1, "delta": 0.2, "n_w": 2}, "malformed binary error params JSON: "
+                                               "unknown field 'n_w'"),
+        ([], "need at least one component"),
+    ])
+    def test_whatever_is_not_a_matrix_object_is_read_as_rates(self, doc, message):
+        with pytest.raises(ValidationError) as info:
+            ErrorMatrix.from_json_dict(doc)
+        assert str(info.value) == message
 
     def test_identity(self):
         m = ErrorMatrix.identity(3)
@@ -346,7 +369,8 @@ class TestInPlaceContraction:
             (lu,) = mech._inverse_blocks
             restored, peak = traced_peak(lambda: mech.apply_inverse(cells))
         # bit for bit the single solve of cells^T
-        assert np.array_equal(restored, lu.solve(cells.reshape(-1, 64).T).T.reshape(cells.shape))
+        rhs = np.array(cells.reshape(-1, 64).T, order="F")  # a copy, solved in place
+        assert np.array_equal(restored, lu.solve_in_place(rhs).T.reshape(cells.shape))
         # the work table is the right-hand side: no second table
         assert peak < 1.1 * cells.nbytes
 
@@ -472,8 +496,9 @@ class TestLUFactors:
         lu = mechanism._LU.factor(np.eye(3))
         for bad in (np.ones((2, 1)), np.ones(3), np.ones((4, 3))):
             with pytest.raises(ValueError, match="shape"):
-                lu.solve(bad)
-        np.testing.assert_array_equal(lu.solve(np.ones((3, 2))), np.ones((3, 2)))
+                lu.solve_in_place(np.array(bad, order="F"))
+        np.testing.assert_array_equal(lu.solve_in_place(np.ones((3, 2), order="F")),
+                                      np.ones((3, 2)))
 
     def test_numpys_bundled_openblas_exposes_the_kernels(self):
         # a wheel that dropped one of the symbols would silently invert instead

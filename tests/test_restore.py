@@ -707,6 +707,21 @@ class TestRestoreJointDifferential:
                            match=r"^mechanism for \(x=0, y=1\) has n_w=3, expected 2$"):
             restore_joint(observed, grid)
 
+    def test_entries_that_are_not_mechanisms_named_by_their_pair(self):
+        # a grid-shaped array or nested list of numbers is refused, not read
+        # until an attribute lookup fails
+        observed = random_table(np.random.default_rng(14), (2, 2, 2), axis="W")
+        mixed = [[ErrorMatrix.identity(2)] * 2 for _ in range(2)]
+        mixed[1][0] = BinaryErrorParams(0.1, 0.2)
+        for grid, where, kind in ((np.full((2, 2), 0.5), "x=0, y=0", "float"),
+                                  ([[0.9, 0.1], [0.1, 0.9]], "x=0, y=0", "float"),
+                                  (mixed, "x=1, y=0", "BinaryErrorParams")):
+            message = rf"^mechanism for \({where}\) must be an ErrorMatrix, got {kind}$"
+            with pytest.raises(ValidationError, match=message):
+                restore_joint(observed, grid)
+            with pytest.raises(ValidationError, match=message):
+                causal_effect_restored(observed, grid, 1)
+
     def test_singular_reported_with_pair(self):
         rng = np.random.default_rng(10)
         observed = random_table(rng, (2, 2, 2), axis="W")

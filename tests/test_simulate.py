@@ -131,6 +131,19 @@ class TestDiscreteModelSpec:
         back = DiscreteModelSpec.from_json_dict(dense.to_json_dict())
         np.testing.assert_allclose(back.error.dense(), dense.error.dense())
 
+    @pytest.mark.parametrize("error, message", [
+        ({"components": "abc"}, "malformed binary error params JSON: expected an object, got str"),
+        ({"components": []}, "need at least one component"),
+        ({"matrix": {}, "components": []},
+         "malformed discrete-model JSON: error must hold 'matrix' or 'components' alone, "
+         "got ['matrix', 'components']"),
+    ])
+    def test_error_fields_are_read_as_mechanism_documents(self, error, message):
+        # one reader, ErrorMatrix.from_json_dict, and its messages, for either field
+        with pytest.raises(ValidationError) as info:
+            DiscreteModelSpec.from_json_dict({**example_spec().to_json_dict(), "error": error})
+        assert str(info.value) == message
+
 
 class TestSimulateDiscrete:
     def test_zero_samples_still_returns_truth(self):
@@ -205,7 +218,8 @@ class TestSimulateDiscrete:
     @given(binary_rate_lists(), st.integers(0, 20_000), st.integers(0, 2**32 - 1))
     def test_matrix_model_draws_what_its_components_draw(self, errs, n, seed):
         # a components document and a matrix document of the same factors,
-        # nested or not, load as one mechanism and draw the same samples
+        # nested or not, load as one mechanism and draw the same samples: either
+        # field takes any mechanism document, so the rates may sit under matrix
         base = component_spec(np.random.default_rng(seed), len(errs)).to_json_dict()
         factors = [ErrorMatrix.from_binary(e) for e in errs]
         nested = ErrorMatrix(factors=(ErrorMatrix(factors=tuple(factors[:1])), *factors[1:]))
@@ -214,7 +228,9 @@ class TestSimulateDiscrete:
                               seed=seed)[0]
             for error in ({"components": [e.to_json_dict() for e in errs]},
                           {"matrix": ErrorMatrix(factors=tuple(factors)).to_json_dict()},
-                          {"matrix": nested.to_json_dict()})
+                          {"matrix": nested.to_json_dict()},
+                          {"matrix": [e.to_json_dict() for e in errs]},
+                          {"components": nested.to_json_dict()})
         ]
         assert draws[0].shape == (n, 2 + len(errs))
         for other in draws[1:]:
