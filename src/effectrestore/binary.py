@@ -11,10 +11,10 @@ the two latent cells; the split ratio P(z1|x,y)/P(z0|x,y) is a monotone
 function of the observed fraction P(w1|x,y), exactly 0 at delta and
 infinite at 1 - eps.  A fraction outside [delta, 1-eps] restores to a
 negative cell.  No function here evaluates that inverse itself: every
-one restores through the kernel ``restore._inverted`` on a 2x2
-``ErrorMatrix``, the 2x2 case of ``restore_joint``, so
-``restore._finalize`` judges the result, sets a rounding residue at
-either end to exactly 0 and refuses a table whose rates contradict it.
+one restores through ``restore._restored`` on a 2x2 ``ErrorMatrix``,
+the 2x2 case of ``restore_joint``, so ``restore._finalize`` judges the
+result, sets a rounding residue at either end to exactly 0 and refuses
+a table whose rates contradict it, and restore.py reports a clip.
 
 ``causal_effect_binary`` is that restoration followed by confounder
 adjustment, the 2x2 case of ``restore.causal_effect_restored``.  The
@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
-from .restore import TOL_INCOMPATIBLE, TOL_VANISHING, _inverted, _judged, restore_joint
+from .restore import TOL_VANISHING, _restored, restore_joint
 from .rng import _uniform_row_blocks, make_rng
 from .tables import JointTable, adjust_for_confounder
 
@@ -62,23 +61,6 @@ def _require_binary(table: JointTable) -> np.ndarray:
             f"binary operations need a 2x2x2 table, got {table.cells.shape}"
         )
     return table.cells
-
-
-def _restored(tables: np.ndarray, mechanisms: Sequence[ErrorMatrix],
-              wheres: Sequence[str] = ("",), *, clip: bool = False) -> list[JointTable]:
-    """Each (x, y, w) table ``tables[i]`` restored by ``mechanisms[i]`` as
-    ``restore_joint`` restores it, and when clipped within the tolerance
-    reported, in order and before any refusal, in a RuntimeWarning whose
-    message names ``wheres[i]``."""
-    raw, conds = _inverted(tables, mechanisms, wheres)
-    results = []
-    for result, where in zip(_judged(raw, conds, clip=clip, wheres=wheres), wheres):
-        if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
-            warnings.warn(f"clipped the restored table{where}; its negative mass "
-                          f"{result.negative_mass:.3e} is within the tolerance "
-                          f"{TOL_INCOMPATIBLE:.1e}", RuntimeWarning, stacklevel=3)
-        results.append(result.restored)
-    return results
 
 
 def restore_binary(

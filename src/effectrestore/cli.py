@@ -200,35 +200,27 @@ def _cmd_synthesize(args: argparse.Namespace) -> dict:
 
 def _cmd_effect_linear(args: argparse.Namespace) -> dict:
     _, rows = read_samples_csv(args.input)
-    chosen = [
-        name
-        for name, val in (
-            ("--lambda", args.lam),
-            ("--var-ew", args.var_ew),
-            ("--two-indicator", args.two_indicator or None),
-        )
-        if val is not None
-    ]
+    # per source of lambda: its flag's value, its name, and lambda from moments
+    sources = {
+        "--lambda": (args.lam, "external", lambda s: args.lam),
+        "--var-ew": (args.var_ew, "error_variance",
+                     lambda s: linear.lambda_from_error_variance(s.var_w, args.var_ew)),
+        "--two-indicator": (args.two_indicator or None, "two_indicator",
+                            linear.lambda_from_two_indicators),
+    }
+    chosen = [flag for flag, (value, _, _) in sources.items() if value is not None]
     if len(chosen) != 1:
-        raise ValidationError(
-            "exactly one of --lambda, --var-ew, --two-indicator must be given"
-        )
+        raise ValidationError(f"exactly one of {', '.join(sources)} must be given")
+    _, source, lam_of = sources[chosen[0]]
     stats = linear.cov_from_samples(rows)
+    lam = lam_of(stats)
     if args.two_indicator:
         statistic = linear.c0_two_indicator
-        lam = linear.lambda_from_two_indicators(stats)
-        source = "two_indicator"
-    elif args.var_ew is not None:
-        def statistic(s: linear.CovStats) -> float:
-            return linear.c0_from_lambda(s, linear.lambda_from_error_variance(s.var_w, args.var_ew))
-        lam = linear.lambda_from_error_variance(stats.var_w, args.var_ew)
-        source = "error_variance"
+        c0 = statistic(stats)
     else:
         def statistic(s: linear.CovStats) -> float:
-            return linear.c0_from_lambda(s, args.lam)
-        lam = args.lam
-        source = "external"
-    c0 = statistic(stats)
+            return linear.c0_from_lambda(s, lam_of(s))
+        c0 = linear.c0_from_lambda(stats, lam)
     boots = linear.bootstrap_values(rows, statistic, n_boot=args.boot, seed=args.seed)
     se = float(np.std(boots, ddof=1))
     return {

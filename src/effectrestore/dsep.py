@@ -36,6 +36,7 @@ from .linear import (
     CovStats,
     _check_den,
     _require_v,
+    _rows,
     bootstrap_se,
     cov_from_samples,
 )
@@ -135,16 +136,11 @@ def two_stage_test(
     from the same rows, the regressor carries first-stage noise of the
     same order as the regression noise, and the influence of the fitted
     coefficient picks up an extra -cov(YW)/alpha * (x w) term.  Ignoring
-    it understates the variance and over-rejects under the null.
+    it understates the variance and over-rejects under the null.  ``rows``
+    is a sample of at least ``MIN_ROWS`` rows, as ``linear`` reads them.
     """
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] < 3:
-        raise ValidationError(f"rows must have shape (n, >=3), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValidationError("rows must be finite")
+    arr = _rows(rows, MIN_ROWS, "for the two-stage test")
     n = arr.shape[0]
-    if n < MIN_ROWS:
-        raise ValidationError(f"need at least {MIN_ROWS} rows, got {n}")
     if not math.isfinite(alpha_param) or alpha_param <= 0.0:
         raise ValidationError(f"alpha_param must be positive, got {alpha_param!r}")
     x, y, w = arr[:, 0], arr[:, 1], arr[:, 2]

@@ -25,6 +25,9 @@ adjustment unbiased, which is why the lam-corrected form is needed.
 All estimators accept either population moments (path-traced, n = 0) or
 sample moments; standard errors for sample inputs come from a seeded
 nonparametric bootstrap, since no closed-form variances are assumed.
+One gate reads every sample before any arithmetic on it: float columns
+(x, y, w[, v]), every value finite.  Its moments become ``CovStats`` in
+one layout, for the point estimate and every bootstrap resample alike.
 """
 
 from __future__ import annotations
@@ -321,38 +324,41 @@ def surrogate_slope(s: CovStats, lam: float) -> float:
     return lam / s.var_w
 
 
-def cov_from_samples(rows: np.ndarray) -> CovStats:
-    """Unbiased sample moments (divisor n-1) for columns (x, y, w[, v])."""
+def _rows(rows: np.ndarray, least: int, purpose: str) -> np.ndarray:
+    """The one sample gate: ``rows`` as a float array of columns (x, y, w[, v]),
+    refused unless it has at least ``least`` rows and every value is finite."""
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] not in (3, 4):
         raise ValidationError(f"rows must have shape (n, 3) or (n, 4), got {arr.shape}")
-    n = arr.shape[0]
-    if n < 2:
-        raise ValidationError(f"need at least 2 rows to estimate covariances, got {n}")
+    if arr.shape[0] < least:
+        raise ValidationError(f"need at least {least} rows {purpose}, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ValidationError("rows must be finite")
+    return arr
+
+
+#: entry m of a width-k sample's moment vector is the (co)variance of columns
+#: i[m] and j[m], (i, j) = np.triu_indices(k); each entry's field, by the length
+_FIELDS = {len(i): [f"var_{'xywv'[a]}" if a == b else f"cov_{'xywv'[a]}{'xywv'[b]}"
+                    for a, b in zip(i, j)] for i, j in map(np.triu_indices, (3, 4))}
+
+
+def _cov_stats(moments: list[float], n: int) -> CovStats:
+    """The CovStats of ``n`` rows from their moment vector (see ``_FIELDS``)."""
+    return CovStats(**dict(zip(_FIELDS[len(moments)], moments)), n=n)
+
+
+def cov_from_samples(rows: np.ndarray) -> CovStats:
+    """Unbiased sample moments (divisor n-1) for columns (x, y, w[, v]) of
+    at least 2 rows, every value finite."""
+    arr = _rows(rows, 2, "to estimate covariances")
     cov = np.cov(arr.T, ddof=1)
     if np.any(np.diag(cov) == 0.0):
         which = [("x", "y", "w", "v")[i] for i in np.nonzero(np.diag(cov) == 0.0)[0]]
         warnings.warn(
             f"column(s) {which} are constant: zero variance", RuntimeWarning, stacklevel=2
         )
-    kwargs: dict = {}
-    if arr.shape[1] == 4:
-        kwargs = {
-            "var_v": float(cov[3, 3]),
-            "cov_xv": float(cov[0, 3]),
-            "cov_yv": float(cov[1, 3]),
-            "cov_wv": float(cov[2, 3]),
-        }
-    return CovStats(
-        var_x=float(cov[0, 0]),
-        var_y=float(cov[1, 1]),
-        var_w=float(cov[2, 2]),
-        cov_xy=float(cov[0, 1]),
-        cov_xw=float(cov[0, 2]),
-        cov_yw=float(cov[1, 2]),
-        n=n,
-        **kwargs,
-    )
+    return _cov_stats(cov[np.triu_indices(arr.shape[1])].tolist(), arr.shape[0])
 
 
 def bootstrap_values(
@@ -386,19 +392,14 @@ def bootstrap_values(
     EffectRestoreError but ValidationError) is counted as undefined and
     skipped; the values of the others are returned in resample order.
 
-    Raises ValidationError below ``MIN_ROWS`` rows or for n_boot < 2, and
-    UnidentifiableError when the statistic is undefined on more than half
-    of the resamples or fewer than two remain.
+    Raises ValidationError below ``MIN_ROWS`` rows, for a non-finite value
+    or for n_boot < 2, and UnidentifiableError when the statistic is
+    undefined on more than half of the resamples or fewer than two remain.
     """
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] not in (3, 4):
-        raise ValidationError(f"rows must have shape (n, 3) or (n, 4), got {arr.shape}")
+    arr = _rows(rows, MIN_ROWS, "for a bootstrap standard error")
     n, k = arr.shape
-    pairs = [(i, j) for i in range(k) for j in range(i, k)]
-    names = "xywv"
-    fields = [f"var_{names[i]}" if i == j else f"cov_{names[i]}{names[j]}" for i, j in pairs]
-    left, right = (np.array(side) for side in zip(*pairs))
-    diag = [pairs.index((i, i)) for i in range(k)]
+    left, right = np.triu_indices(k)
+    diag = np.flatnonzero(left == right)
     centered = arr - arr.mean(axis=0)
     stacked = np.column_stack([centered, centered[:, left] * centered[:, right]])
 
@@ -411,9 +412,8 @@ def bootstrap_values(
         cov[constant[:, left] | constant[:, right]] = 0.0
         values = []
         for moments in cov.tolist():
-            resample = CovStats(**dict(zip(fields, moments)), n=n)
             try:
-                values.append(statistic(resample))
+                values.append(statistic(_cov_stats(moments, n)))
             except ValidationError:
                 raise
             except EffectRestoreError:

@@ -61,6 +61,8 @@ numerical noise and clipped (renormalizing each (x, y) slice to its
 conserved mass), while anything larger means the postulated mechanism
 is incompatible with the data and raises ``IncompatibleModelError``
 unless clipping is explicitly forced.  No other module raises it.  A
+clip within the tolerance is reported in the ``RestorationResult``, or
+by a RuntimeWarning (``_reported``) where a function returns none.  A
 restored probability below ``TOL_VANISHING`` in absolute value is a
 vanishing denominator.  Positivity has one rule too, owned by
 ``tables._adjustment_weights`` and applied by ``adjust_for_confounder``
@@ -82,6 +84,7 @@ labels), and the profile takes its arrays without copying them.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -94,9 +97,9 @@ from .errors import (
     SingularError,
     ValidationError,
 )
-from .mechanism import CONDITION_CAP, ErrorMatrix
-from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_VANISHING, JointTable, _adjusted, _adopt,
-                     _positive_weights, adjust_for_confounder)
+from .mechanism import CONDITION_CAP, TOL_STOCHASTIC, ErrorMatrix
+from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_SUM_INPUT, TOL_VANISHING, JointTable, _adjusted,
+                     _adopt, _positive_weights, adjust_for_confounder)
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
@@ -246,6 +249,25 @@ def _judged(raw: np.ndarray, conds: Sequence[float], *, clip: bool, wheres: Sequ
         )
 
 
+def _reported(result: RestorationResult, where: str = "") -> JointTable:
+    """``result.restored``, after a RuntimeWarning naming ``where`` if it was
+    clipped within ``TOL_INCOMPATIBLE``: the one clip report."""
+    if result.clipped and result.negative_mass <= TOL_INCOMPATIBLE:
+        warnings.warn(f"clipped the restored table{where}; its negative mass "
+                      f"{result.negative_mass:.3e} is within the tolerance "
+                      f"{TOL_INCOMPATIBLE:.1e}", RuntimeWarning, stacklevel=3)
+    return result.restored
+
+
+def _restored(tables: np.ndarray, mechanisms: Sequence[ErrorMatrix],
+              wheres: Sequence[str] = ("",), *, clip: bool = False) -> list[JointTable]:
+    """Each (x, y, w) table ``tables[i]`` restored by ``mechanisms[i]``, its
+    clip reported naming ``wheres[i]``, in order and before any refusal."""
+    raw, conds = _inverted(tables, mechanisms, wheres)
+    return [_reported(result, where)
+            for result, where in zip(_judged(raw, conds, clip=clip, wheres=wheres), wheres)]
+
+
 def restore_joint(
     observed: JointTable,
     mechanism: ErrorMatrix | Sequence[Sequence[ErrorMatrix]],
@@ -306,8 +328,9 @@ def causal_effect_restored(
     ``restore_joint``.  The one inverse enters every summation of the
     adjustment formula, so computing the restored table once and
     adjusting it is both the definition and the efficient implementation.
+    It warns of a clip within the tolerance.
     """
-    return adjust_for_confounder(restore_joint(observed, mechanism, clip=clip).restored, x)
+    return adjust_for_confounder(_reported(restore_joint(observed, mechanism, clip=clip)), x)
 
 
 def _restored_effects(cells: np.ndarray, mechanism: ErrorMatrix, x: int
@@ -334,7 +357,8 @@ def restored_propensity(
     the observable score P(X=1 | w) and P(w) the proxy marginal.  So only
     those two ever need to be estimated from data, and the restored
     table is judged like any other: IncompatibleModelError when a latent
-    stratum would get negative mass.
+    stratum would get negative mass, and a RuntimeWarning when it was
+    clipped within the tolerance.
     """
     score_w = np.asarray(score_w, dtype=float)
     p_w = np.asarray(p_w, dtype=float)
@@ -347,10 +371,11 @@ def restored_propensity(
         raise ValidationError("score_w and p_w must be finite")
     if score_w.min() < 0.0 or score_w.max() > 1.0:
         raise ValidationError("score_w must lie in [0, 1]")
-    if abs(p_w.sum() - 1.0) > 1e-9 or p_w.min() < -1e-12:
+    if abs(p_w.sum() - 1.0) > TOL_SUM_INPUT or p_w.min() < -TOL_STOCHASTIC:
         raise ValidationError("p_w must be a probability distribution")
     cells = np.stack([(1.0 - score_w) * p_w, score_w * p_w])[:, None, :]
-    restored = restore_joint(_adopt(JointTable, cells, AXIS_PROXY), mechanism).restored.cells[:, 0]
+    table = _adopt(JointTable, cells, AXIS_PROXY)
+    restored = _reported(restore_joint(table, mechanism)).cells[:, 0]
     num, den = restored[1], restored.sum(axis=0)
     small = np.abs(den) < TOL_VANISHING
     if small.any():
@@ -393,9 +418,9 @@ class PropensityProfile:
             )
         if labels.size and not (-1 <= labels.min() and labels.max() < len(weights)):
             raise ValidationError(f"labels must lie in [-1, {len(weights)}), one weight per stratum")
-        if weights.min(initial=0.0) < -1e-12:
+        if weights.min(initial=0.0) < -TOL_STOCHASTIC:
             raise ValidationError("stratum weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
+        if abs(float(weights.sum()) - 1.0) > TOL_SUM_INPUT:
             raise ValidationError(f"stratum weights sum to {float(weights.sum())!r}, expected 1")
         for arr in (scores, labels, weights):
             arr.setflags(write=False)

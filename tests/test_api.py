@@ -222,7 +222,7 @@ def test_every_inverse_reaches_the_verdict():
         assert (sum(list(called_names(tree)).count(name) for tree in trees.values())
                 == list(called_names(kernel)).count(name))
     users = calling("_inverted")
-    assert [key for key, _ in users] == [("binary.py", "_restored"),
+    assert [key for key, _ in users] == [("restore.py", "_restored"),
                                          ("restore.py", "restore_joint"),
                                          ("restore.py", "_restored_effects")]
     for key, node in users:
@@ -236,6 +236,40 @@ def test_one_resampling_driver():
     # resample streams and fills the count buffer
     tree = ast.parse((Path(effectrestore.__file__).parent / "linear.py").read_text())
     assert callers(tree, "make_rng") == callers(tree, "_fill_counts") == ["_resampled"]
+
+
+def test_one_sample_gate():
+    # a ``rows`` argument reaches numpy through ``linear._rows`` alone: every
+    # other top-level function that takes one only passes it on, to the gate
+    # or to a function that takes it in turn
+    package = Path(effectrestore.__file__).parent
+    takers = {node.name: node for path in package.glob("*.py")
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and "rows" in [a.arg for a in node.args.args]}
+    passed_to = {}
+    for name, node in takers.items():
+        uses = [n for n in ast.walk(node) if isinstance(n, ast.Name) and n.id == "rows"]
+        calls = [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                 for arg in call.args if isinstance(arg, ast.Name) and arg.id == "rows"]
+        assert len(calls) == len(uses), name
+        passed_to[name] = {next(called_names(call)) for call in calls}
+    assert passed_to.pop("_rows") == {"asarray"}
+    assert set().union(*passed_to.values()) <= set(takers)
+    assert {"cov_from_samples", "bootstrap_values", "two_stage_test"} <= {
+        name for name, callees in passed_to.items() if callees == {"_rows"}}
+
+
+def test_only_restore_reports_a_clip():
+    # the clip warning of every function that returns no RestorationResult
+    # is ``restore._reported``'s
+    package = Path(effectrestore.__file__).parent
+    reporters = sorted(
+        (path.name, node.name) for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)
+        and any(isinstance(c, ast.Constant) and "clipped the restored table" in str(c.value)
+                for c in ast.walk(node))
+    )
+    assert reporters == [("restore.py", "_reported")]
 
 
 def frozen_objects():

@@ -770,6 +770,20 @@ class TestLinearCommands:
         assert doc["message"].startswith("var(X - (cov(XW)/alpha) W) = ")
         assert "unidentifiable" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("method", ["two-stage", "theorem1", "tetrad"])
+    def test_test_dsep_refuses_a_five_column_sample(self, tmp_path, capsys, method):
+        # every method reads the one sample rule, (x, y, w[, v])
+        samples_path = tmp_path / "rows.csv"
+        rows = np.random.default_rng(52).normal(size=(200, 5))
+        write_samples_csv(samples_path, ["x", "y", "w", "v", "u"], rows)
+        code = main(["test-dsep", "--in", str(samples_path), "--method", method,
+                     "--alpha-param", "1.0", "--lambda", "1.0", "--boot", "20"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "rows must have shape (n, 3) or (n, 4), got (200, 5)" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_test_dsep_theorem1_requires_lambda(self, tmp_path):
         from effectrestore import LinearSemSpec
 

@@ -28,6 +28,7 @@ from effectrestore import (
     surrogate_slope,
 )
 from effectrestore import linear
+from effectrestore.dsep import tetrad_test, theorem1_test, two_stage_test
 from effectrestore.rng import make_rng
 
 
@@ -415,6 +416,39 @@ class TestCovFromSamples:
         s = cov_from_samples(rows)
         assert s.has_v
         assert s.cov_wv == pytest.approx(np.cov(rows[:, 2], rows[:, 3], ddof=1)[0, 1])
+
+
+def malformed_sample(kind):
+    """A 50-row (x, y, w, v) sample broken as ``kind`` says, and the
+    message the sample gate refuses it with."""
+    rows = np.random.default_rng(26).normal(size=(50, 4))
+    if kind in ("nan", "inf", "-inf"):
+        rows[7, 2] = float(kind)
+        return rows, "^rows must be finite$"
+    if kind in ("0 rows", "1 row"):
+        return rows[: int(kind[0])], "^need at least "
+    shape = r"^rows must have shape \(n, 3\) or \(n, 4\)"
+    return np.column_stack([rows, rows])[:, : int(kind[-1])], shape
+
+
+SAMPLE_READERS = {
+    "cov_from_samples": cov_from_samples,
+    "bootstrap_values": lambda rows: bootstrap_values(rows, all_moments, n_boot=20),
+    "bootstrap_se": lambda rows: bootstrap_se(rows, all_moments, n_boot=20),
+    "theorem1_test": lambda rows: theorem1_test(rows, 1.0, n_boot=20),
+    "tetrad_test": lambda rows: tetrad_test(rows, n_boot=20),
+    "two_stage_test": lambda rows: two_stage_test(rows, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["nan", "inf", "-inf", "0 rows", "1 row", "width 2", "width 5"])
+@pytest.mark.parametrize("reader", sorted(SAMPLE_READERS))
+def test_every_sample_reader_refuses_a_malformed_sample(reader, kind):
+    # one gate names the fault before any arithmetic on the rows: no numpy
+    # RuntimeWarning (an error under the suite's filter) comes first
+    rows, message = malformed_sample(kind)
+    with pytest.raises(ValidationError, match=message):
+        SAMPLE_READERS[reader](rows)
 
 
 class TestBootstrap:

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,11 +31,52 @@ from effectrestore import (
     restore_joint,
     restored_propensity,
     stratified_effect,
+    synthesize_samples,
+    weight_split,
 )
 from effectrestore import mechanism, restore, tables
 from effectrestore.restore import CONDITION_CAP
 
 from strategies import factor_lists, lu_from, stochastic_matrices, traced_peak
+
+
+#: rates whose delta lies 2e-8 above the fraction 0.1
+CLIP_ERR = BinaryErrorParams(0.2, 0.1 + 2e-8)
+
+
+def observed_with(q):
+    """An observed table whose P(w1|x,y) is ``q`` in slice (0, 0) and 0.5
+    elsewhere, each slice of mass 1/4."""
+    fractions = np.array([[q, 0.5], [0.5, 0.5]])
+    return JointTable(np.stack((1.0 - fractions, fractions), axis=-1) / 4, "W")
+
+
+def propensity_of(q):
+    """``restored_propensity`` of the (x, w) table whose P(w1|x) is ``q``
+    at x = 0 and 0.5 at x = 1, each x of mass 1/2."""
+    xw = np.array([[1.0 - q, q], [0.5, 0.5]]) / 2
+    p_w = xw.sum(axis=0)
+    return restored_propensity(xw[1] / p_w, p_w, ErrorMatrix.from_binary(CLIP_ERR))
+
+
+def synthesized(q):
+    """``synthesize_samples`` on ten records per (x, y) group whose share of
+    w = 1 is ``q`` in group (0, 0) and 0.5 elsewhere."""
+    rows = [[x, y, int(r < round(10 * (q if (x, y) == (0, 0) else 0.5)))]
+            for x in (0, 1) for y in (0, 1) for r in range(10)]
+    return synthesize_samples(np.array(rows), component_mechanism([CLIP_ERR]), seed=0)
+
+
+#: every function that restores a table but returns no RestorationResult,
+#: called on data whose P(w1|x=0, y=0) (or P(w1|x=0)) is the argument
+CLIP_REPORTERS = {
+    "restore_binary": lambda q: restore_binary(observed_with(q), CLIP_ERR),
+    "weight_split": lambda q: weight_split(q, CLIP_ERR),
+    "synthesize_samples": synthesized,
+    "causal_effect_restored": lambda q: causal_effect_restored(
+        observed_with(q), ErrorMatrix.from_binary(CLIP_ERR), 1),
+    "restored_propensity": propensity_of,
+}
 
 
 def random_table(rng, cards, axis="Z"):
@@ -126,6 +168,18 @@ class TestRestoreJoint:
         assert result.clipped
         assert 0.0 < result.negative_mass < 1e-6
         assert result.restored.cells.min() >= 0.0
+
+    @pytest.mark.parametrize("clipped", [True, False])
+    @pytest.mark.parametrize("caller", sorted(CLIP_REPORTERS))
+    def test_every_caller_without_a_result_reports_a_clip_once(self, caller, clipped):
+        # P(w1|x=0,y=0) = 0.1 lies 2e-8 under delta, so that slice's z1 cell
+        # restores slightly negative and is clipped; 0.3 restores cleanly
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            CLIP_REPORTERS[caller](0.1 if clipped else 0.3)
+        messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert len(messages) == clipped
+        assert all(m.startswith("clipped the restored table") for m in messages)
 
     def test_rectangular_mechanism_rejected(self):
         rect = ErrorMatrix(entries=np.array([[0.5, 0.1, 0.2], [0.5, 0.9, 0.8]]))
