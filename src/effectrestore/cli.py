@@ -18,7 +18,16 @@ Run as a program (``python -m effectrestore.cli`` or the ``effectrestore``
 script), the process defaults ``OPENBLAS_THREAD_TIMEOUT`` to 4 before
 numpy loads, so idle BLAS threads sleep instead of spinning on a core
 the bootstrap draws on; a value already in the environment is kept.
-Importing this module sets nothing.
+The program also runs its imports with the cyclic GC off and freezes
+their objects before the command and again after it, so neither the
+command's collections nor interpreter teardown sweep numpy's import-time
+heap (see ``effectrestore._program_run``).  Importing this module sets
+nothing.
+
+At module level this imports only what parsing and error mapping need
+(``errors``, ``io`` and numpy); each command imports the modules it runs,
+so a command loads, and on a checkout without bytecode compiles, only
+its own code.
 """
 
 from __future__ import annotations
@@ -26,15 +35,15 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 if __name__ == "__main__":
-    from . import _program_policy
+    from . import _program_start
 
-    _program_policy()
+    _program_start()
 
 import numpy as np  # noqa: E402  (after the policy, which OpenBLAS reads on load)
 
-from . import binary, dsep, linear, restore, simulate
 from .errors import (
     DegenerateStratumError,
     IncompatibleModelError,
@@ -51,8 +60,10 @@ from .io import (
     read_samples_csv,
     write_samples_csv,
 )
-from .mechanism import ErrorMatrix
-from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
+
+if TYPE_CHECKING:
+    from .mechanism import ErrorMatrix
+    from .tables import JointTable
 
 _ERROR_TAGS = (
     (SingularError, "singular"),
@@ -85,6 +96,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _mechanism(path: str) -> ErrorMatrix:
+    """The ``--error`` document at ``path``."""
+    from .mechanism import ErrorMatrix
+
+    return ErrorMatrix.from_json_dict(load_json(path))
+
+
 def _require_2x2(args: argparse.Namespace, mech: ErrorMatrix) -> None:
     """A binary command's ``--error`` must be a 2x2 mechanism."""
     if (mech.n_w, mech.n_z) != (2, 2):
@@ -103,6 +121,8 @@ def _read_table(path: str, mech: ErrorMatrix, smooth: float,
     must be a distribution.  A CSV holds x, y and one w column of ``mech.n_w`` values
     or one per dense factor of ``mech`` (its ``n_w`` the radix).  x and y cards are
     ``xy_cards`` when given, else a CSV's max + 1."""
+    from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
+
     if path.endswith(".json"):
         if smooth:
             raise ValidationError("--smooth smooths sample counts; a .json table input has none")
@@ -136,10 +156,12 @@ def _read_table(path: str, mech: ErrorMatrix, smooth: float,
 
 def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
     """Also ``restore-binary``: binary x and y, a 2x2 mechanism, no --x or --strata."""
+    from . import restore
+
     x, strata = getattr(args, "x", None), getattr(args, "strata", None)
     if strata is not None and x is None:
         raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
-    mech = ErrorMatrix.from_json_dict(load_json(args.error))
+    mech = _mechanism(args.error)
     xy_cards = (2, 2) if args.command == "restore-binary" else None
     if xy_cards:
         _require_2x2(args, mech)
@@ -160,7 +182,9 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     """``restore-discrete --x`` on the 2x2 mechanism, with a bootstrap of the
     same restoration and adjustment, run on each chunk of resampled tables
     at once."""
-    mech = ErrorMatrix.from_json_dict(load_json(args.error))
+    from . import linear, restore
+
+    mech = _mechanism(args.error)
     _require_2x2(args, mech)
     observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
     if n is None:
@@ -189,7 +213,9 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> dict:
-    mech = ErrorMatrix.from_json_dict(load_json(args.error))
+    from . import binary
+
+    mech = _mechanism(args.error)
     _, samples = read_integer_samples(args.input)
     synth = binary.synthesize_samples(samples, mech, args.seed)
     k = synth.shape[1] - 2
@@ -199,6 +225,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> dict:
 
 
 def _cmd_effect_linear(args: argparse.Namespace) -> dict:
+    from . import linear
+
     _, rows = read_samples_csv(args.input)
     # per source of lambda: its flag's value, its name, and lambda from moments
     sources = {
@@ -235,6 +263,8 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
 
 
 def _cmd_test_dsep(args: argparse.Namespace) -> dict:
+    from . import dsep
+
     _, rows = read_samples_csv(args.input)
     if args.method == "two-stage":
         if args.alpha_param is None:
@@ -254,6 +284,8 @@ def _cmd_test_dsep(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate_discrete(args: argparse.Namespace) -> dict:
+    from . import simulate
+
     spec = simulate.DiscreteModelSpec.from_json_dict(load_json(args.input))
     samples, effect = simulate.simulate_discrete(spec, args.n, args.seed)
     k = samples.shape[1] - 2
@@ -266,6 +298,8 @@ def _cmd_simulate_discrete(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate_linear(args: argparse.Namespace) -> dict:
+    from . import linear, simulate
+
     spec = linear.LinearSemSpec.from_json_dict(load_json(args.input))
     rows, pop = simulate.simulate_linear(spec, args.n, args.seed)
     header = ["x", "y", "w"] + (["v"] if spec.has_v else [])
@@ -418,4 +452,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from . import _program_run
+
+    raise SystemExit(_program_run(main))

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior over flat files."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -1542,9 +1543,10 @@ class TestSimulateModelJsonFuzz:
 
 
 #: records OPENBLAS_THREAD_TIMEOUT as numpy is first imported while an
-#: entry point runs, then whether the environment and the imports changed
+#: entry point runs, then whether the environment and the imports changed,
+#: whether the cyclic GC is on and whether any object was frozen
 _POLICY_PROBE = """
-import importlib, json, os, runpy, sys
+import gc, importlib, json, os, runpy, sys
 how, out = sys.argv[1], sys.argv[2]
 seen = {}
 
@@ -1571,7 +1573,8 @@ else:
 with open(out, "w") as fh:
     json.dump({"numpy": seen.get("numpy"), "code": code,
                "environ_changed": dict(os.environ) != before,
-               "futures": "concurrent.futures" in sys.modules}, fh)
+               "futures": "concurrent.futures" in sys.modules,
+               "gc_enabled": gc.isenabled(), "frozen": gc.get_freeze_count() > 0}, fh)
 """
 
 
@@ -1585,7 +1588,9 @@ def console_script_target():
 
 class TestEntryPointPolicy:
     """The program entry points default OpenBLAS's idle-spin timeout before
-    numpy loads; importing the package or the CLI module sets nothing."""
+    numpy loads, and end with the cyclic GC on and their objects frozen;
+    importing the package or the CLI module sets nothing and leaves the GC
+    as it was."""
 
     def probe(self, tmp_path, how, preset=None):
         out = tmp_path / "policy.json"
@@ -1600,16 +1605,144 @@ class TestEntryPointPolicy:
 
     def test_import_leaves_the_environment_alone(self, tmp_path):
         assert self.probe(tmp_path, "import") == {
-            "numpy": "unset", "code": None, "environ_changed": False, "futures": False}
+            "numpy": "unset", "code": None, "environ_changed": False, "futures": False,
+            "gc_enabled": True, "frozen": False}
+
+    def test_the_suites_policy_leaves_the_gc_alone(self, tmp_path):
+        # tests/conftest.py calls _program_policy(), so the suite runs with the normal GC
+        assert gc.isenabled()
+        assert self.probe(tmp_path, "effectrestore:_program_policy") == {
+            "numpy": None, "code": None, "environ_changed": True, "futures": False,
+            "gc_enabled": True, "frozen": False}
 
     @pytest.mark.parametrize("how", ["module", "script"])
     def test_entry_point_sets_the_timeout_before_numpy(self, tmp_path, how):
         how = console_script_target() if how == "script" else how
         assert self.probe(tmp_path, how) == {
-            "numpy": "4", "code": 0, "environ_changed": True, "futures": False}
+            "numpy": "4", "code": 0, "environ_changed": True, "futures": False,
+            "gc_enabled": True, "frozen": True}
 
     @pytest.mark.parametrize("how", ["module", "script"])
     def test_a_preset_value_is_kept(self, tmp_path, how):
         how = console_script_target() if how == "script" else how
         assert self.probe(tmp_path, how, preset="7") == {
-            "numpy": "7", "code": 0, "environ_changed": False, "futures": False}
+            "numpy": "7", "code": 0, "environ_changed": False, "futures": False,
+            "gc_enabled": True, "frozen": True}
+
+
+def spawn_env():
+    """The environment of a spawned interpreter that imports this checkout, its
+    stdout and stderr buffered as a program's are when they are pipes."""
+    src = str(Path(effectrestore.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """Small inputs on which every subcommand exits 0."""
+    from effectrestore import LinearSemSpec, simulate_linear
+
+    root = tmp_path_factory.mktemp("tiny")
+    binary_rows = np.random.default_rng(71).integers(0, 2, size=(200, 3))
+    write_samples_csv(root / "binary.csv", ["x", "y", "w"], binary_rows, integer=True)
+    dump_json({"eps": 0.1, "delta": 0.05}, root / "rates.json")
+    linear_rows, _ = simulate_linear(LinearSemSpec.from_json_dict(LINEAR_MODEL), 200, 72)
+    write_samples_csv(root / "linear.csv", ["x", "y", "w", "v"], linear_rows)
+    dump_json(LINEAR_MODEL, root / "linear-model.json")
+    dump_json(DISCRETE_MODEL, root / "discrete-model.json")
+    return root
+
+
+def tiny_command(root, command):
+    """The argv running ``command`` on ``tiny_inputs``."""
+    binary = ["--in", str(root / "binary.csv"), "--error", str(root / "rates.json")]
+    out = ["--out", str(root / f"{command}.out")]
+    return [command, *{
+        "restore-discrete": [*binary, "--x", "1"],
+        "restore-binary": binary,
+        "effect-binary": [*binary, "--boot", "20"],
+        "synthesize": binary,
+        "effect-linear": ["--in", str(root / "linear.csv"), "--var-ew", "0.3", "--boot", "20"],
+        "test-dsep": ["--in", str(root / "linear.csv"), "--method", "tetrad", "--boot", "20"],
+        "simulate-discrete": ["--in", str(root / "discrete-model.json"), "--n", "100"],
+        "simulate-linear": ["--in", str(root / "linear-model.json"), "--n", "100"],
+    }[command], *out]
+
+
+#: imports the CLI module in a fresh interpreter, runs one command through
+#: ``cli.main`` when given one, and records its exit status and the loaded
+#: modules of the package
+_MODULES_PROBE = """
+import json, sys
+argv, out = json.loads(sys.argv[1]), sys.argv[2]
+from effectrestore import cli
+code = None if argv is None else cli.main(argv)
+with open(out, "w") as fh:
+    json.dump({"code": code,
+               "modules": sorted(m for m in sys.modules if m.startswith("effectrestore"))}, fh)
+"""
+
+#: the package modules each command loads besides the package, cli, errors and io
+_COMMAND_MODULES = {
+    None: (),
+    "restore-discrete": ("mechanism", "restore", "tables"),
+    "restore-binary": ("mechanism", "restore", "tables"),
+    "effect-binary": ("linear", "mechanism", "restore", "rng", "tables"),
+    "synthesize": ("binary", "mechanism", "restore", "rng", "tables"),
+    "effect-linear": ("linear", "rng"),
+    "test-dsep": ("dsep", "linear", "rng"),
+    "simulate-discrete": ("linear", "mechanism", "restore", "rng", "simulate", "tables"),
+    "simulate-linear": ("linear", "mechanism", "restore", "rng", "simulate", "tables"),
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_MODULES))
+def test_each_command_imports_only_the_modules_it_runs(tiny_inputs, tmp_path, command):
+    # None: ``import effectrestore.cli`` alone
+    argv = None if command is None else tiny_command(tiny_inputs, command)
+    out = tmp_path / "modules.json"
+    subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(argv), str(out)],
+                   env=spawn_env(), check=True, capture_output=True, timeout=120)
+    modules = ("cli", "errors", "io", *_COMMAND_MODULES[command])
+    assert load_json(out) == {
+        "code": None if command is None else 0,
+        "modules": sorted(["effectrestore", *(f"effectrestore.{m}" for m in modules)]),
+    }
+
+
+class TestEntryPointsPrintWhatMainPrints:
+    """Each program entry point gives the exit status, stdout and stderr that
+    ``cli.main`` gives in process, on every exit path: freezing the heap
+    before interpreter teardown drops no buffered output."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, tiny_inputs):
+        contradicted, _ = write_binary_samples(tiny_inputs, binary_spec(
+            0.4, [0.3, 0.7], [[0.2, 0.5], [0.4, 0.8]], BinaryErrorParams(0.1, 0.15)
+        ), n=2000, seed=3)
+        dump_json({"eps": 0.4, "delta": 0.4}, tiny_inputs / "contradicted.json")
+        binary = str(tiny_inputs / "binary.csv")
+        return {
+            0: ["effect-binary", "--in", binary, "--error", str(tiny_inputs / "rates.json"),
+                "--boot", "20"],
+            1: ["effect-binary", "--in", binary, "--boot", "many"],
+            2: ["restore-binary", "--in", str(contradicted),
+                "--error", str(tiny_inputs / "contradicted.json")],
+        }
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("entry", ["module", "script"])
+    def test_same_bytes_as_in_process(self, cases, entry, code):
+        argv = cases[code]
+        if entry == "module":
+            program = ["-m", "effectrestore.cli"]
+        else:
+            module, _, attr = console_script_target().partition(":")
+            program = ["-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+        spawned = subprocess.run([sys.executable, *program, *argv], env=spawn_env(),
+                                 capture_output=True, text=True, timeout=120)
+        assert run_main(argv) == (code, spawned.stdout, spawned.stderr, [])
+        assert spawned.returncode == code
+        # exit 0 and 2 write a JSON document to the buffered stdout, exit 1 only an error
+        assert spawned.stdout if code != 1 else spawned.stderr
