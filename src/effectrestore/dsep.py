@@ -84,9 +84,13 @@ def _two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _make_result(method: str, statistic: float, stderr: float, level: float) -> TestResult:
+def _check_level(level: float) -> None:
+    """A test's level lies in (0, 1); each test checks it before it reads a row."""
     if not 0.0 < level < 1.0:
         raise ValidationError(f"level must lie in (0, 1), got {level!r}")
+
+
+def _make_result(method: str, statistic: float, stderr: float, level: float) -> TestResult:
     if stderr > 0.0:
         p = _two_sided_p(statistic / stderr)
     else:
@@ -139,6 +143,7 @@ def two_stage_test(
     it understates the variance and over-rejects under the null.  ``rows``
     is a sample of at least ``MIN_ROWS`` rows, as ``linear`` reads them.
     """
+    _check_level(level)
     arr = _rows(rows, MIN_ROWS, "for the two-stage test")
     n = arr.shape[0]
     if not math.isfinite(alpha_param) or alpha_param <= 0.0:
@@ -170,6 +175,7 @@ def theorem1_test(
     seed: int = 0,
 ) -> TestResult:
     """Residual test on samples, with a bootstrap standard error."""
+    _check_level(level)
     stat = theorem1_residual(cov_from_samples(rows), lam)
     se = bootstrap_se(rows, lambda s: theorem1_residual(s, lam), n_boot=n_boot, seed=seed)
     return _make_result("theorem1", stat, se, level)
@@ -183,6 +189,7 @@ def tetrad_test(
     seed: int = 0,
 ) -> TestResult:
     """Tetrad-form residual test on samples, with a bootstrap standard error."""
+    _check_level(level)
     stat = tetrad_residual(cov_from_samples(rows))
     se = bootstrap_se(rows, tetrad_residual, n_boot=n_boot, seed=seed)
     return _make_result("tetrad", stat, se, level)

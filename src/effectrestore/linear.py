@@ -242,7 +242,9 @@ def lambda_from_error_variance(var_w: float, var_ew: float) -> float:
     """
     if not math.isfinite(var_w) or var_w < 0.0:
         raise ValidationError(f"var_w must be nonnegative, got {var_w!r}")
-    if not math.isfinite(var_ew) or var_ew < 0.0:
+    if not math.isfinite(var_ew):
+        raise ValidationError(f"var_ew must be finite, got {var_ew!r}")
+    if var_ew < 0.0:
         raise InvalidErrorVarianceError(f"var_ew must be >= 0, got {var_ew!r}")
     if var_ew >= var_w:
         raise InvalidErrorVarianceError(

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import SingularError, ValidationError
 from .io import _json_array, _json_fields, _json_object
+from .tables import _FrozenArrays
 
 #: column sums must match 1 within this tolerance
 TOL_STOCHASTIC = 1e-12
@@ -302,7 +303,7 @@ def _apply_block(b: np.ndarray | _LU, src: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ErrorMatrix:
+class ErrorMatrix(_FrozenArrays):
     """Column-stochastic matrix P(w | z) as a linear operator, dense or factored.
 
     An instance holds exactly one form: ``entries``, the dense matrix, or
@@ -328,28 +329,21 @@ class ErrorMatrix:
     entries: np.ndarray | None = None
     factors: tuple["ErrorMatrix", ...] | None = None
 
-    def __post_init__(self) -> None:
+    _arrays = (("entries", float),)
+
+    def _check(self) -> None:
         if self.entries is None and not self.factors:
             raise ValidationError("an ErrorMatrix needs dense entries or factors")
         if self.entries is not None and self.factors is not None:
             raise ValidationError("an ErrorMatrix holds dense entries or factors, not both")
         if self.entries is not None:
-            arr = np.array(self.entries, dtype=float, order="C")  # one copy, whatever the input
-            norm1 = _check_stochastic(arr, "mechanism")
-            arr.setflags(write=False)
-            object.__setattr__(self, "entries", arr)
-            object.__setattr__(self, "_entries_norm", norm1)
+            object.__setattr__(self, "_entries_norm", _check_stochastic(self.entries, "mechanism"))
         else:
             factors = tuple(self.factors)
             if not all(isinstance(f, ErrorMatrix) for f in factors):
                 raise ValidationError("factors must be ErrorMatrix instances")
             # a factored factor's own factors, which are dense, take its place
             object.__setattr__(self, "factors", tuple(leaf for f in factors for leaf in f._leaves))
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through the constructor, which freezes the
-        # copy; the cached inverses and factors are not carried
-        return type(self), (self.entries, self.factors)
 
     @property
     def _leaves(self) -> tuple["ErrorMatrix", ...]:

@@ -99,7 +99,7 @@ from .errors import (
 )
 from .mechanism import CONDITION_CAP, TOL_STOCHASTIC, ErrorMatrix
 from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_SUM_INPUT, TOL_VANISHING, JointTable, _adjusted,
-                     _adopt, _positive_weights, adjust_for_confounder)
+                     _FrozenArrays, _positive_weights, adjust_for_confounder)
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
@@ -132,7 +132,7 @@ def pushforward(table: JointTable, mechanism: ErrorMatrix) -> JointTable:
         raise ValidationError(
             f"mechanism has n_z={mechanism.n_z} but table card_v={table.card_v}"
         )
-    return _adopt(JointTable, mechanism.apply(table.cells), AXIS_PROXY)
+    return JointTable._adopt(mechanism.apply(table.cells), AXIS_PROXY)
 
 
 def _check_invertible(mechanism: ErrorMatrix, *, where: str = "") -> float:
@@ -242,7 +242,7 @@ def _judged(raw: np.ndarray, conds: Sequence[float], *, clip: bool, wheres: Sequ
                 "will be obtained"
             )
         yield RestorationResult(
-            restored=_adopt(JointTable, cells[i], AXIS_LATENT),
+            restored=JointTable._adopt(cells[i], AXIS_LATENT),
             condition_estimate=conds[i],
             negative_mass=float(negative_mass[i]),
             clipped=bool(clipped[i]),
@@ -374,7 +374,7 @@ def restored_propensity(
     if abs(p_w.sum() - 1.0) > TOL_SUM_INPUT or p_w.min() < -TOL_STOCHASTIC:
         raise ValidationError("p_w must be a probability distribution")
     cells = np.stack([(1.0 - score_w) * p_w, score_w * p_w])[:, None, :]
-    table = _adopt(JointTable, cells, AXIS_PROXY)
+    table = JointTable._adopt(cells, AXIS_PROXY)
     restored = _reported(restore_joint(table, mechanism)).cells[:, 0]
     num, den = restored[1], restored.sum(axis=0)
     small = np.abs(den) < TOL_VANISHING
@@ -388,7 +388,7 @@ def restored_propensity(
 
 
 @dataclass(frozen=True, eq=False)
-class PropensityProfile:
+class PropensityProfile(_FrozenArrays):
     """Latent propensity scores with a stratification of the z-space.
 
     ``scores[z]`` is L(z) = P(X=treated | z) (NaN for zero-mass z),
@@ -402,14 +402,9 @@ class PropensityProfile:
     labels: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        # the profile owns copies of the caller's arrays
-        for name, dtype in (("scores", float), ("labels", None), ("weights", float)):
-            object.__setattr__(self, name, np.array(getattr(self, name), dtype=dtype))
-        self._freeze()
+    _arrays = (("scores", float), ("labels", None), ("weights", float))
 
-    def _freeze(self) -> None:
-        """Check the arrays and make them read-only in place."""
+    def _check(self) -> None:
         scores, labels, weights = self.scores, self.labels, self.weights
         if labels.shape != scores.shape or labels.dtype.kind not in "iu":
             raise ValidationError(
@@ -422,12 +417,6 @@ class PropensityProfile:
             raise ValidationError("stratum weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > TOL_SUM_INPUT:
             raise ValidationError(f"stratum weights sum to {float(weights.sum())!r}, expected 1")
-        for arr in (scores, labels, weights):
-            arr.setflags(write=False)
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through the constructor, which freezes the copy
-        return type(self), (self.scores, self.labels, self.weights)
 
     @cached_property
     def strata(self) -> tuple[tuple[int, ...], ...]:
@@ -487,7 +476,7 @@ def propensity_profile(
     weights = np.bincount(labels, weights=p_z, minlength=n_strata + 1)[:n_strata]
     weights /= weights.sum()
     labels[unlabelled] = -1
-    return _adopt(PropensityProfile, scores, labels, weights)
+    return PropensityProfile._adopt(scores, labels, weights)
 
 
 def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> np.ndarray:

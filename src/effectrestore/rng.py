@@ -22,15 +22,20 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import ValidationError
+
 #: values per block yielded by :func:`_uniform_row_blocks` (512 KiB of float64)
 _BLOCK_VALUES = 1 << 16
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for the given seed and substream indices."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), *(int(s) for s in stream))))
-    )
+    """Independent generator for the given seed and substream indices, all
+    nonnegative integers (ValidationError names a negative one)."""
+    key = (int(seed), *(int(s) for s in stream))
+    if min(key) < 0:
+        what = f"seed {key[0]}" if key[0] < 0 else f"stream index {min(key)}"
+        raise ValidationError(f"{what} is negative; seeds and stream indices must be >= 0")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 def _uniform_row_blocks(

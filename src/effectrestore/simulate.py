@@ -27,10 +27,10 @@ from .linear import CovStats, LinearSemSpec
 from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic
 from .restore import pushforward
 from .rng import _uniform_row_blocks, make_rng
-from .tables import JointTable, _adopt, adjust_for_confounder
+from .tables import JointTable, _FrozenArrays, adjust_for_confounder
 
 @dataclass(frozen=True, eq=False)
-class DiscreteModelSpec:
+class DiscreteModelSpec(_FrozenArrays):
     """Generating model P(z) P(x|z) P(y|x,z) with an error mechanism for W.
 
     ``p_x_given_z[x, z]`` and ``p_y_given_xz[y, x, z]`` hold the
@@ -45,11 +45,10 @@ class DiscreteModelSpec:
     p_y_given_xz: np.ndarray
     error: ErrorMatrix
 
-    def __post_init__(self) -> None:
-        # the spec owns copies of the caller's arrays, made in one pass each
-        p_z = np.array(self.p_z, dtype=float, order="C")
-        p_xz = np.array(self.p_x_given_z, dtype=float, order="C")
-        p_yxz = np.array(self.p_y_given_xz, dtype=float, order="C")
+    _arrays = (("p_z", float), ("p_x_given_z", float), ("p_y_given_xz", float))
+
+    def _check(self) -> None:
+        p_z, p_xz, p_yxz = self.p_z, self.p_x_given_z, self.p_y_given_xz
         if p_z.ndim != 1 or p_xz.ndim != 2 or p_yxz.ndim != 3:
             raise ValidationError("p_z, p_x_given_z, p_y_given_xz must be 1-d, 2-d, 3-d")
         n_z = p_z.shape[0]
@@ -68,13 +67,6 @@ class DiscreteModelSpec:
             raise ValidationError(
                 f"error mechanism has n_z={self.error.n_z}, model has {n_z} latent values"
             )
-        for name, arr in (("p_z", p_z), ("p_x_given_z", p_xz), ("p_y_given_xz", p_yxz)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through the constructor, which freezes the copy
-        return type(self), (self.p_z, self.p_x_given_z, self.p_y_given_xz, self.error)
 
     @property
     def n_z(self) -> int:
@@ -91,7 +83,7 @@ class DiscreteModelSpec:
     def joint_xyz(self) -> JointTable:
         """Exact latent joint P(x, y, z)."""
         cells = np.einsum("z,xz,yxz->xyz", self.p_z, self.p_x_given_z, self.p_y_given_xz)
-        return _adopt(JointTable, cells, "Z")
+        return JointTable._adopt(cells, "Z")
 
     def joint_xyw(self) -> JointTable:
         """Exact observed joint P(x, y, w)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -42,22 +42,48 @@ TOL_VANISHING = 1e-9
 _AXIS_ORDER = ("x", "y", "v")
 
 
-def _adopt(cls, *fields):
-    """An instance of the frozen array dataclass ``cls`` (``JointTable`` or
-    ``restore.PropensityProfile``) that takes ``fields``, in field order,
-    without copying them: for fresh arrays that the library made and no
-    one else holds.  ``cls._freeze`` checks them and makes them read-only
-    in place; the public constructor copies the caller's arrays and then
-    runs the same ``_freeze``."""
-    obj = object.__new__(cls)
-    for f, value in zip(dataclasses.fields(cls), fields, strict=True):
-        object.__setattr__(obj, f.name, value)
-    obj._freeze()
-    return obj
+class _FrozenArrays:
+    """Base of the immutable array dataclasses (``JointTable``, ``ErrorMatrix``,
+    ``PropensityProfile``, ``DiscreteModelSpec``): the one owner of their rule.
+
+    A subclass lists its array fields in ``_arrays`` as ``(name, dtype)``
+    (None keeps the input's dtype) and defines ``_check``.  The constructor
+    copies each array that is not None once, in C order; ``_adopt`` takes
+    fresh arrays that the library made without a copy.  Either way
+    ``_freeze`` runs ``_check`` and makes the arrays read-only in place.
+    Pickle and deepcopy rebuild through the constructor, so a copy is
+    frozen and carries no cached state."""
+
+    _arrays: ClassVar[tuple[tuple[str, type | None], ...]]
+
+    def __post_init__(self) -> None:
+        for name, dtype in self._arrays:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, np.array(value, dtype=dtype, order="C"))
+        self._freeze()
+
+    def _freeze(self) -> None:
+        self._check()
+        for name, _ in self._arrays:
+            arr = getattr(self, name)
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    @classmethod
+    def _adopt(cls, *values):
+        obj = object.__new__(cls)
+        for f, value in zip(dataclasses.fields(cls), values, strict=True):
+            object.__setattr__(obj, f.name, value)
+        obj._freeze()
+        return obj
 
 
 @dataclass(frozen=True, eq=False)
-class JointTable:
+class JointTable(_FrozenArrays):
     """Dense joint distribution P(x, y, v) with v tagged as latent or proxy.
 
     The constructor checks shape, finiteness, and the axis tag only;
@@ -69,14 +95,11 @@ class JointTable:
     cells: np.ndarray
     axis: str = AXIS_PROXY
 
-    def __post_init__(self) -> None:
-        # the table owns a copy of the caller's array, made in one pass
-        object.__setattr__(self, "cells", np.array(self.cells, dtype=float, order="C"))
-        self._freeze()
+    _arrays = (("cells", float),)
 
-    def _freeze(self) -> None:
-        """Check the cells and the axis tag, and make the cells read-only in
-        place (cells not in C order are copied into it first)."""
+    def _check(self) -> None:
+        """Check the cells and the axis tag (adopted cells not in C order are
+        copied into it)."""
         arr = self.cells
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ValidationError(f"cells must be a 3-d array, got shape {arr.shape}")
@@ -89,11 +112,6 @@ class JointTable:
             raise ValidationError("cells must be finite")
         if self.axis not in (AXIS_LATENT, AXIS_PROXY):
             raise ValidationError(f"axis must be {AXIS_LATENT!r} or {AXIS_PROXY!r}, got {self.axis!r}")
-        arr.setflags(write=False)
-
-    def __reduce__(self):
-        # pickle and deepcopy rebuild through the constructor, which freezes the copy
-        return type(self), (self.cells, self.axis)
 
     @property
     def card_x(self) -> int:
@@ -113,7 +131,7 @@ class JointTable:
     def with_axis(self, axis: str) -> "JointTable":
         """Same cells, relabelled third axis (proxy treated as latent or vice versa);
         the read-only cells are shared, not copied."""
-        return _adopt(JointTable, self.cells, axis)
+        return JointTable._adopt(self.cells, axis)
 
     def to_json_dict(self) -> dict:
         return {
@@ -138,7 +156,7 @@ class JointTable:
                 raise ValueError(
                     f"cells must be a flat list or nested as cards {cards}, got shape {cells.shape}"
                 )
-            return cls(cells.reshape(cards), data["axis"])
+            return cls._adopt(cells.reshape(cards), data["axis"])
 
 
 @dataclass(frozen=True)
@@ -290,9 +308,13 @@ def empirical_joint(
         raise ValidationError(f"samples must be integers, got dtype {arr.dtype}") from None
     counts = np.bincount(idx, minlength=math.prod(cards)).astype(float)
     counts += smooth
-    total = counts.sum()
+    with np.errstate(over="ignore"):  # refused below
+        total = counts.sum()
+    if not math.isfinite(total):  # a NaN or infinite smooth, or one that overflows the sum
+        raise ValidationError(f"smooth={smooth} over {counts.size} cells leaves the "
+                              f"table's mass {total}, not finite")
     if total <= 0.0:
         raise ValidationError("cannot build a table from zero samples without smoothing")
     counts /= total
-    return _adopt(JointTable, counts.reshape(*cards[:2], -1), axis)
+    return JointTable._adopt(counts.reshape(*cards[:2], -1), axis)
 

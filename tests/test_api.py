@@ -272,6 +272,31 @@ def test_only_restore_reports_a_clip():
     assert reporters == [("restore.py", "_reported")]
 
 
+def test_one_owner_of_the_value_types_arrays():
+    # every package dataclass with an array field derives from
+    # ``tables._FrozenArrays``, which alone copies, freezes, adopts and pickles
+    # them: no such class defines ``__post_init__``, and no class but the base
+    # defines ``__reduce__``, ``_freeze`` or ``_adopt``
+    package = Path(effectrestore.__file__).parent
+    holders, owners = {}, {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+            for name in methods & {"__post_init__", "__reduce__", "_freeze", "_adopt"}:
+                owners.setdefault(name, []).append(node.name)
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list) and any(
+                    isinstance(n, ast.AnnAssign) and "np.ndarray" in ast.unparse(n.annotation)
+                    for n in node.body):
+                holders[node.name] = [ast.unparse(b) for b in node.bases]
+    assert holders == dict.fromkeys(
+        ["ErrorMatrix", "PropensityProfile", "DiscreteModelSpec", "JointTable"], ["_FrozenArrays"])
+    assert not set(holders) & set(owners.get("__post_init__", []))
+    assert {name: owners[name] for name in ("__reduce__", "_freeze", "_adopt")} == dict.fromkeys(
+        ("__reduce__", "_freeze", "_adopt"), ["_FrozenArrays"])
+
+
 def frozen_objects():
     """A table, a dense mechanism with its inverse cached, a factored one
     with its LU factors cached, a propensity profile and a discrete model,

@@ -1746,3 +1746,61 @@ class TestEntryPointsPrintWhatMainPrints:
         assert spawned.returncode == code
         # exit 0 and 2 write a JSON document to the buffered stdout, exit 1 only an error
         assert spawned.stdout if code != 1 else spawned.stderr
+
+
+_BINARY = ["--in", "@binary.csv", "--error", "@rates.json"]
+_THEOREM1 = ["test-dsep", "--in", "@linear.csv", "--method", "theorem1", "--lambda", "1.0",
+             "--boot", "20"]
+_TETRAD = ["test-dsep", "--in", "@linear.csv", "--method", "tetrad", "--boot", "20"]
+
+#: (fault, argv, named): a malformed flag value on every subcommand it reaches,
+#: and the text of the error line that names it.  An @name is a file of
+#: ``tiny_inputs``, a %name one the command must not write
+MALFORMED_FLAGS = [
+    *[("seed", [*argv, "--seed", "-1"], "seed -1 is negative") for argv in (
+        ["effect-binary", *_BINARY, "--boot", "20"],
+        ["synthesize", *_BINARY, "--out", "%out.csv"],
+        ["effect-linear", "--in", "@linear.csv", "--var-ew", "0.3", "--boot", "20"],
+        _THEOREM1,
+        _TETRAD,
+        ["simulate-discrete", "--in", "@discrete-model.json", "--n", "100", "--out", "%out.csv"],
+        ["simulate-linear", "--in", "@linear-model.json", "--n", "100", "--out", "%out.csv"],
+    )],
+    *[("smooth", [*argv, "--smooth", value], named) for argv in (
+        ["restore-discrete", *_BINARY, "--x", "1"],
+        ["restore-binary", *_BINARY],
+        ["effect-binary", *_BINARY, "--boot", "20"],
+    ) for value, named in (("nan", "smooth=nan over 8 cells leaves the table's mass nan"),
+                           ("inf", "smooth=inf over 8 cells leaves the table's mass inf"),
+                           ("1e308", "smooth=1e+308 over 8 cells leaves the table's mass inf"))],
+    *[("var-ew", ["effect-linear", "--in", "@linear.csv", "--boot", "20", "--var-ew", value],
+       f"var_ew must be finite, got {value}") for value in ("nan", "inf")],
+    *[("level", [*argv, "--level", "2"], "level must lie in (0, 1), got 2.0")
+      for argv in (_THEOREM1, _TETRAD)],
+]
+
+
+def malformed_flag_id(fault, argv):
+    """``fault-command[-method]-value``, as ``smooth-effect-binary-nan``."""
+    method = argv[argv.index("--method") + 1:][:1] if "--method" in argv else []
+    return "-".join([fault, argv[0], *method, argv[-1]])
+
+
+@pytest.mark.parametrize("fault, argv, named", MALFORMED_FLAGS,
+                         ids=[malformed_flag_id(f, a) for f, a, _ in MALFORMED_FLAGS])
+def test_a_malformed_flag_value_exits_1_naming_it(tiny_inputs, tmp_path, monkeypatch,
+                                                  fault, argv, named):
+    from effectrestore import linear
+
+    def no_resample(*args, **kwargs):
+        raise AssertionError("a resample was drawn before the level was checked")
+
+    if fault == "level":
+        monkeypatch.setattr(linear, "_resampled", no_resample)
+    roots = {"@": tiny_inputs, "%": tmp_path}
+    argv = [str(roots[a[0]] / a[1:]) if a[0] in roots else a for a in argv]
+    code, out, err, leaked = run_main(argv)
+    assert (code, out, leaked) == (1, "", [])
+    (line,) = err.splitlines()
+    assert line.startswith(f"effectrestore {argv[0]}: error: ") and named in line, line
+    assert not (tmp_path / "out.csv").exists()

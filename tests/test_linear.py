@@ -211,6 +211,13 @@ class TestLambda:
             lambda_from_error_variance(2.0, 2.0)
         with pytest.raises(InvalidErrorVarianceError):
             lambda_from_error_variance(2.0, 2.5)
+        with pytest.raises(InvalidErrorVarianceError):
+            lambda_from_error_variance(2.0, -0.5)
+        # a non-finite error variance is malformed input, not a model failure
+        for var_ew in (np.nan, np.inf):
+            with pytest.raises(ValidationError, match="var_ew must be finite") as caught:
+                lambda_from_error_variance(2.0, var_ew)
+            assert not isinstance(caught.value, InvalidErrorVarianceError)
 
     def test_constant_proxy_is_a_model_error(self):
         # var_w = 0 leaves any error variance without signal; only a

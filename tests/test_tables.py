@@ -1,9 +1,10 @@
 """Joint-table construction, validation, marginals, and adjustment."""
 
+import re
+
 import numpy as np
 import pytest
 
-from effectrestore import tables
 from effectrestore import (
     JointTable,
     PositivityError,
@@ -65,15 +66,15 @@ class TestValidation:
 
     def test_fresh_arrays_are_adopted_in_place(self):
         cells = np.full((2, 2, 2), 1 / 8)
-        table = tables._adopt(JointTable, cells, "Z")
+        table = JointTable._adopt(cells, "Z")
         assert table.cells is cells and not cells.flags.writeable
         # relabelling shares the read-only cells
         assert table.with_axis("W").cells is cells
         # cells out of C order are copied into it
-        adopted = tables._adopt(JointTable, np.full((2, 2, 3), 1 / 12).transpose(1, 0, 2), "Z")
+        adopted = JointTable._adopt(np.full((2, 2, 3), 1 / 12).transpose(1, 0, 2), "Z")
         assert adopted.cells.flags.c_contiguous
         with pytest.raises(ValidationError, match="finite"):
-            tables._adopt(JointTable, np.full((2, 2, 2), np.inf), "Z")
+            JointTable._adopt(np.full((2, 2, 2), np.inf), "Z")
 
 
 class TestMarginal:
@@ -286,6 +287,16 @@ class TestEmpiricalJoint:
         assert table.cells.min() > 0.0
         assert table.total() == pytest.approx(1.0)
         assert table.cells[0, 0, 0] == pytest.approx(1.5 / 5.0)
+
+    @pytest.mark.parametrize("smooth, mass", [
+        (np.nan, "nan"), (np.inf, "inf"),
+        # finite, but eight cells of it sum to inf: every cell would read 0
+        (1e308, "inf"),
+    ], ids=["nan", "inf", "1e308"])
+    def test_smoothing_that_poisons_the_table_is_refused(self, smooth, mass):
+        fault = f"smooth={smooth} over 8 cells leaves the table's mass {mass}, not finite"
+        with pytest.raises(ValidationError, match=re.escape(fault)):
+            empirical_joint(np.array([[0, 0, 0]]), (2, 2, 2), "W", smooth=smooth)
 
     @pytest.mark.parametrize("samples, cards, message", [
         ([[0, -1, 0]], (2, 2, 2), "samples column 1 holds -1, outside [0, 2)"),
