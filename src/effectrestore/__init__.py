@@ -31,7 +31,6 @@ _EXPORTS = {
         "TestResult",
         "tetrad_residual",
         "tetrad_test",
-        "theorem1_residual",
         "theorem1_test",
         "two_stage_test",
     ),
@@ -60,6 +59,7 @@ _EXPORTS = {
         "lambda_from_error_variance",
         "lambda_from_two_indicators",
         "surrogate_slope",
+        "theorem1_residual",
     ),
     "mechanism": (
         "BinaryErrorParams",

@@ -161,11 +161,15 @@ def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
     x, strata = getattr(args, "x", None), getattr(args, "strata", None)
     if strata is not None and x is None:
         raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
+    if strata is not None and strata < 1:
+        raise ValidationError(f"--strata must be >= 1, got {strata}")
     mech = _mechanism(args.error)
     xy_cards = (2, 2) if args.command == "restore-binary" else None
     if xy_cards:
         _require_2x2(args, mech)
     observed, _ = _read_table(args.input, mech, args.smooth, xy_cards)
+    if x is not None and not 0 <= x < observed.card_x:
+        raise ValidationError(f"x={x} out of range for card_x={observed.card_x}")
     result = restore.restore_joint(observed, mech, clip=args.clip)
     payload = result.to_json_dict()
     if x is not None:
@@ -227,7 +231,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> dict:
 def _cmd_effect_linear(args: argparse.Namespace) -> dict:
     from . import linear
 
-    _, rows = read_samples_csv(args.input)
     # per source of lambda: its flag's value, its name, and lambda from moments
     sources = {
         "--lambda": (args.lam, "external", lambda s: args.lam),
@@ -240,15 +243,15 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
     if len(chosen) != 1:
         raise ValidationError(f"exactly one of {', '.join(sources)} must be given")
     _, source, lam_of = sources[chosen[0]]
+    _, rows = read_samples_csv(args.input)
     stats = linear.cov_from_samples(rows)
     lam = lam_of(stats)
     if args.two_indicator:
         statistic = linear.c0_two_indicator
-        c0 = statistic(stats)
     else:
         def statistic(s: linear.CovStats) -> float:
             return linear.c0_from_lambda(s, lam_of(s))
-        c0 = linear.c0_from_lambda(stats, lam)
+    c0 = statistic(stats)
     boots = linear.bootstrap_values(rows, statistic, n_boot=args.boot, seed=args.seed)
     se = float(np.std(boots, ddof=1))
     return {
@@ -265,14 +268,14 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
 def _cmd_test_dsep(args: argparse.Namespace) -> dict:
     from . import dsep
 
+    if args.method == "two-stage" and args.alpha_param is None:
+        raise ValidationError("--alpha-param is required for the two-stage test")
+    if args.method == "theorem1" and args.lam is None:
+        raise ValidationError("--lambda is required for the theorem1 test")
     _, rows = read_samples_csv(args.input)
     if args.method == "two-stage":
-        if args.alpha_param is None:
-            raise ValidationError("--alpha-param is required for the two-stage test")
         result = dsep.two_stage_test(rows, args.alpha_param, level=args.level)
     elif args.method == "theorem1":
-        if args.lam is None:
-            raise ValidationError("--lambda is required for the theorem1 test")
         result = dsep.theorem1_test(
             rows, args.lam, level=args.level, n_boot=args.boot, seed=args.seed
         )

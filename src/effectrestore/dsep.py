@@ -6,9 +6,10 @@ noise leaks association.  The corrected constraint is
 
     cov(XY) = cov(XW) cov(WY) / lam,        lam = c^2 var(Z) = var(W) - var(e_W)
 
-whose residual this module computes directly, in tetrad form when lam is
-estimated from a second indicator, and as a regression-style two-stage
-test on raw samples:
+whose residual this module tests directly (``linear.theorem1_residual``,
+the numerator of the corrected c0), in tetrad form when lam is estimated
+from a second indicator, and as a regression-style two-stage test on raw
+samples:
 
     1. obtain alpha = var(W) - var(e_W) externally (pilot study or
        auxiliary proxies),
@@ -25,7 +26,8 @@ heteroscedasticity-robust standard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -37,8 +39,10 @@ from .linear import (
     _check_den,
     _require_v,
     _rows,
+    _variance,
     bootstrap_se,
     cov_from_samples,
+    theorem1_residual,
 )
 
 DEFAULT_LEVEL = 0.05
@@ -46,7 +50,8 @@ DEFAULT_LEVEL = 0.05
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one constraint test."""
+    """Outcome of one constraint test; ``decision`` is "reject" when
+    ``p_value < level``, else "accept"."""
 
     __test__ = False  # not a pytest class, despite the name
 
@@ -55,19 +60,14 @@ class TestResult:
     stderr: float
     p_value: float
     level: float
-    decision: str
+    decision: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValidationError(f"p_value must lie in [0, 1], got {self.p_value!r}")
         if self.stderr < 0.0:
             raise ValidationError("stderr must be >= 0")
-        expected = "reject" if self.p_value < self.level else "accept"
-        if self.decision != expected:
-            raise ValidationError(
-                f"decision {self.decision!r} inconsistent with p={self.p_value:.4g} "
-                f"at level {self.level:.4g}"
-            )
+        object.__setattr__(self, "decision", "reject" if self.p_value < self.level else "accept")
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,16 +101,7 @@ def _make_result(method: str, statistic: float, stderr: float, level: float) -> 
         stderr=float(stderr),
         p_value=float(p),
         level=float(level),
-        decision="reject" if p < level else "accept",
     )
-
-
-def theorem1_residual(s: CovStats, lam: float) -> float:
-    """cov(XY) - cov(XW) cov(WY) / lam; zero iff the latent-separation
-    constraint holds for the given lam = c^2 var(Z)."""
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValidationError(f"lam must be positive, got {lam!r}")
-    return s.cov_xy - s.cov_xw * s.cov_yw / lam
 
 
 def tetrad_residual(s: CovStats) -> float:
@@ -144,10 +135,9 @@ def two_stage_test(
     is a sample of at least ``MIN_ROWS`` rows, as ``linear`` reads them.
     """
     _check_level(level)
+    _variance("alpha_param", alpha_param, positive=True)
     arr = _rows(rows, MIN_ROWS, "for the two-stage test")
     n = arr.shape[0]
-    if not math.isfinite(alpha_param) or alpha_param <= 0.0:
-        raise ValidationError(f"alpha_param must be positive, got {alpha_param!r}")
     x, y, w = arr[:, 0], arr[:, 1], arr[:, 2]
     xc = x - x.mean()
     yc = y - y.mean()
@@ -166,6 +156,16 @@ def two_stage_test(
     return _make_result("two_stage", a, stderr, level)
 
 
+def _residual_test(method: str, residual: Callable[[CovStats], float], rows: np.ndarray,
+                   level: float, n_boot: int, seed: int) -> TestResult:
+    """The bootstrap test of a moment residual: its value at the sample's
+    moments, over its standard error across row resamples."""
+    _check_level(level)
+    stat = residual(cov_from_samples(rows))
+    se = bootstrap_se(rows, residual, n_boot=n_boot, seed=seed)
+    return _make_result(method, stat, se, level)
+
+
 def theorem1_test(
     rows: np.ndarray,
     lam: float,
@@ -175,10 +175,8 @@ def theorem1_test(
     seed: int = 0,
 ) -> TestResult:
     """Residual test on samples, with a bootstrap standard error."""
-    _check_level(level)
-    stat = theorem1_residual(cov_from_samples(rows), lam)
-    se = bootstrap_se(rows, lambda s: theorem1_residual(s, lam), n_boot=n_boot, seed=seed)
-    return _make_result("theorem1", stat, se, level)
+    return _residual_test("theorem1", lambda s: theorem1_residual(s, lam), rows, level, n_boot,
+                          seed)
 
 
 def tetrad_test(
@@ -189,7 +187,4 @@ def tetrad_test(
     seed: int = 0,
 ) -> TestResult:
     """Tetrad-form residual test on samples, with a bootstrap standard error."""
-    _check_level(level)
-    stat = tetrad_residual(cov_from_samples(rows))
-    se = bootstrap_se(rows, tetrad_residual, n_boot=n_boot, seed=seed)
-    return _make_result("tetrad", stat, se, level)
+    return _residual_test("tetrad", tetrad_residual, rows, level, n_boot, seed)

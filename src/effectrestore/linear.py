@@ -61,14 +61,20 @@ MIN_ROWS = 10
 #: table's cells), and at least one per fill thread
 _COUNT_CELLS = 1 << 21
 
-_PAIRS = (
-    ("cov_xy", "var_x", "var_y"),
-    ("cov_xw", "var_x", "var_w"),
-    ("cov_yw", "var_y", "var_w"),
-    ("cov_xv", "var_x", "var_v"),
-    ("cov_yv", "var_y", "var_v"),
-    ("cov_wv", "var_w", "var_v"),
-)
+#: entry m of a width-k sample's moment vector is the (co)variance of columns
+#: i[m] and j[m], (i, j) = np.triu_indices(k); each entry's field, by the length
+_FIELDS = {len(i): [f"var_{'xywv'[a]}" if a == b else f"cov_{'xywv'[a]}{'xywv'[b]}"
+                    for a, b in zip(i, j)] for i, j in map(np.triu_indices, (3, 4))}
+#: each covariance field with the two variances that bound it, in the width-4 layout
+_PAIRS = [(f, f"var_{f[4]}", f"var_{f[5]}") for f in _FIELDS[10] if f.startswith("cov_")]
+
+
+def _variance(name: str, value: float, *, positive: bool = False) -> None:
+    """The one variance rule, for every variance and lam: ``value`` must be a
+    finite real >= 0, or > 0 when ``positive``."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise ValidationError(f"{name} must be a finite {kind} real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,8 @@ class CovStats:
 
     def __post_init__(self) -> None:
         for name in ("var_x", "var_y", "var_w", "var_v"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"{name} must be a finite nonnegative real, got {v!r}")
+            if getattr(self, name) is not None:
+                _variance(name, getattr(self, name))
         v_fields = (self.var_v, self.cov_xv, self.cov_yv, self.cov_wv)
         if any(f is not None for f in v_fields) and any(f is None for f in v_fields):
             raise ValidationError("either supply all V moments or none")
@@ -155,19 +158,9 @@ class LinearSemSpec:
             v = getattr(self, name)
             if v is not None and not math.isfinite(v):
                 raise ValidationError(f"{name} must be finite")
-        for name, strict in (
-            ("var_z", True),
-            ("var_ex", True),
-            ("var_ey", True),
-            ("var_ew", False),
-            ("var_ev", False),
-        ):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not math.isfinite(v) or v < 0.0 or (strict and v <= 0.0):
-                kind = "positive" if strict else "nonnegative"
-                raise ValidationError(f"{name} must be a finite {kind} real, got {v!r}")
+        for name in ("var_z", "var_ex", "var_ey", "var_ew", "var_ev"):
+            if getattr(self, name) is not None:
+                _variance(name, getattr(self, name), positive=name in ("var_z", "var_ex", "var_ey"))
         if (self.c_v is None) != (self.var_ev is None):
             raise ValidationError("c_v and var_ev must be supplied together")
 
@@ -240,8 +233,7 @@ def lambda_from_error_variance(var_w: float, var_ew: float) -> float:
     A constant proxy (var_w = 0) leaves every error variance without
     signal, which is a model error like any var_ew >= var_w.
     """
-    if not math.isfinite(var_w) or var_w < 0.0:
-        raise ValidationError(f"var_w must be nonnegative, got {var_w!r}")
+    _variance("var_w", var_w)
     if not math.isfinite(var_ew):
         raise ValidationError(f"var_ew must be finite, got {var_ew!r}")
     if var_ew < 0.0:
@@ -254,11 +246,17 @@ def lambda_from_error_variance(var_w: float, var_ew: float) -> float:
     return var_w - var_ew
 
 
+def theorem1_residual(s: CovStats, lam: float) -> float:
+    """cov(XY) - cov(XW) cov(WY) / lam, given lam = c3^2 var(Z): the numerator
+    of :func:`c0_from_lambda`, and zero iff the latent-separation constraint
+    of Theorem 1 holds."""
+    _variance("lam", lam, positive=True)
+    return s.cov_xy - s.cov_xw * s.cov_yw / lam
+
+
 def c0_from_lambda(s: CovStats, lam: float) -> float:
     """Treatment coefficient corrected for proxy error, given lam = c3^2 var(Z)."""
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValidationError(f"lam must be positive, got {lam!r}")
-    num = s.cov_xy - s.cov_xw * s.cov_yw / lam
+    num = theorem1_residual(s, lam)
     den = s.var_x - s.cov_xw**2 / lam
     _check_den(den, max(abs(s.var_x), s.cov_xw**2 / lam), "var(X) - cov^2(XW)/lam")
     return num / den
@@ -284,8 +282,8 @@ def c0_two_indicator(s: CovStats) -> float:
 def c0_noiseless(s: CovStats) -> float:
     """Partial regression coefficient of X adjusting for W (valid when the
     proxy is noiseless, i.e. lam = var(W))."""
-    if s.var_x <= 0.0 or s.var_w <= 0.0:
-        raise ValidationError("var_x and var_w must be positive")
+    _variance("var_x", s.var_x, positive=True)
+    _variance("var_w", s.var_w, positive=True)
     beta_yx = s.cov_xy / s.var_x
     beta_yw = s.cov_yw / s.var_w
     beta_wx = s.cov_xw / s.var_x
@@ -319,10 +317,8 @@ def surrogate_slope(s: CovStats, lam: float) -> float:
     equal to k = 1 - var(e_W)/var(W) when lam comes from the error
     variance.
     """
-    if s.var_w <= 0.0:
-        raise ValidationError("var_w must be positive")
-    if not math.isfinite(lam):
-        raise ValidationError("lam must be finite")
+    _variance("var_w", s.var_w, positive=True)
+    _variance("lam", lam, positive=True)
     return lam / s.var_w
 
 
@@ -337,12 +333,6 @@ def _rows(rows: np.ndarray, least: int, purpose: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError("rows must be finite")
     return arr
-
-
-#: entry m of a width-k sample's moment vector is the (co)variance of columns
-#: i[m] and j[m], (i, j) = np.triu_indices(k); each entry's field, by the length
-_FIELDS = {len(i): [f"var_{'xywv'[a]}" if a == b else f"cov_{'xywv'[a]}{'xywv'[b]}"
-                    for a, b in zip(i, j)] for i, j in map(np.triu_indices, (3, 4))}
 
 
 def _cov_stats(moments: list[float], n: int) -> CovStats:

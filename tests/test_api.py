@@ -129,6 +129,8 @@ import effectrestore
 names = {n: getattr(effectrestore, n) is getattr(
     importlib.import_module(f"effectrestore.{effectrestore._ORIGIN[n]}"), n)
     for n in effectrestore.__all__}
+homes = {n: getattr(effectrestore, n).__module__ == f"effectrestore.{effectrestore._ORIGIN[n]}"
+         for n in effectrestore.__all__}
 on_disk = sorted(m.name for m in pkgutil.iter_modules(effectrestore.__path__))
 subs = {m: isinstance(getattr(effectrestore, m), types.ModuleType) for m in on_disk}
 star = {}
@@ -138,11 +140,13 @@ try:
     unknown = None
 except AttributeError as exc:
     unknown = str(exc)
-print(json.dumps({"names": names, "subs": subs, "listed": dir(effectrestore),
+print(json.dumps({"names": names, "homes": homes, "subs": subs, "listed": dir(effectrestore),
                   "star": sorted(k for k in star if k != "__builtins__"),
                   "unknown": unknown, "declared": sorted(effectrestore._SUBMODULES)}))
 """)
         assert len(doc["names"]) == 56 and all(doc["names"].values())
+        # each name is defined in the module that _EXPORTS lists it under
+        assert [n for n, home in doc["homes"].items() if not home] == []
         assert doc["declared"] == sorted(doc["subs"]) and all(doc["subs"].values())
         assert set(doc["names"]) | set(doc["subs"]) <= set(doc["listed"])
         assert doc["star"] == sorted(doc["names"])
@@ -257,6 +261,38 @@ def test_one_sample_gate():
     assert set().union(*passed_to.values()) <= set(takers)
     assert {"cov_from_samples", "bootstrap_values", "two_stage_test"} <= {
         name for name, callees in passed_to.items() if callees == {"_rows"}}
+
+
+def test_one_variance_rule():
+    # every "finite positive" or "finite nonnegative" refusal of the linear
+    # model, a variance's or lam's, is ``linear._variance``'s: no other code of
+    # linear.py or dsep.py spells either word outside a docstring
+    package = Path(effectrestore.__file__).parent
+    spellers = set()
+    for name in ("linear.py", "dsep.py"):
+        tree = ast.parse((package / name).read_text())
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and isinstance(node.body[0], ast.Expr)}
+        spellers |= {(name, getattr(top, "name", None)) for top in tree.body
+                     for node in ast.walk(top) if isinstance(node, ast.Constant)
+                     and id(node) not in docs and isinstance(node.value, str)
+                     and ("positive" in node.value or "nonnegative" in node.value)}
+    assert spellers == {("linear.py", "_variance")}
+
+
+def test_one_theorem1_residual():
+    # cov(XY) - cov(XW) cov(WY) / lam is written once, in
+    # ``linear.theorem1_residual``, the numerator of ``c0_from_lambda``
+    package = Path(effectrestore.__file__).parent
+    writers = {(path.name, top.name) for path in package.glob("*.py")
+               for top in ast.parse(path.read_text()).body
+               if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+               for node in ast.walk(top)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+               and {"cov_xy", "cov_xw", "cov_yw"} <= {
+                   n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}}
+    assert writers == {("linear.py", "theorem1_residual")}
 
 
 def test_only_restore_reports_a_clip():

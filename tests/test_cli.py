@@ -836,6 +836,10 @@ class TestLinearCommands:
         assert load_json(out_path)["decision"] == "accept"
 
 
+#: (--lambda or --alpha-param value, as the refusal prints it)
+LAMBDAS = [("inf", "inf"), ("nan", "nan"), ("0", "0.0")]
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -931,6 +935,47 @@ class TestUsageErrors:
             code, out, err, leaked = run_main(argv)
             assert (code, out, leaked) == (1, "", [])
             assert err == f"effectrestore {argv[0]}: error: {fault}\n"
+
+    @pytest.mark.parametrize("argv, fault", [
+        *[(["effect-linear", "--in", "{rows}", "--lambda", value],
+           f"lam must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[(["test-dsep", "--in", "{rows}", "--method", "theorem1", "--lambda", value],
+           f"lam must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[(["test-dsep", "--in", "{rows}", "--method", "two-stage", "--alpha-param", value],
+           f"alpha_param must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        (["restore-discrete", "--in", "{binary}", "--error", "{rates}", "--x", "5"],
+         "x=5 out of range for card_x=2"),
+        # a flag's rule goes before any file is read: --in and --error do not exist
+        (["restore-discrete", "--in", "{nope}", "--error", "{nope}", "--x", "1", "--strata", "0"],
+         "--strata must be >= 1, got 0"),
+        (["test-dsep", "--in", "{nope}", "--method", "two-stage"],
+         "--alpha-param is required for the two-stage test"),
+        (["test-dsep", "--in", "{nope}", "--method", "theorem1"],
+         "--lambda is required for the theorem1 test"),
+        (["effect-linear", "--in", "{nope}"],
+         "exactly one of --lambda, --var-ew, --two-indicator must be given"),
+        (["effect-linear", "--in", "{nope}", "--lambda", "1", "--var-ew", "0.5"],
+         "exactly one of --lambda, --var-ew, --two-indicator must be given"),
+    ])
+    def test_a_bad_flag_is_refused_before_the_work(self, tmp_path, monkeypatch, argv, fault):
+        # exit 1 with one error line naming the flag or its value, before any
+        # restoration (and, for a flag alone, before any file is read)
+        from effectrestore import restore
+
+        def no_restoration(*args, **kwargs):
+            raise AssertionError("restored before the flags were checked")
+
+        monkeypatch.setattr(restore, "restore_joint", no_restoration)
+        paths = {"rows": tmp_path / "rows.csv", "binary": tmp_path / "binary.csv",
+                 "rates": tmp_path / "rates.json", "nope": tmp_path / "nope"}
+        write_samples_csv(paths["rows"], ["x", "y", "w"],
+                          np.random.default_rng(3).normal(size=(50, 3)))
+        write_samples_csv(paths["binary"], ["x", "y", "w"],
+                          np.random.default_rng(4).integers(0, 2, size=(50, 3)), integer=True)
+        dump_json({"eps": 0.1, "delta": 0.1}, paths["rates"])
+        code, out, err, leaked = run_main([arg.format(**paths) for arg in argv])
+        assert (code, out, leaked) == (1, "", [])
+        assert err == f"effectrestore {argv[0]}: error: {fault}\n"
 
     def test_stdout_json_when_no_out(self, tmp_path, capsys, strong_confounding_spec):
         samples_path, _ = write_binary_samples(tmp_path, strong_confounding_spec, n=1000)

@@ -226,15 +226,18 @@ class TestTwoStage:
 
 class TestResultContracts:
     def test_decision_consistency_enforced(self):
+        # the decision is derived from p_value and level, never passed in
+        for p_value, decision in ((0.5, "accept"), (0.05, "accept"), (0.049, "reject")):
+            result = TestResult(method="two_stage", statistic=1.0, stderr=1.0,
+                                p_value=p_value, level=0.05)
+            assert result.decision == decision
+        with pytest.raises(TypeError):
+            TestResult(method="two_stage", statistic=1.0, stderr=1.0,
+                       p_value=0.5, level=0.05, decision="reject")
         with pytest.raises(ValidationError):
             TestResult(
                 method="two_stage", statistic=1.0, stderr=1.0,
-                p_value=0.5, level=0.05, decision="reject",
-            )
-        with pytest.raises(ValidationError):
-            TestResult(
-                method="two_stage", statistic=1.0, stderr=1.0,
-                p_value=1.5, level=0.05, decision="accept",
+                p_value=1.5, level=0.05,
             )
 
     def test_json_document(self):

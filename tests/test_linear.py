@@ -5,7 +5,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from effectrestore import (
@@ -26,6 +26,7 @@ from effectrestore import (
     lambda_from_two_indicators,
     simulate_linear,
     surrogate_slope,
+    theorem1_residual,
 )
 from effectrestore import linear
 from effectrestore.dsep import tetrad_test, theorem1_test, two_stage_test
@@ -225,8 +226,8 @@ class TestLambda:
         for var_ew in (0.0, 0.1):
             with pytest.raises(InvalidErrorVarianceError):
                 lambda_from_error_variance(0.0, var_ew)
-        for var_w in (-1e-19, np.nan):
-            with pytest.raises(ValidationError):
+        for var_w in (-1e-19, np.nan, np.inf):
+            with pytest.raises(ValidationError, match="^var_w must be a finite nonnegative real"):
                 lambda_from_error_variance(var_w, 0.1)
 
 
@@ -265,6 +266,20 @@ class TestC0FromLambda:
             c0_from_lambda(pop, 0.0)
         with pytest.raises(ValidationError):
             c0_from_lambda(pop, -1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+           lam=st.floats(1e-3, 1e3))
+    def test_numerator_is_the_theorem1_residual(self, entries, lam):
+        # bit for bit: the corrected c0 is the Theorem 1 residual over its denominator
+        root = np.array(entries).reshape(3, 3)
+        moments = (root @ root.T)[np.triu_indices(3)].tolist()
+        s = CovStats(**dict(zip(linear._FIELDS[len(moments)], moments)))
+        try:
+            c0 = c0_from_lambda(s, lam)
+        except UnidentifiableError:
+            assume(False)
+        assert c0.hex() == (theorem1_residual(s, lam) / (s.var_x - s.cov_xw**2 / lam)).hex()
 
     def test_vanishing_denominator_unidentifiable(self):
         # lam exactly cov^2(XW)/var(X): X fully determined by the proxy signal
@@ -318,6 +333,13 @@ class TestC0Noiseless:
     def test_collinear_rejected(self):
         s = CovStats(var_x=1.0, var_y=1.0, var_w=1.0, cov_xy=0.3, cov_xw=1.0, cov_yw=0.3)
         with pytest.raises(UnidentifiableError):
+            c0_noiseless(s)
+
+    @pytest.mark.parametrize("name", ["var_x", "var_w"])
+    def test_zero_variance_rejected(self, name):
+        moments = {"var_x": 1.0, "var_y": 1.0, "var_w": 1.0, name: 0.0}
+        s = CovStats(**moments, cov_xy=0.0, cov_xw=0.0, cov_yw=0.0)
+        with pytest.raises(ValidationError, match=f"^{name} must be a finite positive real"):
             c0_noiseless(s)
 
     def test_scale_invariance_in_proxy(self):
@@ -388,6 +410,12 @@ class TestSurrogateSlope:
     def test_forced_ratio(self):
         s = CovStats(var_x=1.0, var_y=1.0, var_w=2.0, cov_xy=0.0, cov_xw=0.0, cov_yw=0.0)
         assert surrogate_slope(s, 1.5) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_lambda_must_be_finite_positive(self, lam):
+        s = CovStats(var_x=1.0, var_y=1.0, var_w=2.0, cov_xy=0.0, cov_xw=0.0, cov_yw=0.0)
+        with pytest.raises(ValidationError, match="^lam must be a finite positive real"):
+            surrogate_slope(s, lam)
 
     def test_equals_reliability_ratio(self):
         rng = np.random.default_rng(25)
