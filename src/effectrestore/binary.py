@@ -44,7 +44,7 @@ from .errors import DegenerateDenominatorError, ValidationError
 from .mechanism import BinaryErrorParams, ErrorMatrix
 from .restore import TOL_VANISHING, _restored, restore_joint
 from .rng import _uniform_row_blocks, make_rng
-from .tables import JointTable, adjust_for_confounder
+from .tables import JointTable, _index, adjust_for_confounder
 
 __all__ = [
     "restore_binary",
@@ -102,11 +102,6 @@ def _nonvanishing(*named: tuple[str, float]) -> None:
             raise DegenerateDenominatorError(f"{name} = {value:.3e} vanishes")
 
 
-def _check_xy(x: int, y: int) -> None:
-    if x not in (0, 1) or y not in (0, 1):
-        raise ValidationError(f"x and y must be 0 or 1, got x={x}, y={y}")
-
-
 def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y: int) -> float:
     """P(y | do(x)) for binary data: ``restore_binary`` then ``adjust_for_confounder``.
 
@@ -115,7 +110,8 @@ def causal_effect_binary(observed: JointTable, err: BinaryErrorParams, x: int, y
     ``restore_binary`` does, and raises PositivityError where the
     restored propensity P(x | z) of a stratum vanishes.
     """
-    _check_xy(x, y)
+    _index("x", x, 2)
+    _index("y", y, 2, "y")
     return float(adjust_for_confounder(restore_binary(observed, err), x)[y])
 
 
@@ -135,7 +131,8 @@ def causal_effect_binary_infinitesimal(
     any observed quantity it divides by that vanishes.
     """
     p = _require_binary(observed)
-    _check_xy(x, y)
+    _index("x", x, 2)
+    _index("y", y, 2, "y")
     p_w, p_x, p_xw, p_xy = p.sum(axis=(0, 1)), p.sum(axis=(1, 2)), p.sum(axis=1), p.sum(axis=2)
     _nonvanishing(("P(w1)", p_w[1]), ("P(w0)", p_w[0]), (f"P(x={x})", p_x[x]),
                   (f"P(x={x},y={y})", p_xy[x, y]))

@@ -25,7 +25,7 @@ heap (see ``effectrestore._program_run``).  Importing this module sets
 nothing.
 
 At module level this imports only what parsing and error mapping need
-(``errors``, ``io`` and numpy); each command imports the modules it runs,
+(``errors``, and ``io`` with numpy); each command imports the modules it runs,
 so a command loads, and on a checkout without bytecode compiles, only
 its own code.
 """
@@ -42,9 +42,7 @@ if __name__ == "__main__":
 
     _program_start()
 
-import numpy as np  # noqa: E402  (after the policy, which OpenBLAS reads on load)
-
-from .errors import (
+from .errors import (  # noqa: E402  (after the policy, which OpenBLAS reads on load)
     DegenerateStratumError,
     IncompatibleModelError,
     InvalidErrorVarianceError,
@@ -96,18 +94,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _mechanism(path: str) -> ErrorMatrix:
-    """The ``--error`` document at ``path``."""
+def _mechanism(args: argparse.Namespace, binary: bool = False) -> ErrorMatrix:
+    """The ``--error`` document, which a ``binary`` command requires to be 2x2."""
     from .mechanism import ErrorMatrix
 
-    return ErrorMatrix.from_json_dict(load_json(path))
-
-
-def _require_2x2(args: argparse.Namespace, mech: ErrorMatrix) -> None:
-    """A binary command's ``--error`` must be a 2x2 mechanism."""
-    if (mech.n_w, mech.n_z) != (2, 2):
+    mech = ErrorMatrix.from_json_dict(load_json(args.error))
+    if binary and (mech.n_w, mech.n_z) != (2, 2):
         raise ValidationError(f"{args.error}: {args.command} takes a 2x2 mechanism (one rates "
                               f"pair or a 2x2 matrix), got {mech.n_w}x{mech.n_z}")
+    return mech
 
 
 #: most cells of a table whose x and y cards a CSV's values set: 8 MiB a float64
@@ -115,14 +110,16 @@ def _require_2x2(args: argparse.Namespace, mech: ErrorMatrix) -> None:
 _TABLE_CAP = 1 << 20
 
 
-def _read_table(path: str, mech: ErrorMatrix, smooth: float,
-                xy_cards: tuple[int, int] | None = None) -> tuple[JointTable, int | None]:
-    """``--in`` as the observed table and its row count (None for JSON).  A JSON table
-    must be a distribution.  A CSV holds x, y and one w column of ``mech.n_w`` values
-    or one per dense factor of ``mech`` (its ``n_w`` the radix).  x and y cards are
-    ``xy_cards`` when given, else a CSV's max + 1."""
+def _read_table(args: argparse.Namespace, binary: bool = False
+                ) -> tuple[ErrorMatrix, JointTable, int | None]:
+    """The ``--error`` mechanism, and ``--in`` as the observed table and its row count
+    (None for JSON).  A JSON table must be a distribution.  A CSV holds x, y and one w
+    column of ``mech.n_w`` values or one per dense factor of ``mech`` (its ``n_w`` the
+    radix).  x and y cards are 2 for a ``binary`` command, else a CSV's max + 1."""
     from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
 
+    mech, path, smooth = _mechanism(args, binary), args.input, args.smooth
+    xy_cards = (2, 2) if binary else None
     if path.endswith(".json"):
         if smooth:
             raise ValidationError("--smooth smooths sample counts; a .json table input has none")
@@ -137,7 +134,7 @@ def _read_table(path: str, mech: ErrorMatrix, smooth: float,
         if xy_cards not in (None, (table.card_x, table.card_y)):
             raise ValidationError(f"{path}: card_x={table.card_x} and card_y={table.card_y}, "
                                   f"expected {xy_cards[0]} and {xy_cards[1]}")
-        return table, None
+        return mech, table, None
     header, samples = read_integer_samples(path)
     radices = [leaf.n_w for leaf in mech._leaves]
     w_cards = {3: [mech.n_w], 2 + len(radices): radices}.get(samples.shape[1])
@@ -151,25 +148,21 @@ def _read_table(path: str, mech: ErrorMatrix, smooth: float,
             raise ValidationError(
                 f"{path}: column {header[i]!r} holds {xy_cards[i] - 1}, so the {xy_cards[0]} x "
                 f"{xy_cards[1]} x {mech.n_w} table exceeds the cap of {_TABLE_CAP} cells")
-    return empirical_joint(samples, (*xy_cards, *w_cards), "W", smooth=smooth), len(samples)
+    return mech, empirical_joint(samples, (*xy_cards, *w_cards), "W", smooth=smooth), len(samples)
 
 
 def _cmd_restore_discrete(args: argparse.Namespace) -> dict:
     """Also ``restore-binary``: binary x and y, a 2x2 mechanism, no --x or --strata."""
-    from . import restore
+    from . import restore, tables
 
     x, strata = getattr(args, "x", None), getattr(args, "strata", None)
     if strata is not None and x is None:
         raise ValidationError("--strata needs --x: the stratified effect is of a treatment value")
-    if strata is not None and strata < 1:
-        raise ValidationError(f"--strata must be >= 1, got {strata}")
-    mech = _mechanism(args.error)
-    xy_cards = (2, 2) if args.command == "restore-binary" else None
-    if xy_cards:
-        _require_2x2(args, mech)
-    observed, _ = _read_table(args.input, mech, args.smooth, xy_cards)
-    if x is not None and not 0 <= x < observed.card_x:
-        raise ValidationError(f"x={x} out of range for card_x={observed.card_x}")
+    if strata is not None:
+        restore._bin_count("--strata", strata)
+    mech, observed, _ = _read_table(args, binary=args.command == "restore-binary")
+    if x is not None:
+        tables._index("--x", x, observed.card_x)
     result = restore.restore_joint(observed, mech, clip=args.clip)
     payload = result.to_json_dict()
     if x is not None:
@@ -186,13 +179,13 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
     """``restore-discrete --x`` on the 2x2 mechanism, with a bootstrap of the
     same restoration and adjustment, run on each chunk of resampled tables
     at once."""
-    from . import linear, restore
+    from . import linear, restore, rng
 
-    mech = _mechanism(args.error)
-    _require_2x2(args, mech)
-    observed, n = _read_table(args.input, mech, args.smooth, (2, 2))
-    if n is None:
+    if args.input.endswith(".json"):
         raise ValidationError("effect-binary bootstraps sample rows; a .json table input has none")
+    linear._resample_count("--boot", args.boot)
+    rng._seed("--seed", args.seed)
+    mech, observed, n = _read_table(args, binary=True)
     result = restore.restore_joint(observed, mech)
     effect = restore.adjust_for_confounder(result.restored, args.x)
     counts = observed.cells.ravel() * n
@@ -201,13 +194,10 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
         lambda chunk: restore._restored_effects(chunk, mech, args.x),
         n_boot=args.boot, seed=args.seed,
     )
-    se = np.std(boots, axis=0, ddof=1)
-    ci = [[e - 1.96 * s, e + 1.96 * s] for e, s in zip(effect, se)]
     return {
         "x": args.x,
         "effect": effect,
-        "stderr": se,
-        "ci95": ci,
+        **linear._interval(effect, boots),
         "n": n,
         "boot_used": len(boots),
         "condition_estimate": result.condition_estimate,
@@ -217,9 +207,10 @@ def _cmd_effect_binary(args: argparse.Namespace) -> dict:
 
 
 def _cmd_synthesize(args: argparse.Namespace) -> dict:
-    from . import binary
+    from . import binary, rng
 
-    mech = _mechanism(args.error)
+    rng._seed("--seed", args.seed)
+    mech = _mechanism(args)
     _, samples = read_integer_samples(args.input)
     synth = binary.synthesize_samples(samples, mech, args.seed)
     k = synth.shape[1] - 2
@@ -229,7 +220,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> dict:
 
 
 def _cmd_effect_linear(args: argparse.Namespace) -> dict:
-    from . import linear
+    from . import linear, rng
 
     # per source of lambda: its flag's value, its name, and lambda from moments
     sources = {
@@ -242,6 +233,10 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
     chosen = [flag for flag, (value, _, _) in sources.items() if value is not None]
     if len(chosen) != 1:
         raise ValidationError(f"exactly one of {', '.join(sources)} must be given")
+    if args.lam is not None:
+        linear._variance("--lambda", args.lam, positive=True)
+    linear._resample_count("--boot", args.boot)
+    rng._seed("--seed", args.seed)
     _, source, lam_of = sources[chosen[0]]
     _, rows = read_samples_csv(args.input)
     stats = linear.cov_from_samples(rows)
@@ -253,11 +248,9 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
             return linear.c0_from_lambda(s, lam_of(s))
     c0 = statistic(stats)
     boots = linear.bootstrap_values(rows, statistic, n_boot=args.boot, seed=args.seed)
-    se = float(np.std(boots, ddof=1))
     return {
         "c0": c0,
-        "stderr": se,
-        "ci95": [c0 - 1.96 * se, c0 + 1.96 * se],
+        **linear._interval(c0, boots),
         "lambda": lam,
         "lambda_source": source,
         "n": stats.n,
@@ -266,12 +259,18 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
 
 
 def _cmd_test_dsep(args: argparse.Namespace) -> dict:
-    from . import dsep
+    from . import dsep, linear, rng
 
-    if args.method == "two-stage" and args.alpha_param is None:
-        raise ValidationError("--alpha-param is required for the two-stage test")
-    if args.method == "theorem1" and args.lam is None:
-        raise ValidationError("--lambda is required for the theorem1 test")
+    dsep._check_level("--level", args.level)
+    needed = {"theorem1": ("--lambda", args.lam), "two-stage": ("--alpha-param", args.alpha_param)}
+    if args.method in needed:
+        flag, value = needed[args.method]
+        if value is None:
+            raise ValidationError(f"{flag} is required for the {args.method} test")
+        linear._variance(flag, value, positive=True)
+    if args.method != "two-stage":
+        linear._resample_count("--boot", args.boot)
+        rng._seed("--seed", args.seed)
     _, rows = read_samples_csv(args.input)
     if args.method == "two-stage":
         result = dsep.two_stage_test(rows, args.alpha_param, level=args.level)
@@ -286,36 +285,27 @@ def _cmd_test_dsep(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _cmd_simulate_discrete(args: argparse.Namespace) -> dict:
-    from . import simulate
+def _cmd_simulate(args: argparse.Namespace) -> dict:
+    """``simulate-discrete`` and ``simulate-linear``: ``--n`` draws from the model at ``--in``."""
+    from . import linear, rng, simulate
 
-    spec = simulate.DiscreteModelSpec.from_json_dict(load_json(args.input))
-    samples, effect = simulate.simulate_discrete(spec, args.n, args.seed)
-    k = samples.shape[1] - 2
-    header = ["x", "y", *(["w"] if k == 1 else [f"w{i + 1}" for i in range(k)])]
-    write_samples_csv(args.out, header, samples, integer=True)
-    payload = {"n": args.n, "seed": args.seed, "effect": effect, "written": args.out}
+    linear._sample_count("--n", args.n)
+    rng._seed("--seed", args.seed)
+    if args.command == "simulate-discrete":
+        spec = simulate.DiscreteModelSpec.from_json_dict(load_json(args.input))
+        samples, effect = simulate.simulate_discrete(spec, args.n, args.seed)
+        k = samples.shape[1] - 2
+        header = ["x", "y", *(["w"] if k == 1 else [f"w{i + 1}" for i in range(k)])]
+        truth = {"effect": effect}
+    else:
+        spec = linear.LinearSemSpec.from_json_dict(load_json(args.input))
+        samples, pop = simulate.simulate_linear(spec, args.n, args.seed)
+        header = ["x", "y", "w"] + (["v"] if spec.has_v else [])
+        truth = {"population_cov": pop.to_json_dict()}
+    write_samples_csv(args.out, header, samples, integer=samples.dtype.kind == "i")
     if args.truth:
-        dump_json({"method": "simulate-discrete", "effect": effect}, args.truth)
-    return payload
-
-
-def _cmd_simulate_linear(args: argparse.Namespace) -> dict:
-    from . import linear, simulate
-
-    spec = linear.LinearSemSpec.from_json_dict(load_json(args.input))
-    rows, pop = simulate.simulate_linear(spec, args.n, args.seed)
-    header = ["x", "y", "w"] + (["v"] if spec.has_v else [])
-    write_samples_csv(args.out, header, rows)
-    payload = {
-        "n": args.n,
-        "seed": args.seed,
-        "population_cov": pop.to_json_dict(),
-        "written": args.out,
-    }
-    if args.truth:
-        dump_json({"method": "simulate-linear", "population_cov": pop.to_json_dict()}, args.truth)
-    return payload
+        dump_json({"method": args.command, **truth}, args.truth)
+    return {"n": args.n, "seed": args.seed, **truth, "written": args.out}
 
 
 #: commands whose --out is the CSV they produce; their result JSON goes to stdout
@@ -396,26 +386,14 @@ def build_parser() -> _Parser:
                    help="var(W) - var(e_W) for the two-stage method")
     p.add_argument("--level", type=float, default=0.05, help="significance level")
 
-    for name, func, help_text in (
-        ("simulate-discrete", _cmd_simulate_discrete,
-         "draw samples from a discrete ground-truth model"),
-        ("simulate-linear", _cmd_simulate_linear,
-         "draw samples from a linear ground-truth model"),
+    for name, help_text in (
+        ("simulate-discrete", "draw samples from a discrete ground-truth model"),
+        ("simulate-linear", "draw samples from a linear ground-truth model"),
     ):
-        p = add(name, func, help_text, seed=True, n=True)
+        p = add(name, _cmd_simulate, help_text, seed=True, n=True)
         p.add_argument("--truth", default=None, help="also write the ground truth JSON here")
 
     return parser
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _warned(caught: list[warnings.WarningMessage]) -> dict:
-    """The ``warnings`` entry of a result document: absent when none was raised."""
-    return {"warnings": [str(w.message) for w in caught]} if caught else {}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -429,25 +407,23 @@ def main(argv: list[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             payload = args.func(args)
+        config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+        doc = {"method": args.command, "config": config, **payload}
+        failed = [v for v in payload.values() if isinstance(v, dict) and "error" in v]
     except _MODEL_ERRORS as exc:
-        failure = _failure(exc)
-        doc = {"method": args.command, **failure, **_warned(caught)}
-        text = dump_json(doc, json_out)
-        if json_out is None:
-            sys.stdout.write(text)
-        print(f"effectrestore {args.command}: {failure['error']}: {exc}", file=sys.stderr)
-        return 2
+        failed = [_failure(exc)]
+        doc = {"method": args.command, **failed[0]}
     except (ValidationError, OSError, RecursionError) as exc:
         # RecursionError: a JSON input nested too deep to decode or to load
         for w in caught:
             print(f"effectrestore {args.command}: warning: {w.message}", file=sys.stderr)
         print(f"effectrestore {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    doc = {"method": args.command, "config": _config_echo(args), **payload, **_warned(caught)}
+    if caught:
+        doc["warnings"] = [str(w.message) for w in caught]
     text = dump_json(doc, json_out)
     if json_out is None:
         sys.stdout.write(text)
-    failed = [v for v in payload.values() if isinstance(v, dict) and "error" in v]
     for failure in failed:
         print(f"effectrestore {args.command}: {failure['error']}: {failure['message']}",
               file=sys.stderr)

@@ -84,10 +84,10 @@ def _two_sided_p(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _check_level(level: float) -> None:
+def _check_level(name: str, level: float) -> None:
     """A test's level lies in (0, 1); each test checks it before it reads a row."""
     if not 0.0 < level < 1.0:
-        raise ValidationError(f"level must lie in (0, 1), got {level!r}")
+        raise ValidationError(f"{name} must lie in (0, 1), got {level!r}")
 
 
 def _make_result(method: str, statistic: float, stderr: float, level: float) -> TestResult:
@@ -134,7 +134,7 @@ def two_stage_test(
     it understates the variance and over-rejects under the null.  ``rows``
     is a sample of at least ``MIN_ROWS`` rows, as ``linear`` reads them.
     """
-    _check_level(level)
+    _check_level("level", level)
     _variance("alpha_param", alpha_param, positive=True)
     arr = _rows(rows, MIN_ROWS, "for the two-stage test")
     n = arr.shape[0]
@@ -160,7 +160,7 @@ def _residual_test(method: str, residual: Callable[[CovStats], float], rows: np.
                    level: float, n_boot: int, seed: int) -> TestResult:
     """The bootstrap test of a moment residual: its value at the sample's
     moments, over its standard error across row resamples."""
-    _check_level(level)
+    _check_level("level", level)
     stat = residual(cov_from_samples(rows))
     se = bootstrap_se(rows, residual, n_boot=n_boot, seed=seed)
     return _make_result(method, stat, se, level)
@@ -174,7 +174,8 @@ def theorem1_test(
     n_boot: int = DEFAULT_BOOTSTRAP,
     seed: int = 0,
 ) -> TestResult:
-    """Residual test on samples, with a bootstrap standard error."""
+    """Residual test on samples, with a bootstrap standard error; lam is judged first."""
+    _variance("lam", lam, positive=True)
     return _residual_test("theorem1", lambda s: theorem1_residual(s, lam), rows, level, n_boot,
                           seed)
 

@@ -77,6 +77,18 @@ def _variance(name: str, value: float, *, positive: bool = False) -> None:
         raise ValidationError(f"{name} must be a finite {kind} real, got {value!r}")
 
 
+def _sample_count(name: str, n: int) -> None:
+    """The sample count rule: ``n`` records, 0 for population moments or an empty draw."""
+    if n < 0:
+        raise ValidationError(f"{name} must be >= 0, got {n}")
+
+
+def _resample_count(name: str, n_boot: int) -> None:
+    """The resample count rule: at least two, so that their spread is defined."""
+    if n_boot < 2:
+        raise ValidationError(f"{name} must be >= 2, got {n_boot}")
+
+
 @dataclass(frozen=True)
 class CovStats:
     """Second moments of the observed variables X, Y, W and optionally V.
@@ -117,8 +129,7 @@ class CovStats:
                     f"|{cov_name}| = {abs(cov):.6g} exceeds the Cauchy-Schwarz bound "
                     f"{math.sqrt(max(bound, 0.0)):.6g}"
                 )
-        if self.n < 0:
-            raise ValidationError("n must be >= 0")
+        _sample_count("n", self.n)
 
     @property
     def has_v(self) -> bool:
@@ -372,8 +383,8 @@ def bootstrap_values(
     slice of the buffer's rows from generators built on the calling
     thread; the matrix product, the moments and the statistic stay on
     the calling thread.  Each row depends only on its own stream and the
-    chunk shapes only on n, n_boot and the buffer size, so the values
-    are the same bits whatever the number of threads.
+    chunk shapes only on n, n_boot and the buffer size, so the bits do not
+    depend on the fill threads; the product's can depend on BLAS's threads.
 
     A column that is constant on a resample leaves rounding noise of
     either sign as its variance; so when a column's sum of squares about
@@ -513,8 +524,7 @@ def _resampled(n: int, n_boot: int, seed: int, width: int, draw: Callable, defin
         raise ValidationError(
             f"need at least {MIN_ROWS} rows for a bootstrap standard error, got {n}"
         )
-    if n_boot < 2:
-        raise ValidationError("n_boot must be >= 2")
+    _resample_count("n_boot", n_boot)
     counts = np.empty((min(n_boot, max(threads, _COUNT_CELLS // max(width, 1))), width))
     kept: list = []
     for start in range(0, n_boot, counts.shape[0]):
@@ -544,4 +554,11 @@ def bootstrap_se(
     same failures) across the resamples on which the statistic is
     defined.
     """
-    return float(np.std(bootstrap_values(rows, statistic, n_boot=n_boot, seed=seed), ddof=1))
+    values = bootstrap_values(rows, statistic, n_boot=n_boot, seed=seed)
+    return float(_interval(0.0, values)["stderr"])
+
+
+def _interval(point: float | np.ndarray, values: np.ndarray) -> dict:
+    """The one bootstrap interval, as the documents print it: SD (ddof=1) and point -/+ 1.96 SD."""
+    se = np.std(values, axis=0, ddof=1)
+    return {"stderr": se, "ci95": np.stack([point - 1.96 * se, point + 1.96 * se], axis=-1)}

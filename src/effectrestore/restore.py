@@ -99,7 +99,7 @@ from .errors import (
 )
 from .mechanism import CONDITION_CAP, TOL_STOCHASTIC, ErrorMatrix
 from .tables import (AXIS_LATENT, AXIS_PROXY, TOL_SUM_INPUT, TOL_VANISHING, JointTable, _adjusted,
-                     _FrozenArrays, _positive_weights, adjust_for_confounder)
+                     _FrozenArrays, _index, _positive_weights, adjust_for_confounder)
 
 #: restored negative mass above this total is a modeling-incompatibility error
 TOL_INCOMPATIBLE = 1e-6
@@ -427,6 +427,11 @@ class PropensityProfile(_FrozenArrays):
         return tuple(tuple(flat[a:b]) for a, b in zip(ends, ends[1:]))
 
 
+def _bin_count(name: str, n_bins: int) -> None:
+    if n_bins < 1:
+        raise ValidationError(f"{name} must be >= 1, got {n_bins}")
+
+
 def propensity_profile(
     table: JointTable, *, treated: int = 1, n_bins: int = 20
 ) -> PropensityProfile:
@@ -438,10 +443,8 @@ def propensity_profile(
     otherwise equal-width bins over [0, 1] are used, empty bins dropped.
     Zero-mass z indices get NaN scores and belong to no stratum.
     """
-    if not 0 <= treated < table.card_x:
-        raise ValidationError(f"treated={treated} out of range for card_x={table.card_x}")
-    if n_bins < 1:
-        raise ValidationError("n_bins must be >= 1")
+    _index("treated", treated, table.card_x)
+    _bin_count("n_bins", n_bins)
     p_z = table.cells.sum(axis=(0, 1))
     scores = table.cells[treated].sum(axis=0)
     pos = p_z > 0.0
@@ -489,8 +492,7 @@ def stratified_effect(table: JointTable, profile: PropensityProfile, x: int) -> 
     positive weight whose propensity P(x | l) is below ``TOL_VANISHING``
     raises PositivityError.
     """
-    if not 0 <= x < table.card_x:
-        raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
+    _index("x", x, table.card_x)
     labels = profile.labels
     if len(labels) != table.card_v:
         raise ValidationError(

@@ -28,13 +28,17 @@ from .errors import ValidationError
 _BLOCK_VALUES = 1 << 16
 
 
+def _seed(name: str, value: int) -> None:
+    if value < 0:
+        raise ValidationError(f"{name} {value} is negative; seeds and stream indices must be >= 0")
+
+
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for the given seed and substream indices, all
     nonnegative integers (ValidationError names a negative one)."""
     key = (int(seed), *(int(s) for s in stream))
-    if min(key) < 0:
-        what = f"seed {key[0]}" if key[0] < 0 else f"stream index {min(key)}"
-        raise ValidationError(f"{what} is negative; seeds and stream indices must be >= 0")
+    _seed("seed", key[0])
+    _seed("stream index", min(key[1:], default=0))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .io import _json_array, _json_object
-from .linear import CovStats, LinearSemSpec
+from .linear import CovStats, LinearSemSpec, _sample_count
 from .mechanism import BinaryErrorParams, ErrorMatrix, _check_stochastic
 from .restore import pushforward
 from .rng import _uniform_row_blocks, make_rng
@@ -156,8 +156,7 @@ def simulate_discrete(
     digit i, first factor most significant, so no factored mechanism is
     ever expanded.
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _sample_count("n", n)
     rng = make_rng(seed)
     # each uniform block is drawn where it is used, in the documented order
     z = np.searchsorted(np.cumsum(spec.p_z), rng.random(n), side="left")
@@ -185,8 +184,7 @@ def simulate_linear(
     spec: LinearSemSpec, n: int, seed: int
 ) -> tuple[np.ndarray, CovStats]:
     """n draws of (x, y, w[, v]) plus the exact population moments."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    _sample_count("n", n)
     rng = make_rng(seed)
     z = rng.normal(0.0, np.sqrt(spec.var_z), n)
     e_x = rng.normal(0.0, np.sqrt(spec.var_ex), n)

@@ -258,6 +258,12 @@ def _adjusted(cells: np.ndarray, x: int, *, refuse: bool = False
     return np.matmul(cells[..., x, :, :], weight[..., :, None])[..., 0], positive
 
 
+def _index(name: str, value: int, card: int, axis: str = "x") -> None:
+    """The one index rule, for a treatment (or outcome) value: an integer in [0, card)."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and 0 <= value < card):
+        raise ValidationError(f"{name}={value} out of range for card_{axis}={card}")
+
+
 def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     """Confounder-adjusted outcome distribution sum_v P(y | x, v) P(v).
 
@@ -269,8 +275,7 @@ def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     nonnegative table the result is a probability vector (sums to 1 within
     1e-12).  This is the one-table call of ``_adjusted``.
     """
-    if not 0 <= x < table.card_x:
-        raise ValidationError(f"x={x} out of range for card_x={table.card_x}")
+    _index("x", x, table.card_x)
     return _adjusted(table.cells, x, refuse=True)[0]
 
 

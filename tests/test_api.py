@@ -5,6 +5,7 @@ import ast
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +280,64 @@ def test_one_variance_rule():
                      and id(node) not in docs and isinstance(node.value, str)
                      and ("positive" in node.value or "nonnegative" in node.value)}
     assert spellers == {("linear.py", "_variance")}
+
+
+def test_one_statement_of_each_argument_rule():
+    # each scalar argument rule is spelled in one function, which every library
+    # function and CLI handler calls with the name it reports: no other code of
+    # the package spells its refusal outside a docstring
+    rules = {
+        "treatment index": r"out of range for card|must be 0 or 1",
+        "bin count": r"must be >= 1\b",
+        "sample count": r"(^|\bn) must be >= 0",
+        "resample count": r"must be >= 2\b",
+        "seed": r"\bseeds?\b.*(negative|>= 0)",
+    }
+    package = Path(effectrestore.__file__).parent
+    spellers = {rule: set() for rule in rules}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docs = {id(node.body[0].value) for node in ast.walk(tree)
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and isinstance(node.body[0], ast.Expr)}
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        and id(node) not in docs):
+                    for rule, pattern in rules.items():
+                        if re.search(pattern, node.value):
+                            spellers[rule].add((path.name, getattr(top, "name", None)))
+    assert spellers == {
+        "treatment index": {("tables.py", "_index")},
+        "bin count": {("restore.py", "_bin_count")},
+        "sample count": {("linear.py", "_sample_count")},
+        "resample count": {("linear.py", "_resample_count")},
+        "seed": {("rng.py", "_seed")},
+    }
+
+
+@pytest.mark.parametrize("value", [-1, 2, 0.5, 1.0, True])
+def test_every_index_argument_is_refused_by_the_index_rule(value):
+    # a treatment (or outcome) value outside the table's cards, or not an
+    # integer, is a ValidationError naming the argument, never numpy's IndexError
+    import numpy as np
+
+    er = effectrestore
+    latent = er.JointTable(np.arange(1.0, 9.0).reshape(2, 2, 2) / 36.0, "Z")
+    observed, rates = latent.with_axis("W"), er.BinaryErrorParams(0.1, 0.1)
+    profile = er.propensity_profile(latent, n_bins=2)
+    for name, axis, call in (
+        ("x", "x", lambda: er.adjust_for_confounder(latent, value)),
+        ("x", "x", lambda: er.stratified_effect(latent, profile, value)),
+        ("treated", "x", lambda: er.propensity_profile(latent, treated=value)),
+        ("x", "x", lambda: er.causal_effect_binary(observed, rates, value, 1)),
+        ("y", "y", lambda: er.causal_effect_binary(observed, rates, 1, value)),
+        ("x", "x", lambda: er.causal_effect_binary_infinitesimal(observed, rates, value, 1)),
+        ("y", "y", lambda: er.causal_effect_binary_infinitesimal(observed, rates, 1, value)),
+    ):
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert str(caught.value) == f"{name}={value} out of range for card_{axis}=2"
 
 
 def test_one_theorem1_residual():

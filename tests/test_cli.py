@@ -936,15 +936,34 @@ class TestUsageErrors:
             assert (code, out, leaked) == (1, "", [])
             assert err == f"effectrestore {argv[0]}: error: {fault}\n"
 
+    #: every command that takes --seed, each file it names at {nope}: those that
+    #: bootstrap, then synthesize and the simulators
+    BOOTSTRAPS = [["effect-binary", "--in", "{nope}", "--error", "{nope}"],
+                  ["effect-linear", "--in", "{nope}", "--var-ew", "0.3"],
+                  ["test-dsep", "--in", "{nope}", "--method", "theorem1", "--lambda", "1"],
+                  ["test-dsep", "--in", "{nope}", "--method", "tetrad"]]
+    SIMULATORS = [[command, "--in", "{nope}", "--out", "{nope}"]
+                  for command in ("simulate-discrete", "simulate-linear")]
+    SEEDED = [*BOOTSTRAPS, ["synthesize", "--in", "{nope}", "--error", "{nope}", "--out", "{nope}"],
+              *SIMULATORS]
+
     @pytest.mark.parametrize("argv, fault", [
-        *[(["effect-linear", "--in", "{rows}", "--lambda", value],
-           f"lam must be a finite positive real, got {got}") for value, got in LAMBDAS],
-        *[(["test-dsep", "--in", "{rows}", "--method", "theorem1", "--lambda", value],
-           f"lam must be a finite positive real, got {got}") for value, got in LAMBDAS],
-        *[(["test-dsep", "--in", "{rows}", "--method", "two-stage", "--alpha-param", value],
-           f"alpha_param must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[(["effect-linear", "--in", "{nope}", "--lambda", value],
+           f"--lambda must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[(["test-dsep", "--in", "{nope}", "--method", "theorem1", "--lambda", value],
+           f"--lambda must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[(["test-dsep", "--in", "{nope}", "--method", "two-stage", "--alpha-param", value],
+           f"--alpha-param must be a finite positive real, got {got}") for value, got in LAMBDAS],
+        *[([*argv, "--boot", "1"], "--boot must be >= 2, got 1") for argv in BOOTSTRAPS],
+        *[([*argv, "--seed", "-1"],
+           "--seed -1 is negative; seeds and stream indices must be >= 0") for argv in SEEDED],
+        *[(["test-dsep", "--in", "{nope}", "--method", method, *flags, "--level", "2"],
+           "--level must lie in (0, 1), got 2.0")
+          for method, flags in (("theorem1", ["--lambda", "1"]), ("tetrad", []),
+                                ("two-stage", ["--alpha-param", "1"]))],
+        *[([*argv, "--n", "-1"], "--n must be >= 0, got -1") for argv in SIMULATORS],
         (["restore-discrete", "--in", "{binary}", "--error", "{rates}", "--x", "5"],
-         "x=5 out of range for card_x=2"),
+         "--x=5 out of range for card_x=2"),
         # a flag's rule goes before any file is read: --in and --error do not exist
         (["restore-discrete", "--in", "{nope}", "--error", "{nope}", "--x", "1", "--strata", "0"],
          "--strata must be >= 1, got 0"),
@@ -956,26 +975,35 @@ class TestUsageErrors:
          "exactly one of --lambda, --var-ew, --two-indicator must be given"),
         (["effect-linear", "--in", "{nope}", "--lambda", "1", "--var-ew", "0.5"],
          "exactly one of --lambda, --var-ew, --two-indicator must be given"),
+        (["effect-binary", "--in", "{table}", "--error", "{nope}"],
+         "effect-binary bootstraps sample rows; a .json table input has none"),
     ])
     def test_a_bad_flag_is_refused_before_the_work(self, tmp_path, monkeypatch, argv, fault):
         # exit 1 with one error line naming the flag or its value, before any
         # restoration (and, for a flag alone, before any file is read)
-        from effectrestore import restore
+        from effectrestore import cli, restore
+        from effectrestore import io as samples_io
 
         def no_restoration(*args, **kwargs):
             raise AssertionError("restored before the flags were checked")
 
+        def no_read(path, *args, **kwargs):
+            raise AssertionError(f"read {path} before the flags were checked")
+
         monkeypatch.setattr(restore, "restore_joint", no_restoration)
-        paths = {"rows": tmp_path / "rows.csv", "binary": tmp_path / "binary.csv",
-                 "rates": tmp_path / "rates.json", "nope": tmp_path / "nope"}
-        write_samples_csv(paths["rows"], ["x", "y", "w"],
-                          np.random.default_rng(3).normal(size=(50, 3)))
+        if not any(name in arg for arg in argv for name in ("{binary}", "{rates}")):
+            for module in (cli, samples_io):
+                for reader in ("read_samples_csv", "read_integer_samples", "load_json"):
+                    monkeypatch.setattr(module, reader, no_read)
+        paths = {"binary": tmp_path / "binary.csv", "rates": tmp_path / "rates.json",
+                 "nope": tmp_path / "nope", "table": tmp_path / "nope.json"}
         write_samples_csv(paths["binary"], ["x", "y", "w"],
                           np.random.default_rng(4).integers(0, 2, size=(50, 3)), integer=True)
         dump_json({"eps": 0.1, "delta": 0.1}, paths["rates"])
         code, out, err, leaked = run_main([arg.format(**paths) for arg in argv])
         assert (code, out, leaked) == (1, "", [])
         assert err == f"effectrestore {argv[0]}: error: {fault}\n"
+        assert not paths["nope"].exists()
 
     def test_stdout_json_when_no_out(self, tmp_path, capsys, strong_confounding_spec):
         samples_path, _ = write_binary_samples(tmp_path, strong_confounding_spec, n=1000)
@@ -1242,11 +1270,11 @@ class TestWarningsGoToTheDocument:
     def test_usage_error_names_them_on_stderr(self, tmp_path):
         path = constant_proxy_csv(tmp_path)
         code, out, err, leaked = run_main(
-            ["effect-linear", "--in", str(path), "--lambda", "0.5", "--boot", "1"])
+            ["effect-linear", "--in", str(path), "--var-ew", "nan"])
         assert (code, out, leaked) == (1, "", [])
         assert err.splitlines() == [
             f"effectrestore effect-linear: warning: {self.CONSTANT}",
-            "effectrestore effect-linear: error: n_boot must be >= 2",
+            "effectrestore effect-linear: error: var_ew must be finite, got nan",
         ]
 
     def test_synthesize_lists_each_empty_group(self, tmp_path):
@@ -1802,7 +1830,7 @@ _TETRAD = ["test-dsep", "--in", "@linear.csv", "--method", "tetrad", "--boot", "
 #: and the text of the error line that names it.  An @name is a file of
 #: ``tiny_inputs``, a %name one the command must not write
 MALFORMED_FLAGS = [
-    *[("seed", [*argv, "--seed", "-1"], "seed -1 is negative") for argv in (
+    *[("seed", [*argv, "--seed", "-1"], "--seed -1 is negative") for argv in (
         ["effect-binary", *_BINARY, "--boot", "20"],
         ["synthesize", *_BINARY, "--out", "%out.csv"],
         ["effect-linear", "--in", "@linear.csv", "--var-ew", "0.3", "--boot", "20"],
@@ -1820,7 +1848,7 @@ MALFORMED_FLAGS = [
                            ("1e308", "smooth=1e+308 over 8 cells leaves the table's mass inf"))],
     *[("var-ew", ["effect-linear", "--in", "@linear.csv", "--boot", "20", "--var-ew", value],
        f"var_ew must be finite, got {value}") for value in ("nan", "inf")],
-    *[("level", [*argv, "--level", "2"], "level must lie in (0, 1), got 2.0")
+    *[("level", [*argv, "--level", "2"], "--level must lie in (0, 1), got 2.0")
       for argv in (_THEOREM1, _TETRAD)],
 ]
 
