@@ -116,13 +116,14 @@ def _read_table(args: argparse.Namespace, binary: bool = False
     (None for JSON).  A JSON table must be a distribution.  A CSV holds x, y and one w
     column of ``mech.n_w`` values or one per dense factor of ``mech`` (its ``n_w`` the
     radix).  x and y cards are 2 for a ``binary`` command, else a CSV's max + 1."""
-    from .tables import TOL_SUM_INPUT, JointTable, empirical_joint, validate_joint
+    from .tables import TOL_SUM_INPUT, JointTable, _smooth, empirical_joint, validate_joint
 
-    mech, path, smooth = _mechanism(args, binary), args.input, args.smooth
-    xy_cards = (2, 2) if binary else None
+    path, smooth = args.input, args.smooth
+    _smooth("--smooth", smooth)
+    if smooth and path.endswith(".json"):
+        raise ValidationError("--smooth smooths sample counts; a .json table input has none")
+    mech, xy_cards = _mechanism(args, binary), (2, 2) if binary else None
     if path.endswith(".json"):
-        if smooth:
-            raise ValidationError("--smooth smooths sample counts; a .json table input has none")
         table = JointTable.from_json_dict(load_json(path))
         check = validate_joint(table)
         if check.negative_cells:
@@ -261,16 +262,17 @@ def _cmd_effect_linear(args: argparse.Namespace) -> dict:
 def _cmd_test_dsep(args: argparse.Namespace) -> dict:
     from . import dsep, linear, rng
 
+    # every flag given is judged, whether or not the method reads it
     dsep._check_level("--level", args.level)
-    needed = {"theorem1": ("--lambda", args.lam), "two-stage": ("--alpha-param", args.alpha_param)}
-    if args.method in needed:
-        flag, value = needed[args.method]
-        if value is None:
-            raise ValidationError(f"{flag} is required for the {args.method} test")
-        linear._variance(flag, value, positive=True)
-    if args.method != "two-stage":
-        linear._resample_count("--boot", args.boot)
-        rng._seed("--seed", args.seed)
+    given = {"--lambda": args.lam, "--alpha-param": args.alpha_param}
+    needed = {"theorem1": "--lambda", "two-stage": "--alpha-param"}.get(args.method)
+    if needed and given[needed] is None:
+        raise ValidationError(f"{needed} is required for the {args.method} test")
+    for flag, value in given.items():
+        if value is not None:
+            linear._variance(flag, value, positive=True)
+    linear._resample_count("--boot", args.boot)
+    rng._seed("--seed", args.seed)
     _, rows = read_samples_csv(args.input)
     if args.method == "two-stage":
         result = dsep.two_stage_test(rows, args.alpha_param, level=args.level)

@@ -11,7 +11,8 @@ population moments alongside the sample.
 Sampling is deterministic given (spec, n, seed): draws come from the
 seeded stream of :func:`effectrestore.rng.make_rng` as consecutive
 uniform blocks in a fixed order (z, x, y, w for discrete; z, e_x, e_y,
-e_w, e_v for linear), each block in sample order.
+e_w, e_v for linear), each block in sample order.  Every categorical draw
+is one inverse-CDF rule, ``_draw``, in memory O(n + table), never n x card.
 """
 
 from __future__ import annotations
@@ -122,23 +123,26 @@ class DiscreteModelSpec(_FrozenArrays):
                        error=ErrorMatrix.from_json_dict(*err.values()))
 
 
-def _draw_categorical(cum_by_sample: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row: cum_by_sample[i] is the cumulative
-    distribution for sample i, u[i] its uniform."""
-    return (u[:, None] > cum_by_sample).sum(axis=1)
+#: longest CDF ``_draw`` counts row by row (no slower up to 16 values at 1-8192 columns)
+_COUNT_MAX_CARD = 16
 
 
-def _draw_by_column(cum: np.ndarray, col: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of sample i from ``cum[:, col[i]]`` with uniform u[i]:
-    one ``searchsorted`` per distinct column over the samples that use it, so
-    memory stays O(n + table) where a row per sample would cost O(n * len(cum))."""
-    out = np.empty(col.shape[0], dtype=np.intp)
-    order = np.argsort(col, kind="stable")
-    sorted_col = col[order]
-    starts = np.flatnonzero(np.diff(sorted_col, prepend=-1))
-    for lo, hi in zip(starts, [*starts[1:], col.shape[0]]):
+def _draw(cum: np.ndarray, col: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The one inverse-CDF draw: sample i is ``searchsorted(cum[:, col[i]], u[i],
+    side="left")``, the number of entries of column col[i] of the (card, columns)
+    CDF table below u[i], in O(n + table) memory: a short CDF is counted one row
+    at a time, a long one searched per column over a radix sort of the samples."""
+    card, columns = cum.shape
+    out = np.zeros(u.shape[0], dtype=np.intp)
+    if card <= _COUNT_MAX_CARD:
+        for row in cum:
+            out += u > row[col]
+        return out
+    bounds = np.cumsum(np.bincount(col, minlength=columns)).tolist()
+    order = np.argsort(col.astype(np.min_scalar_type(columns - 1)), kind="stable")
+    for c, (lo, hi) in enumerate(zip([0, *bounds], bounds)):
         idx = order[lo:hi]
-        out[idx] = np.searchsorted(cum[:, sorted_col[lo]], u[idx], side="left")
+        out[idx] = np.searchsorted(cum[:, c], u[idx], side="left")
     return out
 
 
@@ -151,32 +155,28 @@ def simulate_discrete(
     (x, y, w_1..w_K), one w column per dense factor of the mechanism (K = 1
     for a dense matrix), and ``effect[x]`` is the analytic P(y | do(x)).
 
-    After the z, x and y blocks, W reads ``rng.random((n, K))`` in row
-    blocks, column i drawn by inverse CDF from factor i's column for z's
-    digit i, first factor most significant, so no factored mechanism is
-    ever expanded.
+    z is drawn from p_z's CDF, x from column z of P(x | z)'s, y from column
+    x * n_z + z of P(y | x, z)'s, then W from ``rng.random((n, K))`` in row
+    blocks: column i from factor i's column for z's digit i, first factor
+    most significant, so no factored mechanism is ever expanded.
     """
     _sample_count("n", n)
     rng = make_rng(seed)
     # each uniform block is drawn where it is used, in the documented order
-    z = np.searchsorted(np.cumsum(spec.p_z), rng.random(n), side="left")
-    cum_x = np.cumsum(spec.p_x_given_z, axis=0)
-    x = _draw_categorical(cum_x.T[z], rng.random(n))
-    cum_y = np.cumsum(spec.p_y_given_xz, axis=0)
-    y = _draw_categorical(np.moveaxis(cum_y, 0, -1)[x, z], rng.random(n))
+    z = _draw(np.cumsum(spec.p_z)[:, None], np.zeros(n, np.uint8), rng.random(n))
+    x = _draw(np.cumsum(spec.p_x_given_z, axis=0), z, rng.random(n))
+    cum_y = np.cumsum(spec.p_y_given_xz, axis=0).reshape(spec.n_y, -1)
+    y = _draw(cum_y, x * spec.n_z + z, rng.random(n))
     mats = spec.error._mats
-    z_sides = [m.shape[1] for m in mats]
     cums = [np.cumsum(m, axis=0) for m in mats]
     samples = np.empty((n, 2 + len(mats)), dtype=np.int64)
     samples[:, 0], samples[:, 1] = x, y
     del x, y
     for start, u_w in _uniform_row_blocks(rng, n, len(mats)):
-        stop = start + u_w.shape[0]
-        # z's digit per factor in the smallest type, so the stable sort is a radix sort
-        digits = np.unravel_index(z[start:stop], z_sides)
-        samples[start:stop, 2:] = np.column_stack([
-            _draw_by_column(cum, d.astype(np.min_scalar_type(side - 1)), u)
-            for cum, d, side, u in zip(cums, digits, z_sides, u_w.T)])
+        rows = slice(start, start + u_w.shape[0])
+        digits = np.unravel_index(z[rows], [m.shape[1] for m in mats])
+        for i, (cum, digit, u) in enumerate(zip(cums, digits, u_w.T)):
+            samples[rows, 2 + i] = _draw(cum, digit, u)
     return samples, spec.effect_table()
 
 

@@ -264,6 +264,12 @@ def _index(name: str, value: int, card: int, axis: str = "x") -> None:
         raise ValidationError(f"{name}={value} out of range for card_{axis}={card}")
 
 
+def _smooth(name: str, value: float) -> None:
+    """The one smoothing rule, for a pseudo-count added to every cell: a finite real >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValidationError(f"{name} must be a finite nonnegative real, got {value!r}")
+
+
 def adjust_for_confounder(table: JointTable, x: int) -> np.ndarray:
     """Confounder-adjusted outcome distribution sum_v P(y | x, v) P(v).
 
@@ -298,8 +304,7 @@ def empirical_joint(
     if len(cards) < 3 or arr.ndim != 2 or arr.shape[1] != len(cards):
         raise ValidationError(f"samples must have shape (n, k) for k >= 3 cards, one per "
                               f"column, got {arr.shape} and cards {cards}")
-    if smooth < 0.0:
-        raise ValidationError("smooth must be >= 0")
+    _smooth("smooth", smooth)
     try:
         idx = np.ravel_multi_index(tuple(arr.T), cards)
     except ValueError:
@@ -315,7 +320,7 @@ def empirical_joint(
     counts += smooth
     with np.errstate(over="ignore"):  # refused below
         total = counts.sum()
-    if not math.isfinite(total):  # a NaN or infinite smooth, or one that overflows the sum
+    if not math.isfinite(total):  # a finite smooth whose sum overflows
         raise ValidationError(f"smooth={smooth} over {counts.size} cells leaves the "
                               f"table's mass {total}, not finite")
     if total <= 0.0:

@@ -282,6 +282,24 @@ def test_one_variance_rule():
     assert spellers == {("linear.py", "_variance")}
 
 
+def test_one_inverse_cdf_draw():
+    # every categorical value the simulator draws is ``simulate._draw``'s: no other
+    # function of simulate.py searches or compares, and simulate_discrete hands each
+    # uniform block it draws (z, x, y) straight to one of its four draws (z, x, y, w)
+    tree = ast.parse((Path(effectrestore.__file__).parent / "simulate.py").read_text())
+    tops = {top.name: top for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert {name for name in tops if name.startswith("_draw")} == {"_draw"}
+    ordered = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+    assert {name for name, top in tops.items() for node in ast.walk(top)
+            if (isinstance(node, ast.Attribute) and node.attr == "searchsorted")
+            or (isinstance(node, ast.Compare) and isinstance(node.ops[0], ordered))} == {"_draw"}
+    calls = [node for node in ast.walk(tops["simulate_discrete"]) if isinstance(node, ast.Call)]
+    draws = [call for call in calls if getattr(call.func, "id", None) == "_draw"]
+    uniforms = [call for call in calls if getattr(call.func, "attr", None) == "random"]
+    assert len(draws) == 4 and len(uniforms) == 3
+    assert all(any(u is arg for call in draws for arg in call.args) for u in uniforms)
+
+
 def test_one_statement_of_each_argument_rule():
     # each scalar argument rule is spelled in one function, which every library
     # function and CLI handler calls with the name it reports: no other code of
@@ -292,6 +310,7 @@ def test_one_statement_of_each_argument_rule():
         "sample count": r"(^|\bn) must be >= 0",
         "resample count": r"must be >= 2\b",
         "seed": r"\bseeds?\b.*(negative|>= 0)",
+        "smoothing": r"must be a finite nonnegative|smooth must be",
     }
     package = Path(effectrestore.__file__).parent
     spellers = {rule: set() for rule in rules}
@@ -313,6 +332,7 @@ def test_one_statement_of_each_argument_rule():
         "sample count": {("linear.py", "_sample_count")},
         "resample count": {("linear.py", "_resample_count")},
         "seed": {("rng.py", "_seed")},
+        "smoothing": {("tables.py", "_smooth")},
     }
 
 

@@ -977,6 +977,25 @@ class TestUsageErrors:
          "exactly one of --lambda, --var-ew, --two-indicator must be given"),
         (["effect-binary", "--in", "{table}", "--error", "{nope}"],
          "effect-binary bootstraps sample rows; a .json table input has none"),
+        *[([*argv, "--smooth", value], f"--smooth must be a finite nonnegative real, got {got}")
+          for argv in (["restore-discrete", "--in", "{nope}", "--error", "{nope}"],
+                       ["restore-binary", "--in", "{nope}", "--error", "{nope}"],
+                       ["effect-binary", "--in", "{nope}", "--error", "{nope}"])
+          for value, got in (("-1", "-1.0"), ("nan", "nan"), ("inf", "inf"))],
+        (["restore-discrete", "--in", "{table}", "--error", "{nope}", "--smooth"],
+         "--smooth smooths sample counts; a .json table input has none"),
+        # test-dsep judges each flag it is given, whether or not its method reads it
+        *[(["test-dsep", "--in", "{nope}", "--method", "two-stage", "--alpha-param", "1", *flags],
+           fault) for flags, fault in (
+            (["--boot", "1"], "--boot must be >= 2, got 1"),
+            (["--seed", "-1"], "--seed -1 is negative; seeds and stream indices must be >= 0"),
+            (["--lambda", "inf"], "--lambda must be a finite positive real, got inf"))],
+        *[(["test-dsep", "--in", "{nope}", "--method", "tetrad", *flags], fault)
+          for flags, fault in (
+            (["--lambda", "inf"], "--lambda must be a finite positive real, got inf"),
+            (["--alpha-param", "-1"], "--alpha-param must be a finite positive real, got -1.0"))],
+        (["test-dsep", "--in", "{nope}", "--method", "theorem1", "--lambda", "1",
+          "--alpha-param", "nan"], "--alpha-param must be a finite positive real, got nan"),
     ])
     def test_a_bad_flag_is_refused_before_the_work(self, tmp_path, monkeypatch, argv, fault):
         # exit 1 with one error line naming the flag or its value, before any
@@ -1843,8 +1862,8 @@ MALFORMED_FLAGS = [
         ["restore-discrete", *_BINARY, "--x", "1"],
         ["restore-binary", *_BINARY],
         ["effect-binary", *_BINARY, "--boot", "20"],
-    ) for value, named in (("nan", "smooth=nan over 8 cells leaves the table's mass nan"),
-                           ("inf", "smooth=inf over 8 cells leaves the table's mass inf"),
+    ) for value, named in (("nan", "--smooth must be a finite nonnegative real, got nan"),
+                           ("inf", "--smooth must be a finite nonnegative real, got inf"),
                            ("1e308", "smooth=1e+308 over 8 cells leaves the table's mass inf"))],
     *[("var-ew", ["effect-linear", "--in", "@linear.csv", "--boot", "20", "--var-ew", value],
        f"var_ew must be finite, got {value}") for value in ("nan", "inf")],

@@ -16,6 +16,7 @@ from effectrestore import (
     cov_from_samples,
     empirical_joint,
     naive_effect,
+    simulate,
     simulate_discrete,
     simulate_linear,
 )
@@ -251,6 +252,33 @@ class TestSimulateDiscrete:
         u_z = make_rng(6).random(5000)
         np.testing.assert_array_equal(z, (u_z[:, None] > np.cumsum(p_z)).sum(axis=1))
 
+    @pytest.mark.parametrize("card_x, card_y", [(3, 2), (64, 20)])
+    def test_treatment_and_outcome_draws_are_inverse_cdf_counts(self, card_x, card_y):
+        # oracle from the documented stream: u_z, u_x, u_y (n each); x counts the
+        # entries of column z of P(x | z)'s CDF below u_x, y those of column (x, z)
+        # of P(y | x, z)'s below u_y, zero-mass values included; 64 and 20 values
+        # are drawn by search, 3 and 2 by count
+        rng = np.random.default_rng(card_x)
+        p_x = rng.dirichlet(np.ones(card_x), size=3).T
+        p_y = rng.dirichlet(np.ones(card_y), size=(card_x, 3))
+        p_y[..., 0] = 0.0
+        spec = DiscreteModelSpec(
+            p_z=np.array([0.3, 0.0, 0.7]),
+            p_x_given_z=p_x,
+            p_y_given_xz=np.moveaxis(p_y / p_y.sum(axis=-1, keepdims=True), -1, 0),
+            error=ErrorMatrix.identity(3),
+        )
+        n = 20_000
+        samples, _ = simulate_discrete(spec, n, seed=8)
+        stream = make_rng(8)
+        u_z, u_x, u_y = (stream.random(n) for _ in range(3))
+        z = (u_z[:, None] > np.cumsum(spec.p_z)).sum(axis=1)
+        x = (u_x[:, None] > np.cumsum(spec.p_x_given_z, axis=0).T[z]).sum(axis=1)
+        cum_y = np.moveaxis(np.cumsum(spec.p_y_given_xz, axis=0), 0, -1)
+        y = (u_y[:, None] > cum_y[x, z]).sum(axis=1)
+        np.testing.assert_array_equal(samples, np.column_stack([x, y, z]))
+        assert not np.isin(1, z) and not np.isin(0, y)
+
     def test_dense_categorical_mechanism(self):
         mech = ErrorMatrix(entries=np.array(
             [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
@@ -307,6 +335,21 @@ class TestSimulateDiscrete:
         (samples, _), peak = traced_peak(lambda: simulate_discrete(spec, n, seed=15))
         assert peak < 1.5 * samples.nbytes
 
+    def test_large_card_treatment_draw_memory_stays_near_the_output(self):
+        # a CDF row per sample for 256 treatment values would take n x 256 floats,
+        # 410 MB here, against the 4.8 MB output
+        rng = np.random.default_rng(18)
+        spec = DiscreteModelSpec(
+            p_z=np.full(4, 0.25),
+            p_x_given_z=rng.dirichlet(np.ones(256), size=4).T,
+            p_y_given_xz=np.full((2, 256, 4), 0.5),
+            error=ErrorMatrix.identity(4),
+        )
+        n = 200_000
+        simulate_discrete(spec, 10, seed=1)  # warm up lazy allocations
+        (samples, _), peak = traced_peak(lambda: simulate_discrete(spec, n, seed=19))
+        assert peak < 2.5 * samples.nbytes
+
     def test_factored_matrix_draw_never_expands_the_mechanism(self):
         # 13 binary factors make an 8192 x 8192 mechanism, above DENSE_CAP
         spec = component_spec(np.random.default_rng(16), 13)
@@ -314,6 +357,35 @@ class TestSimulateDiscrete:
         (samples, _), peak = traced_peak(lambda: simulate_discrete(spec, 10_000, seed=17))
         assert samples.shape == (10_000, 2 + 13) and set(np.unique(samples[:, 2:])) <= {0, 1}
         assert peak < 10e6
+
+
+@st.composite
+def cdf_draws(draw):
+    """A (card, columns) CDF table on either side of ``_COUNT_MAX_CARD``, with
+    rows of zero mass, and samples' columns and uniforms, 0 and CDF entries
+    among them."""
+    card = draw(st.integers(1, 2 * simulate._COUNT_MAX_CARD))
+    columns = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.ones(card), size=columns).T
+    p[rng.random(card) < 0.3] = 0.0
+    cum = np.cumsum(p, axis=0)
+    col = rng.integers(0, columns, n)
+    u = rng.random(n)
+    on_entry = rng.random(n) < 0.4
+    u[on_entry] = cum[rng.integers(0, card, n), col][on_entry]
+    u[rng.random(n) < 0.1] = 0.0
+    return cum, col.astype(draw(st.sampled_from([np.intp, np.uint8]))), u
+
+
+class TestDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(cdf_draws())
+    def test_draw_is_the_per_sample_search(self, drawn):
+        cum, col, u = drawn
+        want = [np.searchsorted(cum[:, c], v, side="left") for c, v in zip(col, u)]
+        np.testing.assert_array_equal(simulate._draw(cum, col, u), np.array(want, dtype=np.intp))
 
 
 class TestSimulateLinear:

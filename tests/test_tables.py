@@ -288,13 +288,14 @@ class TestEmpiricalJoint:
         assert table.total() == pytest.approx(1.0)
         assert table.cells[0, 0, 0] == pytest.approx(1.5 / 5.0)
 
-    @pytest.mark.parametrize("smooth, mass", [
-        (np.nan, "nan"), (np.inf, "inf"),
+    @pytest.mark.parametrize("smooth, fault", [
+        (-1.0, "smooth must be a finite nonnegative real, got -1.0"),
+        (np.nan, "smooth must be a finite nonnegative real, got nan"),
+        (np.inf, "smooth must be a finite nonnegative real, got inf"),
         # finite, but eight cells of it sum to inf: every cell would read 0
-        (1e308, "inf"),
-    ], ids=["nan", "inf", "1e308"])
-    def test_smoothing_that_poisons_the_table_is_refused(self, smooth, mass):
-        fault = f"smooth={smooth} over 8 cells leaves the table's mass {mass}, not finite"
+        (1e308, "smooth=1e+308 over 8 cells leaves the table's mass inf, not finite"),
+    ], ids=["-1", "nan", "inf", "1e308"])
+    def test_smoothing_that_poisons_the_table_is_refused(self, smooth, fault):
         with pytest.raises(ValidationError, match=re.escape(fault)):
             empirical_joint(np.array([[0, 0, 0]]), (2, 2, 2), "W", smooth=smooth)
 
